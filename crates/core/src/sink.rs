@@ -135,6 +135,28 @@ impl<A> CellBatch<A> {
         self.accs.push(acc);
     }
 
+    /// Append cells `range` of `other` in one bulk copy per buffer — the
+    /// hand-over path between batches (one accumulator clone per cell, no
+    /// per-cell pushes).
+    pub fn append(&mut self, other: &CellBatch<A>, range: std::ops::Range<usize>)
+    where
+        A: Clone,
+    {
+        debug_assert_eq!(other.dims, self.dims);
+        self.values
+            .extend_from_slice(&other.values[range.start * self.dims..range.end * self.dims]);
+        self.counts.extend_from_slice(&other.counts[range.clone()]);
+        self.accs.extend_from_slice(&other.accs[range]);
+    }
+
+    /// Cell `index` in insertion order, `None` past the end.
+    #[inline]
+    pub fn get(&self, index: usize) -> Option<(&[u32], u64, &A)> {
+        let count = *self.counts.get(index)?;
+        let cell = &self.values[index * self.dims..(index + 1) * self.dims];
+        Some((cell, count, &self.accs[index]))
+    }
+
     /// Iterate the buffered cells in insertion order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], u64, &A)> + '_ {
@@ -422,6 +444,33 @@ mod tests {
         assert_eq!(sink.count_sum, 7);
         let cells: Vec<Vec<u32>> = batch.iter().map(|(c, _, _)| c.to_vec()).collect();
         assert_eq!(cells, vec![vec![1, STAR], vec![STAR, 3]]);
+    }
+
+    #[test]
+    fn append_and_get_agree_with_push_and_iter() {
+        let mut src: CellBatch<u64> = CellBatch::new(2);
+        for i in 0..5u32 {
+            src.push(&[i, STAR], u64::from(i) + 1, u64::from(i) * 10);
+        }
+        let mut dst: CellBatch<u64> = CellBatch::new(2);
+        dst.push(&[9, 9], 9, 90);
+        dst.append(&src, 1..4);
+        dst.append(&src, 4..4);
+        let got: Vec<(Vec<u32>, u64, u64)> =
+            dst.iter().map(|(c, n, a)| (c.to_vec(), n, *a)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (vec![9, 9], 9, 90),
+                (vec![1, STAR], 2, 10),
+                (vec![2, STAR], 3, 20),
+                (vec![3, STAR], 4, 30),
+            ]
+        );
+        for (i, want) in dst.iter().enumerate() {
+            assert_eq!(dst.get(i), Some(want));
+        }
+        assert_eq!(dst.get(dst.len()), None);
     }
 
     #[test]

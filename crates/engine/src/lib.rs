@@ -45,8 +45,9 @@
 //!   shard's cells that star `d`, and may recursively split again along the
 //!   next dimension.
 //!
-//! Sub-tasks go onto the splitting worker's deque (LIFO for locality);
-//! idle workers steal from the opposite end (coarsest task first), so the
+//! Sub-tasks go onto the splitting worker's deque last child first, so the
+//! owner's LIFO pop is the lexicographically first child; idle workers
+//! steal from the opposite end — the rest task, the coarsest — so the
 //! critical path shrinks from "hottest shard" to "deepest unsplittable
 //! sub-shard". Because the split decision depends only on shard size and
 //! configuration — never on thread count or timing — the task tree is
@@ -67,14 +68,15 @@
 //!
 //! ## Cost model and the sequential fast path
 //!
-//! A task's scheduling cost is `tuples × effective dimension span`, where
+//! A task's estimated cost is `tuples × effective dimension span`, where
 //! the span counts the remaining unbound group-by dimensions **plus, for
 //! closed runs, the carried dimensions**: carried dimensions ride along in
 //! every view row and in every `eq_mask`/[`ClosedInfo`] merge, so a rest
 //! task that has collapsed `k` dimensions re-scans its tuples with `k`
-//! extra columns of closedness work. Charging them keeps LPT seeding and
-//! the split decision honest under heavy skew. Two further guards bound
-//! the split tree's overhead:
+//! extra columns of closedness work. Charging them keeps the split
+//! decision honest under heavy skew; the cost decides *whether* a task
+//! splits, never *when* it runs (see "Frontier-first scheduling"). Two
+//! further guards bound the split tree's overhead:
 //!
 //! * [`EngineConfig::max_rest_depth`] caps consecutive rest-collapse steps
 //!   per shard (each rest task re-scans all of its parent's tuples; the cap
@@ -90,6 +92,20 @@
 //! runs the plain algorithm once over the base table (`bound = 0`), making
 //! the 1-thread engine cost sequential-plus-one-output-copy instead of the
 //! per-level re-sharding the decomposition otherwise performs.
+//!
+//! ## Frontier-first scheduling
+//!
+//! Shards are independent, so they may *run* in any order; only the output
+//! order is fixed (by shard path, below). The pool therefore starts tasks
+//! in the order the merge releases them: seeds enter the shared injector in
+//! ascending path order, a worker runs its own split children first-child
+//! first, and a worker with nothing of its own helps a peer's started
+//! subtree (stealing its coarsest queued task) before it takes a fresh
+//! seed. The merge frontier then holds about one subtree per thread and the
+//! first cells leave after the first shard, not after most of the cube. An
+//! earlier largest-first (LPT) seeding balanced the makespan no better —
+//! splitting and stealing already do that — and held the lexicographically
+//! first shard back behind every larger one.
 //!
 //! ## Streaming ordered merge
 //!
@@ -112,6 +128,11 @@
 //! completion *frontier* (frontier plus channel, both counted), not the
 //! total output; [`EngineStats`] reports both, next to task/split/steal
 //! counters.
+//!
+//! Downstream, [`ChannelSink`] takes each merged batch over in bulk and
+//! ships it on in batches that ramp from 64 cells to its 1024-cell cap.
+//! (It used to wait for a full 1024 cells before the first flush, which
+//! alone held a stream's first rows back several milliseconds.)
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -387,66 +408,86 @@ impl<'s, A: Clone> CellSink<A> for ShardedSink<'s, A> {
     }
 }
 
-/// A [`CellSink`] that buffers cells into fixed-size [`CellBatch`]es and
-/// ships each full batch over a **bounded** channel — the adapter behind the
-/// facade's pull-based `CellStream`. The producing side (an algorithm run,
-/// possibly the whole parallel engine) back-pressures on a slow consumer
-/// exactly like the engine's internal worker→merger channel does; a consumer
-/// that hangs up early (dropping the receiver) flips the sink into a
-/// discarding mode so the producer finishes without panicking instead of
-/// blocking forever.
+/// A [`CellSink`] that buffers cells into [`CellBatch`]es and ships each
+/// full batch over a **bounded** channel — the adapter behind the facade's
+/// pull-based `CellStream`. The producing side (an algorithm run, possibly
+/// the whole parallel engine) back-pressures on a slow consumer exactly like
+/// the engine's internal worker→merger channel does; a consumer that hangs
+/// up early (dropping the receiver) flips the sink into a discarding mode so
+/// the producer finishes without panicking instead of blocking forever.
+///
+/// Batch sizes **ramp**: the first batch ships at 64 cells and each later
+/// one at twice the size of the one before, up to the `batch_cells` cap —
+/// the consumer sees its first rows after 64 cells, not after a full batch,
+/// and a long stream still amortizes the channel over full-size batches.
 ///
 /// Call [`ChannelSink::finish`] after the run to flush the final partial
 /// batch.
 pub struct ChannelSink<A = ()> {
     tx: mpsc::SyncSender<CellBatch<A>>,
     batch: CellBatch<A>,
-    dims: usize,
+    /// Cells at which the batch under construction ships (the ramp's
+    /// current step; `batch` is reserved for exactly this many).
+    flush_at: usize,
     batch_cells: usize,
     /// Receiver hung up: drop everything further (the consumer stopped
     /// pulling; the producer still has to unwind its own call stack).
     dead: bool,
 }
 
-/// Default cells per [`ChannelSink`] batch.
+/// Default cap on cells per [`ChannelSink`] batch.
 pub const DEFAULT_STREAM_BATCH: usize = 1024;
 
+/// Cells in the first batch a [`ChannelSink`] ships (or its `batch_cells`
+/// cap, if that is smaller).
+const FIRST_STREAM_BATCH: usize = 64;
+
 impl<A> ChannelSink<A> {
-    /// Sink for `dims`-dimensional cells feeding `tx`, flushing every
-    /// `batch_cells` cells (`0` = [`DEFAULT_STREAM_BATCH`]).
+    /// Sink for `dims`-dimensional cells feeding `tx`, in batches that ramp
+    /// from 64 up to `batch_cells` cells (`0` = [`DEFAULT_STREAM_BATCH`]).
     pub fn new(tx: mpsc::SyncSender<CellBatch<A>>, dims: usize, batch_cells: usize) -> Self {
         let batch_cells = if batch_cells == 0 {
             DEFAULT_STREAM_BATCH
         } else {
             batch_cells
         };
+        let flush_at = FIRST_STREAM_BATCH.min(batch_cells);
         let mut batch = CellBatch::new(dims);
-        batch.reserve(batch_cells);
+        batch.reserve(flush_at);
         ChannelSink {
             tx,
             batch,
-            dims,
+            flush_at,
             batch_cells,
             dead: false,
         }
     }
 
-    fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
+    /// Send the batch under construction, leaving an unallocated one.
+    fn ship(&mut self) {
         faults::inject("sink.channel.send");
-        let full = std::mem::replace(&mut self.batch, CellBatch::new(self.dims));
-        self.batch.reserve(self.batch_cells);
-        if !self.dead && self.tx.send(full).is_err() {
+        let empty = CellBatch::new(self.batch.dims());
+        let full = std::mem::replace(&mut self.batch, empty);
+        if self.tx.send(full).is_err() {
             self.dead = true; // hung-up consumer: discard from here on
+        }
+    }
+
+    /// Ship a full batch and reserve the ramp's next step.
+    fn flush(&mut self) {
+        self.ship();
+        if !self.dead {
+            self.flush_at = self.flush_at.saturating_mul(2).min(self.batch_cells);
+            self.batch.reserve(self.flush_at);
         }
     }
 
     /// Flush the final partial batch and close the channel (the consumer's
     /// iterator then terminates after draining).
     pub fn finish(mut self) {
-        self.flush();
+        if !self.dead && !self.batch.is_empty() {
+            self.ship();
+        }
     }
 }
 
@@ -456,8 +497,22 @@ impl<A: Clone> CellSink<A> for ChannelSink<A> {
             return;
         }
         self.batch.push(cell, count, acc.clone());
-        if self.batch.len() >= self.batch_cells {
+        if self.batch.len() >= self.flush_at {
             self.flush();
+        }
+    }
+
+    /// Bulk hand-over of a merged batch, cut at the same ramp boundaries
+    /// per-cell [`emit`](CellSink::emit) would cut at.
+    fn emit_batch(&mut self, batch: &CellBatch<A>) {
+        let mut from = 0;
+        while from < batch.len() && !self.dead {
+            let to = batch.len().min(from + self.flush_at - self.batch.len());
+            self.batch.append(batch, from..to);
+            from = to;
+            if self.batch.len() >= self.flush_at {
+                self.flush();
+            }
         }
     }
 }
@@ -494,14 +549,12 @@ struct Task {
 }
 
 impl Task {
-    /// Scheduling cost estimate: tuples × effective dimension span. The
-    /// span counts the remaining unbound group-by dimensions plus, for
-    /// closed runs, the carried dimensions — carried columns ride in every
-    /// view row and every `ClosedInfo`/`eq_mask` merge, so a rest chain's
-    /// re-scans get costed instead of hidden. Drives both LPT seeding and
-    /// the split decision. (PR 1 ordered by tuple count alone, which
-    /// under-weighs low levels; PR 2 ignored carried dimensions, which
-    /// under-weighs closed rest chains.)
+    /// Cost estimate: tuples × effective dimension span. The span counts
+    /// the remaining unbound group-by dimensions plus, for closed runs, the
+    /// carried dimensions — carried columns ride in every view row and
+    /// every `ClosedInfo`/`eq_mask` merge, so a rest chain's re-scans get
+    /// costed instead of hidden. Drives the split decision only; run order
+    /// is by shard path.
     fn cost(&self, closed: bool) -> u64 {
         let mut span = (self.group_dims.len() - self.bound).max(1);
         if closed {
@@ -971,6 +1024,10 @@ where
         let in_flight = AtomicU64::new(0);
         let mut merger: Merger<'_, M::Acc, S> =
             Merger::new(sink, table, &recycler, &in_flight, token.clone());
+        // Frontier first: both schedulers start tasks in the order the
+        // merge releases them, ascending shard path — the order the
+        // level/group loops above built the seeds in.
+        debug_assert!(seeds.is_sorted_by(|a, b| a.path < b.path));
         for seed in &seeds {
             merger.register(seed.path.clone());
         }
@@ -1203,21 +1260,21 @@ impl<'a, F> Ctx<'a, F> {
         }
     }
 
-    /// Single-threaded sharded run: process tasks in **lexicographic path
-    /// order** (parents first, then children depth-first), so every batch is
-    /// emittable the moment it completes and the merge frontier stays at one
-    /// task — the bounded-memory ideal. (LPT order only matters when there
-    /// is parallelism to balance.)
-    fn run_sequential<A, S>(&self, mut seeds: Vec<Task>, merger: &mut Merger<'_, A, S>)
+    /// Single-threaded sharded run over `seeds` in ascending path order:
+    /// process tasks in **lexicographic path order** (parents first, then
+    /// children depth-first), so every batch is emittable the moment it
+    /// completes and the merge frontier stays at one task — the
+    /// bounded-memory ideal.
+    fn run_sequential<A, S>(&self, seeds: Vec<Task>, merger: &mut Merger<'_, A, S>)
     where
         F: Fn(&Table, usize, u64, &mut ShardedSink<'_, A>) + Sync,
         A: Send + Clone,
         S: CellSink<A> + ?Sized,
     {
-        // Descending path order: `pop` yields ascending.
-        seeds.sort_by(|a, b| b.path.cmp(&a.path));
         let mut scratch = Scratch::default();
+        // A stack: `pop` yields ascending paths.
         let mut stack = seeds;
+        stack.reverse();
         let mut children = Vec::new();
         while let Some(task) = stack.pop() {
             if self.stopped() {
@@ -1233,21 +1290,17 @@ impl<'a, F> Ctx<'a, F> {
         }
     }
 
-    /// Multi-threaded run: workers process tasks off stealing deques and
-    /// stream completions to the merger on this (the calling) thread, which
-    /// emits each batch as soon as its lexicographic predecessors finished.
+    /// Multi-threaded run over `seeds` in ascending path order: workers
+    /// process tasks off stealing deques and stream completions to the
+    /// merger on this (the calling) thread, which emits each batch as soon
+    /// as its lexicographic predecessors finished. The injector is FIFO, so
+    /// seeds start in the order the merge releases them.
     fn run_pool<A, S>(&self, seeds: Vec<Task>, threads: usize, merger: &mut Merger<'_, A, S>)
     where
         F: Fn(&Table, usize, u64, &mut ShardedSink<'_, A>) + Sync,
         A: Send + Clone,
         S: CellSink<A> + ?Sized,
     {
-        // Largest first: the heaviest shard is examined (and, if oversized,
-        // split) earliest, bounding makespan under skew — LPT scheduling
-        // with the closed-aware cost estimate. Output order is restored by
-        // the merger from shard paths.
-        let mut seeds = seeds;
-        seeds.sort_by_key(|t| std::cmp::Reverse(t.cost(self.closed)));
         let injector: Injector<Task> = Injector::new();
         let pending = AtomicUsize::new(seeds.len());
         for task in seeds {
@@ -1295,24 +1348,26 @@ impl<'a, F> Ctx<'a, F> {
                     // its deque mutex (and a core) while they wait.
                     let mut idle_scans = 0u32;
                     'work: loop {
-                        let task =
-                            worker
-                                .pop()
-                                .or_else(|| injector.steal().success())
-                                .or_else(|| {
-                                    stealers
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|&(si, _)| si != wi)
-                                        .find_map(|(_, s)| match s.steal() {
-                                            Steal::Success(t) => {
-                                                faults::inject("engine.task.steal");
-                                                steals.fetch_add(1, Ordering::Relaxed);
-                                                Some(t)
-                                            }
-                                            _ => None,
-                                        })
-                                });
+                        // Own children first, then a peer's started subtree,
+                        // and only then a fresh seed: work already begun is
+                        // what the merge frontier is waiting on.
+                        let task = worker
+                            .pop()
+                            .or_else(|| {
+                                stealers
+                                    .iter()
+                                    .enumerate()
+                                    .filter(|&(si, _)| si != wi)
+                                    .find_map(|(_, s)| match s.steal() {
+                                        Steal::Success(t) => {
+                                            faults::inject("engine.task.steal");
+                                            steals.fetch_add(1, Ordering::Relaxed);
+                                            Some(t)
+                                        }
+                                        _ => None,
+                                    })
+                            })
+                            .or_else(|| injector.steal().success());
                         match task {
                             Some(task) => {
                                 if self.stopped() || aborted.load(Ordering::SeqCst) {
@@ -1328,7 +1383,11 @@ impl<'a, F> Ctx<'a, F> {
                                     // parent so `pending` can never dip to
                                     // zero with work still queued.
                                     pending.fetch_add(children.len(), Ordering::SeqCst);
-                                    for child in children.drain(..) {
+                                    // Last child first: the owner's next
+                                    // pop is the lexicographically first
+                                    // child, and thieves find the rest task
+                                    // (the coarsest) at the far end.
+                                    for child in children.drain(..).rev() {
                                         worker.push(child);
                                     }
                                 }
@@ -1916,6 +1975,147 @@ mod tests {
             .unwrap()
         });
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn early_paths_stream_while_the_last_level_is_parked() {
+        use std::sync::Condvar;
+        use std::time::Duration;
+        // Every shard of the last level (the only views with one group-by
+        // dimension) parks until the sink has seen its first cell. The run
+        // can only finish if the lexicographically first paths are started
+        // and released while those late paths are still outstanding; a
+        // scheduler that reaches the last level first times out instead —
+        // and on this table largest-first does: the eight Zipf groups of the
+        // last dimension each outweigh every group of the flat first one.
+        let t = SyntheticSpec {
+            tuples: 2000,
+            cards: vec![40, 6, 6, 8],
+            skews: vec![0.0, 1.0, 1.0, 1.0],
+            seed: 17,
+            rules: None,
+        }
+        .generate();
+        let config = |threads| EngineConfig::with_threads(threads).always_sharded();
+        let mut want: Vec<(Vec<u32>, u64)> = Vec::new();
+        run_partitioned(
+            &t,
+            1,
+            &config(1),
+            true,
+            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+            &mut ccube_core::sink::FnSink(|c: &[u32], n: u64, _: &()| want.push((c.to_vec(), n))),
+        )
+        .unwrap();
+        for threads in [2, 4] {
+            let first_cell = (Mutex::new(false), Condvar::new());
+            let mut got: Vec<(Vec<u32>, u64)> = Vec::new();
+            let mut sink = ccube_core::sink::FnSink(|c: &[u32], n: u64, _: &()| {
+                got.push((c.to_vec(), n));
+                *first_cell.0.lock().unwrap() = true;
+                first_cell.1.notify_all();
+            });
+            run_partitioned(
+                &t,
+                1,
+                &config(threads),
+                true,
+                |view, _bound, m, out| {
+                    if view.cube_dims() == 1 {
+                        let (_seen, wait) = first_cell
+                            .1
+                            .wait_timeout_while(
+                                first_cell.0.lock().unwrap(),
+                                Duration::from_secs(5),
+                                |seen| !*seen,
+                            )
+                            .unwrap();
+                        assert!(
+                            !wait.timed_out(),
+                            "a last-level shard ran before the first cell was released"
+                        );
+                    }
+                    ccube_star::c_cubing_star(view, m, out)
+                },
+                &mut sink,
+            )
+            .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    /// `cells` distinct 2-dimensional cells, for feeding a [`ChannelSink`].
+    fn numbered_cells(cells: u32) -> CellBatch<()> {
+        let mut batch = CellBatch::new(2);
+        for i in 0..cells {
+            batch.push(&[i, STAR], u64::from(i) + 1, ());
+        }
+        batch
+    }
+
+    /// Feed `cells` through a [`ChannelSink`] capped at `batch_cells`,
+    /// cell by cell or as one merged batch, and return what arrives.
+    fn channel_batches(cells: u32, batch_cells: usize, bulk: bool) -> Vec<CellBatch<()>> {
+        let input = numbered_cells(cells);
+        let (tx, rx) = mpsc::sync_channel(cells as usize + 1);
+        let mut sink = ChannelSink::<()>::new(tx, 2, batch_cells);
+        if bulk {
+            sink.emit_batch(&input);
+        } else {
+            for (cell, count, acc) in input.iter() {
+                sink.emit(cell, count, acc);
+            }
+        }
+        sink.finish();
+        rx.iter().collect()
+    }
+
+    fn batch_lens(batches: &[CellBatch<()>]) -> Vec<usize> {
+        batches.iter().map(CellBatch::len).collect()
+    }
+
+    #[test]
+    fn channel_sink_ramps_batch_sizes_up_to_the_cap() {
+        assert_eq!(
+            batch_lens(&channel_batches(5000, 0, false)),
+            [64, 128, 256, 512, 1024, 1024, 1024, 968]
+        );
+        // Fewer cells than the first step: one batch.
+        assert_eq!(batch_lens(&channel_batches(63, 0, false)), [63]);
+        // An explicit `batch_cells` is the cap of the ramp...
+        assert_eq!(
+            batch_lens(&channel_batches(400, 100, false)),
+            [64, 100, 100, 100, 36]
+        );
+        // ...also when it is below the first step.
+        assert_eq!(batch_lens(&channel_batches(20, 7, false)), [7, 7, 6]);
+    }
+
+    #[test]
+    fn channel_sink_emit_batch_matches_per_cell_emit() {
+        let cells = |batches: &[CellBatch<()>]| -> Vec<Vec<(Vec<u32>, u64)>> {
+            batches
+                .iter()
+                .map(|b| b.iter().map(|(c, n, _)| (c.to_vec(), n)).collect())
+                .collect()
+        };
+        for (count, cap) in [(5000, 0), (400, 100), (63, 0), (64, 0), (0, 0)] {
+            let per_cell = channel_batches(count, cap, false);
+            let bulk = channel_batches(count, cap, true);
+            assert_eq!(cells(&bulk), cells(&per_cell), "cells={count} cap={cap}");
+        }
+        // Merged batches that straddle the ramp's boundaries cut the same.
+        let input = numbered_cells(700);
+        let (tx, rx) = mpsc::sync_channel(16);
+        let mut sink = ChannelSink::<()>::new(tx, 2, 0);
+        for range in [0..50, 50..51, 51..300, 300..700] {
+            let mut piece = CellBatch::new(2);
+            piece.append(&input, range);
+            sink.emit_batch(&piece);
+        }
+        sink.finish();
+        let pieces: Vec<CellBatch<()>> = rx.iter().collect();
+        assert_eq!(cells(&pieces), cells(&channel_batches(700, 0, false)));
     }
 
     #[test]

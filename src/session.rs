@@ -1059,7 +1059,8 @@ where
         Ok(CellStream {
             rx: Some(rx),
             handle: Some(handle),
-            pending: Vec::new().into_iter(),
+            batch: CellBatch::new(dims),
+            cursor: 0,
             token,
             outcome: None,
         })
@@ -1083,7 +1084,9 @@ where
 pub struct CellStream<A = ()> {
     rx: Option<mpsc::Receiver<CellBatch<A>>>,
     handle: Option<std::thread::JoinHandle<Result<EngineStats, CubeError>>>,
-    pending: std::vec::IntoIter<(Cell, u64, A)>,
+    /// The received batch being yielded, and its next cell to yield.
+    batch: CellBatch<A>,
+    cursor: usize,
     token: CancelToken,
     outcome: Option<Result<EngineStats, CubeError>>,
 }
@@ -1142,24 +1145,41 @@ impl<A> CellStream<A> {
     where
         A: Clone,
     {
+        self.pull(Some(wait))
+    }
+
+    /// The one pull step behind `next()` (`wait` = `None`: block) and
+    /// [`CellStream::poll_next`]: yield the next cell of the batch in hand,
+    /// receiving the next batch when that one is spent.
+    fn pull(&mut self, wait: Option<Duration>) -> StreamPoll<A>
+    where
+        A: Clone,
+    {
         loop {
-            if let Some(item) = self.pending.next() {
-                return StreamPoll::Item(item);
+            if let Some((cell, count, acc)) = self.batch.get(self.cursor) {
+                self.cursor += 1;
+                return StreamPoll::Item((Cell::from_values(cell), count, acc.clone()));
             }
             ccube_core::faults::inject("stream.recv");
             let Some(rx) = self.rx.as_ref() else {
                 return StreamPoll::End;
             };
-            match rx.recv_timeout(wait) {
+            let received = match wait {
+                Some(wait) => rx.recv_timeout(wait),
+                None => rx
+                    .recv()
+                    .map_err(|mpsc::RecvError| mpsc::RecvTimeoutError::Disconnected),
+            };
+            match received {
                 Ok(batch) => {
-                    self.pending = batch
-                        .iter()
-                        .map(|(cell, count, acc)| (Cell::from_values(cell), count, acc.clone()))
-                        .collect::<Vec<_>>()
-                        .into_iter();
+                    self.batch = batch;
+                    self.cursor = 0;
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => return StreamPoll::Idle,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // Producer exited (completed or aborted): join it now so
+                    // `finish` is non-blocking and an uncontained panic
+                    // propagates instead of vanishing.
                     self.rx = None;
                     self.join();
                     return StreamPoll::End;
@@ -1186,28 +1206,10 @@ impl<A: Clone> Iterator for CellStream<A> {
     type Item = (Cell, u64, A);
 
     fn next(&mut self) -> Option<(Cell, u64, A)> {
-        loop {
-            if let Some(item) = self.pending.next() {
-                return Some(item);
-            }
-            ccube_core::faults::inject("stream.recv");
-            match self.rx.as_ref()?.recv() {
-                Ok(batch) => {
-                    self.pending = batch
-                        .iter()
-                        .map(|(cell, count, acc)| (Cell::from_values(cell), count, acc.clone()))
-                        .collect::<Vec<_>>()
-                        .into_iter();
-                }
-                Err(_) => {
-                    // Producer exited (completed or aborted): join it now so
-                    // `finish` is non-blocking and an uncontained panic
-                    // propagates instead of vanishing.
-                    self.rx = None;
-                    self.join();
-                    return None;
-                }
-            }
+        match self.pull(None) {
+            StreamPoll::Item(item) => Some(item),
+            StreamPoll::End => None,
+            StreamPoll::Idle => unreachable!("a blocking pull never times out"),
         }
     }
 }
@@ -1477,6 +1479,73 @@ mod tests {
         }
         assert_eq!(got, want, "poll_next preserves emission order");
         // End is terminal: finish() is immediate and the run completed.
+        assert!(stream.finish().is_ok());
+    }
+
+    /// A stream whose "producer" sends the next of `batches` each time the
+    /// returned sender is signalled, and is parked in between.
+    fn hand_fed(batches: Vec<CellBatch<()>>) -> (CellStream, mpsc::Sender<()>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let (go, parked) = mpsc::channel::<()>();
+        let handle = std::thread::spawn(move || {
+            for batch in batches {
+                parked.recv().expect("test hung up");
+                tx.send(batch).expect("stream hung up");
+            }
+            Ok(EngineStats::default())
+        });
+        let stream = CellStream {
+            rx: Some(rx),
+            handle: Some(handle),
+            batch: CellBatch::new(2),
+            cursor: 0,
+            token: CancelToken::new(),
+            outcome: None,
+        };
+        (stream, go)
+    }
+
+    #[test]
+    fn poll_next_and_next_agree_across_batches_with_idle_in_between() {
+        let batches: Vec<CellBatch<()>> = [0..3u32, 3..4, 4..4, 4..10]
+            .into_iter()
+            .map(|range| {
+                let mut batch = CellBatch::new(2);
+                for i in range {
+                    batch.push(&[i, ccube_core::STAR], u64::from(i) + 1, ());
+                }
+                batch
+            })
+            .collect();
+        let (stream, go) = hand_fed(batches.clone());
+        for _ in &batches {
+            go.send(()).unwrap();
+        }
+        let want: Vec<(Cell, u64, ())> = stream.collect();
+        assert_eq!(want.len(), 10);
+
+        let (mut stream, go) = hand_fed(batches.clone());
+        let mut got = Vec::new();
+        for batch in &batches {
+            // The producer is parked: the batch in hand is spent, the next
+            // one is not sent yet.
+            assert!(matches!(
+                stream.poll_next(Duration::from_millis(1)),
+                StreamPoll::Idle
+            ));
+            go.send(()).unwrap();
+            for _ in 0..batch.len() {
+                match stream.poll_next(Duration::from_secs(5)) {
+                    StreamPoll::Item(item) => got.push(item),
+                    other => panic!("expected an item, got {other:?}"),
+                }
+            }
+        }
+        assert!(matches!(
+            stream.poll_next(Duration::from_secs(5)),
+            StreamPoll::End
+        ));
+        assert_eq!(got, want);
         assert!(stream.finish().is_ok());
     }
 

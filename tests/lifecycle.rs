@@ -248,6 +248,28 @@ fn budget_trip_surfaces_peak_and_budget() {
 }
 
 #[test]
+fn budget_below_one_batch_trips_a_stream_too() {
+    // Frontier-first scheduling releases the first shard at once, but a
+    // completed batch is still sampled before it drains: a budget no batch
+    // fits under must fail the run, not pass because nothing waited.
+    let mut session = CubeSession::new(big_table()).unwrap();
+    let mut stream = session
+        .query()
+        .threads(2)
+        .memory_budget(64)
+        .stream()
+        .unwrap();
+    let streamed = (&mut stream).count();
+    match stream.finish() {
+        Err(CubeError::BudgetExceeded { peak, budget }) => {
+            assert_eq!(budget, 64);
+            assert!(peak > budget);
+        }
+        other => panic!("expected BudgetExceeded after {streamed} cells, got {other:?}"),
+    }
+}
+
+#[test]
 fn generous_budget_does_not_trip() {
     let mut session = CubeSession::new(small_table()).unwrap();
     let stats = session
