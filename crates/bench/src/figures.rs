@@ -1834,6 +1834,7 @@ fn serve_experiment(opt: &ExpOptions) -> Figure {
     let json = format!(
         "{{\n  \"tuples\": {tuples}, \"dims\": 6, \"cardinality\": 40, \"seed\": {}, \
          \"queries_per_client\": {QUERIES_PER_CLIENT},\n  \
+         \"available_parallelism\": {},\n  \
          \"admission\": {{\"max_concurrent\": 8, \"max_queued\": 64}},\n  \
          \"levels\": [\n{}\n  ],\n  \
          \"gate\": {{\"admitted\": {}, \"shed_queue_full\": {}, \"shed_timeout\": {}, \
@@ -1841,6 +1842,7 @@ fn serve_experiment(opt: &ExpOptions) -> Figure {
          \"server\": {{\"resumed\": {}, \"reaped\": {}, \"heartbeats\": {}}},\n  \
          \"drained\": {},\n  \"chaos_compiled\": {},\n  \"resilience_gate\": {}\n}}\n",
         opt.seed,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         level_json.join(",\n"),
         metrics.gate.admitted,
         metrics.gate.shed_queue_full,

@@ -149,6 +149,19 @@ impl<A> CellBatch<A> {
         self.accs.extend_from_slice(&other.accs[range]);
     }
 
+    /// All buffered cell values, flattened (`len() × dims()` entries) — the
+    /// bulk read path for consumers that re-encode whole runs of cells.
+    #[inline]
+    pub fn values(&self) -> &[u32] {
+        &self.values
+    }
+
+    /// The buffered cells' counts, one per cell.
+    #[inline]
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Cell `index` in insertion order, `None` past the end.
     #[inline]
     pub fn get(&self, index: usize) -> Option<(&[u32], u64, &A)> {

@@ -364,7 +364,7 @@ fn run_tasks(
             let stealers = stealers.clone();
             let tx = tx.clone();
             let order = plan.order;
-            scope.spawn(move || {
+            let worker_body = move || {
                 let shield = CancelToken::new();
                 let _guard = lifecycle::install(&shield);
                 loop {
@@ -383,7 +383,11 @@ fn run_tasks(
                         break;
                     }
                 }
-            });
+            };
+            std::thread::Builder::new()
+                .name("ccube-delta-worker".into())
+                .spawn_scoped(scope, worker_body)
+                .expect("spawn delta worker");
         }
         drop(tx);
     });

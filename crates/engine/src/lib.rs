@@ -1329,7 +1329,7 @@ impl<'a, F> Ctx<'a, F> {
                 let tx = tx.clone();
                 let ambient_token = self.token.clone();
                 let fault_scope = faults::current_scope();
-                scope.spawn(move || {
+                let worker_body = move || {
                     let _panic_guard = AbortOnPanic(aborted);
                     // Re-install the run's token in this worker's TLS so the
                     // cuber checkpoints (which read the ambient token) see
@@ -1425,7 +1425,13 @@ impl<'a, F> Ctx<'a, F> {
                             }
                         }
                     }
-                });
+                };
+                // Named so the pool shows up as such in `top`/`perf` and in
+                // the serve chaos suite's leak check.
+                std::thread::Builder::new()
+                    .name("ccube-engine-worker".into())
+                    .spawn_scoped(scope, worker_body)
+                    .expect("spawn engine worker");
             }
             drop(tx);
             // ---- Streaming merge on the calling thread: every completion

@@ -19,7 +19,7 @@ use crate::proto::{
     self, CellBlock, DoneStats, FrameRead, ProtoError, QueryRequest, Request, Response, TableInfo,
     WireStatus, RETRY_AFTER_MAX, RETRY_AFTER_MIN,
 };
-use std::io::Write;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -142,9 +142,17 @@ pub enum QueryOutcome {
     },
 }
 
+/// Capacity of a [`Client`]'s read buffer: a server flush (up to 32 KiB
+/// of reply frames plus the frame that crossed the line) fits in one
+/// `read`.
+const READ_BUFFER: usize = 64 * 1024;
+
 /// A blocking connection to a cube server.
 pub struct Client {
-    stream: TcpStream,
+    /// Frames are read through the buffer, so a burst of reply frames costs
+    /// one `read` syscall, not three per frame; requests are written to
+    /// the socket underneath it.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -177,25 +185,29 @@ impl Client {
         stream
             .set_write_timeout(Some(config.write_timeout))
             .map_err(ClientError::Io)?;
-        Ok(Client { stream })
+        // A request is one small write that wants to leave now; Nagle
+        // would hold it back behind the previous reply's delayed ACK.
+        stream.set_nodelay(true).map_err(ClientError::Io)?;
+        Ok(Client {
+            stream: BufReader::with_capacity(READ_BUFFER, stream),
+        })
     }
 
-    /// The underlying stream (tests use it to misbehave on purpose).
+    /// The underlying stream (tests use it to misbehave on purpose). It
+    /// bypasses the client's read buffer: bytes this connection's own calls
+    /// have already buffered are not seen by reads on it, so drive a
+    /// connection either raw or through the typed calls, not both at once.
     pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.stream.get_mut()
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, &proto::encode_request(req))
-            .map_err(|e| io_error("write", e))?;
-        self.stream.flush().map_err(|e| io_error("write", e))?;
-        Ok(())
+        self.send_raw(&proto::encode_request(req))
     }
 
     /// Send raw payload bytes as one frame (malformed-input tests).
     pub fn send_raw(&mut self, payload: &[u8]) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, payload).map_err(|e| io_error("write", e))?;
-        Ok(())
+        proto::write_frame(self.stream.get_mut(), payload).map_err(|e| io_error("write", e))
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {

@@ -443,6 +443,26 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `vs` little-endian in one pass: the byte range is sized once and
+/// filled by `chunks_exact_mut`, which compiles to a block copy on
+/// little-endian targets instead of a capacity check per value.
+fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
+    let start = out.len();
+    out.resize(start + vs.len() * 4, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(vs) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// [`put_u32s`] for `u64`s.
+fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
+    let start = out.len();
+    out.resize(start + vs.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     let len = bytes.len().min(u16::MAX as usize);
@@ -477,10 +497,9 @@ fn put_query_body(out: &mut Vec<u8>, q: &QueryRequest) {
     put_u16(out, q.selections.len().min(u16::MAX as usize) as u16);
     for (dim, values) in q.selections.iter().take(u16::MAX as usize) {
         put_u32(out, *dim);
-        put_u32(out, values.len().min(u32::MAX as usize) as u32);
-        for v in values {
-            put_u32(out, *v);
-        }
+        let values = &values[..values.len().min(u32::MAX as usize)];
+        put_u32(out, values.len() as u32);
+        put_u32s(out, values);
     }
 }
 
@@ -507,18 +526,48 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Ingest { table, rows } => {
             out.push(OP_INGEST);
             put_str(&mut out, table);
-            put_u32(&mut out, rows.len().min(u32::MAX as usize) as u32);
-            for v in rows.iter().take(u32::MAX as usize) {
-                put_u32(&mut out, *v);
-            }
+            let rows = &rows[..rows.len().min(u32::MAX as usize)];
+            put_u32(&mut out, rows.len() as u32);
+            put_u32s(&mut out, rows);
         }
     }
     out
 }
 
+/// Append a `Batch` payload (opcode + body) built from borrowed cell
+/// slices — `values` flattened `dims` wide, one count per cell. This is the
+/// one `Batch` encoder: [`encode_response`] calls it with a [`CellBlock`]'s
+/// vectors, the server's reply loop with slices of the engine's batch.
+pub(crate) fn put_batch(
+    out: &mut Vec<u8>,
+    query_id: u64,
+    seq: u64,
+    version: u64,
+    dims: u16,
+    values: &[u32],
+    counts: &[u64],
+) {
+    debug_assert_eq!(values.len(), counts.len() * dims as usize);
+    out.reserve(1 + 3 * 8 + 2 + 4 + values.len() * 4 + counts.len() * 8);
+    out.push(OP_BATCH);
+    put_u64(out, query_id);
+    put_u64(out, seq);
+    put_u64(out, version);
+    put_u16(out, dims);
+    put_u32(out, counts.len() as u32);
+    put_u32s(out, values);
+    put_u64s(out, counts);
+}
+
 /// Encode a response into a frame payload (opcode + body).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    put_response(&mut out, resp);
+    out
+}
+
+/// Append `resp`'s payload (opcode + body) to `out`.
+pub(crate) fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Pong => out.push(OP_PONG),
         Response::Batch {
@@ -526,60 +575,54 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             seq,
             version,
             block,
-        } => {
-            out.push(OP_BATCH);
-            put_u64(&mut out, *query_id);
-            put_u64(&mut out, *seq);
-            put_u64(&mut out, *version);
-            put_u16(&mut out, block.dims);
-            put_u32(&mut out, block.counts.len() as u32);
-            for v in &block.values {
-                put_u32(&mut out, *v);
-            }
-            for c in &block.counts {
-                put_u64(&mut out, *c);
-            }
-        }
+        } => put_batch(
+            out,
+            *query_id,
+            *seq,
+            *version,
+            block.dims,
+            &block.values,
+            &block.counts,
+        ),
         Response::Done(d) => {
             out.push(OP_DONE);
-            put_u64(&mut out, d.query_id);
-            put_u64(&mut out, d.version);
-            put_u64(&mut out, d.cells);
-            put_u64(&mut out, d.elapsed_micros);
-            put_u64(&mut out, d.peak_buffered_bytes);
-            put_u64(&mut out, d.tasks);
+            put_u64(out, d.query_id);
+            put_u64(out, d.version);
+            put_u64(out, d.cells);
+            put_u64(out, d.elapsed_micros);
+            put_u64(out, d.peak_buffered_bytes);
+            put_u64(out, d.tasks);
             out.push(u8::from(d.fast_path));
         }
         Response::Error { status, detail } => {
             out.push(OP_ERROR);
-            put_u16(&mut out, *status as u16);
-            put_str(&mut out, detail);
+            put_u16(out, *status as u16);
+            put_str(out, detail);
         }
         Response::Overloaded { retry_after_ms } => {
             out.push(OP_OVERLOADED);
-            put_u64(&mut out, *retry_after_ms);
+            put_u64(out, *retry_after_ms);
         }
         Response::TableList(tables) => {
             out.push(OP_TABLE_LIST);
-            put_u16(&mut out, tables.len().min(u16::MAX as usize) as u16);
+            put_u16(out, tables.len().min(u16::MAX as usize) as u16);
             for t in tables.iter().take(u16::MAX as usize) {
-                put_str(&mut out, &t.name);
-                put_u64(&mut out, t.rows);
-                put_u32(&mut out, t.dims);
-                put_u64(&mut out, t.version);
+                put_str(out, &t.name);
+                put_u64(out, t.rows);
+                put_u32(out, t.dims);
+                put_u64(out, t.version);
             }
         }
         Response::Heartbeat { query_id } => {
             out.push(OP_HEARTBEAT);
-            put_u64(&mut out, *query_id);
+            put_u64(out, *query_id);
         }
         Response::Ingested { version, rows } => {
             out.push(OP_INGESTED);
-            put_u64(&mut out, *version);
-            put_u64(&mut out, *rows);
+            put_u64(out, *version);
+            put_u64(out, *rows);
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -624,6 +667,25 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Result<u64, ProtoError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// `n` little-endian `u32`s: one bounds check for the whole range, then
+    /// a `chunks_exact` conversion.
+    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, ProtoError> {
+        let bytes = self.take(n.checked_mul(4).ok_or(ProtoError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect())
+    }
+
+    /// [`Cursor::u32s`] for `u64`s.
+    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, ProtoError> {
+        let bytes = self.take(n.checked_mul(8).ok_or(ProtoError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect())
     }
 
     fn str(&mut self) -> Result<String, ProtoError> {
@@ -680,12 +742,7 @@ fn read_query_body(c: &mut Cursor<'_>) -> Result<QueryRequest, ProtoError> {
     for _ in 0..n_sel {
         let dim = c.u32()?;
         let n_val = c.u32()? as usize;
-        c.check_count(n_val, 4)?;
-        let mut values = Vec::with_capacity(n_val);
-        for _ in 0..n_val {
-            values.push(c.u32()?);
-        }
-        selections.push((dim, values));
+        selections.push((dim, c.u32s(n_val)?));
     }
     Ok(QueryRequest {
         table,
@@ -720,11 +777,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         OP_INGEST => {
             let table = c.str()?;
             let n = c.u32()? as usize;
-            c.check_count(n, 4)?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(c.u32()?);
-            }
+            let rows = c.u32s(n)?;
             Request::Ingest { table, rows }
         }
         op => return Err(ProtoError::UnknownOpcode(op)),
@@ -744,15 +797,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             let version = c.u64()?;
             let dims = c.u16()?;
             let cells = c.u32()? as usize;
+            // One size check for the whole block (before anything is
+            // allocated from the declared count), then each array is one
+            // byte range.
             c.check_count(cells, (dims as usize) * 4 + 8)?;
-            let mut values = Vec::with_capacity(cells * dims as usize);
-            for _ in 0..cells * dims as usize {
-                values.push(c.u32()?);
-            }
-            let mut counts = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                counts.push(c.u64()?);
-            }
+            let values = c.u32s(cells * dims as usize)?;
+            let counts = c.u64s(cells)?;
             Response::Batch {
                 query_id,
                 seq,
@@ -809,12 +859,27 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
 // Framing
 // ---------------------------------------------------------------------------
 
+/// Append one whole frame to `out`: a length header, then whatever payload
+/// `body` appends (it must append at least an opcode). The server encodes
+/// its reply frames through this, straight into the connection's wire
+/// buffer; the bytes are those of [`write_frame`] over the same payload.
+pub(crate) fn put_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = out.len() - header - 4;
+    debug_assert!(len > 0 && len <= MAX_PAYLOAD);
+    out[header..header + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
 /// Write one frame (header + payload). The caller owns timeouts via the
 /// stream's socket options.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(!payload.is_empty() && payload.len() <= MAX_PAYLOAD);
     // One buffered write: header + payload in a single syscall keeps a
     // mid-frame write error from leaving a torn header behind small frames.
+    // This is the request path (and the tests'); the server's replies are
+    // framed in place by `put_frame` and leave many frames to a write.
     let mut buf = Vec::with_capacity(4 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
@@ -864,3 +929,73 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<FrameRead> {
 /// The cell emission order is the server's; expose STAR for clients
 /// reconstructing `Cell`s.
 pub const WIRE_STAR: u32 = STAR;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The `Batch` payload spelled out field by field, value by value — the
+    /// layout the wire has always had, written without the bulk helpers.
+    fn reference_batch_payload(
+        (query_id, seq, version): (u64, u64, u64),
+        dims: u16,
+        values: &[u32],
+        counts: &[u64],
+    ) -> Vec<u8> {
+        let mut out = vec![OP_BATCH];
+        out.extend_from_slice(&query_id.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&dims.to_le_bytes());
+        out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for c in counts {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        out
+    }
+
+    proptest! {
+        /// The server's in-place frame encoder puts on the wire exactly
+        /// what `write_frame(encode_response(Batch))` does, and both are
+        /// the reference layout — also behind frames already buffered.
+        #[test]
+        fn in_place_batch_frames_equal_write_frame_of_encode_response(
+            dims in 1u16..=16,
+            cells in 0usize..=200,
+            tags in (any::<u64>(), any::<u64>(), any::<u64>()),
+            seed in any::<u64>(),
+            buffered in 0usize..100,
+        ) {
+            let mut word = seed | 1;
+            let mut next = move || {
+                word ^= word << 13;
+                word ^= word >> 7;
+                word ^= word << 17;
+                word
+            };
+            let values: Vec<u32> = (0..cells * dims as usize)
+                .map(|_| if next() % 4 == 0 { STAR } else { next() as u32 })
+                .collect();
+            let counts: Vec<u64> = (0..cells).map(|_| next()).collect();
+            let (query_id, seq, version) = tags;
+
+            let payload = reference_batch_payload(tags, dims, &values, &counts);
+            let block = CellBlock { dims, values: values.clone(), counts: counts.clone() };
+            let encoded = encode_response(&Response::Batch { query_id, seq, version, block });
+            prop_assert_eq!(&encoded, &payload);
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &encoded).unwrap();
+
+            let mut wire = vec![0xAB; buffered];
+            put_frame(&mut wire, |out| {
+                put_batch(out, query_id, seq, version, dims, &values, &counts)
+            });
+            prop_assert_eq!(&wire[..buffered], &vec![0xAB; buffered][..]);
+            prop_assert_eq!(&wire[buffered..], &framed[..]);
+        }
+    }
+}

@@ -12,7 +12,7 @@
 //!   violation, a stalled peer or a mid-stream disconnect ends *that*
 //!   query/connection — with a typed error frame when the socket still
 //!   works — and never takes the process down or leaks the producer thread
-//!   (dropping the [`CellStream`](c_cubing::CellStream) cancels and joins it).
+//!   (dropping the [`CellStream`] cancels and joins it).
 //! * **Shutdown drains.** [`Server::shutdown`] stops accepting, sheds the
 //!   queue, lets in-flight queries finish inside the drain deadline, then
 //!   cancels stragglers cooperatively and joins every thread it spawned.
@@ -22,13 +22,13 @@ use crate::proto::{
     self, wire_status, CellBlock, DoneStats, ProtoError, QueryRequest, Request, Response,
     TableInfo, WireStatus,
 };
-use c_cubing::{CubeSession, QueryHandle, StreamPoll};
+use c_cubing::{CellStream, CubeSession, QueryHandle, StreamPoll};
 use ccube_core::faults;
 use ccube_core::fxhash::{FxHashMap, FxHasher};
 use ccube_core::mask::DimMask;
 use ccube_core::{CubeError, Table};
 use std::hash::{Hash, Hasher};
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,9 +79,10 @@ pub struct ServerConfig {
     /// Read timeout *inside* a frame: a peer that stalls mid-frame longer
     /// than this is treated as gone.
     pub frame_read_timeout: Duration,
-    /// Write timeout per frame: a reader that stalls longer than this
-    /// (slow-consumer pathology) gets its query cancelled and the
-    /// connection closed.
+    /// Write timeout per socket write (a flush of buffered reply frames is
+    /// one write unless the peer's window is full): a reader that accepts
+    /// nothing for this long (slow-consumer pathology) gets its query
+    /// cancelled and the connection closed.
     pub write_timeout: Duration,
     /// How long [`Server::shutdown`] waits for in-flight queries before
     /// cancelling them.
@@ -446,10 +447,14 @@ fn accept_loop(
 /// [`CubeError::Wedged`] — the query unwinds at the wire as a typed,
 /// retryable error frame instead of hanging its connection forever.
 ///
-/// False-reap guards: a healthy-but-back-pressured pump bumps the epoch on
-/// every successful batch write, and the effective timeout is at least
-/// `write_timeout + 2 × watchdog_interval`, so a pump parked in one slow
-/// socket write cannot freeze the epoch long enough to be reaped.
+/// False-reap guards: a healthy-but-back-pressured pump bumps the epoch
+/// each time a socket write of its flush returns ([`Wire::flush`]), and one
+/// such write either moves bytes or fails the connection within
+/// `write_timeout`. Two scans must see the same epoch at least the timeout
+/// apart, scans are `watchdog_interval` apart, and the effective timeout is
+/// at least `write_timeout + 2 × watchdog_interval` — so a pump parked in
+/// one slow socket write cannot freeze the epoch long enough to be reaped,
+/// however many frames that flush carries.
 fn watchdog_loop(shared: &Shared) {
     let interval = shared.config.watchdog_interval;
     let timeout = shared
@@ -499,18 +504,82 @@ fn watchdog_loop(shared: &Shared) {
 /// error frame, and closes the connection. The process and every other
 /// connection stay up.
 fn run_connection(mut stream: TcpStream, shared: &Shared) {
+    // Replies are written as whole flushes (see `Wire`), so Nagle has
+    // nothing to coalesce — it would only park the tail of every
+    // multi-write reply behind the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.idle_tick));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let outcome = catch_unwind(AssertUnwindSafe(|| serve_connection(&mut stream, shared)));
     if outcome.is_err() {
         shared.panics_contained.fetch_add(1, Ordering::Relaxed);
-        let _ = send(
-            &mut stream,
-            &Response::Error {
-                status: WireStatus::Internal,
-                detail: "internal error; connection closed".to_string(),
-            },
-        );
+        // Frames the unwound handler had encoded but not written are gone
+        // with its buffer; what the peer holds is still a valid prefix.
+        let _ = Wire::new(&mut stream).send(&Response::Error {
+            status: WireStatus::Internal,
+            detail: "internal error; connection closed".to_string(),
+        });
+    }
+}
+
+/// The outgoing half of a connection: the socket, and the one buffer every
+/// reply frame of the connection is encoded into. Frames are appended in
+/// place (header and payload, no per-frame allocation) and leave together
+/// in one [`Wire::flush`].
+struct Wire<'a> {
+    stream: &'a mut TcpStream,
+    buf: Vec<u8>,
+}
+
+impl<'a> Wire<'a> {
+    fn new(stream: &'a mut TcpStream) -> Wire<'a> {
+        Wire {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Append one frame whose payload `body` encodes. The chaos suite's
+    /// write fault is per *frame*, here, not per flush: an injected failure
+    /// stands for this frame's write failing, so the frames encoded before
+    /// it still go out first — "kill on the 9th frame" delivers eight.
+    fn frame(&mut self, body: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        if let Err(e) = faults::inject_io("serve.frame.write") {
+            let _ = self.flush(|| {});
+            return Err(e);
+        }
+        proto::put_frame(&mut self.buf, body);
+        Ok(())
+    }
+
+    /// Write everything buffered, calling `wrote` after each socket write
+    /// that moved bytes. Each such write is bounded by `write_timeout`; a
+    /// failed one leaves the connection unusable (the buffer is dropped
+    /// either way).
+    fn flush(&mut self, mut wrote: impl FnMut()) -> std::io::Result<()> {
+        let mut sent = 0;
+        let result = loop {
+            if sent == self.buf.len() {
+                break Ok(());
+            }
+            match self.stream.write(&self.buf[sent..]) {
+                Ok(0) => break Err(ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    sent += n;
+                    wrote();
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.buf.clear();
+        result
+    }
+
+    /// Encode `resp` and write it (with anything still buffered) now.
+    fn send(&mut self, resp: &Response) -> std::io::Result<()> {
+        self.frame(|out| proto::put_response(out, resp))?;
+        self.flush(|| {})
     }
 }
 
@@ -523,42 +592,33 @@ enum Flow {
 }
 
 fn serve_connection(stream: &mut TcpStream, shared: &Shared) {
+    // One wire buffer for the connection's lifetime, reused by every reply.
+    let mut wire = Wire::new(stream);
     loop {
-        let payload = match read_request_frame(stream, shared) {
+        let payload = match read_request_frame(wire.stream, shared) {
             ReadOutcome::Frame(p) => p,
             ReadOutcome::Close => return,
             ReadOutcome::Malformed(e) => {
                 // Framing itself is broken: no later frame boundary can be
                 // trusted, so answer once and hang up.
-                let _ = send(
-                    stream,
-                    &Response::Error {
-                        status: WireStatus::Protocol,
-                        detail: e.to_string(),
-                    },
-                );
+                let _ = wire.send(&Response::Error {
+                    status: WireStatus::Protocol,
+                    detail: e.to_string(),
+                });
                 return;
             }
         };
         let flow = match proto::decode_request(&payload) {
-            Err(e) => {
-                // The frame was well-delimited but its body is invalid;
-                // framing is still sound, so answer and keep serving.
-                match send(
-                    stream,
-                    &Response::Error {
-                        status: WireStatus::Protocol,
-                        detail: e.to_string(),
-                    },
-                ) {
-                    Ok(()) => Flow::Continue,
-                    Err(_) => Flow::Close,
-                }
-            }
-            Ok(Request::Ping) => match send(stream, &Response::Pong) {
-                Ok(()) => Flow::Continue,
-                Err(_) => Flow::Close,
-            },
+            // The frame was well-delimited but its body is invalid;
+            // framing is still sound, so answer and keep serving.
+            Err(e) => answer(
+                &mut wire,
+                &Response::Error {
+                    status: WireStatus::Protocol,
+                    detail: e.to_string(),
+                },
+            ),
+            Ok(Request::Ping) => answer(&mut wire, &Response::Pong),
             Ok(Request::Tables) => {
                 let tables = shared
                     .tables
@@ -570,21 +630,18 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) {
                         version: t.version.load(Ordering::Relaxed),
                     })
                     .collect();
-                match send(stream, &Response::TableList(tables)) {
-                    Ok(()) => Flow::Continue,
-                    Err(_) => Flow::Close,
-                }
+                answer(&mut wire, &Response::TableList(tables))
             }
-            Ok(Request::Query(q)) => serve_query(stream, shared, &q, None),
+            Ok(Request::Query(q)) => serve_query(&mut wire, shared, &q, None),
             Ok(Request::Resume {
                 query_id,
                 next_seq,
                 query,
             }) => {
                 shared.resumed.fetch_add(1, Ordering::Relaxed);
-                serve_query(stream, shared, &query, Some((query_id, next_seq)))
+                serve_query(&mut wire, shared, &query, Some((query_id, next_seq)))
             }
-            Ok(Request::Ingest { table, rows }) => serve_ingest(stream, shared, &table, &rows),
+            Ok(Request::Ingest { table, rows }) => serve_ingest(&mut wire, shared, &table, &rows),
         };
         if matches!(flow, Flow::Close) {
             return;
@@ -665,16 +722,207 @@ fn read_exact_until(
     Ok(())
 }
 
-fn send(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    faults::inject_io("serve.frame.write")?;
-    proto::write_frame(stream, &proto::encode_response(resp))
-}
-
-/// Cells per `Batch` frame (64 cells × (dims×4 + 8) bytes stays well under
-/// a network round of small frames without approaching [`MAX_PAYLOAD`]).
+/// Cells per `Batch` frame. Fixed, because resume-by-re-execution counts
+/// frames: the same request must cut into the same frames on every run.
+/// (64 cells × (dims×4 + 8) bytes is a few KiB, nowhere near
+/// [`MAX_PAYLOAD`]; frames leave many to a write, see [`FLUSH_BYTES`].)
 ///
 /// [`MAX_PAYLOAD`]: proto::MAX_PAYLOAD
 const BATCH_CELLS: usize = 64;
+
+/// A reply's buffered frames are written once they pass this size even if
+/// the producer is still ahead of the socket — it bounds the wire buffer
+/// and keeps the client decoding while the engine computes.
+const FLUSH_BYTES: usize = 32 * 1024;
+
+/// Cuts a query's batch stream into the wire's `BATCH_CELLS`-cell frames:
+/// seq `0, 1, 2, …`, every frame full except the last. Whole frames are
+/// emitted straight from the batch's slices; only a frame that straddles
+/// two batches (or the stream's tail) is assembled in `held`.
+/// Frames with `seq < skip` — the ones a resuming client already holds —
+/// are counted, not emitted.
+struct FrameCutter {
+    skip: u64,
+    /// Seq of the next frame.
+    seq: u64,
+    /// Cells framed so far, skipped frames included.
+    cells: u64,
+    /// The frame under assembly. Its cell width comes from the batches,
+    /// not the table: projected queries emit over the kept dimensions only.
+    held: CellBlock,
+}
+
+impl FrameCutter {
+    fn new(skip: u64) -> FrameCutter {
+        FrameCutter {
+            skip,
+            seq: 0,
+            cells: 0,
+            held: CellBlock::default(),
+        }
+    }
+
+    /// Account for one frame of `cells` cells and return its seq.
+    fn advance(&mut self, cells: usize) -> u64 {
+        self.cells += cells as u64;
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Feed the next batch (`values` flattened `dims` wide); `emit` gets
+    /// `(seq, dims, values, counts)` of every frame it completes.
+    fn push<E>(
+        &mut self,
+        dims: usize,
+        mut values: &[u32],
+        mut counts: &[u64],
+        emit: &mut impl FnMut(u64, u16, &[u32], &[u64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert_eq!(values.len(), counts.len() * dims);
+        self.held.dims = dims as u16;
+        if !self.held.is_empty() {
+            // Top up the frame the previous batch left open.
+            let take = (BATCH_CELLS - self.held.len()).min(counts.len());
+            self.held.values.extend_from_slice(&values[..take * dims]);
+            self.held.counts.extend_from_slice(&counts[..take]);
+            (values, counts) = (&values[take * dims..], &counts[take..]);
+            if self.held.len() < BATCH_CELLS {
+                return Ok(());
+            }
+            self.finish(emit)?;
+        }
+        let whole = counts.chunks_exact(BATCH_CELLS);
+        let tail = counts.len() - whole.remainder().len();
+        for (i, frame_counts) in whole.enumerate() {
+            let seq = self.advance(BATCH_CELLS);
+            if seq >= self.skip {
+                let at = i * BATCH_CELLS * dims;
+                emit(
+                    seq,
+                    self.held.dims,
+                    &values[at..at + BATCH_CELLS * dims],
+                    frame_counts,
+                )?;
+            }
+        }
+        self.held.values.extend_from_slice(&values[tail * dims..]);
+        self.held.counts.extend_from_slice(&counts[tail..]);
+        Ok(())
+    }
+
+    /// Frame the cells still held — the short last frame of a completed
+    /// stream (a failed run's are dropped instead).
+    fn finish<E>(
+        &mut self,
+        emit: &mut impl FnMut(u64, u16, &[u32], &[u64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.held.is_empty() {
+            return Ok(());
+        }
+        let seq = self.advance(self.held.len());
+        let emitted = if seq >= self.skip {
+            emit(seq, self.held.dims, &self.held.values, &self.held.counts)
+        } else {
+            // Already delivered before the disconnect: recompute, don't
+            // resend. Determinism makes the boundaries line up with the
+            // interrupted stream's.
+            Ok(())
+        };
+        self.held.values.clear();
+        self.held.counts.clear();
+        emitted
+    }
+}
+
+/// One query's reply stream on its connection's [`Wire`]: tags the frames
+/// and owns the flush rule. Frames go out
+///
+/// * when the producer has nothing ready (`pump`'s `Idle`: send what we
+///   have, *then* wait) — so a lone first frame leaves at once;
+/// * when the buffer passes [`FLUSH_BYTES`];
+/// * before a `Heartbeat`, and together with the terminal `Done`/`Error`
+///   frame.
+struct Reply<'w, 's> {
+    wire: &'w mut Wire<'s>,
+    handle: QueryHandle,
+    query_id: u64,
+    version: u64,
+    last_send: Instant,
+}
+
+impl Reply<'_, '_> {
+    /// Write the buffered frames, if any. A write that moved bytes is
+    /// progress even while the engine is back-pressured by this very
+    /// socket, so each one bumps the watchdog's epoch.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.wire.buf.is_empty() {
+            return Ok(());
+        }
+        let handle = &self.handle;
+        self.wire.flush(|| handle.note_progress())?;
+        self.last_send = Instant::now();
+        Ok(())
+    }
+
+    /// Encode one `Batch` frame in place from borrowed cell slices.
+    fn batch(
+        &mut self,
+        seq: u64,
+        dims: u16,
+        values: &[u32],
+        counts: &[u64],
+    ) -> std::io::Result<()> {
+        let (query_id, version) = (self.query_id, self.version);
+        self.wire
+            .frame(|out| proto::put_batch(out, query_id, seq, version, dims, values, counts))?;
+        if self.wire.buf.len() >= FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Drain `cells` into frames until the stream ends. An error means the
+    /// socket is dead or stalled (or a chaos fault said so).
+    fn pump(
+        &mut self,
+        cells: &mut CellStream,
+        cutter: &mut FrameCutter,
+        shared: &Shared,
+    ) -> std::io::Result<()> {
+        loop {
+            // Keepalive covers both idle streams (slow query, back-pressure)
+            // and the busy-but-silent skip phase of a resume.
+            if self.last_send.elapsed() >= shared.config.heartbeat_interval {
+                // Result frames first, as progress; the keepalive's own
+                // write is not — a wedged query must still be reaped while
+                // its stream idles on heartbeats.
+                self.flush()?;
+                self.wire.send(&Response::Heartbeat {
+                    query_id: self.query_id,
+                })?;
+                self.last_send = Instant::now();
+                shared.heartbeats.fetch_add(1, Ordering::Relaxed);
+            }
+            // With frames waiting, only take what the producer already has;
+            // with none, there is nothing to delay by waiting a tick.
+            let wait = if self.wire.buf.is_empty() {
+                shared.config.idle_tick
+            } else {
+                Duration::ZERO
+            };
+            match cells.poll_batch(wait) {
+                StreamPoll::Batch(batch) => cutter.push(
+                    batch.dims(),
+                    batch.values(),
+                    batch.counts(),
+                    &mut |seq, dims, values, counts| self.batch(seq, dims, values, counts),
+                )?,
+                StreamPoll::Idle => self.flush()?,
+                StreamPoll::End => return Ok(()),
+            }
+        }
+    }
+}
 
 /// The query's shape for memory-history purposes: everything that affects
 /// how much the engine buffers, excluding the deadline (which affects how
@@ -696,7 +944,7 @@ fn shape_hash(q: &QueryRequest) -> u64 {
 /// re-executed in full — determinism makes the replayed stream identical —
 /// and the first `next_seq` batches are simply not written to the socket.
 fn serve_query(
-    stream: &mut TcpStream,
+    wire: &mut Wire<'_>,
     shared: &Shared,
     q: &QueryRequest,
     resume: Option<(u64, u64)>,
@@ -704,7 +952,7 @@ fn serve_query(
     let started = Instant::now();
     let Some(table) = shared.find_table(&q.table) else {
         return answer(
-            stream,
+            wire,
             &Response::Error {
                 status: WireStatus::UnknownTable,
                 detail: format!("table {:?} is not served", q.table),
@@ -723,7 +971,7 @@ fn serve_query(
         Ok(p) => p,
         Err(Shed::Draining) => {
             return answer(
-                stream,
+                wire,
                 &Response::Error {
                     status: WireStatus::ShuttingDown,
                     detail: "server is draining".to_string(),
@@ -732,7 +980,7 @@ fn serve_query(
         }
         Err(Shed::QueueFull | Shed::Timeout) => {
             return answer(
-                stream,
+                wire,
                 &Response::Overloaded {
                     retry_after_ms: shared.gate.retry_after().as_millis() as u64,
                 },
@@ -744,7 +992,7 @@ fn serve_query(
     let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
     if remaining.is_some_and(|r| r.is_zero()) {
         return answer(
-            stream,
+            wire,
             &Response::Error {
                 status: WireStatus::DeadlineExceeded,
                 detail: CubeError::DeadlineExceeded.to_string(),
@@ -765,7 +1013,7 @@ fn serve_query(
         let version = table.version.load(Ordering::Relaxed);
         if q.version != 0 && q.version != version {
             return answer(
-                stream,
+                wire,
                 &Response::Error {
                     status: WireStatus::VersionMismatch,
                     detail: format!(
@@ -809,7 +1057,7 @@ fn serve_query(
             // Builder misuse (bad dimension, zero min_sup, ...): typed
             // error before any thread was spawned.
             return answer(
-                stream,
+                wire,
                 &Response::Error {
                     status: wire_status(&e),
                     detail: e.to_string(),
@@ -819,104 +1067,45 @@ fn serve_query(
     };
 
     let active = ActiveQuery::register(shared, cells.handle());
-    // A resumed stream echoes the id the client correlates by; a fresh one
-    // is named by its registry id (ids start at 1, so 0 never occurs).
-    let query_id = resume.map_or(active.id, |(id, _)| id);
-    let skip = resume.map_or(0, |(_, next_seq)| next_seq);
-    let handle = cells.handle();
-    let mut block = CellBlock::default();
-    let mut seq = 0u64;
-    let mut total_cells = 0u64;
-    let mut last_send = Instant::now();
-    loop {
-        // Keepalive covers both idle streams (slow query, back-pressure)
-        // and the busy-but-silent skip phase of a resume.
-        if last_send.elapsed() >= shared.config.heartbeat_interval {
-            if send(stream, &Response::Heartbeat { query_id }).is_err() {
-                drop(cells);
-                return Flow::Close;
-            }
-            shared.heartbeats.fetch_add(1, Ordering::Relaxed);
-            last_send = Instant::now();
-        }
-        match cells.poll_next(shared.config.idle_tick) {
-            StreamPoll::Item((cell, count, ())) => {
-                if block.is_empty() {
-                    // Projected queries emit cells over the kept dimensions
-                    // only, so the width comes from the cells, not the table.
-                    block.dims = cell.values().len() as u16;
-                }
-                block.push(cell.values(), count);
-                if block.len() >= BATCH_CELLS {
-                    total_cells += block.len() as u64;
-                    let this_seq = seq;
-                    seq += 1;
-                    let full = std::mem::take(&mut block);
-                    if this_seq < skip {
-                        // Already delivered before the disconnect: recompute,
-                        // don't resend. Determinism makes the boundaries line
-                        // up with the interrupted stream's.
-                        continue;
-                    }
-                    if send(
-                        stream,
-                        &Response::Batch {
-                            query_id,
-                            seq: this_seq,
-                            version,
-                            block: full,
-                        },
-                    )
-                    .is_err()
-                    {
-                        // Dead or stalled reader: dropping `cells` cancels
-                        // the producing run and joins its thread before we
-                        // return.
-                        drop(cells);
-                        return Flow::Close;
-                    }
-                    // A successful write is progress even while the engine
-                    // is back-pressured by this very socket.
-                    handle.note_progress();
-                    last_send = Instant::now();
-                }
-            }
-            StreamPoll::Idle => {}
-            StreamPoll::End => break,
-        }
+    // The engine's batches are handed through as they are and cut into
+    // frames in place (`FrameCutter`, `Reply`): no per-cell `Cell`, no
+    // intermediate block, no per-frame buffer.
+    let mut cutter = FrameCutter::new(resume.map_or(0, |(_, next_seq)| next_seq));
+    let mut reply = Reply {
+        wire,
+        handle: cells.handle(),
+        // A resumed stream echoes the id the client correlates by; a fresh
+        // one is named by its registry id (ids start at 1, so 0 never
+        // occurs).
+        query_id: resume.map_or(active.id, |(id, _)| id),
+        version,
+        last_send: Instant::now(),
+    };
+    if reply.pump(&mut cells, &mut cutter, shared).is_err() {
+        // Dead or stalled reader: dropping `cells` cancels the producing
+        // run and joins its thread before we return.
+        drop(cells);
+        return Flow::Close;
     }
-    let outcome = cells.finish();
-    match outcome {
+    match cells.finish() {
         Ok(stats) => {
-            if !block.is_empty() {
-                total_cells += block.len() as u64;
-                let this_seq = seq;
-                if this_seq >= skip
-                    && send(
-                        stream,
-                        &Response::Batch {
-                            query_id,
-                            seq: this_seq,
-                            version,
-                            block,
-                        },
-                    )
-                    .is_err()
-                {
-                    return Flow::Close;
-                }
+            if cutter
+                .finish(&mut |seq, dims, values, counts| reply.batch(seq, dims, values, counts))
+                .is_err()
+            {
+                return Flow::Close;
             }
             let elapsed = started.elapsed();
             shared.history.record(shape, stats.peak_buffered_bytes);
             shared.gate.record_service(elapsed);
             answer(
-                stream,
+                reply.wire,
                 &Response::Done(DoneStats {
-                    query_id,
+                    query_id: reply.query_id,
                     version,
                     // Whole-stream total (skipped batches included), so a
                     // resumed run's Done matches the uninterrupted run's.
-                    cells: total_cells,
+                    cells: cutter.cells,
                     elapsed_micros: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
                     peak_buffered_bytes: stats.peak_buffered_bytes,
                     tasks: stats.tasks,
@@ -926,10 +1115,11 @@ fn serve_query(
         }
         Err(e) => {
             // The run ended early (cancel/deadline/budget/worker panic):
-            // drop the partial tail batch and report the typed error.
+            // the cutter's partial tail frame is dropped and the typed
+            // error follows the whole frames already encoded.
             shared.gate.record_service(started.elapsed());
             answer(
-                stream,
+                reply.wire,
                 &Response::Error {
                     status: wire_status(&e),
                     detail: e.to_string(),
@@ -945,10 +1135,10 @@ fn serve_query(
 /// either the old table at the old version or the new table at the new
 /// one, never a half-applied state. On error nothing was appended and the
 /// version is unchanged.
-fn serve_ingest(stream: &mut TcpStream, shared: &Shared, name: &str, rows: &[u32]) -> Flow {
+fn serve_ingest(wire: &mut Wire<'_>, shared: &Shared, name: &str, rows: &[u32]) -> Flow {
     let Some(table) = shared.find_table(name) else {
         return answer(
-            stream,
+            wire,
             &Response::Error {
                 status: WireStatus::UnknownTable,
                 detail: format!("table {name:?} is not served"),
@@ -966,9 +1156,9 @@ fn serve_ingest(stream: &mut TcpStream, shared: &Shared, name: &str, rows: &[u32
         })
     };
     match outcome {
-        Ok((version, rows)) => answer(stream, &Response::Ingested { version, rows }),
+        Ok((version, rows)) => answer(wire, &Response::Ingested { version, rows }),
         Err(e) => answer(
-            stream,
+            wire,
             &Response::Error {
                 status: wire_status(&e),
                 detail: e.to_string(),
@@ -977,10 +1167,96 @@ fn serve_ingest(stream: &mut TcpStream, shared: &Shared, name: &str, rows: &[u32
     }
 }
 
-/// Send a terminal response; a failed write closes the connection.
-fn answer(stream: &mut TcpStream, resp: &Response) -> Flow {
-    match send(stream, resp) {
+/// Send a terminal response (together with any reply frames still
+/// buffered); a failed write closes the connection.
+fn answer(wire: &mut Wire<'_>, resp: &Response) -> Flow {
+    match wire.send(resp) {
         Ok(()) => Flow::Continue,
         Err(_) => Flow::Close,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `(seq, dims, values, counts)` of one emitted frame.
+    type Frame = (u64, u16, Vec<u32>, Vec<u64>);
+
+    /// The cell-at-a-time cutter the reply loop used to be: collect cells
+    /// into a block, frame it at `BATCH_CELLS`, frame the remainder at the
+    /// end. Returns the frames from `skip` on and the whole-stream total.
+    fn per_cell_frames(dims: usize, cells: &[(Vec<u32>, u64)], skip: u64) -> (Vec<Frame>, u64) {
+        let mut frames = Vec::new();
+        let (mut seq, mut total) = (0u64, 0u64);
+        for block in cells.chunks(BATCH_CELLS) {
+            total += block.len() as u64;
+            if seq >= skip {
+                frames.push((
+                    seq,
+                    dims as u16,
+                    block.iter().flat_map(|(v, _)| v.iter().copied()).collect(),
+                    block.iter().map(|&(_, c)| c).collect(),
+                ));
+            }
+            seq += 1;
+        }
+        (frames, total)
+    }
+
+    proptest! {
+        /// However the engine sizes its batches, the cutter gives exactly
+        /// the per-cell cutter's frames, seqs and whole-stream total — for
+        /// a fresh stream and for every resume point.
+        #[test]
+        fn frame_cutter_equals_the_per_cell_cutter(
+            dims in 1usize..=5,
+            sizes in proptest::collection::vec(0usize..7, 0..12),
+            seed in any::<u64>(),
+        ) {
+            // Sizes around the frame boundary, plus the engine's own
+            // (64 … 1024) and ones that leave a straddling frame open.
+            const SIZES: [usize; 7] = [0, 1, 63, 64, 65, 200, 1000];
+            let mut n = seed as u32;
+            let batches: Vec<Vec<(Vec<u32>, u64)>> = sizes
+                .iter()
+                .map(|&s| {
+                    (0..SIZES[s])
+                        .map(|_| {
+                            n = n.wrapping_add(1);
+                            ((0..dims as u32).map(|d| n ^ d).collect(), u64::from(n) + 1)
+                        })
+                        .collect()
+                })
+                .collect();
+            let flat: Vec<(Vec<u32>, u64)> = batches.iter().flatten().cloned().collect();
+            let slices: Vec<(Vec<u32>, Vec<u64>)> = batches
+                .iter()
+                .map(|batch| {
+                    (
+                        batch.iter().flat_map(|(v, _)| v.iter().copied()).collect(),
+                        batch.iter().map(|&(_, c)| c).collect(),
+                    )
+                })
+                .collect();
+            let frame_count = flat.len().div_ceil(BATCH_CELLS) as u64;
+            for skip in 0..=frame_count + 1 {
+                let (want, total) = per_cell_frames(dims, &flat, skip);
+                let mut cutter = FrameCutter::new(skip);
+                let mut got: Vec<Frame> = Vec::new();
+                let mut emit = |seq, dims, values: &[u32], counts: &[u64]| {
+                    got.push((seq, dims, values.to_vec(), counts.to_vec()));
+                    Ok::<(), ()>(())
+                };
+                for (values, counts) in &slices {
+                    cutter.push(dims, values, counts, &mut emit).unwrap();
+                }
+                cutter.finish(&mut emit).unwrap();
+                prop_assert_eq!(cutter.cells, total);
+                prop_assert_eq!(cutter.seq, frame_count);
+                prop_assert_eq!(&got, &want, "skip {}", skip);
+            }
+        }
     }
 }

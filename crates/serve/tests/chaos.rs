@@ -28,38 +28,46 @@ use std::time::Duration;
 const CLIENTS: usize = 64;
 const QUERIES_PER_CLIENT: usize = 2;
 
-/// Thread-leak accounting is process-global, so the tests in this file
-/// must not overlap each other (they may still overlap other test
-/// binaries, which have their own processes).
+/// Thread-leak accounting is process-global (one test's live server would
+/// be another's leak), so the tests in this file must not overlap each
+/// other (they may still overlap other test binaries, which have their own
+/// processes).
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn armed() -> bool {
     std::env::var("CCUBE_CHAOS").is_ok_and(|v| v == "1")
 }
 
-/// Live thread count of this process (Linux), for leak accounting.
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
+/// Names of this process's live threads that belong to the serving stack
+/// (Linux). Every thread the stack spawns is named `ccube-…` (accept,
+/// watchdog, connection, stream producer, engine and delta workers); the
+/// test harness's own threads come and go between tests — the next test's
+/// thread is spawned, and parks on [`SERIAL`], while this one still runs —
+/// so a bare thread count is not comparable to any baseline.
+fn stack_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|name| name.starts_with("ccube-"))
+        .collect();
+    names.sort();
+    names
 }
 
-/// Wait for the process thread count to settle back to (at most) the
-/// baseline. Detached OS teardown can lag the `join` by a moment, so poll
-/// briefly before declaring a leak.
-fn assert_no_leaked_threads(baseline: usize, context: &str) {
-    let mut count = 0;
+/// After shutdown none of the stack's threads may be alive. Detached OS
+/// teardown can lag the `join` by a moment, so poll briefly before
+/// declaring a leak.
+fn assert_no_leaked_threads(context: &str) {
+    let mut alive = Vec::new();
     for _ in 0..200 {
-        count = thread_count();
-        if count <= baseline {
+        alive = stack_threads();
+        if alive.is_empty() {
             return;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    panic!("{context}: {count} threads alive, baseline {baseline} — leak");
+    panic!("{context}: threads still alive after shutdown — leak: {alive:?}");
 }
 
 fn chaos_table() -> Table {
@@ -174,7 +182,6 @@ fn chaos_under_load_sheds_typed_and_leaks_nothing() {
         ("engine.seed", FaultAction::Deadline, 1),
         ("sink.channel.send", FaultAction::Panic, 4),
     ];
-    let baseline = thread_count();
     for &(site, action, after) in scenarios {
         let context = format!("{site}/{action:?}");
         let scope = FaultScope::arm(FaultPlan {
@@ -216,7 +223,7 @@ fn chaos_under_load_sheds_typed_and_leaks_nothing() {
             disconnects <= 8,
             "{context}: {disconnects} dropped connections from one fault"
         );
-        assert_no_leaked_threads(baseline, &context);
+        assert_no_leaked_threads(&context);
     }
 }
 
@@ -231,7 +238,6 @@ fn injected_worker_panic_is_a_typed_frame() {
         return;
     }
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let baseline = thread_count();
     // `sink.channel.send` sits on every streamed run's output path (fast
     // path included), so the panic is guaranteed to fire mid-run.
     let scope = FaultScope::arm(FaultPlan {
@@ -259,7 +265,7 @@ fn injected_worker_panic_is_a_typed_frame() {
         server.shutdown();
     }
     assert!(scope.fired(), "fault never fired");
-    assert_no_leaked_threads(baseline, "worker panic");
+    assert_no_leaked_threads("worker panic");
 }
 
 /// A stalled slow reader (never drains its socket) must not wedge the
@@ -272,7 +278,6 @@ fn stalled_slow_reader_is_cut_off_and_query_cancelled() {
         return;
     }
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let baseline = thread_count();
     {
         let config = ServerConfig {
             write_timeout: Duration::from_millis(200),
@@ -315,7 +320,7 @@ fn stalled_slow_reader_is_cut_off_and_query_cancelled() {
         drop(stalled);
         server.shutdown();
     }
-    assert_no_leaked_threads(baseline, "stalled reader");
+    assert_no_leaked_threads("stalled reader");
 }
 
 // ---------------------------------------------------------------------------
@@ -333,7 +338,6 @@ fn mid_stream_connection_kill_is_recovered_by_resume() {
         return;
     }
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let baseline = thread_count();
 
     // Ground truth from an in-process run of the same query.
     let mut expected = Vec::new();
@@ -382,7 +386,7 @@ fn mid_stream_connection_kill_is_recovered_by_resume() {
         server.shutdown();
     }
     assert!(scope.fired(), "fault never fired");
-    assert_no_leaked_threads(baseline, "mid-stream kill");
+    assert_no_leaked_threads("mid-stream kill");
 }
 
 /// A worker wedged inside the engine (blocked, no progress-epoch advance)
@@ -396,7 +400,6 @@ fn wedged_worker_is_reaped_and_the_query_completes_via_retry() {
         return;
     }
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let baseline = thread_count();
     // `sink.channel.send` sits on every streamed run's output path (fast
     // path included) and flushes every 1024 cells; the table below yields
     // ~3.3k cells, so the second visit lands mid-run with over a thousand
@@ -444,7 +447,84 @@ fn wedged_worker_is_reaped_and_the_query_completes_via_retry() {
         server.shutdown();
     }
     assert!(scope.fired(), "fault never fired");
-    assert_no_leaked_threads(baseline, "wedged worker");
+    assert_no_leaked_threads("wedged worker");
+}
+
+/// Flush-on-idle: reply frames leave when the producer has nothing more
+/// ready — not when a later frame, the size threshold or a heartbeat
+/// happens to push them out. The producer is parked (wedged) right after
+/// handing over its first 64-cell batch, so that batch is one lone frame in
+/// the wire buffer: it must reach the client before the first heartbeat is
+/// even due, and the heartbeats must still follow while the stream idles.
+#[test]
+fn first_frame_leaves_while_the_producer_is_parked() {
+    if !armed() {
+        eprintln!("serve chaos suite skipped: set CCUBE_CHAOS=1 to run");
+        return;
+    }
+    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let scope = FaultScope::arm(FaultPlan {
+        site: "sink.channel.send",
+        action: FaultAction::Wedge,
+        after: 1,
+    });
+    {
+        let _armed = scope.install();
+        let heartbeat_interval = Duration::from_millis(500);
+        let config = ServerConfig {
+            heartbeat_interval,
+            watchdog_interval: Duration::from_millis(25),
+            wedge_timeout: Duration::from_millis(1500),
+            write_timeout: Duration::from_millis(250),
+            drain_deadline: Duration::from_secs(3),
+            ..ServerConfig::default()
+        };
+        let table = SyntheticSpec::uniform(4000, 4, 8, 1.0, 11).generate();
+        let server =
+            Server::start(vec![("synth".to_string(), table)], config).expect("server starts");
+        let mut client = Client::connect_with(server.addr(), Duration::from_secs(10)).unwrap();
+        let started = std::time::Instant::now();
+        client
+            .send_raw(&ccube_serve::proto::encode_request(
+                &ccube_serve::Request::Query(QueryRequest::new("synth", 1)),
+            ))
+            .unwrap();
+        let mut next = || -> ccube_serve::Response {
+            match ccube_serve::proto::read_frame(client.stream_mut()).expect("read frame") {
+                ccube_serve::proto::FrameRead::Frame(payload) => {
+                    ccube_serve::proto::decode_response(&payload).expect("well-formed response")
+                }
+                _ => panic!("reply ended without a terminal frame"),
+            }
+        };
+        match next() {
+            ccube_serve::Response::Batch { seq: 0, block, .. } => assert_eq!(block.len(), 64),
+            other => panic!("wanted the first Batch, got {other:?}"),
+        }
+        let arrived = started.elapsed();
+        assert!(
+            arrived < heartbeat_interval,
+            "first frame took {arrived:?}: it waited for the heartbeat's flush"
+        );
+        assert!(
+            matches!(next(), ccube_serve::Response::Heartbeat { .. }),
+            "a parked producer's stream must idle on heartbeats"
+        );
+        // The reap unparks the producer and the stream ends typed.
+        loop {
+            match next() {
+                ccube_serve::Response::Heartbeat { .. } | ccube_serve::Response::Batch { .. } => {}
+                ccube_serve::Response::Error { status, .. } => {
+                    assert_eq!(status, WireStatus::Wedged);
+                    break;
+                }
+                other => panic!("wanted Wedged, got {other:?}"),
+            }
+        }
+        server.shutdown();
+    }
+    assert!(scope.fired(), "fault never fired");
+    assert_no_leaked_threads("parked producer");
 }
 
 /// The resilience gate: 64 resilient clients under injected chaos — a
@@ -464,7 +544,6 @@ fn resilient_fleet_recovers_every_query_under_chaos() {
         ("sink.channel.send", FaultAction::Panic, 6),
         ("sink.channel.send", FaultAction::Wedge, 4),
     ];
-    let baseline = thread_count();
     for &(site, action, after) in scenarios {
         let context = format!("{site}/{action:?}");
         let scope = FaultScope::arm(FaultPlan {
@@ -522,6 +601,6 @@ fn resilient_fleet_recovers_every_query_under_chaos() {
             );
             server.shutdown();
         }
-        assert_no_leaked_threads(baseline, &context);
+        assert_no_leaked_threads(&context);
     }
 }

@@ -104,10 +104,46 @@ fn ping_tables_and_multiple_queries_share_one_connection() {
     assert_eq!(tables[0].name, "synth");
     assert_eq!(tables[0].rows, 600);
     assert_eq!(tables[0].dims, 4);
+    // Multi-frame replies are read through the client's buffer, which
+    // outlives each call: whatever one call buffered belongs to that call,
+    // and the next exchange starts on a frame boundary.
     for min_sup in [2, 3, 10] {
-        let outcome = client.query(&QueryRequest::new("synth", min_sup)).unwrap();
-        assert!(matches!(outcome, QueryOutcome::Done(_)), "got {outcome:?}");
+        let (cells, outcome) = client
+            .query_collect(&QueryRequest::new("synth", min_sup))
+            .unwrap();
+        let QueryOutcome::Done(stats) = outcome else {
+            panic!("wanted Done, got {outcome:?}");
+        };
+        assert_eq!(stats.cells as usize, cells.len());
+        client.ping().expect("ping between queries");
     }
+    assert_eq!(client.tables().expect("tables after queries").len(), 1);
+    server.shutdown();
+}
+
+/// Loopback regression guard for the wire path: a reply of a few frames
+/// must cost what its bytes cost. With Nagle on and one write per frame,
+/// every such query sat out the peer's delayed-ACK timer (≈ 40 ms).
+#[test]
+fn multi_frame_replies_do_not_wait_on_delayed_acks() {
+    let server = start_default();
+    let mut client = connect(&server);
+    assert_eq!(client.stream_mut().nodelay().ok(), Some(true));
+    // 177 cells: two full frames and a short one.
+    let req = QueryRequest::new("synth", 11);
+    let mut took = Vec::new();
+    for _ in 0..21 {
+        let started = std::time::Instant::now();
+        let (cells, _) = client.query_collect(&req).expect("query runs");
+        took.push(started.elapsed());
+        assert_eq!(cells.len(), 177);
+    }
+    took.sort();
+    assert!(
+        took[10] < Duration::from_millis(20),
+        "median of 21 three-frame queries is {:?}",
+        took[10]
+    );
     server.shutdown();
 }
 
@@ -385,6 +421,89 @@ fn resumed_streams_match_uninterrupted_runs_for_every_algorithm() {
         }
     }
     assert!(server.metrics().resumed >= 16, "resume counter undercounts");
+    server.shutdown();
+}
+
+/// FNV-1a, spelled out here so the capture below depends on nothing but
+/// the wire bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The raw bytes of a fixed query's reply — frame boundaries, seqs, tags,
+/// cell encoding — are what the server put on the wire before it encoded
+/// frames in place and flushed them in groups: they equal the cell-at-a-time
+/// construction (`write_frame(encode_response(Batch))` per 64 cells of the
+/// in-process stream), and their digest equals the one captured from the
+/// parent commit's server.
+#[test]
+fn reply_bytes_are_unchanged_from_the_per_frame_server() {
+    /// `(batch frames, their bytes incl. headers, FNV-1a of those bytes)`
+    /// for `QueryRequest::new("synth", 2)` as a fresh server's first query,
+    /// captured at the parent commit.
+    const CAPTURE: (usize, usize, u64) = (11, 16_993, 3_931_016_427_990_777_700);
+
+    let server = start_default();
+    let mut client = connect(&server);
+    let req = QueryRequest::new("synth", 2);
+    client
+        .send_raw(&proto::encode_request(&Request::Query(req)))
+        .unwrap();
+    let mut wire = Vec::new();
+    let mut frames = 0usize;
+    let done = loop {
+        let payload = match proto::read_frame(client.stream_mut()).expect("read frame") {
+            proto::FrameRead::Frame(payload) => payload,
+            _ => panic!("reply ended without Done"),
+        };
+        match proto::decode_response(&payload).expect("well-formed response") {
+            Response::Heartbeat { .. } => {}
+            Response::Batch { .. } => {
+                frames += 1;
+                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                wire.extend_from_slice(&payload);
+            }
+            Response::Done(stats) => break stats,
+            other => panic!("wanted Batch or Done, got {other:?}"),
+        }
+    };
+
+    let mut session = CubeSession::new(small_table()).unwrap();
+    let cells: Vec<(ccube_core::Cell, u64, ())> =
+        session.query().min_sup(2).stream().unwrap().collect();
+    let mut expected = Vec::new();
+    for (seq, chunk) in cells.chunks(64).enumerate() {
+        let mut block = ccube_serve::CellBlock {
+            dims: 4,
+            ..Default::default()
+        };
+        for (cell, count, ()) in chunk {
+            block.push(cell.values(), *count);
+        }
+        let batch = Response::Batch {
+            // A fresh server's first query is wire id 1, table version 1.
+            query_id: 1,
+            seq: seq as u64,
+            version: 1,
+            block,
+        };
+        proto::write_frame(&mut expected, &proto::encode_response(&batch)).unwrap();
+    }
+    assert!(
+        frames >= 3 && !cells.len().is_multiple_of(64),
+        "want a short last frame"
+    );
+    assert!(
+        wire == expected,
+        "reply bytes differ from per-frame encoding"
+    );
+    assert_eq!((frames, wire.len(), fnv1a(&wire)), CAPTURE);
+    assert_eq!(
+        (done.query_id, done.version, done.cells),
+        (1, 1, cells.len() as u64)
+    );
     server.shutdown();
 }
 
