@@ -11,33 +11,32 @@
 //! dense data (Section 2.1.1).
 
 use ccube_core::cell::STAR;
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::partition::{Group, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
+use ccube_core::CubeRequest;
 
-/// Compute the iceberg cube of `table` with threshold `min_sup`, carrying the
-/// measures of `spec`, emitting every iceberg cell into `sink`.
-pub fn buc_with<M, S>(table: &Table, min_sup: u64, spec: &M, sink: &mut S)
+/// Compute the iceberg cube `req` describes — its table at its threshold,
+/// carrying its measures, with its first [`CubeRequest::bound`] dimensions
+/// pre-bound — emitting every iceberg cell into `sink`.
+///
+/// # Panics
+/// On `min_sup == 0`, `bound > cube_dims`, or a closed request: the closed
+/// member of this family is [`qc_dfs`](crate::qc_dfs).
+pub fn buc<M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    buc_bound_with(table, 0, min_sup, spec, sink)
-}
-
-/// [`buc_with`] with the first `bound` group-by dimensions *pre-bound*: the
-/// table must be constant on each of them, and only cells binding all of
-/// them are emitted (their shared values, read off the first tuple, fill the
-/// cell prefix). This is the parallel engine's shard entry point — a shard
-/// is constant on its sharding dimensions by construction, and the cells
-/// that star one of them are owned by other shards, so computing them here
-/// (as `bound = 0` would) is pure waste.
-pub fn buc_bound_with<M, S>(table: &Table, bound: usize, min_sup: u64, spec: &M, sink: &mut S)
-where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
+    let &CubeRequest {
+        table,
+        min_sup,
+        bound,
+        measure: spec,
+        ..
+    } = req;
+    assert!(!req.closed, "BUC computes iceberg cubes only");
     assert!(min_sup >= 1, "min_sup must be at least 1");
     assert!(bound <= table.cube_dims(), "bound exceeds group-by dims");
     let mut tids: Vec<TupleId> = table.all_tids();
@@ -68,16 +67,6 @@ where
     let n = tids.len();
     ctx.recurse(&mut tids, bound);
     debug_assert_eq!(n, table.rows());
-}
-
-/// Count-only convenience wrapper around [`buc_with`].
-pub fn buc<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    buc_with(table, min_sup, &CountOnly, sink)
-}
-
-/// Count-only convenience wrapper around [`buc_bound_with`].
-pub fn buc_bound<S: CellSink<()>>(table: &Table, bound: usize, min_sup: u64, sink: &mut S) {
-    buc_bound_with(table, bound, min_sup, &CountOnly, sink)
 }
 
 struct Ctx<'a, M: MeasureSpec, S> {
@@ -150,7 +139,7 @@ mod tests {
     fn matches_naive_on_paper_example() {
         let t = table1();
         for min_sup in 1..=3 {
-            let got = collect_counts(|s| buc(&t, min_sup, s));
+            let got = collect_counts(|s| buc(&CubeRequest::new(&t, min_sup), s));
             let want = naive_iceberg_counts(&t, min_sup);
             assert_eq!(got, want, "min_sup={min_sup}");
         }
@@ -161,7 +150,7 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let got = collect_counts(|s| buc(&t, min_sup, s));
+                let got = collect_counts(|s| buc(&CubeRequest::new(&t, min_sup), s));
                 let want = naive_iceberg_counts(&t, min_sup);
                 assert_eq!(got, want, "seed={seed} min_sup={min_sup}");
             }
@@ -171,14 +160,14 @@ mod tests {
     #[test]
     fn empty_below_min_sup() {
         let t = table1();
-        let got = collect_counts(|s| buc(&t, 10, s));
+        let got = collect_counts(|s| buc(&CubeRequest::new(&t, 10), s));
         assert!(got.is_empty());
     }
 
     #[test]
     fn apex_always_present_when_supported() {
         let t = table1();
-        let got = collect_counts(|s| buc(&t, 1, s));
+        let got = collect_counts(|s| buc(&CubeRequest::new(&t, 1), s));
         assert_eq!(got[&Cell::apex(4)], 3);
     }
 
@@ -194,7 +183,10 @@ mod tests {
             .build()
             .unwrap();
         let mut sink = CollectSink::default();
-        buc_with(&t, 1, &ColumnStats { column: 0 }, &mut sink);
+        buc(
+            &CubeRequest::new(&t, 1).measure(&ColumnStats { column: 0 }),
+            &mut sink,
+        );
         let (count, agg) = &sink.cells[&Cell::from_values(&[0, STAR])];
         assert_eq!(*count, 2);
         assert_eq!(agg.sum, 12.0);
@@ -219,6 +211,6 @@ mod tests {
     #[should_panic]
     fn zero_min_sup_rejected() {
         let t = table1();
-        buc(&t, 0, &mut ccube_core::sink::NullSink);
+        buc(&CubeRequest::new(&t, 0), &mut ccube_core::sink::NullSink);
     }
 }

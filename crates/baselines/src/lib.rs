@@ -17,5 +17,5 @@
 pub mod buc;
 pub mod qcdfs;
 
-pub use buc::{buc, buc_bound, buc_bound_with, buc_with};
-pub use qcdfs::{qc_dfs, qc_dfs_with};
+pub use buc::buc;
+pub use qcdfs::qc_dfs;

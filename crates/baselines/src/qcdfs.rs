@@ -30,19 +30,37 @@
 //! the test oracle but not used in the paper's QC-DFS experiments (`M = 1`).
 
 use ccube_core::cell::STAR;
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::partition::{Group, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
+use ccube_core::CubeRequest;
 
-/// Compute the closed iceberg cube by quotient-class DFS with raw-data
-/// closure scans, emitting every closed cell into `sink`.
-pub fn qc_dfs_with<M, S>(table: &Table, min_sup: u64, spec: &M, sink: &mut S)
+/// Compute the closed iceberg cube `req` describes by quotient-class DFS
+/// with raw-data closure scans, emitting every closed cell into `sink`.
+/// [`CubeRequest::bound`] is range-checked and otherwise unused: the closure
+/// scan binds every constant dimension by itself.
+///
+/// # Panics
+/// On `min_sup == 0`, `bound > cube_dims`, or an iceberg request: the
+/// iceberg member of this family is [`buc`](crate::buc()).
+pub fn qc_dfs<M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
+    let &CubeRequest {
+        table,
+        min_sup,
+        measure: spec,
+        ..
+    } = req;
+    assert!(req.closed, "QC-DFS computes closed cubes only");
     assert!(min_sup >= 1, "min_sup must be at least 1");
+    assert!(
+        req.bound <= table.cube_dims(),
+        "bound exceeds group-by dims"
+    );
     let mut tids: Vec<TupleId> = table.all_tids();
     if (tids.len() as u64) < min_sup {
         return;
@@ -58,11 +76,6 @@ where
         counts: vec![0u32; max_card as usize],
     };
     ctx.recurse(&mut tids, 0);
-}
-
-/// Count-only convenience wrapper around [`qc_dfs_with`].
-pub fn qc_dfs<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    qc_dfs_with(table, min_sup, &CountOnly, sink)
 }
 
 struct Ctx<'a, M: MeasureSpec, S> {
@@ -193,7 +206,15 @@ mod tests {
     #[test]
     fn paper_example_closed_cells() {
         let t = table1();
-        let got = collect_counts(|s| qc_dfs(&t, 2, s));
+        let got = collect_counts(|s| {
+            qc_dfs(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         assert_eq!(got.len(), 2);
         assert_eq!(got[&Cell::from_values(&[0, 0, 0, STAR])], 2);
         assert_eq!(got[&Cell::from_values(&[0, STAR, STAR, STAR])], 3);
@@ -204,7 +225,15 @@ mod tests {
         for seed in 0..4 {
             let t = SyntheticSpec::uniform(250, 4, 5, 1.0, seed).generate();
             for min_sup in [1, 2, 4] {
-                let got = collect_counts(|s| qc_dfs(&t, min_sup, s));
+                let got = collect_counts(|s| {
+                    qc_dfs(
+                        &CubeRequest {
+                            closed: true,
+                            ..CubeRequest::new(&t, min_sup)
+                        },
+                        s,
+                    )
+                });
                 let want = naive_closed_counts(&t, min_sup);
                 assert_eq!(got, want, "seed={seed} min_sup={min_sup}");
             }
@@ -225,7 +254,15 @@ mod tests {
         }
         .generate();
         for min_sup in [1, 3] {
-            let got = collect_counts(|s| qc_dfs(&t, min_sup, s));
+            let got = collect_counts(|s| {
+                qc_dfs(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s,
+                )
+            });
             let want = naive_closed_counts(&t, min_sup);
             assert_eq!(got, want, "min_sup={min_sup}");
         }
@@ -234,7 +271,15 @@ mod tests {
     #[test]
     fn single_tuple_table() {
         let t = TableBuilder::new(3).row(&[1, 2, 3]).build().unwrap();
-        let got = collect_counts(|s| qc_dfs(&t, 1, s));
+        let got = collect_counts(|s| {
+            qc_dfs(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 1)
+                },
+                s,
+            )
+        });
         // Only one group -> only one closed cell: the tuple itself.
         assert_eq!(got.len(), 1);
         assert_eq!(got[&Cell::from_values(&[1, 2, 3])], 1);
@@ -247,7 +292,15 @@ mod tests {
             b.push_row(&[1, 1]);
         }
         let t = b.build().unwrap();
-        let got = collect_counts(|s| qc_dfs(&t, 1, s));
+        let got = collect_counts(|s| {
+            qc_dfs(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 1)
+                },
+                s,
+            )
+        });
         assert_eq!(got.len(), 1);
         assert_eq!(got[&Cell::from_values(&[1, 1])], 5);
     }
@@ -255,7 +308,15 @@ mod tests {
     #[test]
     fn min_sup_filters_closed_cells() {
         let t = table1();
-        let got = collect_counts(|s| qc_dfs(&t, 3, s));
+        let got = collect_counts(|s| {
+            qc_dfs(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 3)
+                },
+                s,
+            )
+        });
         assert_eq!(got.len(), 1);
         assert_eq!(got[&Cell::from_values(&[0, STAR, STAR, STAR])], 3);
     }

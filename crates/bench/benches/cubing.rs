@@ -2,8 +2,7 @@
 //! hosts on fixed representative workloads (small enough for CI; the full
 //! figure sweeps live in the `exp` binary).
 
-use ccube_bench::Algo;
-use ccube_core::sink::CountingSink;
+use c_cubing::Algorithm;
 use ccube_data::{RuleSet, SyntheticSpec, WeatherSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -11,13 +10,14 @@ fn closed_cubers(c: &mut Criterion) {
     let table = SyntheticSpec::uniform(20_000, 6, 50, 1.0, 42).generate();
     let mut group = c.benchmark_group("closed_full_cube_20k_d6_c50_s1");
     group.sample_size(10);
-    for algo in [Algo::CcMm, Algo::CcStar, Algo::CcStarArray, Algo::QcDfs] {
+    for algo in [
+        Algorithm::CCubingMm,
+        Algorithm::CCubingStar,
+        Algorithm::CCubingStarArray,
+        Algorithm::QcDfs,
+    ] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                algo.run(&table, 1, &mut sink);
-                sink.cells
-            })
+            b.iter(|| ccube_bench::measure_threads(algo, &table, 1, 1).cells)
         });
     }
     group.finish();
@@ -27,13 +27,13 @@ fn closed_iceberg(c: &mut Criterion) {
     let table = SyntheticSpec::uniform(50_000, 8, 100, 0.0, 42).generate();
     let mut group = c.benchmark_group("closed_iceberg_50k_d8_c100_m8");
     group.sample_size(10);
-    for algo in [Algo::CcMm, Algo::CcStar, Algo::CcStarArray] {
+    for algo in [
+        Algorithm::CCubingMm,
+        Algorithm::CCubingStar,
+        Algorithm::CCubingStarArray,
+    ] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                algo.run(&table, 8, &mut sink);
-                sink.cells
-            })
+            b.iter(|| ccube_bench::measure_threads(algo, &table, 8, 1).cells)
         });
     }
     group.finish();
@@ -45,13 +45,14 @@ fn closed_vs_host(c: &mut Criterion) {
     let table = WeatherSpec::new(50_000, 42).generate_dims(8);
     let mut group = c.benchmark_group("weather_50k_m4_closed_vs_host");
     group.sample_size(10);
-    for algo in [Algo::Mm, Algo::CcMm, Algo::StarArray, Algo::CcStarArray] {
+    for algo in [
+        Algorithm::Mm,
+        Algorithm::CCubingMm,
+        Algorithm::StarArray,
+        Algorithm::CCubingStarArray,
+    ] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                algo.run(&table, 4, &mut sink);
-                sink.cells
-            })
+            b.iter(|| ccube_bench::measure_threads(algo, &table, 4, 1).cells)
         });
     }
     group.finish();
@@ -71,13 +72,9 @@ fn dependence_pruning(c: &mut Criterion) {
     .generate();
     let mut group = c.benchmark_group("dependent_40k_d8_c20_r2_m16");
     group.sample_size(10);
-    for algo in [Algo::CcMm, Algo::CcStar] {
+    for algo in [Algorithm::CCubingMm, Algorithm::CCubingStar] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                algo.run(&table, 16, &mut sink);
-                sink.cells
-            })
+            b.iter(|| ccube_bench::measure_threads(algo, &table, 16, 1).cells)
         });
     }
     group.finish();

@@ -5,9 +5,9 @@
 //! micro-numbers ship machine-readable via `exp -- substrate`
 //! (BENCH_substrate.json).
 
+use c_cubing::Algorithm;
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::partition::Partitioner;
-use ccube_core::sink::CountingSink;
 use ccube_core::table::ViewArena;
 use ccube_data::{SyntheticSpec, WeatherSpec, Zipf};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -122,17 +122,13 @@ fn iceberg_hosts(c: &mut Criterion) {
     let mut group = c.benchmark_group("iceberg_hosts_20k_d6_c20_m4");
     group.sample_size(10);
     for algo in [
-        ccube_bench::Algo::Buc,
-        ccube_bench::Algo::Mm,
-        ccube_bench::Algo::Star,
-        ccube_bench::Algo::StarArray,
+        Algorithm::Buc,
+        Algorithm::Mm,
+        Algorithm::Star,
+        Algorithm::StarArray,
     ] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                algo.run(&table, 4, &mut sink);
-                sink.cells
-            })
+            b.iter(|| ccube_bench::measure_threads(algo, &table, 4, 1).cells)
         });
     }
     group.finish();
@@ -146,21 +142,17 @@ fn acceptance_workload(c: &mut Criterion) {
     let mut group = c.benchmark_group("seq_20k_d8_c100_zipf15_m8");
     group.sample_size(10);
     for algo in [
-        ccube_bench::Algo::QcDfs,
-        ccube_bench::Algo::CcMm,
-        ccube_bench::Algo::CcStar,
-        ccube_bench::Algo::CcStarArray,
-        ccube_bench::Algo::Buc,
-        ccube_bench::Algo::Mm,
-        ccube_bench::Algo::Star,
-        ccube_bench::Algo::StarArray,
+        Algorithm::QcDfs,
+        Algorithm::CCubingMm,
+        Algorithm::CCubingStar,
+        Algorithm::CCubingStarArray,
+        Algorithm::Buc,
+        Algorithm::Mm,
+        Algorithm::Star,
+        Algorithm::StarArray,
     ] {
         group.bench_function(BenchmarkId::from_parameter(algo.name()), |b| {
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                algo.run(&table, 8, &mut sink);
-                sink.cells
-            })
+            b.iter(|| ccube_bench::measure_threads(algo, &table, 8, 1).cells)
         });
     }
     group.finish();

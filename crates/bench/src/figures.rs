@@ -6,10 +6,11 @@
 //! EXPERIMENTS.md for an archived run with commentary.
 
 use crate::report::{mb, secs, Figure};
-use crate::{measure_size, measure_threads, Algo};
+use crate::{measure_size, measure_threads};
+use c_cubing::Algorithm;
 use ccube_core::order::DimOrdering;
 use ccube_core::sink::CollectSink;
-use ccube_core::Table;
+use ccube_core::{CubeRequest, Table};
 use ccube_data::{RuleSet, SyntheticSpec, WeatherSpec};
 use ccube_rules::{mine_rules, ClosedCube};
 
@@ -42,7 +43,7 @@ impl ExpOptions {
         ((paper as f64 * self.scale) as usize).max(1000)
     }
 
-    fn measure(&self, algo: Algo, table: &Table, min_sup: u64) -> crate::Measurement {
+    fn measure(&self, algo: Algorithm, table: &Table, min_sup: u64) -> crate::Measurement {
         measure_threads(algo, table, min_sup, self.threads)
     }
 }
@@ -571,12 +572,21 @@ fn session_experiment(opt: &ExpOptions) -> Figure {
     }
 }
 
-const FULL_CLOSED: [Algo; 4] = [Algo::CcMm, Algo::CcStar, Algo::CcStarArray, Algo::QcDfs];
-const CLOSED_ICEBERG: [Algo; 3] = [Algo::CcMm, Algo::CcStar, Algo::CcStarArray];
+const FULL_CLOSED: [Algorithm; 4] = [
+    Algorithm::CCubingMm,
+    Algorithm::CCubingStar,
+    Algorithm::CCubingStarArray,
+    Algorithm::QcDfs,
+];
+const CLOSED_ICEBERG: [Algorithm; 3] = [
+    Algorithm::CCubingMm,
+    Algorithm::CCubingStar,
+    Algorithm::CCubingStarArray,
+];
 
 fn timing_rows(
     opt: &ExpOptions,
-    series: &[Algo],
+    series: &[Algorithm],
     points: impl Iterator<Item = (String, Table, u64)>,
 ) -> Vec<(String, Vec<String>)> {
     points
@@ -590,7 +600,7 @@ fn timing_rows(
         .collect()
 }
 
-fn names(series: &[Algo]) -> Vec<String> {
+fn names(series: &[Algorithm]) -> Vec<String> {
     series.iter().map(|a| a.name().to_string()).collect()
 }
 
@@ -604,7 +614,13 @@ fn tbl1(_opt: &ExpOptions) -> Figure {
         .build()
         .expect("example table");
     let mut sink = CollectSink::default();
-    ccube_star::c_cubing_star(&t, 2, &mut sink);
+    c_cubing::CubeSession::new(t)
+        .expect("ordinary table")
+        .query()
+        .min_sup(2)
+        .algorithm(Algorithm::CCubingStar)
+        .run(&mut sink)
+        .expect("example query");
     let mut rows: Vec<(String, Vec<String>)> = sink
         .counts()
         .into_iter()
@@ -881,7 +897,7 @@ fn dependence_table(opt: &ExpOptions, r: f64, min_sup: u64) -> (Table, u64) {
 
 /// Fig 12: computation vs. data dependence R. T=400K, D=8, C=20, S=0, M=16.
 fn fig12(opt: &ExpOptions) -> Figure {
-    let series = [Algo::CcMm, Algo::CcStar];
+    let series = [Algorithm::CCubingMm, Algorithm::CCubingStar];
     let rows = timing_rows(
         opt,
         &series,
@@ -911,8 +927,8 @@ fn fig13(opt: &ExpOptions) -> Figure {
         .into_iter()
         .map(|r| {
             let (table, m) = dependence_table(opt, r, 16);
-            let (closed_mb, _) = measure_size(Algo::CcMm, &table, m);
-            let (iceberg_mb, _) = measure_size(Algo::Mm, &table, m);
+            let (closed_mb, _) = measure_size(Algorithm::CCubingMm, &table, m);
+            let (iceberg_mb, _) = measure_size(Algorithm::Mm, &table, m);
             (format!("{r}"), vec![mb(closed_mb), mb(iceberg_mb)])
         })
         .collect();
@@ -937,8 +953,8 @@ fn fig14(opt: &ExpOptions) -> Figure {
     let rows = [1u64, 4, 16, 64]
         .into_iter()
         .map(|m| {
-            let (closed_mb, _) = measure_size(Algo::CcMm, &table, m);
-            let (iceberg_mb, _) = measure_size(Algo::Mm, &table, m);
+            let (closed_mb, _) = measure_size(Algorithm::CCubingMm, &table, m);
+            let (iceberg_mb, _) = measure_size(Algorithm::Mm, &table, m);
             (m.to_string(), vec![mb(closed_mb), mb(iceberg_mb)])
         })
         .collect();
@@ -967,8 +983,8 @@ fn fig15(opt: &ExpOptions) -> Figure {
                 .iter()
                 .map(|&m| {
                     let (table, _) = dependence_table(opt, r, m);
-                    let mm = opt.measure(Algo::CcMm, &table, m).seconds;
-                    let star = opt.measure(Algo::CcStar, &table, m).seconds;
+                    let mm = opt.measure(Algorithm::CCubingMm, &table, m).seconds;
+                    let star = opt.measure(Algorithm::CCubingStar, &table, m).seconds;
                     if mm <= star {
                         format!("CC(MM) ({:.0}%)", 100.0 * mm / star)
                     } else {
@@ -997,7 +1013,7 @@ fn fig15(opt: &ExpOptions) -> Figure {
 
 /// Fig 16: overhead of closed checking — CC(MM) vs MM on weather, D=8.
 fn fig16(opt: &ExpOptions) -> Figure {
-    let series = [Algo::CcMm, Algo::Mm];
+    let series = [Algorithm::CCubingMm, Algorithm::Mm];
     let table = WeatherSpec::new(opt.tuples(1_002_752), opt.seed).generate_dims(8);
     let rows = timing_rows(
         opt,
@@ -1024,7 +1040,7 @@ fn fig16(opt: &ExpOptions) -> Figure {
 
 /// Fig 17: benefit of closed pruning — CC(StarArray) vs StarArray on weather.
 fn fig17(opt: &ExpOptions) -> Figure {
-    let series = [Algo::CcStarArray, Algo::StarArray];
+    let series = [Algorithm::CCubingStarArray, Algorithm::StarArray];
     let table = WeatherSpec::new(opt.tuples(1_002_752), opt.seed).generate_dims(8);
     let rows = timing_rows(
         opt,
@@ -1071,7 +1087,7 @@ fn fig18(opt: &ExpOptions) -> Figure {
                 .iter()
                 .map(|&ord| {
                     let (table, _) = ord.apply(&base);
-                    secs(opt.measure(Algo::CcStarArray, &table, m).seconds)
+                    secs(opt.measure(Algorithm::CCubingStarArray, &table, m).seconds)
                 })
                 .collect();
             (m.to_string(), cells)
@@ -1098,8 +1114,15 @@ fn rules_experiment(opt: &ExpOptions) -> Figure {
     let tuples = (opt.tuples(1_002_752) / 4).max(1000);
     let table = WeatherSpec::new(tuples, opt.seed).generate_dims(6);
     let min_sup = 10;
-    let cube = ClosedCube::collect(table.dims(), min_sup, |sink| {
-        ccube_star::c_cubing_star_array(&table, min_sup, sink)
+    let dims = table.dims();
+    let mut session = c_cubing::CubeSession::new(table).expect("ordinary table");
+    let cube = ClosedCube::collect(dims, min_sup, |sink| {
+        session
+            .query()
+            .min_sup(min_sup)
+            .algorithm(Algorithm::CCubingStarArray)
+            .run(sink)
+            .expect("rules query");
     });
     let (_, stats) = mine_rules(&cube);
     Figure {
@@ -1150,13 +1173,13 @@ fn parallel_speedup(opt: &ExpOptions) -> Figure {
     let min_sup = 8;
     let skews = [1.0f64, 1.5, 2.0];
     let algos = [
-        Algo::CcMm,
-        Algo::CcStar,
-        Algo::CcStarArray,
-        Algo::Buc,
-        Algo::Mm,
-        Algo::Star,
-        Algo::StarArray,
+        Algorithm::CCubingMm,
+        Algorithm::CCubingStar,
+        Algorithm::CCubingStarArray,
+        Algorithm::Buc,
+        Algorithm::Mm,
+        Algorithm::Star,
+        Algorithm::StarArray,
     ];
     let thread_counts = [1usize, 2, 4, 8];
 
@@ -1471,14 +1494,16 @@ fn lifecycle_experiment(opt: &ExpOptions) -> Figure {
             let sample = {
                 let mut sink = CountingSink::default();
                 let start = Instant::now();
-                algo.run(&table, min_sup, &mut sink);
+                algo.run(&CubeRequest::new(&table, min_sup), &mut sink)
+                    .expect("benchmark run failed");
                 start.elapsed().as_secs_f64()
             };
             let sample_tokened = {
                 let _ambient = lifecycle::install(&token);
                 let mut sink = CountingSink::default();
                 let start = Instant::now();
-                algo.run(&table, min_sup, &mut sink);
+                algo.run(&CubeRequest::new(&table, min_sup), &mut sink)
+                    .expect("benchmark run failed");
                 start.elapsed().as_secs_f64()
             };
             if round > 0 {
@@ -1921,9 +1946,8 @@ fn serve_experiment(opt: &ExpOptions) -> Figure {
 /// Ablation: sensitivity of C-Cubing(MM) to the MultiWay array budget
 /// (DESIGN.md §7 calls this heuristic out; the paper fixes ~4 MB).
 fn ablate_mm_budget(opt: &ExpOptions) -> Figure {
-    use ccube_core::measure::CountOnly;
     use ccube_core::sink::CountingSink;
-    use ccube_mm::{c_cubing_mm_with, MmConfig};
+    use ccube_mm::{mm_cube, MmConfig};
     use std::time::Instant;
 
     let table = SyntheticSpec::uniform(opt.tuples(400_000), 8, 100, 1.0, opt.seed).generate();
@@ -1938,7 +1962,11 @@ fn ablate_mm_budget(opt: &ExpOptions) -> Figure {
                 .map(|m| {
                     let mut sink = CountingSink::default();
                     let start = Instant::now();
-                    c_cubing_mm_with(&table, m, config, &CountOnly, &mut sink);
+                    let req = CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&table, m)
+                    };
+                    mm_cube(&req, config, &mut sink);
                     secs(start.elapsed().as_secs_f64())
                 })
                 .collect();
@@ -1979,7 +2007,7 @@ fn ablate_base_order(opt: &ExpOptions) -> Figure {
         DimOrdering::EntropyDesc,
     ];
     let min_sup = 16;
-    let rows = [Algo::CcMm, Algo::CcStarArray]
+    let rows = [Algorithm::CCubingMm, Algorithm::CCubingStarArray]
         .into_iter()
         .map(|algo| {
             let cells: Vec<String> = orderings

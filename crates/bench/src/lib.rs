@@ -22,117 +22,10 @@ pub use figures::{all_experiments, ExpOptions};
 pub use report::Figure;
 
 use c_cubing::Algorithm;
-use ccube_core::sink::{CellSink, CountingSink, SizeSink};
-use ccube_core::{CubeError, Table};
+use ccube_core::sink::{CountingSink, SizeSink};
+use ccube_core::{CubeRequest, Table};
 use ccube_engine::{EngineConfig, EngineStats};
 use std::time::Instant;
-
-/// The algorithms under test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    /// QC-DFS (closed baseline).
-    QcDfs,
-    /// MM-Cubing (iceberg host).
-    Mm,
-    /// C-Cubing(MM).
-    CcMm,
-    /// Star-Cubing (iceberg host).
-    Star,
-    /// C-Cubing(Star).
-    CcStar,
-    /// StarArray (iceberg host).
-    StarArray,
-    /// C-Cubing(StarArray).
-    CcStarArray,
-    /// BUC (iceberg baseline).
-    Buc,
-}
-
-impl Algo {
-    /// The facade [`Algorithm`] this series maps to — the bench harness owns
-    /// no dispatch tables of its own; every run below delegates here.
-    pub fn algorithm(self) -> Algorithm {
-        match self {
-            Algo::QcDfs => Algorithm::QcDfs,
-            Algo::Mm => Algorithm::Mm,
-            Algo::CcMm => Algorithm::CCubingMm,
-            Algo::Star => Algorithm::Star,
-            Algo::CcStar => Algorithm::CCubingStar,
-            Algo::StarArray => Algorithm::StarArray,
-            Algo::CcStarArray => Algorithm::CCubingStarArray,
-            Algo::Buc => Algorithm::Buc,
-        }
-    }
-
-    /// Legend name, matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        self.algorithm().name()
-    }
-
-    /// Does this algorithm emit only closed cells?
-    pub fn is_closed(self) -> bool {
-        self.algorithm().is_closed()
-    }
-
-    /// Run on `table` at `min_sup`, emitting into any sink.
-    pub fn run_into<S: CellSink<()>>(self, table: &Table, min_sup: u64, sink: &mut S) {
-        self.algorithm().run(table, min_sup, sink)
-    }
-
-    /// Run on `table` at `min_sup` with output disabled.
-    pub fn run(self, table: &Table, min_sup: u64, sink: &mut CountingSink) {
-        self.run_into(table, min_sup, sink)
-    }
-
-    /// Run only the cells binding the first `bound` (constant) group-by
-    /// dimensions — the parallel engine's shard entry point.
-    pub fn run_bound_into<S: CellSink<()>>(
-        self,
-        table: &Table,
-        bound: usize,
-        min_sup: u64,
-        sink: &mut S,
-    ) {
-        self.algorithm().run_bound(table, bound, min_sup, sink)
-    }
-
-    /// Run partition-parallel on `threads` worker threads through
-    /// [`ccube_engine`] (`0` = one per CPU).
-    pub fn run_parallel<S: CellSink<()>>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        threads: usize,
-        sink: &mut S,
-    ) -> Result<(), CubeError> {
-        self.algorithm().run_parallel(table, min_sup, threads, sink)
-    }
-
-    /// [`Algo::run_parallel`] with full engine configuration.
-    pub fn run_with_config<S: CellSink<()>>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        config: &EngineConfig,
-        sink: &mut S,
-    ) -> Result<(), CubeError> {
-        self.algorithm()
-            .run_with_config(table, min_sup, config, sink)
-    }
-
-    /// [`Algo::run_with_config`] returning the engine's scheduling and
-    /// peak-buffered-bytes counters.
-    pub fn run_with_config_stats<S: CellSink<()>>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        config: &EngineConfig,
-        sink: &mut S,
-    ) -> Result<EngineStats, CubeError> {
-        self.algorithm()
-            .run_with_config_stats(table, min_sup, config, sink)
-    }
-}
 
 /// One timed measurement.
 #[derive(Clone, Copy, Debug)]
@@ -143,23 +36,22 @@ pub struct Measurement {
     pub cells: u64,
 }
 
-/// Time one cube computation (sequential).
-pub fn measure(algo: Algo, table: &Table, min_sup: u64) -> Measurement {
-    measure_threads(algo, table, min_sup, 1)
-}
-
 /// Time one cube computation on `threads` worker threads: `1` = sequential
-/// `Algo::run`; anything else goes through the parallel engine, with `0`
-/// meaning one thread per available CPU.
-pub fn measure_threads(algo: Algo, table: &Table, min_sup: u64, threads: usize) -> Measurement {
+/// [`Algorithm::run`]; anything else goes through the parallel engine, with
+/// `0` meaning one thread per available CPU.
+pub fn measure_threads(
+    algo: Algorithm,
+    table: &Table,
+    min_sup: u64,
+    threads: usize,
+) -> Measurement {
+    if threads != 1 {
+        return measure_engine_stats(algo, table, min_sup, &EngineConfig::with_threads(threads)).0;
+    }
     let mut sink = CountingSink::default();
     let start = Instant::now();
-    if threads == 1 {
-        algo.run(table, min_sup, &mut sink);
-    } else {
-        algo.run_parallel(table, min_sup, threads, &mut sink)
-            .expect("benchmark run failed");
-    }
+    algo.run(&CubeRequest::new(table, min_sup), &mut sink)
+        .expect("benchmark run failed");
     Measurement {
         seconds: start.elapsed().as_secs_f64(),
         cells: sink.cells,
@@ -168,22 +60,12 @@ pub fn measure_threads(algo: Algo, table: &Table, min_sup: u64, threads: usize) 
 
 /// Time one cube computation routed through the parallel engine even at
 /// `threads = 1` (unlike [`measure_threads`], which treats 1 as pure
-/// sequential). This is the number that shows the engine's own overhead —
-/// and the bound-entry-point redundancy elimination — next to `Algo::run`.
-pub fn measure_engine(
-    algo: Algo,
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-) -> Measurement {
-    measure_engine_stats(algo, table, min_sup, config).0
-}
-
-/// [`measure_engine`] also returning the run's [`EngineStats`] (task, split
-/// and steal counters plus peak/total merge bytes) for the machine-readable
+/// sequential) — the number that shows the engine's own overhead next to
+/// [`Algorithm::run`] — with the run's [`EngineStats`] (task, split and
+/// steal counters plus peak/total merge bytes) for the machine-readable
 /// benchmark reports.
 pub fn measure_engine_stats(
-    algo: Algo,
+    algo: Algorithm,
     table: &Table,
     min_sup: u64,
     config: &EngineConfig,
@@ -191,7 +73,7 @@ pub fn measure_engine_stats(
     let mut sink = CountingSink::default();
     let start = Instant::now();
     let stats = algo
-        .run_with_config_stats(table, min_sup, config, &mut sink)
+        .run_parallel(&CubeRequest::new(table, min_sup), config, &mut sink)
         .expect("benchmark run failed");
     (
         Measurement {
@@ -209,20 +91,24 @@ pub fn measure_engine_stats(
 /// sequential fast path is disabled (`always_sharded`): this measurement
 /// exists precisely to show the sharded shape's cost.
 pub fn measure_engine_unbound(
-    algo: Algo,
+    algo: Algorithm,
     table: &Table,
     min_sup: u64,
     config: &EngineConfig,
 ) -> Measurement {
-    let config = config.always_sharded();
     let mut sink = CountingSink::default();
     let start = Instant::now();
     ccube_engine::run_partitioned(
-        table,
-        min_sup,
-        &config,
-        algo.is_closed(),
-        |shard, _bound, m, out| algo.run_into(shard, m, out),
+        &CubeRequest {
+            closed: algo.is_closed(),
+            ..CubeRequest::new(table, min_sup)
+        },
+        &config.always_sharded(),
+        None,
+        |shard, out| {
+            algo.run(&CubeRequest { bound: 0, ..*shard }, out)
+                .expect("benchmark run failed");
+        },
         &mut sink,
     )
     .expect("benchmark run failed");
@@ -233,9 +119,10 @@ pub fn measure_engine_unbound(
 }
 
 /// Output size in MB of an algorithm's result (for the cube-size figures).
-pub fn measure_size(algo: Algo, table: &Table, min_sup: u64) -> (f64, u64) {
+pub fn measure_size(algo: Algorithm, table: &Table, min_sup: u64) -> (f64, u64) {
     let mut sink = SizeSink::default();
-    algo.run_into(table, min_sup, &mut sink);
+    algo.run(&CubeRequest::new(table, min_sup), &mut sink)
+        .expect("benchmark run failed");
     (sink.megabytes(), sink.cells)
 }
 
@@ -247,7 +134,7 @@ mod tests {
     #[test]
     fn measure_reports_cells_and_time() {
         let t = SyntheticSpec::uniform(200, 3, 5, 0.0, 1).generate();
-        let m = measure(Algo::CcStar, &t, 2);
+        let m = measure_threads(Algorithm::CCubingStar, &t, 2, 1);
         assert!(m.cells > 0);
         assert!(m.seconds >= 0.0);
     }
@@ -256,8 +143,8 @@ mod tests {
     fn closed_cube_never_larger_than_iceberg() {
         let t = SyntheticSpec::uniform(300, 4, 6, 1.0, 2).generate();
         for min_sup in [1, 2, 4] {
-            let (closed_mb, closed_cells) = measure_size(Algo::CcMm, &t, min_sup);
-            let (iceberg_mb, iceberg_cells) = measure_size(Algo::Mm, &t, min_sup);
+            let (closed_mb, closed_cells) = measure_size(Algorithm::CCubingMm, &t, min_sup);
+            let (iceberg_mb, iceberg_cells) = measure_size(Algorithm::Mm, &t, min_sup);
             assert!(closed_cells <= iceberg_cells);
             assert!(closed_mb <= iceberg_mb);
         }
@@ -266,15 +153,25 @@ mod tests {
     #[test]
     fn all_algos_agree_on_cell_counts() {
         let t = SyntheticSpec::uniform(250, 4, 5, 0.5, 3).generate();
-        let closed: Vec<u64> = [Algo::QcDfs, Algo::CcMm, Algo::CcStar, Algo::CcStarArray]
-            .iter()
-            .map(|a| measure(*a, &t, 2).cells)
-            .collect();
+        let closed: Vec<u64> = [
+            Algorithm::QcDfs,
+            Algorithm::CCubingMm,
+            Algorithm::CCubingStar,
+            Algorithm::CCubingStarArray,
+        ]
+        .iter()
+        .map(|a| measure_threads(*a, &t, 2, 1).cells)
+        .collect();
         assert!(closed.windows(2).all(|w| w[0] == w[1]), "{closed:?}");
-        let iceberg: Vec<u64> = [Algo::Buc, Algo::Mm, Algo::Star, Algo::StarArray]
-            .iter()
-            .map(|a| measure(*a, &t, 2).cells)
-            .collect();
+        let iceberg: Vec<u64> = [
+            Algorithm::Buc,
+            Algorithm::Mm,
+            Algorithm::Star,
+            Algorithm::StarArray,
+        ]
+        .iter()
+        .map(|a| measure_threads(*a, &t, 2, 1).cells)
+        .collect();
         assert!(iceberg.windows(2).all(|w| w[0] == w[1]), "{iceberg:?}");
     }
 }

@@ -68,6 +68,95 @@ pub const MAX_DIMS: usize = 64;
 /// Convenient `Result` alias for fallible core operations.
 pub type Result<T> = std::result::Result<T, CubeError>;
 
+/// One cube computation: what to cube and which cube of it. Every cuber in
+/// the workspace (`ccube_baselines::{buc, qc_dfs}`, `ccube_mm::mm_cube`,
+/// `ccube_star::{star_cube, star_array_cube}`), the parallel engine and the
+/// facade's `Algorithm::run*` take exactly this, so "closed", "pre-bound
+/// prefix", "measure" and "pre-sorted pool" are four independent fields of
+/// one call rather than a cross product of entry points.
+///
+/// ```
+/// use ccube_core::{CubeRequest, TableBuilder};
+///
+/// let table = TableBuilder::new(2).row(&[0, 1]).row(&[0, 2]).build().unwrap();
+/// // Count-only iceberg cube, nothing pre-bound ...
+/// let req = CubeRequest::new(&table, 2);
+/// assert!(!req.closed && req.bound == 0 && req.pool.is_none());
+/// // ... and the closed cube of the same table.
+/// let closed = CubeRequest { closed: true, ..req };
+/// assert!(closed.closed);
+/// ```
+#[derive(Debug)]
+pub struct CubeRequest<'a, M = CountOnly> {
+    /// The table to cube (for subcube queries and engine shards, the
+    /// already-selected/projected view).
+    pub table: &'a Table,
+    /// Iceberg threshold: only cells aggregating at least this many tuples
+    /// are emitted. Must be at least 1.
+    pub min_sup: u64,
+    /// Emit only closed cells (`true`) or the plain iceberg cube (`false`).
+    /// The facade's `Algorithm::run*` ignore this field — there the variant
+    /// decides; `buc` and `qc_dfs`, each one half of a family, panic on
+    /// the other half's value.
+    pub closed: bool,
+    /// The first `bound` group-by dimensions are *pre-bound*: the table must
+    /// be constant on each of them, and only cells binding all of them are
+    /// emitted (their shared values fill the cell prefix). This is the
+    /// parallel engine's shard shape — a shard is constant on its sharding
+    /// dimensions by construction, and the cells starring one of them are
+    /// owned by other shards, so computing them (as `bound = 0` would) is
+    /// pure waste. Closed cells of such a table bind those dimensions
+    /// anyway, so for closed requests `bound` never changes the result.
+    pub bound: usize,
+    /// The complex measures carried on every emitted cell (Section 6.1);
+    /// `&CountOnly` is the count-only spelling.
+    pub measure: &'a M,
+    /// The tuple IDs of `table` in lexicographic group-by-dimension order
+    /// (`ccube_star::lex_sorted_pool`), when the caller has that order
+    /// cached. Only `star_array_cube` starts from it; it is a skipped sort,
+    /// never a different result.
+    pub pool: Option<&'a [TupleId]>,
+}
+
+// By hand: a derive would demand `M: Copy` for what is a handful of words
+// behind references.
+impl<M> Clone for CubeRequest<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<M> Copy for CubeRequest<'_, M> {}
+
+impl<'a> CubeRequest<'a> {
+    /// The count-only iceberg cube of `table` at `min_sup`, nothing
+    /// pre-bound, no cached pool.
+    pub fn new(table: &'a Table, min_sup: u64) -> Self {
+        CubeRequest {
+            table,
+            min_sup,
+            closed: false,
+            bound: 0,
+            measure: &CountOnly,
+            pool: None,
+        }
+    }
+}
+
+impl<'a, M> CubeRequest<'a, M> {
+    /// Carry the measures of `spec` instead (the sink's accumulator type
+    /// follows).
+    pub fn measure<M2>(self, spec: &'a M2) -> CubeRequest<'a, M2> {
+        CubeRequest {
+            table: self.table,
+            min_sup: self.min_sup,
+            closed: self.closed,
+            bound: self.bound,
+            measure: spec,
+            pool: self.pool,
+        }
+    }
+}
+
 /// Errors raised by table construction, query validation, and the query
 /// lifecycle (cancellation, deadlines, budgets, contained panics).
 #[derive(Debug, Clone, PartialEq, Eq)]

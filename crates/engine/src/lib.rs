@@ -17,12 +17,12 @@
 //!   copy of its group's tuple IDs so it can move to any worker);
 //! * task `(k, v)` materializes a row view with group-by dimensions
 //!   `perm[k..]` and runs the algorithm on it with its first dimension
-//!   **pre-bound** (the `run_bound` family): the shard is constant on
+//!   **pre-bound** ([`CubeRequest::bound`]): the shard is constant on
 //!   `perm[k]`, so the algorithm computes only the cells the shard owns.
 //!   Iceberg hosts previously recomputed every `perm[k] = *` cell only for
 //!   [`ShardedSink`] to drop it — roughly double work per shard; closed
 //!   cubers never had the redundancy (a cell starring a uniform dimension is
-//!   non-closed) but now share the same entry-point shape;
+//!   non-closed);
 //! * the **apex** (all-`*`) cell spans every shard: its count is the row
 //!   count and, for closed cubers, its closedness is re-checked by merging
 //!   the per-shard Closed Masks with the Lemma 3 rule (mask intersection
@@ -140,12 +140,12 @@
 use ccube_core::cell::STAR;
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::lifecycle::{self, CancelToken};
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::order::DimOrdering;
 use ccube_core::partition::{Group, Partitioner};
 use ccube_core::sink::{CellBatch, CellSink};
 use ccube_core::table::{Table, TupleId, ViewArena};
-use ccube_core::{faults, CubeError, DimMask};
+use ccube_core::{faults, CubeError, CubeRequest, DimMask};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
@@ -250,7 +250,7 @@ impl EngineConfig {
 }
 
 /// Scheduling and memory counters of one engine run (see
-/// [`run_partitioned_stats`]).
+/// [`run_partitioned`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Whether the run took the sequential fast path (no sharding; the
@@ -740,81 +740,6 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
     }
 }
 
-/// Count-only [`run_partitioned_with`]: run `algo` partition-parallel over
-/// `table` and emit the exact sequential result set into `sink`.
-///
-/// `closed` declares whether `algo` emits only closed cells (the C-Cubing
-/// variants and QC-DFS): closed runs get carried-dimension views and apex
-/// closedness reconciliation; iceberg runs get plain suffix views and
-/// pre-bound-dimension filtering.
-///
-/// `algo` is invoked once per (sub-)shard with a view of the base table (see
-/// [`ccube_core::Table::view`]) whose first `bound` group-by dimensions are
-/// constant, and must emit every qualifying cell *binding those dimensions*
-/// into the given [`ShardedSink`] — the `run_bound` entry points do exactly
-/// that. An algorithm that ignores `bound` and emits every cell of the view
-/// stays correct (the sink drops foreign cells) but wastes the redundancy
-/// the bound entry points eliminate.
-///
-/// Fallible: misuse (`min_sup == 0`, a carried-dimension view) is reported
-/// as a typed [`CubeError`], and so is every lifecycle outcome — an ambient
-/// [`CancelToken`] trip (cancel/deadline/budget) or a contained worker/sink
-/// panic. Output already emitted into `sink` before an error surfaced is
-/// partial and should be discarded by the caller.
-pub fn run_partitioned<F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    algo: F,
-    sink: &mut S,
-) -> Result<(), CubeError>
-where
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_>) + Sync,
-    S: CellSink<()> + ?Sized,
-{
-    run_partitioned_with(table, min_sup, config, closed, &CountOnly, algo, sink)
-}
-
-/// [`run_partitioned`] returning the run's [`EngineStats`] (scheduling and
-/// peak-buffered-bytes counters).
-pub fn run_partitioned_stats<F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    algo: F,
-    sink: &mut S,
-) -> Result<EngineStats, CubeError>
-where
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_>) + Sync,
-    S: CellSink<()> + ?Sized,
-{
-    run_partitioned_with_stats(table, min_sup, config, closed, &CountOnly, algo, sink)
-}
-
-/// Run `algo` partition-parallel over `table`, carrying the complex-measure
-/// accumulators of `spec`, and emit the exact sequential result set into
-/// `sink`. See [`run_partitioned`] for the contract on `algo`, `closed`,
-/// and the error semantics.
-pub fn run_partitioned_with<M, F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    spec: &M,
-    algo: F,
-    sink: &mut S,
-) -> Result<(), CubeError>
-where
-    M: MeasureSpec + Sync,
-    M::Acc: Send,
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_, M::Acc>) + Sync,
-    S: CellSink<M::Acc> + ?Sized,
-{
-    run_partitioned_with_stats(table, min_sup, config, closed, spec, algo, sink).map(|_| ())
-}
-
 /// Turn a caught panic payload into the run's error, tripping `token` so
 /// every other observer of the run (stream consumers, query handles) sees
 /// the same outcome.
@@ -832,25 +757,6 @@ fn panic_to_error(
         token.trip(err.clone());
     }
     err
-}
-
-/// [`run_partitioned_with`] returning the run's [`EngineStats`].
-pub fn run_partitioned_with_stats<M, F, S>(
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-    closed: bool,
-    spec: &M,
-    algo: F,
-    sink: &mut S,
-) -> Result<EngineStats, CubeError>
-where
-    M: MeasureSpec + Sync,
-    M::Acc: Send,
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_, M::Acc>) + Sync,
-    S: CellSink<M::Acc> + ?Sized,
-{
-    run_partitioned_warm_with_stats(table, min_sup, config, closed, spec, algo, sink, None)
 }
 
 /// Pre-derived sharding artifacts a session caches across queries so warm
@@ -885,27 +791,52 @@ impl WarmStart<'_> {
     }
 }
 
-/// [`run_partitioned_with_stats`] with optional pre-derived sharding
-/// artifacts (see [`WarmStart`]). The cube computed is identical either
-/// way; a valid warm start only removes the per-query permutation scan
-/// and the level-0 partition pass.
-#[allow(clippy::too_many_arguments)]
-pub fn run_partitioned_warm_with_stats<M, F, S>(
-    table: &Table,
-    min_sup: u64,
+/// Run `algo` partition-parallel over `req.table` and emit the exact
+/// sequential result set — the (closed, when `req.closed`) iceberg cube at
+/// `req.min_sup`, carrying `req.measure` — into `sink`, returning the run's
+/// [`EngineStats`]. Closed runs get carried-dimension views and apex
+/// closedness reconciliation; iceberg runs get plain suffix views and
+/// pre-bound-dimension filtering. `req.bound` and `req.pool` describe a
+/// single cuber call and are the engine's to set: it cubes the whole table.
+///
+/// `algo` is invoked once per (sub-)shard with the same request re-targeted
+/// at a view of the base table (see [`ccube_core::Table::view`]) whose first
+/// `bound` group-by dimensions are constant, and must emit every qualifying
+/// cell *binding those dimensions* into the given [`ShardedSink`] — handing
+/// the request to a cuber does exactly that. An algorithm that ignores
+/// `bound` and emits every cell of the view stays correct (the sink drops
+/// foreign cells) but wastes the redundancy pre-binding eliminates.
+///
+/// `warm` optionally supplies pre-derived sharding artifacts (see
+/// [`WarmStart`]). The cube computed is identical either way; a valid warm
+/// start only removes the per-query permutation scan and the level-0
+/// partition pass.
+///
+/// Fallible: misuse (`min_sup == 0`, a carried-dimension view) is reported
+/// as a typed [`CubeError`], and so is every lifecycle outcome — an ambient
+/// [`CancelToken`] trip (cancel/deadline/budget) or a contained worker/sink
+/// panic. Output already emitted into `sink` before an error surfaced is
+/// partial and should be discarded by the caller.
+pub fn run_partitioned<M, F, S>(
+    req: &CubeRequest<'_, M>,
     config: &EngineConfig,
-    closed: bool,
-    spec: &M,
+    warm: Option<&WarmStart<'_>>,
     algo: F,
     sink: &mut S,
-    warm: Option<&WarmStart<'_>>,
 ) -> Result<EngineStats, CubeError>
 where
     M: MeasureSpec + Sync,
     M::Acc: Send,
-    F: Fn(&Table, usize, u64, &mut ShardedSink<'_, M::Acc>) + Sync,
+    F: Fn(&CubeRequest<'_, M>, &mut ShardedSink<'_, M::Acc>) + Sync,
     S: CellSink<M::Acc> + ?Sized,
 {
+    let &CubeRequest {
+        table,
+        min_sup,
+        closed,
+        measure: spec,
+        ..
+    } = req;
     if min_sup < 1 {
         return Err(CubeError::ZeroMinSup);
     }
@@ -939,7 +870,7 @@ where
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut forward = |cell: &[u32], count: u64, acc: &M::Acc| sink.emit(cell, count, acc);
             let mut out = ShardedSink::direct(&mut forward, dims);
-            algo(table, 0, min_sup, &mut out);
+            algo(&CubeRequest { bound: 0, ..*req }, &mut out);
             out.direct_totals()
         }));
         let (_, bytes) = match outcome {
@@ -1013,10 +944,8 @@ where
 
         let recycler = BatchRecycler::new();
         let ctx = Ctx {
-            table,
-            min_sup,
+            req,
             config,
-            closed,
             recycler: &recycler,
             algo: &algo,
             token: token.clone(),
@@ -1076,13 +1005,12 @@ where
     Ok(stats)
 }
 
-/// Everything a worker needs to process tasks. The measure spec itself
-/// lives inside the `algo` closure; the engine only moves accumulators.
-struct Ctx<'a, F> {
-    table: &'a Table,
-    min_sup: u64,
+/// Everything a worker needs to process tasks.
+struct Ctx<'a, M, F> {
+    /// The run's request; each shard's cuber call gets it re-targeted at the
+    /// shard's view.
+    req: &'a CubeRequest<'a, M>,
     config: &'a EngineConfig,
-    closed: bool,
     recycler: &'a BatchRecycler,
     algo: &'a F,
     /// The run's lifecycle token, captured once at engine entry. Workers
@@ -1111,7 +1039,12 @@ impl Default for Scratch {
     }
 }
 
-impl<'a, F> Ctx<'a, F> {
+impl<'a, M, F> Ctx<'a, M, F>
+where
+    M: MeasureSpec,
+    M::Acc: Send,
+    F: Fn(&CubeRequest<'_, M>, &mut ShardedSink<'_, M::Acc>) + Sync,
+{
     /// Whether the run's token has tripped (cancel, deadline, budget, or a
     /// contained panic elsewhere). Scheduler loops poll this between tasks.
     fn stopped(&self) -> bool {
@@ -1121,22 +1054,24 @@ impl<'a, F> Ctx<'a, F> {
     /// Process one task: either run the cuber over its view, or split it
     /// into `children` (left for the caller to schedule). Returns the
     /// task's [`Completion`] for the streaming merger.
-    fn process<A>(
+    fn process(
         &self,
         mut task: Task,
         scratch: &mut Scratch,
         children: &mut Vec<Task>,
-    ) -> Completion<A>
-    where
-        F: Fn(&Table, usize, u64, &mut ShardedSink<'_, A>) + Sync,
-        A: Send,
-    {
+    ) -> Completion<M::Acc> {
         debug_assert!(children.is_empty());
         faults::inject("engine.task.start");
-        let dims = self.table.dims();
+        let &CubeRequest {
+            table,
+            min_sup,
+            closed,
+            ..
+        } = self.req;
+        let dims = table.dims();
         let shard_info = task
             .want_info
-            .then(|| ClosedInfo::for_group(self.table, &task.tids).expect("tasks are non-empty"));
+            .then(|| ClosedInfo::for_group(table, &task.tids).expect("tasks are non-empty"));
         if !task.cube {
             return Completion {
                 path: task.path,
@@ -1149,7 +1084,7 @@ impl<'a, F> Ctx<'a, F> {
         let remaining = task.group_dims.len() - task.bound;
         if remaining >= 2
             && task.rest_depth < self.config.max_rest_depth
-            && task.cost(self.closed) > self.config.split_threshold
+            && task.cost(closed) > self.config.split_threshold
         {
             // ---- Split along the first unbound dimension with at least
             // two distinct values in the shard. A single-valued dimension
@@ -1167,7 +1102,7 @@ impl<'a, F> Ctx<'a, F> {
             while split_at < task.group_dims.len() {
                 scratch.groups.clear();
                 scratch.partitioner.partition(
-                    self.table,
+                    table,
                     task.group_dims[split_at],
                     &mut task.tids,
                     &mut scratch.groups,
@@ -1183,7 +1118,7 @@ impl<'a, F> Ctx<'a, F> {
                 let split_dim = task.group_dims[task.bound];
                 let parent_path = task.path.clone();
                 for (gi, g) in scratch.groups.iter().enumerate() {
-                    if u64::from(g.len()) < self.min_sup {
+                    if u64::from(g.len()) < min_sup {
                         continue; // Apriori: no owned cell can reach min_sup.
                     }
                     let mut path = task.path.clone();
@@ -1209,7 +1144,7 @@ impl<'a, F> Ctx<'a, F> {
                 let mut group_dims = task.group_dims;
                 group_dims.remove(task.bound);
                 let mut carried = task.carried;
-                if self.closed {
+                if closed {
                     carried.push(split_dim);
                 }
                 children.push(Task {
@@ -1234,7 +1169,7 @@ impl<'a, F> Ctx<'a, F> {
         // ---- Run the cuber over the shard view.
         let mut dim_order = task.group_dims.clone();
         dim_order.extend_from_slice(&task.carried);
-        let view = self.table.view_in(
+        let view = table.view_in(
             &mut scratch.arena,
             &task.tids,
             &dim_order,
@@ -1245,12 +1180,20 @@ impl<'a, F> Ctx<'a, F> {
         // admit far fewer qualifying cells, and reserving the raw tuple
         // count there would hold (and pool) large unwritten capacity. The
         // hint is a heuristic, not a bound — `Vec` growth covers the rest.
-        let hint = (task.tids.len() / self.min_sup.max(1) as usize)
+        let hint = (task.tids.len() / min_sup.max(1) as usize)
             .saturating_mul(2)
             .clamp(16, task.tids.len().max(16));
         let batch = self.recycler.take(dims, hint);
-        let mut out = ShardedSink::new(batch, dims, task.group_dims, self.closed, task.bound);
-        (self.algo)(&view, task.bound, self.min_sup, &mut out);
+        let mut out = ShardedSink::new(batch, dims, task.group_dims, closed, task.bound);
+        (self.algo)(
+            &CubeRequest {
+                table: &view,
+                bound: task.bound,
+                pool: None,
+                ..*self.req
+            },
+            &mut out,
+        );
         scratch.arena.reclaim(view);
         Completion {
             path: task.path,
@@ -1265,11 +1208,9 @@ impl<'a, F> Ctx<'a, F> {
     /// children depth-first), so every batch is emittable the moment it
     /// completes and the merge frontier stays at one task — the
     /// bounded-memory ideal.
-    fn run_sequential<A, S>(&self, seeds: Vec<Task>, merger: &mut Merger<'_, A, S>)
+    fn run_sequential<S>(&self, seeds: Vec<Task>, merger: &mut Merger<'_, M::Acc, S>)
     where
-        F: Fn(&Table, usize, u64, &mut ShardedSink<'_, A>) + Sync,
-        A: Send + Clone,
-        S: CellSink<A> + ?Sized,
+        S: CellSink<M::Acc> + ?Sized,
     {
         let mut scratch = Scratch::default();
         // A stack: `pop` yields ascending paths.
@@ -1295,11 +1236,10 @@ impl<'a, F> Ctx<'a, F> {
     /// merger on this (the calling) thread, which emits each batch as soon
     /// as its lexicographic predecessors finished. The injector is FIFO, so
     /// seeds start in the order the merge releases them.
-    fn run_pool<A, S>(&self, seeds: Vec<Task>, threads: usize, merger: &mut Merger<'_, A, S>)
+    fn run_pool<S>(&self, seeds: Vec<Task>, threads: usize, merger: &mut Merger<'_, M::Acc, S>)
     where
-        F: Fn(&Table, usize, u64, &mut ShardedSink<'_, A>) + Sync,
-        A: Send + Clone,
-        S: CellSink<A> + ?Sized,
+        M: Sync,
+        S: CellSink<M::Acc> + ?Sized,
     {
         let injector: Injector<Task> = Injector::new();
         let pending = AtomicUsize::new(seeds.len());
@@ -1318,7 +1258,7 @@ impl<'a, F> Ctx<'a, F> {
         // Bounded channel: a slow final sink back-pressures the workers at a
         // few completions each instead of letting the whole output queue up
         // unaccounted behind the merging thread.
-        let (tx, rx) = mpsc::sync_channel::<Completion<A>>(threads * 4);
+        let (tx, rx) = mpsc::sync_channel::<Completion<M::Acc>>(threads * 4);
         std::thread::scope(|scope| {
             for (wi, worker) in workers.into_iter().enumerate() {
                 let injector = &injector;
@@ -1497,14 +1437,16 @@ mod tests {
         // own dedicated tests).
         collect_counts(|sink| {
             run_partitioned(
-                table,
-                min_sup,
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(table, min_sup)
+                },
                 &EngineConfig::with_threads(threads).always_sharded(),
-                true,
-                |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+                None,
+                |req, out| ccube_star::star_cube(req, out),
                 sink,
             )
-            .unwrap()
+            .unwrap();
         })
     }
 
@@ -1529,7 +1471,15 @@ mod tests {
     fn matches_sequential_closed_star() {
         let t = SyntheticSpec::uniform(400, 4, 6, 1.0, 3).generate();
         for min_sup in [1, 2, 8] {
-            let want = collect_counts(|s| ccube_star::c_cubing_star(&t, min_sup, s));
+            let want = collect_counts(|s| {
+                ccube_star::star_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s,
+                )
+            });
             for threads in [1, 2, 8] {
                 let got = run_par_closed(&t, min_sup, threads);
                 assert_eq!(got, want, "threads={threads} min_sup={min_sup}");
@@ -1541,18 +1491,17 @@ mod tests {
     fn matches_sequential_iceberg_buc_bound() {
         let t = SyntheticSpec::uniform(300, 4, 5, 0.5, 9).generate();
         for min_sup in [1, 2, 4] {
-            let want = collect_counts(|s| ccube_baselines::buc(&t, min_sup, s));
+            let want = collect_counts(|s| ccube_baselines::buc(&CubeRequest::new(&t, min_sup), s));
             for threads in [1, 3] {
                 let got = collect_counts(|sink| {
                     run_partitioned(
-                        &t,
-                        min_sup,
+                        &CubeRequest::new(&t, min_sup),
                         &EngineConfig::with_threads(threads).always_sharded(),
-                        false,
-                        |view, bound, m, out| ccube_baselines::buc_bound(view, bound, m, out),
+                        None,
+                        |req, out| ccube_baselines::buc(req, out),
                         sink,
                     )
-                    .unwrap()
+                    .unwrap();
                 });
                 assert_eq!(got, want, "threads={threads} min_sup={min_sup}");
             }
@@ -1564,7 +1513,7 @@ mod tests {
         // An algorithm that ignores the `bound` hint re-derives the dropped
         // prefix cells; the sink must filter them even under splitting.
         let t = SyntheticSpec::uniform(300, 4, 5, 1.5, 9).generate();
-        let want = collect_counts(|s| ccube_baselines::buc(&t, 2, s));
+        let want = collect_counts(|s| ccube_baselines::buc(&CubeRequest::new(&t, 2), s));
         for threads in [1, 2] {
             let config = EngineConfig {
                 threads,
@@ -1574,14 +1523,13 @@ mod tests {
             };
             let got = collect_counts(|sink| {
                 run_partitioned(
-                    &t,
-                    2,
+                    &CubeRequest::new(&t, 2),
                     &config,
-                    false,
-                    |view, _bound, m, out| ccube_baselines::buc(view, m, out),
+                    None,
+                    |req, out| ccube_baselines::buc(&CubeRequest { bound: 0, ..*req }, out),
                     sink,
                 )
-                .unwrap()
+                .unwrap();
             });
             assert_eq!(got, want, "threads={threads}");
         }
@@ -1591,7 +1539,15 @@ mod tests {
     fn splitting_matches_unsplit_results() {
         let t = SyntheticSpec::uniform(500, 4, 6, 2.0, 11).generate();
         for min_sup in [1, 2, 8] {
-            let want = collect_counts(|s| ccube_star::c_cubing_star(&t, min_sup, s));
+            let want = collect_counts(|s| {
+                ccube_star::star_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s,
+                )
+            });
             for threshold in [1, 16, 256, u64::MAX] {
                 for threads in [1, 4] {
                     let config = EngineConfig {
@@ -1602,14 +1558,16 @@ mod tests {
                     };
                     let got = collect_counts(|sink| {
                         run_partitioned(
-                            &t,
-                            min_sup,
+                            &CubeRequest {
+                                closed: true,
+                                ..CubeRequest::new(&t, min_sup)
+                            },
                             &config,
-                            true,
-                            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+                            None,
+                            |req, out| ccube_star::star_cube(req, out),
                             sink,
                         )
-                        .unwrap()
+                        .unwrap();
                     });
                     assert_eq!(got, want, "threshold={threshold} threads={threads}");
                 }
@@ -1629,7 +1587,15 @@ mod tests {
             .build()
             .unwrap();
         let got = run_par_closed(&t, 1, 2);
-        let want = collect_counts(|s| ccube_star::c_cubing_star(&t, 1, s));
+        let want = collect_counts(|s| {
+            ccube_star::star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 1)
+                },
+                s,
+            )
+        });
         assert_eq!(got, want);
         assert!(!got.contains_key(&ccube_core::Cell::apex(2)));
     }
@@ -1650,11 +1616,13 @@ mod tests {
                     ..EngineConfig::default()
                 };
                 run_partitioned(
-                    &t,
-                    2,
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, 2)
+                    },
                     &config,
-                    true,
-                    |view, _bound, m, out| ccube_mm::c_cubing_mm(view, m, out),
+                    None,
+                    |req, out| ccube_mm::mm_cube(req, ccube_mm::MmConfig::default(), out),
                     &mut sink,
                 )
                 .unwrap();
@@ -1674,7 +1642,15 @@ mod tests {
         let t = SyntheticSpec::uniform(300, 4, 5, 1.0, 6).generate_with_measure("m");
         let spec = ColumnStats { column: 0 };
         let mut want = CollectSink::default();
-        ccube_mm::c_cubing_mm_with(&t, 2, ccube_mm::MmConfig::default(), &spec, &mut want);
+        ccube_mm::mm_cube(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            }
+            .measure(&spec),
+            ccube_mm::MmConfig::default(),
+            &mut want,
+        );
         for threads in [1, 4] {
             let config = EngineConfig {
                 threads,
@@ -1683,15 +1659,15 @@ mod tests {
                 ..EngineConfig::default()
             };
             let mut got = CollectSink::default();
-            run_partitioned_with(
-                &t,
-                2,
+            run_partitioned(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                }
+                .measure(&spec),
                 &config,
-                true,
-                &spec,
-                |view, _bound, m, out| {
-                    ccube_mm::c_cubing_mm_with(view, m, ccube_mm::MmConfig::default(), &spec, out)
-                },
+                None,
+                |req, out| ccube_mm::mm_cube(req, ccube_mm::MmConfig::default(), out),
                 &mut got,
             )
             .unwrap();
@@ -1712,11 +1688,10 @@ mod tests {
         assert!(run_par_closed(&t, 2, 4).is_empty());
         let mut sink = CollectSink::<()>::default();
         run_partitioned(
-            &t,
-            5,
+            &CubeRequest::new(&t, 5),
             &EngineConfig::default(),
-            false,
-            |view, bound, m, out| ccube_star::star_cube_bound(view, bound, m, out),
+            None,
+            |req, out| ccube_star::star_cube(req, out),
             &mut sink,
         )
         .unwrap();
@@ -1729,15 +1704,25 @@ mod tests {
         // sequential-work threshold, so all runs take the fast path and the
         // emission order is the plain algorithm's own.
         let t = SyntheticSpec::uniform(300, 4, 6, 1.0, 5).generate();
-        let want = collect_counts(|s| ccube_star::c_cubing_star(&t, 2, s));
+        let want = collect_counts(|s| {
+            ccube_star::star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         for threads in [1, 2, 8] {
             let mut sink = CollectSink::<()>::default();
-            let stats = run_partitioned_stats(
-                &t,
-                2,
+            let stats = run_partitioned(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
                 &EngineConfig::with_threads(threads),
-                true,
-                |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+                None,
+                |req, out| ccube_star::star_cube(req, out),
                 &mut sink,
             )
             .unwrap();
@@ -1750,12 +1735,14 @@ mod tests {
         }
         // A 1-thread run with the fast path disabled shards — and agrees.
         let mut sink = CollectSink::<()>::default();
-        let stats = run_partitioned_stats(
-            &t,
-            2,
+        let stats = run_partitioned(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            },
             &EngineConfig::with_threads(1).always_sharded(),
-            true,
-            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+            None,
+            |req, out| ccube_star::star_cube(req, out),
             &mut sink,
         )
         .unwrap();
@@ -1779,12 +1766,14 @@ mod tests {
                 ..EngineConfig::default()
             };
             let mut sink = CountingSink::default();
-            let stats = run_partitioned_stats(
-                &t,
-                2,
+            let stats = run_partitioned(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
                 &config,
-                true,
-                |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+                None,
+                |req, out| ccube_star::star_cube(req, out),
                 &mut sink,
             )
             .unwrap();
@@ -1809,7 +1798,15 @@ mod tests {
     #[test]
     fn rest_depth_cap_bounds_the_split_tree() {
         let t = SyntheticSpec::uniform(500, 4, 6, 2.0, 31).generate();
-        let want = collect_counts(|s| ccube_star::c_cubing_star(&t, 2, s));
+        let want = collect_counts(|s| {
+            ccube_star::star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         // max_rest_depth = 0 disables splitting outright.
         let config = EngineConfig {
             threads: 2,
@@ -1819,12 +1816,14 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut sink = CollectSink::<()>::default();
-        let stats = run_partitioned_stats(
-            &t,
-            2,
+        let stats = run_partitioned(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            },
             &config,
-            true,
-            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+            None,
+            |req, out| ccube_star::star_cube(req, out),
             &mut sink,
         )
         .unwrap();
@@ -1836,12 +1835,14 @@ mod tests {
             ..config
         };
         let mut sink = CollectSink::<()>::default();
-        let stats = run_partitioned_stats(
-            &t,
-            2,
+        let stats = run_partitioned(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            },
             &deeper,
-            true,
-            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+            None,
+            |req, out| ccube_star::star_cube(req, out),
             &mut sink,
         )
         .unwrap();
@@ -1866,11 +1867,13 @@ mod tests {
             ..EngineConfig::default()
         };
         let err = run_partitioned(
-            &t,
-            2,
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            },
             &config,
-            true,
-            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+            None,
+            |req, out| ccube_star::star_cube(req, out),
             &mut sink,
         )
         .unwrap_err();
@@ -1887,11 +1890,10 @@ mod tests {
         let t = SyntheticSpec::uniform(50, 3, 4, 1.0, 1).generate();
         let mut sink = CollectSink::<()>::default();
         let err = run_partitioned(
-            &t,
-            0,
+            &CubeRequest::new(&t, 0),
             &EngineConfig::default(),
-            false,
-            |view, bound, m, out| ccube_baselines::buc_bound(view, bound, m, out),
+            None,
+            |req, out| ccube_baselines::buc(req, out),
             &mut sink,
         )
         .unwrap_err();
@@ -1906,11 +1908,13 @@ mod tests {
         let _ambient = lifecycle::install(&token);
         let mut sink = CollectSink::<()>::default();
         let err = run_partitioned(
-            &t,
-            2,
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            },
             &EngineConfig::with_threads(4).always_sharded(),
-            true,
-            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+            None,
+            |req, out| ccube_star::star_cube(req, out),
             &mut sink,
         )
         .unwrap_err();
@@ -1934,11 +1938,13 @@ mod tests {
             };
             let mut sink = CountingSink::default();
             let err = run_partitioned(
-                &t,
-                1,
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 1)
+                },
                 &config,
-                true,
-                |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+                None,
+                |req, out| ccube_star::star_cube(req, out),
                 &mut sink,
             )
             .unwrap_err();
@@ -1962,7 +1968,15 @@ mod tests {
             b.push_row(&[i % 4, 0, (i / 4) % 4]);
         }
         let t = b.build().unwrap();
-        let want = collect_counts(|s| ccube_star::c_cubing_star(&t, 2, s));
+        let want = collect_counts(|s| {
+            ccube_star::star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         let config = EngineConfig {
             threads: 2,
             split_threshold: 1,
@@ -1971,14 +1985,16 @@ mod tests {
         };
         let got = collect_counts(|sink| {
             run_partitioned(
-                &t,
-                2,
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
                 &config,
-                true,
-                |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+                None,
+                |req, out| ccube_star::star_cube(req, out),
                 sink,
             )
-            .unwrap()
+            .unwrap();
         });
         assert_eq!(got, want);
     }
@@ -2005,11 +2021,13 @@ mod tests {
         let config = |threads| EngineConfig::with_threads(threads).always_sharded();
         let mut want: Vec<(Vec<u32>, u64)> = Vec::new();
         run_partitioned(
-            &t,
-            1,
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 1)
+            },
             &config(1),
-            true,
-            |view, _bound, m, out| ccube_star::c_cubing_star(view, m, out),
+            None,
+            |req, out| ccube_star::star_cube(req, out),
             &mut ccube_core::sink::FnSink(|c: &[u32], n: u64, _: &()| want.push((c.to_vec(), n))),
         )
         .unwrap();
@@ -2022,12 +2040,14 @@ mod tests {
                 first_cell.1.notify_all();
             });
             run_partitioned(
-                &t,
-                1,
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 1)
+                },
                 &config(threads),
-                true,
-                |view, _bound, m, out| {
-                    if view.cube_dims() == 1 {
+                None,
+                |req, out| {
+                    if req.table.cube_dims() == 1 {
                         let (_seen, wait) = first_cell
                             .1
                             .wait_timeout_while(
@@ -2041,7 +2061,7 @@ mod tests {
                             "a last-level shard ran before the first cell was released"
                         );
                     }
-                    ccube_star::c_cubing_star(view, m, out)
+                    ccube_star::star_cube(req, out)
                 },
                 &mut sink,
             )
@@ -2132,7 +2152,13 @@ mod tests {
             let mut sink = ccube_core::sink::FnSink(|c: &[u32], n: u64, _: &()| {
                 cells.push((c.to_vec(), n));
             });
-            ccube_star::c_cubing_star(&t, 2, &mut sink);
+            ccube_star::star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                &mut sink,
+            );
             cells
         };
         // Tiny batches + a bounded channel, consumer on this thread.
@@ -2140,7 +2166,13 @@ mod tests {
         let dims = t.dims();
         let handle = std::thread::spawn(move || {
             let mut sink = ChannelSink::<()>::new(tx, dims, 7);
-            ccube_star::c_cubing_star(&t, 2, &mut sink);
+            ccube_star::star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                &mut sink,
+            );
             sink.finish();
         });
         let mut got: Vec<(Vec<u32>, u64)> = Vec::new();
@@ -2160,7 +2192,7 @@ mod tests {
         let dims = t.dims();
         let handle = std::thread::spawn(move || {
             let mut sink = ChannelSink::<()>::new(tx, dims, 4);
-            ccube_star::star_cube(&t, 1, &mut sink);
+            ccube_star::star_cube(&CubeRequest::new(&t, 1), &mut sink);
             sink.finish();
         });
         // Take one batch, then hang up; the producer must run to completion
@@ -2180,12 +2212,22 @@ mod tests {
             rules: None,
         }
         .generate();
-        let want = collect_counts(|s| ccube_star::c_cubing_star_array(&t, 2, s));
+        let want = collect_counts(|s| {
+            ccube_star::star_array_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         for ordering in ccube_core::order::ALL_ORDERINGS {
             let got = collect_counts(|sink| {
                 run_partitioned(
-                    &t,
-                    2,
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, 2)
+                    },
                     &EngineConfig {
                         threads: 2,
                         ordering,
@@ -2193,11 +2235,11 @@ mod tests {
                         sequential_threshold: 0,
                         max_rest_depth: DEFAULT_MAX_REST_DEPTH,
                     },
-                    true,
-                    |view, _bound, m, out| ccube_star::c_cubing_star_array(view, m, out),
+                    None,
+                    |req, out| ccube_star::star_array_cube(req, out),
                     sink,
                 )
-                .unwrap()
+                .unwrap();
             });
             assert_eq!(got, want, "{ordering:?}");
         }

@@ -13,10 +13,11 @@ use crate::valuemask::ValueMask;
 use ccube_core::cell::STAR;
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::mask::DimMask;
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::partition::{Group, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
+use ccube_core::CubeRequest;
 
 /// Tuning knobs for MM-Cubing.
 #[derive(Clone, Copy, Debug)]
@@ -35,69 +36,38 @@ impl Default for MmConfig {
     }
 }
 
-/// MM-Cubing: plain iceberg cube, complex measures supported.
-pub fn mm_cube_with<M, S>(table: &Table, min_sup: u64, config: MmConfig, spec: &M, sink: &mut S)
+/// MM-Cubing, or C-Cubing(MM) when [`CubeRequest::closed`]: the (closed)
+/// iceberg cube `req` describes, emitted into `sink`. Pre-bound dimensions
+/// never enter the subspace factorization — they are fixed before the first
+/// classification — so a parallel shard pays nothing for the cells other
+/// shards own.
+///
+/// # Panics
+/// On `min_sup == 0`, `bound > cube_dims` or `max_array_cells == 0`.
+pub fn mm_cube<M, S>(req: &CubeRequest<'_, M>, config: MmConfig, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    run::<false, M, S>(table, 0, min_sup, config, spec, sink)
+    if req.closed {
+        run::<true, M, S>(req, config, sink)
+    } else {
+        run::<false, M, S>(req, config, sink)
+    }
 }
 
-/// [`mm_cube_with`] with the first `bound` group-by dimensions *pre-bound*:
-/// the table must be constant on each of them, and only cells binding all of
-/// them are emitted. The bound dimensions never enter the subspace
-/// factorization — they are fixed before the first classification — so a
-/// parallel shard pays nothing for the cells other shards own.
-pub fn mm_cube_bound_with<M, S>(
-    table: &Table,
-    bound: usize,
-    min_sup: u64,
-    config: MmConfig,
-    spec: &M,
-    sink: &mut S,
-) where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
-    run::<false, M, S>(table, bound, min_sup, config, spec, sink)
-}
-
-/// Count-only convenience wrapper around [`mm_cube_bound_with`].
-pub fn mm_cube_bound<S: CellSink<()>>(table: &Table, bound: usize, min_sup: u64, sink: &mut S) {
-    mm_cube_bound_with(table, bound, min_sup, MmConfig::default(), &CountOnly, sink)
-}
-
-/// MM-Cubing with measure `count` only.
-pub fn mm_cube<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    mm_cube_with(table, min_sup, MmConfig::default(), &CountOnly, sink)
-}
-
-/// C-Cubing(MM): closed iceberg cube by aggregation-based checking.
-pub fn c_cubing_mm_with<M, S>(table: &Table, min_sup: u64, config: MmConfig, spec: &M, sink: &mut S)
+fn run<const CLOSED: bool, M, S>(req: &CubeRequest<'_, M>, config: MmConfig, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    run::<true, M, S>(table, 0, min_sup, config, spec, sink)
-}
-
-/// C-Cubing(MM) with measure `count` only.
-pub fn c_cubing_mm<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    c_cubing_mm_with(table, min_sup, MmConfig::default(), &CountOnly, sink)
-}
-
-fn run<const CLOSED: bool, M, S>(
-    table: &Table,
-    bound: usize,
-    min_sup: u64,
-    config: MmConfig,
-    spec: &M,
-    sink: &mut S,
-) where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
+    let &CubeRequest {
+        table,
+        min_sup,
+        bound,
+        measure: spec,
+        ..
+    } = req;
     assert!(min_sup >= 1, "min_sup must be at least 1");
     assert!(config.max_array_cells >= 1);
     assert!(bound <= table.cube_dims(), "bound exceeds group-by dims");
@@ -294,10 +264,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccube_core::fxhash::FxHashMap;
     use ccube_core::naive::{naive_closed_counts, naive_iceberg_counts};
     use ccube_core::sink::collect_counts;
     use ccube_core::{Cell, TableBuilder};
     use ccube_data::{RuleSet, SyntheticSpec};
+
+    /// The default-budget (closed) iceberg cube of `t`.
+    fn cube(t: &Table, min_sup: u64, closed: bool) -> FxHashMap<Cell, u64> {
+        let req = CubeRequest {
+            closed,
+            ..CubeRequest::new(t, min_sup)
+        };
+        collect_counts(|s| mm_cube(&req, MmConfig::default(), s))
+    }
 
     fn table1() -> Table {
         TableBuilder::new(4)
@@ -311,7 +291,7 @@ mod tests {
     #[test]
     fn paper_example() {
         let t = table1();
-        let got = collect_counts(|s| c_cubing_mm(&t, 2, s));
+        let got = cube(&t, 2, true);
         assert_eq!(got.len(), 2);
         assert_eq!(got[&Cell::from_values(&[0, 0, 0, STAR])], 2);
         assert_eq!(got[&Cell::from_values(&[0, STAR, STAR, STAR])], 3);
@@ -322,7 +302,7 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let got = collect_counts(|s| mm_cube(&t, min_sup, s));
+                let got = cube(&t, min_sup, false);
                 let want = naive_iceberg_counts(&t, min_sup);
                 assert_eq!(got, want, "seed={seed} min_sup={min_sup}");
             }
@@ -334,7 +314,7 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let got = collect_counts(|s| c_cubing_mm(&t, min_sup, s));
+                let got = cube(&t, min_sup, true);
                 let want = naive_closed_counts(&t, min_sup);
                 assert_eq!(got, want, "seed={seed} min_sup={min_sup}");
             }
@@ -349,13 +329,22 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(250, 4, 5, 0.5, seed).generate();
             for min_sup in [1, 2, 4] {
-                let got = collect_counts(|s| c_cubing_mm_with(&t, min_sup, config, &CountOnly, s));
+                let got = collect_counts(|s| {
+                    mm_cube(
+                        &CubeRequest {
+                            closed: true,
+                            ..CubeRequest::new(&t, min_sup)
+                        },
+                        config,
+                        s,
+                    )
+                });
                 assert_eq!(
                     got,
                     naive_closed_counts(&t, min_sup),
                     "seed={seed} m={min_sup}"
                 );
-                let got = collect_counts(|s| mm_cube_with(&t, min_sup, config, &CountOnly, s));
+                let got = collect_counts(|s| mm_cube(&CubeRequest::new(&t, min_sup), config, s));
                 assert_eq!(
                     got,
                     naive_iceberg_counts(&t, min_sup),
@@ -378,7 +367,7 @@ mod tests {
         }
         .generate();
         for min_sup in [1, 2, 5] {
-            let got = collect_counts(|s| c_cubing_mm(&t, min_sup, s));
+            let got = cube(&t, min_sup, true);
             assert_eq!(got, naive_closed_counts(&t, min_sup), "min_sup={min_sup}");
         }
     }
@@ -387,7 +376,7 @@ mod tests {
     fn high_cardinality_sparse_data() {
         let t = SyntheticSpec::uniform(200, 3, 150, 0.0, 9).generate();
         for min_sup in [1, 2] {
-            let got = collect_counts(|s| c_cubing_mm(&t, min_sup, s));
+            let got = cube(&t, min_sup, true);
             assert_eq!(got, naive_closed_counts(&t, min_sup));
         }
     }
@@ -396,14 +385,8 @@ mod tests {
     fn skewed_data() {
         let t = SyntheticSpec::uniform(500, 4, 10, 2.5, 13).generate();
         for min_sup in [1, 4, 16] {
-            assert_eq!(
-                collect_counts(|s| c_cubing_mm(&t, min_sup, s)),
-                naive_closed_counts(&t, min_sup)
-            );
-            assert_eq!(
-                collect_counts(|s| mm_cube(&t, min_sup, s)),
-                naive_iceberg_counts(&t, min_sup)
-            );
+            assert_eq!(cube(&t, min_sup, true), naive_closed_counts(&t, min_sup));
+            assert_eq!(cube(&t, min_sup, false), naive_iceberg_counts(&t, min_sup));
         }
     }
 
@@ -415,7 +398,7 @@ mod tests {
             b.push_row(&[1, i % 2, 2]);
         }
         let t = b.build().unwrap();
-        let got = collect_counts(|s| c_cubing_mm(&t, 4, s));
+        let got = cube(&t, 4, true);
         // Closure of the apex binds dims 0 and 2 (uniform).
         assert_eq!(got.len(), 1);
         assert_eq!(got[&Cell::from_values(&[1, STAR, 2])], 4);
@@ -424,8 +407,8 @@ mod tests {
     #[test]
     fn empty_result_when_under_supported() {
         let t = table1();
-        assert!(collect_counts(|s| c_cubing_mm(&t, 100, s)).is_empty());
-        assert!(collect_counts(|s| mm_cube(&t, 100, s)).is_empty());
+        assert!(cube(&t, 100, true).is_empty());
+        assert!(cube(&t, 100, false).is_empty());
     }
 
     #[test]
@@ -436,7 +419,7 @@ mod tests {
             .row(&[1])
             .build()
             .unwrap();
-        let got = collect_counts(|s| c_cubing_mm(&t, 1, s));
+        let got = cube(&t, 1, true);
         assert_eq!(got, naive_closed_counts(&t, 1));
     }
 
@@ -447,7 +430,15 @@ mod tests {
         let t = SyntheticSpec::uniform(120, 3, 4, 0.5, 4).generate_with_measure("m");
         let spec = ColumnStats { column: 0 };
         let mut got = CollectSink::default();
-        c_cubing_mm_with(&t, 2, MmConfig::default(), &spec, &mut got);
+        mm_cube(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            }
+            .measure(&spec),
+            MmConfig::default(),
+            &mut got,
+        );
         let mut want = CollectSink::default();
         ccube_core::naive::naive_cube_with(
             &t,

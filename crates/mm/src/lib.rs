@@ -29,8 +29,5 @@ pub mod classify;
 pub mod cuber;
 pub mod valuemask;
 
-pub use cuber::{
-    c_cubing_mm, c_cubing_mm_with, mm_cube, mm_cube_bound, mm_cube_bound_with, mm_cube_with,
-    MmConfig,
-};
+pub use cuber::{mm_cube, MmConfig};
 pub use valuemask::ValueMask;

@@ -42,6 +42,14 @@ pub struct AdmissionConfig {
     pub max_queue_wait: Duration,
 }
 
+impl AdmissionConfig {
+    /// An estimate as the gate accounts for it: at least `MIN_ESTIMATE`, at
+    /// most the whole budget.
+    fn clamp(&self, estimate: u64) -> u64 {
+        estimate.clamp(MIN_ESTIMATE, self.memory_budget.max(MIN_ESTIMATE))
+    }
+}
+
 impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
         AdmissionConfig {
@@ -110,12 +118,22 @@ struct GateInner {
 /// of the global budget, released on drop.
 pub struct Permit {
     gate: Gate,
-    /// Bytes reserved against the gate's memory budget — also the query's
-    /// own memory budget (the engine trips [`BudgetExceeded`] past it, so
-    /// the reservation is an enforced bound, not a guess).
+    /// Bytes reserved against the gate's memory budget.
+    pub estimate: u64,
+}
+
+impl Permit {
+    /// The query's own memory budget (the engine trips [`BudgetExceeded`]
+    /// past it): the reservation, but never less than a never-seen shape is
+    /// allowed. A learned reservation is `HEADROOM ×` one run's peak and the
+    /// engine's peak moves with scheduling, so enforcing it alone would
+    /// fail a shape on a later run that its first run was allowed.
     ///
     /// [`BudgetExceeded`]: ccube_core::CubeError::BudgetExceeded
-    pub estimate: u64,
+    pub fn budget(&self) -> u64 {
+        let cfg = &self.gate.inner.config;
+        self.estimate.max(cfg.clamp(cfg.default_estimate))
+    }
 }
 
 impl Drop for Permit {
@@ -173,7 +191,7 @@ impl Gate {
     /// rather than "never runs".
     pub fn admit(&self, estimate: u64, deadline: Option<Instant>) -> Result<Permit, Shed> {
         let cfg = &self.inner.config;
-        let estimate = estimate.clamp(MIN_ESTIMATE, cfg.memory_budget.max(MIN_ESTIMATE));
+        let estimate = cfg.clamp(estimate);
         let give_up = {
             let cap = Instant::now() + cfg.max_queue_wait;
             match deadline {
@@ -383,6 +401,20 @@ mod tests {
         assert_eq!(gate.admit(UNIT, None).err(), Some(Shed::QueueFull));
         drop(big);
         assert!(gate.admit(UNIT, None).is_ok());
+    }
+
+    #[test]
+    fn budget_is_never_below_what_a_never_seen_shape_gets() {
+        let gate = Gate::new(AdmissionConfig {
+            default_estimate: 2 * UNIT,
+            ..config(4, 0)
+        });
+        // A learned reservation below the default keeps the default as its
+        // enforced budget; one above it is its own budget.
+        let small = gate.admit(UNIT, None).unwrap();
+        assert_eq!((small.estimate, small.budget()), (UNIT, 2 * UNIT));
+        let large = gate.admit(3 * UNIT, None).unwrap();
+        assert_eq!((large.estimate, large.budget()), (3 * UNIT, 3 * UNIT));
     }
 
     #[test]

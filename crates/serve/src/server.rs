@@ -1045,7 +1045,7 @@ fn serve_query(
         if threads > 0 {
             query = query.threads(threads);
         }
-        query = query.memory_budget(permit.estimate as usize);
+        query = query.memory_budget(permit.budget() as usize);
         if let Some(r) = remaining {
             query = query.deadline(r);
         }
@@ -1116,7 +1116,12 @@ fn serve_query(
         Err(e) => {
             // The run ended early (cancel/deadline/budget/worker panic):
             // the cutter's partial tail frame is dropped and the typed
-            // error follows the whole frames already encoded.
+            // error follows the whole frames already encoded. A budget trip
+            // teaches the shape what it needed, so it ratchets instead of
+            // failing the same way again.
+            if let CubeError::BudgetExceeded { peak, .. } = e {
+                shared.history.record(shape, peak as u64);
+            }
             shared.gate.record_service(started.elapsed());
             answer(
                 reply.wire,

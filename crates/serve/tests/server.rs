@@ -1005,3 +1005,90 @@ fn resume_spanning_an_ingest_is_a_typed_version_mismatch() {
     }
     server.shutdown();
 }
+
+// ------------------------------------------------------------ reservations
+
+/// What the gate reserves for a shape whose recorded peak is 0: the
+/// history's floor (`MIN_ESTIMATE` in `admission.rs`).
+const RESERVATION_FLOOR: u64 = 64 * 1024;
+
+/// Send a `threads: 2` request whose shape the server first sees on the
+/// 600-row table — small enough for the engine's sequential fast path, which
+/// buffers nothing, so the shape's learned reservation bottoms out at
+/// [`RESERVATION_FLOOR`] — then grow the table to where that shape's merge
+/// frontier no longer fits the reservation. Returns the request.
+fn grow_under_a_learned_reservation(client: &mut Client) -> QueryRequest {
+    let mut q = QueryRequest::new("synth", 1);
+    q.threads = 2;
+    let (_, outcome) = client.query_collect(&q).expect("query on the small table");
+    let QueryOutcome::Done(done) = outcome else {
+        panic!("small-table query failed: {outcome:?}");
+    };
+    assert!(done.fast_path && done.peak_buffered_bytes == 0);
+    let growth = SyntheticSpec::uniform(20_000, 4, 30, 1.0, 9).generate();
+    let rows: Vec<u32> = growth
+        .iter_rows()
+        .flat_map(|(_, row)| row.to_vec())
+        .collect();
+    client.ingest("synth", &rows).expect("ingest");
+    q
+}
+
+#[test]
+fn a_learned_reservation_is_not_a_tighter_budget_than_a_new_shape_gets() {
+    assert!(RESERVATION_FLOOR < AdmissionConfig::default().default_estimate);
+    let server = start_default();
+    let mut client = connect(&server);
+    let q = grow_under_a_learned_reservation(&mut client);
+
+    // The frontier outgrows the learned reservation, headroom included, yet
+    // the run is held to what a never-seen shape is allowed, not to it.
+    // (That the recorded peak then raises the next reservation is
+    // `admission::tests::shape_history_ratchets_and_floors_estimates`.)
+    let (_, outcome) = client.query_collect(&q).expect("query on the grown table");
+    let QueryOutcome::Done(done) = outcome else {
+        panic!("grown-table query failed: {outcome:?}");
+    };
+    assert!(
+        done.peak_buffered_bytes > RESERVATION_FLOOR,
+        "frontier {} never pressed the learned reservation",
+        done.peak_buffered_bytes
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_budget_trip_ratchets_the_shape_instead_of_repeating() {
+    // With the never-seen allowance itself at the gate's floor, the grown
+    // table's first run does trip its budget: the trip's peak must reach
+    // the history, so that retrying climbs to a reservation that fits. The
+    // gate's reserved-bytes high-water mark shows each climb.
+    let server = start_server(AdmissionConfig {
+        default_estimate: 0,
+        ..AdmissionConfig::default()
+    });
+    let mut client = connect(&server);
+    let q = grow_under_a_learned_reservation(&mut client);
+    assert_eq!(server.metrics().gate.peak_reserved, RESERVATION_FLOOR);
+    let mut trips = 0;
+    loop {
+        let reserved = server.metrics().gate.peak_reserved;
+        let (_, outcome) = client.query_collect(&q).expect("query on the grown table");
+        match outcome {
+            QueryOutcome::Done(_) => break,
+            QueryOutcome::ServerError { status, .. } => {
+                assert_eq!(status, WireStatus::BudgetExceeded);
+                assert!(
+                    trips == 0 || server.metrics().gate.peak_reserved > reserved,
+                    "trip {trips} taught the shape nothing"
+                );
+                trips += 1;
+                assert!(trips < 16, "the shape never ratcheted to a fitting budget");
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+    assert!(trips > 0, "the grown table never tripped the floor");
+    assert!(server.metrics().gate.peak_reserved > RESERVATION_FLOOR);
+    server.shutdown();
+}

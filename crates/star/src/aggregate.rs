@@ -21,7 +21,7 @@
 //!   outputs below (Lemma 5), and a child tree is not even created when the
 //!   mask already covers the to-be-collapsed dimension (Lemma 6 — the
 //!   single-path rule — generalized exactly by the full-width mask);
-//! * pre-bound dimensions (the `_bound` entry points): a collapse of a
+//! * pre-bound dimensions ([`CubeRequest::bound`]): a collapse of a
 //!   dimension `< bound` would star it, so those child trees are never
 //!   derived and the depth-`m-1` emission is suppressed when it would star
 //!   a bound dimension — the shard computes only the cells it owns.
@@ -29,61 +29,42 @@
 use crate::tree::{Node, Tree};
 use ccube_core::cell::STAR;
 use ccube_core::closedness::ClosedInfo;
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::partition::Partitioner;
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
+use ccube_core::CubeRequest;
 
-/// Star-Cubing: plain iceberg cube.
-pub fn star_cube<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    run::<false, CountOnly, S>(table, 0, min_sup, &CountOnly, sink)
-}
-
-/// Star-Cubing carrying the measures of `spec`.
-pub fn star_cube_with<M, S>(table: &Table, min_sup: u64, spec: &M, sink: &mut S)
+/// Star-Cubing, or C-Cubing(Star) with closed pruning when
+/// [`CubeRequest::closed`]: the (closed) iceberg cube `req` describes,
+/// emitted into `sink`.
+///
+/// # Panics
+/// On `min_sup == 0` or `bound > cube_dims`.
+pub fn star_cube<M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    run::<false, M, S>(table, 0, min_sup, spec, sink)
+    if req.closed {
+        run::<true, M, S>(req, sink)
+    } else {
+        run::<false, M, S>(req, sink)
+    }
 }
 
-/// [`star_cube_with`] with the first `bound` group-by dimensions
-/// *pre-bound*: the table must be constant on each of them, and only cells
-/// binding all of them are emitted (the parallel engine's shard entry
-/// point — no work is spent on the starred-prefix cells other shards own).
-pub fn star_cube_bound_with<M, S>(table: &Table, bound: usize, min_sup: u64, spec: &M, sink: &mut S)
+fn run<const CLOSED: bool, M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    run::<false, M, S>(table, bound, min_sup, spec, sink)
-}
-
-/// Count-only convenience wrapper around [`star_cube_bound_with`].
-pub fn star_cube_bound<S: CellSink<()>>(table: &Table, bound: usize, min_sup: u64, sink: &mut S) {
-    star_cube_bound_with(table, bound, min_sup, &CountOnly, sink)
-}
-
-/// C-Cubing(Star): closed iceberg cube with closed pruning.
-pub fn c_cubing_star<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    run::<true, CountOnly, S>(table, 0, min_sup, &CountOnly, sink)
-}
-
-/// C-Cubing(Star) carrying the measures of `spec`.
-pub fn c_cubing_star_with<M, S>(table: &Table, min_sup: u64, spec: &M, sink: &mut S)
-where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
-    run::<true, M, S>(table, 0, min_sup, spec, sink)
-}
-
-fn run<const CLOSED: bool, M, S>(table: &Table, bound: usize, min_sup: u64, spec: &M, sink: &mut S)
-where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
+    let &CubeRequest {
+        table,
+        min_sup,
+        bound,
+        measure: spec,
+        ..
+    } = req;
     assert!(min_sup >= 1, "min_sup must be at least 1");
     assert!(bound <= table.cube_dims(), "bound exceeds group-by dims");
     if (table.rows() as u64) < min_sup {
@@ -406,7 +387,15 @@ mod tests {
     #[test]
     fn paper_example() {
         let t = table1();
-        let got = collect_counts(|s| c_cubing_star(&t, 2, s));
+        let got = collect_counts(|s| {
+            star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         assert_eq!(got.len(), 2);
         assert_eq!(got[&Cell::from_values(&[0, 0, 0, STAR])], 2);
         assert_eq!(got[&Cell::from_values(&[0, STAR, STAR, STAR])], 3);
@@ -417,7 +406,7 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let got = collect_counts(|s| star_cube(&t, min_sup, s));
+                let got = collect_counts(|s| star_cube(&CubeRequest::new(&t, min_sup), s));
                 let want = naive_iceberg_counts(&t, min_sup);
                 assert_eq!(got, want, "seed={seed} min_sup={min_sup}");
             }
@@ -429,7 +418,15 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let got = collect_counts(|s| c_cubing_star(&t, min_sup, s));
+                let got = collect_counts(|s| {
+                    star_cube(
+                        &CubeRequest {
+                            closed: true,
+                            ..CubeRequest::new(&t, min_sup)
+                        },
+                        s,
+                    )
+                });
                 let want = naive_closed_counts(&t, min_sup);
                 assert_eq!(got, want, "seed={seed} min_sup={min_sup}");
             }
@@ -450,7 +447,15 @@ mod tests {
                     continue;
                 }
                 let view = t.view(&tids[g.range()], &[0, 1, 2], 3);
-                let got = collect_counts(|s| star_cube_bound(&view, 1, min_sup, s));
+                let got = collect_counts(|s| {
+                    star_cube(
+                        &CubeRequest {
+                            bound: 1,
+                            ..CubeRequest::new(&view, min_sup)
+                        },
+                        s,
+                    )
+                });
                 for (cell, n) in got {
                     assert_eq!(cell.values()[0], g.value, "emitted a foreign cell");
                     assert!(union.insert(cell, n).is_none(), "duplicate across shards");
@@ -475,11 +480,14 @@ mod tests {
             (false, ccube_core::naive::Mode::Iceberg),
         ] {
             let mut got = CollectSink::default();
-            if closed {
-                c_cubing_star_with(&t, 2, &spec, &mut got);
-            } else {
-                star_cube_with(&t, 2, &spec, &mut got);
-            }
+            star_cube(
+                &CubeRequest {
+                    closed,
+                    ..CubeRequest::new(&t, 2)
+                }
+                .measure(&spec),
+                &mut got,
+            );
             let mut want = CollectSink::default();
             ccube_core::naive::naive_cube_with(&t, 2, mode, &spec, &mut want);
             assert_eq!(got.cells.len(), want.cells.len());
@@ -499,12 +507,18 @@ mod tests {
         let t = SyntheticSpec::uniform(400, 3, 40, 0.5, 7).generate();
         for min_sup in [4, 10, 25] {
             assert_eq!(
-                collect_counts(|s| star_cube(&t, min_sup, s)),
+                collect_counts(|s| star_cube(&CubeRequest::new(&t, min_sup), s)),
                 naive_iceberg_counts(&t, min_sup),
                 "plain min_sup={min_sup}"
             );
             assert_eq!(
-                collect_counts(|s| c_cubing_star(&t, min_sup, s)),
+                collect_counts(|s| star_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s
+                )),
                 naive_closed_counts(&t, min_sup),
                 "closed min_sup={min_sup}"
             );
@@ -524,7 +538,15 @@ mod tests {
         }
         .generate();
         for min_sup in [1, 2, 5] {
-            let got = collect_counts(|s| c_cubing_star(&t, min_sup, s));
+            let got = collect_counts(|s| {
+                star_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s,
+                )
+            });
             assert_eq!(got, naive_closed_counts(&t, min_sup), "min_sup={min_sup}");
         }
     }
@@ -534,7 +556,13 @@ mod tests {
         let t = SyntheticSpec::uniform(500, 4, 5, 2.0, 31).generate();
         for min_sup in [1, 3, 10] {
             assert_eq!(
-                collect_counts(|s| c_cubing_star(&t, min_sup, s)),
+                collect_counts(|s| star_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s
+                )),
                 naive_closed_counts(&t, min_sup)
             );
         }
@@ -550,12 +578,18 @@ mod tests {
             .unwrap();
         for min_sup in 1..=3 {
             assert_eq!(
-                collect_counts(|s| c_cubing_star(&t, min_sup, s)),
+                collect_counts(|s| star_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s
+                )),
                 naive_closed_counts(&t, min_sup),
                 "min_sup={min_sup}"
             );
             assert_eq!(
-                collect_counts(|s| star_cube(&t, min_sup, s)),
+                collect_counts(|s| star_cube(&CubeRequest::new(&t, min_sup), s)),
                 naive_iceberg_counts(&t, min_sup),
                 "min_sup={min_sup}"
             );
@@ -571,11 +605,17 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            collect_counts(|s| c_cubing_star(&t, 1, s)),
+            collect_counts(|s| star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 1)
+                },
+                s
+            )),
             naive_closed_counts(&t, 1)
         );
         assert_eq!(
-            collect_counts(|s| star_cube(&t, 1, s)),
+            collect_counts(|s| star_cube(&CubeRequest::new(&t, 1), s)),
             naive_iceberg_counts(&t, 1)
         );
     }
@@ -587,7 +627,15 @@ mod tests {
             b.push_row(&[2, 0, 1]);
         }
         let t = b.build().unwrap();
-        let got = collect_counts(|s| c_cubing_star(&t, 2, s));
+        let got = collect_counts(|s| {
+            star_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         assert_eq!(got.len(), 1);
         assert_eq!(got[&Cell::from_values(&[2, 0, 1])], 6);
     }
@@ -595,7 +643,14 @@ mod tests {
     #[test]
     fn under_supported_table_is_empty() {
         let t = table1();
-        assert!(collect_counts(|s| c_cubing_star(&t, 50, s)).is_empty());
-        assert!(collect_counts(|s| star_cube(&t, 50, s)).is_empty());
+        assert!(collect_counts(|s| star_cube(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 50)
+            },
+            s
+        ))
+        .is_empty());
+        assert!(collect_counts(|s| star_cube(&CubeRequest::new(&t, 50), s)).is_empty());
     }
 }

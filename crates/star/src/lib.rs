@@ -35,12 +35,5 @@ pub mod aggregate;
 pub mod stararray;
 pub mod tree;
 
-pub use aggregate::{
-    c_cubing_star, c_cubing_star_with, star_cube, star_cube_bound, star_cube_bound_with,
-    star_cube_with,
-};
-pub use stararray::{
-    c_cubing_star_array, c_cubing_star_array_pooled_with, c_cubing_star_array_with,
-    lex_sorted_pool, star_array_cube, star_array_cube_bound, star_array_cube_bound_with,
-    star_array_cube_pooled_with, star_array_cube_with,
-};
+pub use aggregate::star_cube;
+pub use stararray::{lex_sorted_pool, star_array_cube};

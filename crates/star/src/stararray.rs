@@ -19,7 +19,7 @@
 //!
 //! Closed pruning mirrors `C-Cubing(Star)`: Lemma 5 suppression on
 //! `closed_mask ∩ tree_mask`, and the generalized Lemma 6 check before
-//! deriving a child tree. Pre-bound dimensions (the `_bound` entry points)
+//! deriving a child tree. Pre-bound dimensions ([`CubeRequest::bound`])
 //! suppress exactly the collapses and emissions that would star them, so a
 //! parallel shard computes only the cells it owns. Complex measures ride on
 //! the node accumulators ([`ccube_core::measure::MeasureSpec`]).
@@ -28,73 +28,39 @@ use crate::tree::{Node, Tree, NONE};
 use ccube_core::cell::STAR;
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::mask::DimMask;
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::partition::Partitioner;
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
+use ccube_core::CubeRequest;
 
-/// StarArray cubing: plain iceberg cube (the non-closed host of Fig 17).
-pub fn star_array_cube<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    run::<false, CountOnly, S>(table, 0, min_sup, &CountOnly, sink)
-}
-
-/// StarArray cubing carrying the measures of `spec`.
-pub fn star_array_cube_with<M, S>(table: &Table, min_sup: u64, spec: &M, sink: &mut S)
+/// StarArray cubing (the non-closed host of Fig 17), or C-Cubing(StarArray)
+/// with closed pruning when [`CubeRequest::closed`]: the (closed) iceberg
+/// cube `req` describes, emitted into `sink`. Starts from
+/// [`CubeRequest::pool`] when the caller supplies one (the output of
+/// [`lex_sorted_pool`] for this exact table) instead of sorting.
+///
+/// # Panics
+/// On `min_sup == 0` or `bound > cube_dims`.
+pub fn star_array_cube<M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    run::<false, M, S>(table, 0, min_sup, spec, sink)
-}
-
-/// [`star_array_cube_with`] with the first `bound` group-by dimensions
-/// *pre-bound*: the table must be constant on each of them, and only cells
-/// binding all of them are emitted (the parallel engine's shard entry
-/// point).
-pub fn star_array_cube_bound_with<M, S>(
-    table: &Table,
-    bound: usize,
-    min_sup: u64,
-    spec: &M,
-    sink: &mut S,
-) where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
-    run::<false, M, S>(table, bound, min_sup, spec, sink)
-}
-
-/// Count-only convenience wrapper around [`star_array_cube_bound_with`].
-pub fn star_array_cube_bound<S: CellSink<()>>(
-    table: &Table,
-    bound: usize,
-    min_sup: u64,
-    sink: &mut S,
-) {
-    star_array_cube_bound_with(table, bound, min_sup, &CountOnly, sink)
-}
-
-/// C-Cubing(StarArray): closed iceberg cube with closed pruning.
-pub fn c_cubing_star_array<S: CellSink<()>>(table: &Table, min_sup: u64, sink: &mut S) {
-    run::<true, CountOnly, S>(table, 0, min_sup, &CountOnly, sink)
-}
-
-/// C-Cubing(StarArray) carrying the measures of `spec`.
-pub fn c_cubing_star_array_with<M, S>(table: &Table, min_sup: u64, spec: &M, sink: &mut S)
-where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
-    run::<true, M, S>(table, 0, min_sup, spec, sink)
+    if req.closed {
+        run::<true, M, S>(req, sink)
+    } else {
+        run::<false, M, S>(req, sink)
+    }
 }
 
 /// The lexicographic `(group-by dims, tid)` tuple-ID order the StarArray
 /// construction starts from: ascending tuple IDs, then one stable LSD
 /// counting pass per group-by dimension, last dimension first. The order
 /// depends only on the table — **not** on `min_sup` — so per-table callers
-/// (the facade's `CubeSession`) compute it once and replay it into
-/// [`star_array_cube_pooled_with`] / [`c_cubing_star_array_pooled_with`]
-/// across queries, skipping the `O(dims × (rows + card))` radix passes.
+/// (the facade's `CubeSession`) compute it once and replay it as
+/// [`CubeRequest::pool`] across queries, skipping the
+/// `O(dims × (rows + card))` radix passes.
 pub fn lex_sorted_pool(table: &Table) -> Vec<TupleId> {
     let mut pool: Vec<TupleId> = table.all_tids();
     let mut sorter = Partitioner::new();
@@ -104,56 +70,19 @@ pub fn lex_sorted_pool(table: &Table) -> Vec<TupleId> {
     pool
 }
 
-/// [`star_array_cube_with`] starting from a pre-sorted `pool` (the output of
-/// [`lex_sorted_pool`] for this exact table). Produces identical output to
-/// the unpooled entry; the pool is only a skipped sort.
-pub fn star_array_cube_pooled_with<M, S>(
-    table: &Table,
-    pool: &[TupleId],
-    min_sup: u64,
-    spec: &M,
-    sink: &mut S,
-) where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
-    run_pooled::<false, M, S>(table, Some(pool), 0, min_sup, spec, sink)
-}
-
-/// [`c_cubing_star_array_with`] starting from a pre-sorted `pool` (see
-/// [`lex_sorted_pool`]).
-pub fn c_cubing_star_array_pooled_with<M, S>(
-    table: &Table,
-    pool: &[TupleId],
-    min_sup: u64,
-    spec: &M,
-    sink: &mut S,
-) where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
-    run_pooled::<true, M, S>(table, Some(pool), 0, min_sup, spec, sink)
-}
-
-fn run<const CLOSED: bool, M, S>(table: &Table, bound: usize, min_sup: u64, spec: &M, sink: &mut S)
+fn run<const CLOSED: bool, M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    run_pooled::<CLOSED, M, S>(table, None, bound, min_sup, spec, sink)
-}
-
-fn run_pooled<const CLOSED: bool, M, S>(
-    table: &Table,
-    sorted_pool: Option<&[TupleId]>,
-    bound: usize,
-    min_sup: u64,
-    spec: &M,
-    sink: &mut S,
-) where
-    M: MeasureSpec,
-    S: CellSink<M::Acc>,
-{
+    let &CubeRequest {
+        table,
+        min_sup,
+        bound,
+        measure: spec,
+        pool: sorted_pool,
+        ..
+    } = req;
     assert!(min_sup >= 1, "min_sup must be at least 1");
     assert!(bound <= table.cube_dims(), "bound exceeds group-by dims");
     if (table.rows() as u64) < min_sup {
@@ -428,7 +357,15 @@ mod tests {
     #[test]
     fn paper_example() {
         let t = table1();
-        let got = collect_counts(|s| c_cubing_star_array(&t, 2, s));
+        let got = collect_counts(|s| {
+            star_array_cube(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 2)
+                },
+                s,
+            )
+        });
         assert_eq!(got.len(), 2);
         assert_eq!(got[&Cell::from_values(&[0, 0, 0, STAR])], 2);
         assert_eq!(got[&Cell::from_values(&[0, STAR, STAR, STAR])], 3);
@@ -450,12 +387,18 @@ mod tests {
             .unwrap();
         for min_sup in [1, 2, 3] {
             assert_eq!(
-                collect_counts(|s| c_cubing_star_array(&t, min_sup, s)),
+                collect_counts(|s| star_array_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s
+                )),
                 naive_closed_counts(&t, min_sup),
                 "closed min_sup={min_sup}"
             );
             assert_eq!(
-                collect_counts(|s| star_array_cube(&t, min_sup, s)),
+                collect_counts(|s| star_array_cube(&CubeRequest::new(&t, min_sup), s)),
                 naive_iceberg_counts(&t, min_sup),
                 "plain min_sup={min_sup}"
             );
@@ -467,7 +410,7 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let got = collect_counts(|s| star_array_cube(&t, min_sup, s));
+                let got = collect_counts(|s| star_array_cube(&CubeRequest::new(&t, min_sup), s));
                 assert_eq!(
                     got,
                     naive_iceberg_counts(&t, min_sup),
@@ -482,7 +425,15 @@ mod tests {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let got = collect_counts(|s| c_cubing_star_array(&t, min_sup, s));
+                let got = collect_counts(|s| {
+                    star_array_cube(
+                        &CubeRequest {
+                            closed: true,
+                            ..CubeRequest::new(&t, min_sup)
+                        },
+                        s,
+                    )
+                });
                 assert_eq!(
                     got,
                     naive_closed_counts(&t, min_sup),
@@ -504,7 +455,15 @@ mod tests {
                     continue;
                 }
                 let view = t.view(&tids[g.range()], &[0, 1, 2], 3);
-                let got = collect_counts(|s| star_array_cube_bound(&view, 1, min_sup, s));
+                let got = collect_counts(|s| {
+                    star_array_cube(
+                        &CubeRequest {
+                            bound: 1,
+                            ..CubeRequest::new(&view, min_sup)
+                        },
+                        s,
+                    )
+                });
                 for (cell, n) in got {
                     assert_eq!(cell.values()[0], g.value, "emitted a foreign cell");
                     assert!(union.insert(cell, n).is_none(), "duplicate across shards");
@@ -525,7 +484,14 @@ mod tests {
         let t = SyntheticSpec::uniform(150, 3, 5, 1.0, 3).generate_with_measure("m");
         let spec = ColumnStats { column: 0 };
         let mut got = CollectSink::default();
-        c_cubing_star_array_with(&t, 2, &spec, &mut got);
+        star_array_cube(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 2)
+            }
+            .measure(&spec),
+            &mut got,
+        );
         let mut want = CollectSink::default();
         ccube_core::naive::naive_cube_with(
             &t,
@@ -546,28 +512,23 @@ mod tests {
 
     #[test]
     fn pooled_entries_match_unpooled() {
-        use ccube_core::measure::CountOnly;
         use ccube_core::sink::FnSink;
         let t = SyntheticSpec::uniform(300, 4, 6, 1.0, 17).generate();
         let pool = lex_sorted_pool(&t);
         for min_sup in [1u64, 2, 4] {
             // Emission-sequence equality, not just cell-set equality: the
-            // pool is the same order the unpooled entry computes.
+            // pool is the same order the unpooled run computes.
             let trace = |pooled: bool, closed: bool| {
                 let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
                 let mut sink = FnSink(|cell: &[u32], n: u64, _: &()| {
                     cells.push((cell.to_vec(), n));
                 });
-                match (pooled, closed) {
-                    (false, false) => star_array_cube(&t, min_sup, &mut sink),
-                    (false, true) => c_cubing_star_array(&t, min_sup, &mut sink),
-                    (true, false) => {
-                        star_array_cube_pooled_with(&t, &pool, min_sup, &CountOnly, &mut sink)
-                    }
-                    (true, true) => {
-                        c_cubing_star_array_pooled_with(&t, &pool, min_sup, &CountOnly, &mut sink)
-                    }
-                }
+                let req = CubeRequest {
+                    closed,
+                    pool: pooled.then_some(&pool[..]),
+                    ..CubeRequest::new(&t, min_sup)
+                };
+                star_array_cube(&req, &mut sink);
                 cells
             };
             for closed in [false, true] {
@@ -586,7 +547,13 @@ mod tests {
         let t = SyntheticSpec::uniform(250, 3, 120, 0.0, 9).generate();
         for min_sup in [1, 2, 3] {
             assert_eq!(
-                collect_counts(|s| c_cubing_star_array(&t, min_sup, s)),
+                collect_counts(|s| star_array_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s
+                )),
                 naive_closed_counts(&t, min_sup)
             );
         }
@@ -605,7 +572,15 @@ mod tests {
         }
         .generate();
         for min_sup in [1, 2, 5] {
-            let got = collect_counts(|s| c_cubing_star_array(&t, min_sup, s));
+            let got = collect_counts(|s| {
+                star_array_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s,
+                )
+            });
             assert_eq!(got, naive_closed_counts(&t, min_sup), "min_sup={min_sup}");
         }
     }
@@ -632,7 +607,7 @@ mod tests {
         // With min_sup = 1 nothing truncates; results equal the full cube.
         let t = SyntheticSpec::uniform(150, 4, 4, 1.5, 12).generate();
         assert_eq!(
-            collect_counts(|s| star_array_cube(&t, 1, s)),
+            collect_counts(|s| star_array_cube(&CubeRequest::new(&t, 1), s)),
             naive_iceberg_counts(&t, 1)
         );
     }
@@ -640,7 +615,14 @@ mod tests {
     #[test]
     fn under_supported_is_empty() {
         let t = table1();
-        assert!(collect_counts(|s| c_cubing_star_array(&t, 9, s)).is_empty());
+        assert!(collect_counts(|s| star_array_cube(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 9)
+            },
+            s
+        ))
+        .is_empty());
     }
 
     #[test]
@@ -655,11 +637,17 @@ mod tests {
         let t = spec.generate();
         for min_sup in [1, 2, 6] {
             assert_eq!(
-                collect_counts(|s| c_cubing_star_array(&t, min_sup, s)),
+                collect_counts(|s| star_array_cube(
+                    &CubeRequest {
+                        closed: true,
+                        ..CubeRequest::new(&t, min_sup)
+                    },
+                    s
+                )),
                 naive_closed_counts(&t, min_sup)
             );
             assert_eq!(
-                collect_counts(|s| star_array_cube(&t, min_sup, s)),
+                collect_counts(|s| star_array_cube(&CubeRequest::new(&t, min_sup), s)),
                 naive_iceberg_counts(&t, min_sup)
             );
         }

@@ -8,11 +8,15 @@
 use c_cubing::prelude::*;
 use std::time::Instant;
 
-fn time_algo(algo: Algorithm, table: &Table, min_sup: u64) -> (f64, u64) {
-    let mut sink = CountingSink::default();
+fn time_algo(session: &mut CubeSession, algo: Algorithm, min_sup: u64) -> (f64, u64) {
     let start = Instant::now();
-    algo.run(table, min_sup, &mut sink);
-    (start.elapsed().as_secs_f64(), sink.cells)
+    let stats = session
+        .query()
+        .min_sup(min_sup)
+        .algorithm(algo)
+        .stats()
+        .expect("query runs");
+    (start.elapsed().as_secs_f64(), stats.cells)
 }
 
 fn main() {
@@ -25,6 +29,7 @@ fn main() {
     );
 
     // 1. Closed iceberg cubing with every algorithm (Fig 11 in miniature).
+    let mut session = CubeSession::new(table).expect("ordinary table");
     let min_sup = 8;
     println!("closed iceberg cube at min_sup = {min_sup}:");
     for algo in [
@@ -33,7 +38,7 @@ fn main() {
         Algorithm::CCubingStar,
         Algorithm::CCubingStarArray,
     ] {
-        let (secs, cells) = time_algo(algo, &table, min_sup);
+        let (secs, cells) = time_algo(&mut session, algo, min_sup);
         println!(
             "  {:<16} {:>8.3}s   {cells} closed cells",
             algo.name(),
@@ -43,12 +48,12 @@ fn main() {
 
     // 2. What does the advisor say, given statistics measured from the
     // actual surrogate data?
-    let stats = TableStats::measure(&table);
+    let stats = session.stats();
     println!(
         "\nmeasured dependence {:.2}, typical cardinality {} -> advisor recommends: {}",
         stats.dependence,
         stats.typical_cardinality(),
-        recommend(&stats, min_sup)
+        session.recommend(min_sup)
     );
 
     // 3. Dimension ordering (Fig 18 in miniature) for the tree-based cuber.
@@ -58,15 +63,23 @@ fn main() {
         DimOrdering::CardinalityDesc,
         DimOrdering::EntropyDesc,
     ] {
-        let (permuted, _) = ordering.apply(&table);
-        let (secs, cells) = time_algo(Algorithm::CCubingStarArray, &permuted, min_sup);
+        let (permuted, _) = ordering.apply(session.table());
+        let mut permuted = CubeSession::new(permuted).expect("ordinary table");
+        let (secs, cells) = time_algo(&mut permuted, Algorithm::CCubingStarArray, min_sup);
         println!("  {ordering:<16?} {secs:>8.3}s   {cells} cells");
     }
 
     // 4. Closed rules (Section 6.2): the compact dependence summary.
     let small = WeatherSpec::new(20_000, 7).generate_dims(5);
-    let cube = ClosedCube::collect(small.dims(), 10, |sink| {
-        Algorithm::CCubingStarArray.run(&small, 10, sink)
+    let dims = small.dims();
+    let mut small = CubeSession::new(small).expect("ordinary table");
+    let cube = ClosedCube::collect(dims, 10, |sink| {
+        small
+            .query()
+            .min_sup(10)
+            .algorithm(Algorithm::CCubingStarArray)
+            .run(sink)
+            .expect("query runs");
     });
     let (rules, stats) = mine_rules(&cube);
     println!(

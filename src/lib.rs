@@ -43,10 +43,11 @@
 //! assert_eq!(sink.counts()[&Cell::from_values(&[0, STAR, STAR, STAR])], 3);
 //! ```
 //!
-//! The [`Algorithm`] methods below ([`Algorithm::run`] and friends) remain
-//! as the **low-level path** — one explicit (algorithm, table, threshold)
-//! call with no planner, no caching and no subcube machinery. They and the
-//! session layer funnel into the same internal execution path.
+//! [`Algorithm::run`] and [`Algorithm::run_parallel`] remain as the
+//! **low-level path** — one explicit algorithm over one
+//! [`ccube_core::CubeRequest`], with no planner, no caching and no subcube
+//! machinery. They and the session layer funnel into the same
+//! dispatch.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -70,9 +71,9 @@ pub use session::{
     QueryStats, StreamPoll,
 };
 
-use ccube_core::measure::{CountOnly, MeasureSpec};
+use ccube_core::measure::MeasureSpec;
 use ccube_core::sink::CellSink;
-use ccube_core::{CubeError, Table};
+use ccube_core::{CubeError, CubeRequest, Table};
 use ccube_engine::ShardedSink;
 
 /// Everything needed for typical use.
@@ -89,7 +90,9 @@ pub mod prelude {
         CellBatch, CellSink, CollectSink, CountingSink, FnSink, NullSink, SizeSink, WriterSink,
     };
     pub use ccube_core::CubeError;
-    pub use ccube_core::{Cell, ClosedInfo, DimMask, Table, TableBuilder, TupleId, STAR};
+    pub use ccube_core::{
+        Cell, ClosedInfo, CubeRequest, DimMask, Table, TableBuilder, TupleId, STAR,
+    };
     pub use ccube_data::{RuleSet, SyntheticSpec, WeatherSpec};
     pub use ccube_rules::{mine_rules, ClosedCube};
 }
@@ -166,84 +169,34 @@ impl Algorithm {
         }
     }
 
-    /// The single dispatch table of the facade: run this algorithm over
-    /// `table` with its first `bound` group-by dimensions pre-bound
-    /// (`bound = 0` is the plain unbound run — the `*_bound` entry points
-    /// are exactly the unbound entries there). Every public `run*` method
-    /// and the session/query layer funnels through here; no other match on
-    /// `self` performs algorithm dispatch.
-    fn dispatch_bound<M, S>(self, table: &Table, bound: usize, min_sup: u64, spec: &M, sink: &mut S)
+    /// The single dispatch table of the facade: hand `req` to this
+    /// algorithm's cuber. The variant decides closedness (`req.closed` is
+    /// overwritten), iceberg hosts get `req.bound`, and closed cubers get
+    /// `0` — a cell starring a constant dimension is non-closed and never
+    /// emitted, so they need no pre-binding. [`Algorithm::run`],
+    /// [`Algorithm::run_parallel`] and the session/query layer all funnel
+    /// through here; no other match on `self` performs algorithm dispatch.
+    fn dispatch<M, S>(self, req: &CubeRequest<'_, M>, sink: &mut S)
     where
         M: MeasureSpec,
         S: CellSink<M::Acc>,
     {
+        let closed = self.is_closed();
+        let req = &CubeRequest {
+            closed,
+            bound: if closed { 0 } else { req.bound },
+            ..*req
+        };
         match self {
-            Algorithm::Buc => ccube_baselines::buc_bound_with(table, bound, min_sup, spec, sink),
-            Algorithm::QcDfs => ccube_baselines::qc_dfs_with(table, min_sup, spec, sink),
-            Algorithm::Mm => ccube_mm::mm_cube_bound_with(
-                table,
-                bound,
-                min_sup,
-                ccube_mm::MmConfig::default(),
-                spec,
-                sink,
-            ),
-            Algorithm::CCubingMm => ccube_mm::c_cubing_mm_with(
-                table,
-                min_sup,
-                ccube_mm::MmConfig::default(),
-                spec,
-                sink,
-            ),
-            Algorithm::Star => ccube_star::star_cube_bound_with(table, bound, min_sup, spec, sink),
-            Algorithm::CCubingStar => ccube_star::c_cubing_star_with(table, min_sup, spec, sink),
-            Algorithm::StarArray => {
-                ccube_star::star_array_cube_bound_with(table, bound, min_sup, spec, sink)
+            Algorithm::Buc => ccube_baselines::buc(req, sink),
+            Algorithm::QcDfs => ccube_baselines::qc_dfs(req, sink),
+            Algorithm::Mm | Algorithm::CCubingMm => {
+                ccube_mm::mm_cube(req, ccube_mm::MmConfig::default(), sink)
             }
-            Algorithm::CCubingStarArray => {
-                ccube_star::c_cubing_star_array_with(table, min_sup, spec, sink)
+            Algorithm::Star | Algorithm::CCubingStar => ccube_star::star_cube(req, sink),
+            Algorithm::StarArray | Algorithm::CCubingStarArray => {
+                ccube_star::star_array_cube(req, sink)
             }
-        }
-    }
-
-    /// Internal uniform execution path (`CubeRequest`): one entry the
-    /// `run*` shims and the [`CubeQuery`] terminals all reduce to. `None`
-    /// engine config means a plain sequential run (empty [`EngineStats`]);
-    /// `Some` routes through the partition-parallel engine. Both paths share
-    /// the engine's failure surface: misuse, ambient-token trips
-    /// (cancel/deadline/budget), and contained panics all surface as typed
-    /// [`CubeError`]s.
-    pub(crate) fn execute_request<M, S>(
-        self,
-        req: &CubeRequest<'_>,
-        spec: &M,
-        sink: &mut S,
-    ) -> Result<EngineStats, CubeError>
-    where
-        M: MeasureSpec + Sync,
-        M::Acc: Send,
-        S: CellSink<M::Acc>,
-    {
-        match &req.engine {
-            None => {
-                if req.min_sup < 1 {
-                    return Err(CubeError::ZeroMinSup);
-                }
-                run_guarded(|| self.dispatch_bound(req.table, 0, req.min_sup, spec, sink))?;
-                Ok(EngineStats::default())
-            }
-            Some(config) => ccube_engine::run_partitioned_warm_with_stats(
-                req.table,
-                req.min_sup,
-                config,
-                self.is_closed(),
-                spec,
-                |shard: &Table, bound: usize, m: u64, out: &mut ShardedSink<'_, M::Acc>| {
-                    self.dispatch_bound(shard, bound, m, spec, out)
-                },
-                sink,
-                req.warm.as_ref(),
-            ),
         }
     }
 
@@ -261,60 +214,43 @@ impl Algorithm {
         }
     }
 
-    /// Compute the (closed) iceberg cube of `table` at threshold `min_sup`,
-    /// emitting into `sink`.
-    pub fn run<S: CellSink<()>>(self, table: &Table, min_sup: u64, sink: &mut S) {
-        self.run_with(table, min_sup, &CountOnly, sink)
-    }
-
-    /// [`Algorithm::run`] carrying the complex-measure accumulators of
-    /// `spec` (Section 6.1) on every emitted cell.
-    pub fn run_with<M, S>(self, table: &Table, min_sup: u64, spec: &M, sink: &mut S)
+    /// Compute the (closed — the variant decides) iceberg cube `req`
+    /// describes, sequentially, emitting into `sink`: one explicit call with
+    /// no planner, no caching and no subcube machinery. With
+    /// [`CubeRequest::bound`] set, only the cells binding the table's first
+    /// `bound` group-by dimensions — which must be constant over the table
+    /// (a shard of a first-dimension partition) — are computed.
+    ///
+    /// Shares the engine's failure surface: misuse (`min_sup == 0`, `bound`
+    /// beyond the group-by dimensions), ambient-token trips
+    /// (cancel/deadline/budget) and contained panics all surface as typed
+    /// [`CubeError`]s. The returned [`EngineStats`] are all-zero.
+    pub fn run<M, S>(self, req: &CubeRequest<'_, M>, sink: &mut S) -> Result<EngineStats, CubeError>
     where
         M: MeasureSpec,
         S: CellSink<M::Acc>,
     {
-        self.dispatch_bound(table, 0, min_sup, spec, sink)
+        if req.min_sup < 1 {
+            return Err(CubeError::ZeroMinSup);
+        }
+        let dims = req.table.cube_dims();
+        if req.bound > dims {
+            return Err(CubeError::DimensionOutOfRange {
+                dim: req.bound,
+                dims,
+            });
+        }
+        run_guarded(|| self.dispatch(req, sink))?;
+        Ok(EngineStats::default())
     }
 
-    /// Compute only the cells binding the table's first `bound` group-by
-    /// dimensions, which must be constant over the table (a shard of a
-    /// first-dimension partition). For the iceberg hosts this dispatches to
-    /// the dedicated `*_bound` entry points, skipping the starred-prefix
-    /// cells entirely; the closed algorithms need no special entry point —
-    /// a cell starring a constant dimension is non-closed and is never
-    /// emitted — so they run unchanged.
-    pub fn run_bound<S: CellSink<()>>(
-        self,
-        table: &Table,
-        bound: usize,
-        min_sup: u64,
-        sink: &mut S,
-    ) {
-        self.run_bound_with(table, bound, min_sup, &CountOnly, sink)
-    }
-
-    /// [`Algorithm::run_bound`] carrying the measures of `spec`.
-    pub fn run_bound_with<M, S>(
-        self,
-        table: &Table,
-        bound: usize,
-        min_sup: u64,
-        spec: &M,
-        sink: &mut S,
-    ) where
-        M: MeasureSpec,
-        S: CellSink<M::Acc>,
-    {
-        self.dispatch_bound(table, bound, min_sup, spec, sink)
-    }
-
-    /// Compute the same (closed) iceberg cube partition-parallel on
-    /// `threads` worker threads (`0` = one per CPU), emitting the exact
+    /// Compute the same (closed) iceberg cube partition-parallel as
+    /// `config` says (`threads: 0` = one per CPU), emitting the exact
     /// sequential result set into `sink` in a thread-count-independent
-    /// order. See [`ccube_engine`] for the sharding and shard-boundary
-    /// closedness reconciliation, and for the error semantics (misuse,
-    /// ambient cancellation, contained panics).
+    /// order, and returning the engine's scheduling and
+    /// peak-buffered-bytes counters. See [`ccube_engine`] for the sharding
+    /// and shard-boundary closedness reconciliation, and for the error
+    /// semantics (misuse, ambient cancellation, contained panics).
     ///
     /// ```
     /// use c_cubing::prelude::*;
@@ -325,107 +261,55 @@ impl Algorithm {
     ///     .row(&[0, 1, 1, 1])
     ///     .build()
     ///     .unwrap();
+    /// let req = CubeRequest::new(&table, 2);
     /// let mut par = CollectSink::default();
-    /// Algorithm::CCubingStar.run_parallel(&table, 2, 4, &mut par).unwrap();
+    /// let config = EngineConfig::with_threads(4);
+    /// Algorithm::CCubingStar.run_parallel(&req, &config, &mut par).unwrap();
     /// let mut seq = CollectSink::default();
-    /// Algorithm::CCubingStar.run(&table, 2, &mut seq);
+    /// Algorithm::CCubingStar.run(&req, &mut seq).unwrap();
     /// assert_eq!(par.counts(), seq.counts());
     /// ```
-    pub fn run_parallel<S: CellSink<()>>(
+    pub fn run_parallel<M, S>(
         self,
-        table: &Table,
-        min_sup: u64,
-        threads: usize,
+        req: &CubeRequest<'_, M>,
+        config: &EngineConfig,
         sink: &mut S,
-    ) -> Result<(), CubeError> {
-        self.run_with_config(table, min_sup, &EngineConfig::with_threads(threads), sink)
-    }
-
-    /// [`Algorithm::run_parallel`] carrying the complex-measure accumulators
-    /// of `spec` on every emitted cell (the engine threads them through its
-    /// shard batches and merges them in the same deterministic order).
-    pub fn run_parallel_with<M, S>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        threads: usize,
-        spec: &M,
-        sink: &mut S,
-    ) -> Result<(), CubeError>
+    ) -> Result<EngineStats, CubeError>
     where
         M: MeasureSpec + Sync,
         M::Acc: Send,
         S: CellSink<M::Acc>,
     {
-        self.run_with_config_with(
-            table,
-            min_sup,
-            &EngineConfig::with_threads(threads),
-            spec,
-            sink,
-        )
+        self.run_warm(req, config, None, sink)
     }
 
-    /// [`Algorithm::run_parallel`] with full engine configuration (thread
-    /// count, sharding [`ccube_core::order::DimOrdering`], split threshold).
-    pub fn run_with_config<S: CellSink<()>>(
+    /// [`Algorithm::run_parallel`] starting from a [`CubeSession`]'s cached
+    /// sharding artifacts, when it has them.
+    pub(crate) fn run_warm<M, S>(
         self,
-        table: &Table,
-        min_sup: u64,
+        req: &CubeRequest<'_, M>,
         config: &EngineConfig,
+        warm: Option<&ccube_engine::WarmStart<'_>>,
         sink: &mut S,
-    ) -> Result<(), CubeError> {
-        self.run_with_config_with(table, min_sup, config, &CountOnly, sink)
-    }
-
-    /// [`Algorithm::run_with_config`] returning the engine's scheduling and
-    /// peak-buffered-bytes counters ([`EngineStats`]) alongside the output —
-    /// the observability hook the `parallel` benchmark records in
-    /// `BENCH_parallel.json`.
-    pub fn run_with_config_stats<S: CellSink<()>>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        config: &EngineConfig,
-        sink: &mut S,
-    ) -> Result<EngineStats, CubeError> {
-        self.execute_request(
-            &CubeRequest {
-                table,
-                min_sup,
-                engine: Some(*config),
-                warm: None,
-            },
-            &CountOnly,
-            sink,
-        )
-    }
-
-    /// [`Algorithm::run_with_config`] carrying the measures of `spec`.
-    pub fn run_with_config_with<M, S>(
-        self,
-        table: &Table,
-        min_sup: u64,
-        config: &EngineConfig,
-        spec: &M,
-        sink: &mut S,
-    ) -> Result<(), CubeError>
+    ) -> Result<EngineStats, CubeError>
     where
         M: MeasureSpec + Sync,
         M::Acc: Send,
         S: CellSink<M::Acc>,
     {
-        self.execute_request(
-            &CubeRequest {
-                table,
-                min_sup,
-                engine: Some(*config),
-                warm: None,
+        let req = &CubeRequest {
+            closed: self.is_closed(),
+            ..*req
+        };
+        ccube_engine::run_partitioned(
+            req,
+            config,
+            warm,
+            |shard: &CubeRequest<'_, M>, out: &mut ShardedSink<'_, M::Acc>| {
+                self.dispatch(shard, out)
             },
-            spec,
             sink,
         )
-        .map(|_| ())
     }
 }
 
@@ -433,7 +317,7 @@ impl Algorithm {
 /// checks the ambient token before and after, contains panics into
 /// [`CubeError::WorkerPanicked`] (tripping the token so every observer
 /// agrees on the outcome), and reports a token trip as the run's error.
-pub(crate) fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, CubeError> {
+fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, CubeError> {
     let token = ccube_core::lifecycle::current();
     if let Some(t) = &token {
         t.check()?;
@@ -457,20 +341,6 @@ pub(crate) fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, CubeError> {
         t.check()?;
     }
     Ok(result)
-}
-
-/// The internal uniform execution request: every public `run*` shim and the
-/// [`CubeQuery`] terminals reduce to one of these plus
-/// [`Algorithm::execute_request`]. (The table here is the *resolved* target
-/// — for subcube queries, the already-selected/projected subtable.)
-pub(crate) struct CubeRequest<'a> {
-    pub(crate) table: &'a Table,
-    pub(crate) min_sup: u64,
-    /// `None` = plain sequential run; `Some` = partition-parallel engine.
-    pub(crate) engine: Option<EngineConfig>,
-    /// Session-cached sharding artifacts (permutation + level-0 partition)
-    /// for warm engine runs; `None` derives both cold.
-    pub(crate) warm: Option<ccube_engine::WarmStart<'a>>,
 }
 
 impl std::fmt::Display for Algorithm {
@@ -744,7 +614,7 @@ mod tests {
             .unwrap();
         for algo in Algorithm::ALL {
             let mut sink = CollectSink::default();
-            algo.run(&t, 1, &mut sink);
+            algo.run(&CubeRequest::new(&t, 1), &mut sink).unwrap();
             assert!(!sink.is_empty(), "{algo} produced no cells");
             assert_eq!(sink.duplicates, 0, "{algo} duplicated cells");
         }

@@ -71,17 +71,14 @@
 //! produce byte-identical output sequences (the cached artifacts are
 //! by-construction equal to what a cold run computes).
 
-use crate::{
-    recommend, run_guarded, Algorithm, CubeRequest, EngineConfig, EngineStats, StatsState,
-    TableStats,
-};
+use crate::{recommend, Algorithm, EngineConfig, EngineStats, StatsState, TableStats};
 use ccube_core::cell::Cell;
 use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::measure::{CountOnly, MeasureSpec};
 use ccube_core::order::DimOrdering;
 use ccube_core::partition::Group;
 use ccube_core::sink::{CellBatch, CellSink, CountingSink};
-use ccube_core::{CubeError, DimMask, Table, TupleId};
+use ccube_core::{CubeError, CubeRequest, DimMask, Table, TupleId};
 use ccube_delta::{DeltaPlan, DeltaStats, MaterializedCube};
 use ccube_engine::{ChannelSink, WarmStart};
 use std::sync::{mpsc, Arc};
@@ -909,11 +906,11 @@ struct Resolved {
 }
 
 impl Resolved {
-    /// Execute into `sink`, drawing the StarArray pool from `pool` when the
-    /// sequential StarArray fast path applies. Arms the query's lifecycle
-    /// token (deadline clock starts here) and installs it ambiently for the
-    /// duration of the run, so the checkpoints in the cubers, the partition
-    /// kernels and the engine all observe it.
+    /// Execute into `sink`, handing the cuber the cached StarArray `pool`
+    /// when the sequential StarArray fast path applies. Arms the query's
+    /// lifecycle token (deadline clock starts here) and installs it
+    /// ambiently for the duration of the run, so the checkpoints in the
+    /// cubers, the partition kernels and the engine all observe it.
     fn execute<M, S>(
         &self,
         pool: Option<&[TupleId]>,
@@ -932,41 +929,21 @@ impl Resolved {
             self.token.set_budget(b);
         }
         let _ambient = lifecycle::install(&self.token);
-        if let Some(pool) = pool {
-            debug_assert!(self.engine.is_none());
-            run_guarded(|| match self.algorithm {
-                Algorithm::StarArray => ccube_star::star_array_cube_pooled_with(
-                    &self.table,
-                    pool,
-                    self.min_sup,
-                    spec,
-                    sink,
-                ),
-                Algorithm::CCubingStarArray => ccube_star::c_cubing_star_array_pooled_with(
-                    &self.table,
-                    pool,
-                    self.min_sup,
-                    spec,
-                    sink,
-                ),
-                _ => unreachable!("pool is only drawn for StarArray-family plans"),
-            })?;
-            return Ok(EngineStats::default());
+        let req = CubeRequest {
+            pool,
+            ..CubeRequest::new(&self.table, self.min_sup).measure(spec)
+        };
+        match &self.engine {
+            None => self.algorithm.run(&req, sink),
+            Some(config) => {
+                let warm = self.warm.as_ref().map(|prep| prep.warm_start());
+                self.algorithm.run_warm(&req, config, warm.as_ref(), sink)
+            }
         }
-        self.algorithm.execute_request(
-            &CubeRequest {
-                table: &self.table,
-                min_sup: self.min_sup,
-                engine: self.engine,
-                warm: self.warm.as_ref().map(|prep| prep.warm_start()),
-            },
-            spec,
-            sink,
-        )
     }
 
-    /// Whether the sequential StarArray pooled entry applies (base table,
-    /// no engine, StarArray family).
+    /// Whether the sequential StarArray run can start from the session's
+    /// cached pool (base table, no engine, StarArray family).
     fn wants_pool(&self) -> bool {
         self.base
             && self.engine.is_none()
@@ -1266,13 +1243,24 @@ mod tests {
         CubeSession::new(SyntheticSpec::uniform(400, 4, 6, 1.0, 11).generate()).unwrap()
     }
 
+    /// The low-level sequential result of `algo` over `table`.
+    fn low_level(
+        algo: Algorithm,
+        table: &Table,
+        min_sup: u64,
+    ) -> ccube_core::fxhash::FxHashMap<Cell, u64> {
+        collect_counts(|sink| {
+            algo.run(&CubeRequest::new(table, min_sup), sink).unwrap();
+        })
+    }
+
     #[test]
     fn default_query_is_the_planned_closed_cube() {
         let mut s = session();
         let plan = s.query().min_sup(2).plan();
         assert!(plan.closed);
         assert!(plan.algorithm.is_closed());
-        let want = collect_counts(|sink| plan.algorithm.run(s.table(), 2, sink));
+        let want = low_level(plan.algorithm, s.table(), 2);
         let got = collect_counts(|sink| {
             s.query().min_sup(2).run(sink).unwrap();
         });
@@ -1291,7 +1279,7 @@ mod tests {
                 .run(sink)
                 .unwrap();
         });
-        let want = collect_counts(|sink| Algorithm::Star.run(s.table(), 2, sink));
+        let want = low_level(Algorithm::Star, s.table(), 2);
         assert_eq!(got, want);
         assert_eq!(
             s.query()
@@ -1319,7 +1307,7 @@ mod tests {
             // Reference: filter by hand, cube the subtable.
             let tids = table.select_tids(1, &[3]);
             let filtered = table.view(&tids, &[0, 1, 2, 3], 4);
-            let want = collect_counts(|sink| algo.run(&filtered, 2, sink));
+            let want = low_level(algo, &filtered, 2);
             assert_eq!(got, want, "{algo}");
         }
     }
@@ -1339,7 +1327,7 @@ mod tests {
         let mut tids = table.select_tids(0, &[0, 1]);
         table.filter_tids(2, &[1, 2, 3], &mut tids);
         let filtered = table.view(&tids, &[0, 1, 2, 3], 4);
-        let want = collect_counts(|sink| Algorithm::CCubingMm.run(&filtered, 1, sink));
+        let want = low_level(Algorithm::CCubingMm, &filtered, 1);
         assert_eq!(got, want);
     }
 
@@ -1357,7 +1345,7 @@ mod tests {
                 .unwrap();
         });
         let projected = table.view(&table.all_tids(), &[1, 3], 2);
-        let want = collect_counts(|sink| Algorithm::CCubingStar.run(&projected, 2, sink));
+        let want = low_level(Algorithm::CCubingStar, &projected, 2);
         assert_eq!(got, want);
         assert!(got.keys().all(|c| c.dims() == 2));
     }
@@ -1406,7 +1394,7 @@ mod tests {
     fn star_pool_cache_is_invisible_and_built_once() {
         let mut s = session();
         assert_eq!(s.cache_stats().pool_builds, 0);
-        let want = collect_counts(|sink| Algorithm::CCubingStarArray.run(s.table(), 2, sink));
+        let want = low_level(Algorithm::CCubingStarArray, s.table(), 2);
         for round in 0..3 {
             let got = collect_counts(|sink| {
                 s.query()
@@ -1429,7 +1417,9 @@ mod tests {
         let t = SyntheticSpec::uniform(300, 3, 5, 1.0, 6).generate_with_measure("m");
         let spec = ColumnStats { column: 0 };
         let mut want = CollectSink::default();
-        Algorithm::CCubingMm.run_with(&t, 2, &spec, &mut want);
+        Algorithm::CCubingMm
+            .run(&CubeRequest::new(&t, 2).measure(&spec), &mut want)
+            .unwrap();
         let mut s = CubeSession::new(t).unwrap();
         let mut got = CollectSink::default();
         s.query()

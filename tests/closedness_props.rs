@@ -11,10 +11,12 @@
 //! * all four closed cubers agree with the oracle on arbitrary data;
 //! * closure is idempotent and monotone.
 
+mod common;
+
 use c_cubing::prelude::*;
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::naive::{self, naive_closed_counts, naive_iceberg_counts};
-use ccube_core::sink::collect_counts;
+use common::seq;
 use proptest::prelude::*;
 
 /// Strategy: a random encoded table with 2–5 dims, cards 2–6, 1–60 rows.
@@ -79,7 +81,7 @@ proptest! {
             Algorithm::CCubingStar,
             Algorithm::CCubingStarArray,
         ] {
-            let got = collect_counts(|s| algo.run(&table, min_sup, s));
+            let got = seq(algo, &table, min_sup);
             prop_assert_eq!(&got, &want, "{} at min_sup={}", algo, min_sup);
         }
     }
@@ -88,7 +90,7 @@ proptest! {
     fn iceberg_cubers_match_oracle(table in arb_table(), min_sup in 1u64..6) {
         let want = naive_iceberg_counts(&table, min_sup);
         for algo in [Algorithm::Buc, Algorithm::Mm, Algorithm::Star, Algorithm::StarArray] {
-            let got = collect_counts(|s| algo.run(&table, min_sup, s));
+            let got = seq(algo, &table, min_sup);
             prop_assert_eq!(&got, &want, "{} at min_sup={}", algo, min_sup);
         }
     }
@@ -137,7 +139,7 @@ proptest! {
         let perm: Vec<usize> = (0..table.dims()).rev().collect();
         let permuted = table.permute_dims(&perm).unwrap();
         let want = naive_closed_counts(&table, min_sup);
-        let got_p = collect_counts(|s| Algorithm::CCubingStarArray.run(&permuted, min_sup, s));
+        let got_p = seq(Algorithm::CCubingStarArray, &permuted, min_sup);
         let got: std::collections::HashMap<Cell, u64> =
             got_p.into_iter().map(|(c, n)| (c.unpermute(&perm), n)).collect();
         prop_assert_eq!(got.len(), want.len());

@@ -5,11 +5,15 @@
 //! results — every algorithm, every thread count, every workload shape,
 //! every storage width.
 
+mod common;
+
 use c_cubing::prelude::*;
 use ccube_core::closedness::ClosedInfo;
+use ccube_core::fxhash::FxHashMap;
 use ccube_core::partition::Partitioner;
 use ccube_core::sink::collect_counts;
 use ccube_core::{DimMask, TupleId, Width};
+use common::seq;
 use proptest::prelude::*;
 
 /// Small random table plus a random subset of its tuple IDs (unsorted, no
@@ -152,6 +156,15 @@ proptest! {
     }
 }
 
+/// `algo`'s engine result over `table` on `threads` worker threads.
+fn par(algo: Algorithm, table: &Table, min_sup: u64, threads: usize) -> FxHashMap<Cell, u64> {
+    collect_counts(|s| {
+        let config = EngineConfig::with_threads(threads);
+        algo.run_parallel(&CubeRequest::new(table, min_sup), &config, s)
+            .unwrap();
+    })
+}
+
 /// All 8 algorithms against the naive oracle and each other on one table:
 /// the closed quartet agrees cell-for-cell, the iceberg quartet agrees
 /// cell-for-cell, sequential and parallel runs are byte-identical.
@@ -165,10 +178,10 @@ fn assert_all_algorithms_agree(table: &Table, min_sups: &[u64], label: &str) {
             } else {
                 &want_iceberg
             };
-            let got = collect_counts(|s| algo.run(table, m, s));
+            let got = seq(algo, table, m);
             assert_eq!(&got, want, "{algo} != naive on {label} at min_sup={m}");
             for threads in [1usize, 2, 8] {
-                let got = collect_counts(|s| algo.run_parallel(table, m, threads, s).unwrap());
+                let got = par(algo, table, m, threads);
                 assert_eq!(
                     &got, want,
                     "{algo} parallel({threads}) != naive on {label} at min_sup={m}"
@@ -202,12 +215,11 @@ fn all_algorithms_agree_across_widths() {
         assert!(wide.packed_rows().is_none());
         for m in [1u64, 8] {
             for algo in Algorithm::ALL {
-                let want = collect_counts(|s| algo.run(&wide, m, s));
-                let got = collect_counts(|s| algo.run(&narrow, m, s));
+                let want = seq(algo, &wide, m);
+                let got = seq(algo, &narrow, m);
                 assert_eq!(got, want, "{algo} width-sensitive on {label}");
                 for threads in [1usize, 2, 8] {
-                    let got =
-                        collect_counts(|s| algo.run_parallel(&narrow, m, threads, s).unwrap());
+                    let got = par(algo, &narrow, m, threads);
                     assert_eq!(
                         got, want,
                         "{algo} parallel({threads}) width-sensitive on {label}"

@@ -3,9 +3,11 @@
 //! iceberg cube — across a grid of data shapes chosen to stress different
 //! code paths (dense, sparse, skewed, dependent, high-cardinality).
 
+mod common;
+
 use c_cubing::prelude::*;
 use ccube_core::naive::{naive_closed_counts, naive_iceberg_counts};
-use ccube_core::sink::collect_counts;
+use common::seq;
 
 const CLOSED: [Algorithm; 4] = [
     Algorithm::QcDfs,
@@ -24,7 +26,7 @@ fn check_all(table: &Table, min_sups: &[u64], label: &str) {
     for &m in min_sups {
         let want_closed = naive_closed_counts(table, m);
         for algo in CLOSED {
-            let got = collect_counts(|s| algo.run(table, m, s));
+            let got = seq(algo, table, m);
             assert_eq!(
                 got, want_closed,
                 "{algo} closed mismatch on {label} at min_sup={m}"
@@ -32,7 +34,7 @@ fn check_all(table: &Table, min_sups: &[u64], label: &str) {
         }
         let want_iceberg = naive_iceberg_counts(table, m);
         for algo in ICEBERG {
-            let got = collect_counts(|s| algo.run(table, m, s));
+            let got = seq(algo, table, m);
             assert_eq!(
                 got, want_iceberg,
                 "{algo} iceberg mismatch on {label} at min_sup={m}"
@@ -128,7 +130,7 @@ fn max_dims_supported() {
     let t = SyntheticSpec::uniform(120, 12, 3, 0.5, 10).generate();
     let want = naive_closed_counts(&t, 2);
     for algo in CLOSED {
-        let got = collect_counts(|s| algo.run(&t, 2, s));
+        let got = seq(algo, &t, 2);
         assert_eq!(got, want, "{algo}");
     }
 }
@@ -137,8 +139,8 @@ fn max_dims_supported() {
 fn closed_is_subset_of_iceberg_with_equal_counts() {
     let t = SyntheticSpec::uniform(300, 4, 8, 1.0, 11).generate();
     for m in [1, 2, 4] {
-        let closed = collect_counts(|s| Algorithm::CCubingStar.run(&t, m, s));
-        let iceberg = collect_counts(|s| Algorithm::Star.run(&t, m, s));
+        let closed = seq(Algorithm::CCubingStar, &t, m);
+        let iceberg = seq(Algorithm::Star, &t, m);
         for (cell, count) in &closed {
             assert_eq!(
                 iceberg.get(cell),

@@ -158,16 +158,22 @@ fn cardinality_ordering_is_descending() {
 fn sink_algebra_counting_equals_collecting() {
     let t = SyntheticSpec::uniform(300, 4, 6, 0.5, 9).generate();
     let mut counting = CountingSink::default();
-    Algorithm::CCubingStar.run(&t, 2, &mut counting);
+    Algorithm::CCubingStar
+        .run(&CubeRequest::new(&t, 2), &mut counting)
+        .unwrap();
     let mut collecting = CollectSink::default();
-    Algorithm::CCubingStar.run(&t, 2, &mut collecting);
+    Algorithm::CCubingStar
+        .run(&CubeRequest::new(&t, 2), &mut collecting)
+        .unwrap();
     assert_eq!(counting.cells as usize, collecting.len());
     assert_eq!(
         counting.count_sum,
         collecting.counts().values().sum::<u64>()
     );
     let mut size = SizeSink::default();
-    Algorithm::CCubingStar.run(&t, 2, &mut size);
+    Algorithm::CCubingStar
+        .run(&CubeRequest::new(&t, 2), &mut size)
+        .unwrap();
     assert_eq!(size.cells, counting.cells);
     assert_eq!(size.bytes, counting.cells * (4 * 4 + 8));
 }
@@ -183,7 +189,9 @@ fn writer_sink_round_trips_cell_counts() {
     let mut buf = Vec::new();
     {
         let mut sink = WriterSink::new(&mut buf);
-        Algorithm::QcDfs.run(&t, 1, &mut sink);
+        Algorithm::QcDfs
+            .run(&CubeRequest::new(&t, 1), &mut sink)
+            .unwrap();
     }
     let text = String::from_utf8(buf).unwrap();
     // Every line is "v,v : count" and counts sum to the emitted total.
@@ -193,7 +201,9 @@ fn writer_sink_round_trips_cell_counts() {
         total += count.parse::<u64>().unwrap();
     }
     let mut counting = CountingSink::default();
-    Algorithm::QcDfs.run(&t, 1, &mut counting);
+    Algorithm::QcDfs
+        .run(&CubeRequest::new(&t, 1), &mut counting)
+        .unwrap();
     assert_eq!(total, counting.count_sum);
 }
 
@@ -204,9 +214,9 @@ fn cubers_are_deterministic() {
     let t = SyntheticSpec::uniform(400, 5, 7, 1.5, 13).generate();
     for algo in Algorithm::ALL {
         let mut a = CollectSink::default();
-        algo.run(&t, 3, &mut a);
+        algo.run(&CubeRequest::new(&t, 3), &mut a).unwrap();
         let mut b = CollectSink::default();
-        algo.run(&t, 3, &mut b);
+        algo.run(&CubeRequest::new(&t, 3), &mut b).unwrap();
         assert_eq!(a.counts(), b.counts(), "{algo}");
     }
 }
@@ -223,7 +233,7 @@ proptest! {
         for r in &rows { b.push_row(r); }
         let t = b.build().unwrap();
         let cube = ClosedCube::collect(3, min_sup, |sink| {
-            Algorithm::CCubingStarArray.run(&t, min_sup, sink)
+            Algorithm::CCubingStarArray.run(&CubeRequest::new(&t, min_sup), sink).unwrap();
         });
         // Probe arbitrary cells, including empty and sub-threshold ones.
         for v0 in [0u32, 1, STAR] {

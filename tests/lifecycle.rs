@@ -319,6 +319,28 @@ fn builder_misuse_surfaces_as_typed_errors_not_panics() {
             .unwrap_err(),
         CubeError::DimensionOutOfRange { dim: 9, dims: 4 }
     );
+    // The low-level path reports the same misuse the same way, on the
+    // sequential call as on the engine's (it used to panic in the cuber).
+    let table = small_table();
+    for algo in Algorithm::ALL {
+        let mut sink = NullSink;
+        let zero = CubeRequest::new(&table, 0);
+        assert_eq!(algo.run(&zero, &mut sink), Err(CubeError::ZeroMinSup));
+        assert_eq!(
+            algo.run_parallel(&zero, &EngineConfig::default(), &mut sink),
+            Err(CubeError::ZeroMinSup)
+        );
+        assert_eq!(
+            algo.run(
+                &CubeRequest {
+                    bound: 5,
+                    ..CubeRequest::new(&table, 1)
+                },
+                &mut sink
+            ),
+            Err(CubeError::DimensionOutOfRange { dim: 5, dims: 4 })
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

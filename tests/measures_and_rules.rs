@@ -2,10 +2,12 @@
 //! recovery (Section 6.2) across crates.
 
 use c_cubing::prelude::*;
-use ccube_baselines::{buc_with, qc_dfs_with};
+use ccube_baselines::{buc, qc_dfs};
 use ccube_core::measure::{ColumnStats, CountOnly};
 use ccube_core::naive::{naive_cube_with, Mode};
-use ccube_mm::{c_cubing_mm_with, MmConfig};
+use ccube_mm::{mm_cube, MmConfig};
+
+const STATS: ColumnStats = ColumnStats { column: 0 };
 
 fn measured_table(seed: u64) -> Table {
     SyntheticSpec::uniform(250, 4, 5, 1.0, seed).generate_with_measure("m")
@@ -13,7 +15,7 @@ fn measured_table(seed: u64) -> Table {
 
 fn oracle(table: &Table, min_sup: u64, mode: Mode) -> CollectSink<ccube_core::measure::ColumnAgg> {
     let mut sink = CollectSink::default();
-    naive_cube_with(table, min_sup, mode, &ColumnStats { column: 0 }, &mut sink);
+    naive_cube_with(table, min_sup, mode, &STATS, &mut sink);
     sink
 }
 
@@ -40,7 +42,7 @@ fn buc_carries_column_measures() {
     let t = measured_table(1);
     for min_sup in [1, 3, 10] {
         let mut got = CollectSink::default();
-        buc_with(&t, min_sup, &ColumnStats { column: 0 }, &mut got);
+        buc(&CubeRequest::new(&t, min_sup).measure(&STATS), &mut got);
         assert_measures_match(&got, &oracle(&t, min_sup, Mode::Iceberg), "buc");
     }
 }
@@ -50,7 +52,14 @@ fn qcdfs_carries_column_measures() {
     let t = measured_table(2);
     for min_sup in [1, 3] {
         let mut got = CollectSink::default();
-        qc_dfs_with(&t, min_sup, &ColumnStats { column: 0 }, &mut got);
+        qc_dfs(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, min_sup)
+            }
+            .measure(&STATS),
+            &mut got,
+        );
         assert_measures_match(&got, &oracle(&t, min_sup, Mode::ClosedIceberg), "qcdfs");
     }
 }
@@ -60,11 +69,13 @@ fn c_cubing_mm_carries_column_measures() {
     let t = measured_table(3);
     for min_sup in [1, 3] {
         let mut got = CollectSink::default();
-        c_cubing_mm_with(
-            &t,
-            min_sup,
+        mm_cube(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, min_sup)
+            }
+            .measure(&STATS),
             MmConfig::default(),
-            &ColumnStats { column: 0 },
             &mut got,
         );
         assert_measures_match(&got, &oracle(&t, min_sup, Mode::ClosedIceberg), "cc(mm)");
@@ -76,11 +87,13 @@ fn avg_is_algebraic_from_sum_and_count() {
     // Example 2 of the paper: avg = sum / count must hold at every cell.
     let t = measured_table(4);
     let mut sink = CollectSink::default();
-    c_cubing_mm_with(
-        &t,
-        2,
+    mm_cube(
+        &CubeRequest {
+            closed: true,
+            ..CubeRequest::new(&t, 2)
+        }
+        .measure(&STATS),
         MmConfig::default(),
-        &ColumnStats { column: 0 },
         &mut sink,
     );
     for (cell, (count, agg)) in &sink.cells {
@@ -94,12 +107,21 @@ fn avg_is_algebraic_from_sum_and_count() {
 
 #[test]
 fn count_only_spec_matches_default_entrypoints() {
+    // `CubeRequest::new` is count-only; spelling `&CountOnly` out changes
+    // nothing, and a real spec leaves the cells and counts where they were.
     let t = measured_table(5);
+    let req = CubeRequest {
+        closed: true,
+        ..CubeRequest::new(&t, 2)
+    };
     let mut a = CollectSink::default();
-    c_cubing_mm_with(&t, 2, MmConfig::default(), &CountOnly, &mut a);
+    mm_cube(&req, MmConfig::default(), &mut a);
     let mut b = CollectSink::default();
-    ccube_mm::c_cubing_mm(&t, 2, &mut b);
+    mm_cube(&req.measure(&CountOnly), MmConfig::default(), &mut b);
     assert_eq!(a.counts(), b.counts());
+    let mut c = CollectSink::default();
+    mm_cube(&req.measure(&STATS), MmConfig::default(), &mut c);
+    assert_eq!(a.counts(), c.counts());
 }
 
 #[test]
@@ -109,9 +131,15 @@ fn recovery_across_algorithms() {
     let t = SyntheticSpec::uniform(300, 4, 6, 0.5, 6).generate();
     let min_sup = 2;
     let cube = ClosedCube::collect(t.dims(), min_sup, |sink| {
-        Algorithm::CCubingStarArray.run(&t, min_sup, sink)
+        Algorithm::CCubingStarArray
+            .run(&CubeRequest::new(&t, min_sup), sink)
+            .unwrap();
     });
-    let iceberg = ccube_core::sink::collect_counts(|s| Algorithm::Buc.run(&t, min_sup, s));
+    let iceberg = ccube_core::sink::collect_counts(|s| {
+        Algorithm::Buc
+            .run(&CubeRequest::new(&t, min_sup), s)
+            .unwrap();
+    });
     for (cell, count) in iceberg {
         assert_eq!(cube.query(&cell), Some(count), "recovery of {cell}");
     }
@@ -131,7 +159,11 @@ fn mined_rules_hold_on_raw_data() {
         rules: Some(dep),
     }
     .generate();
-    let cube = ClosedCube::collect(t.dims(), 1, |sink| Algorithm::CCubingStar.run(&t, 1, sink));
+    let cube = ClosedCube::collect(t.dims(), 1, |sink| {
+        Algorithm::CCubingStar
+            .run(&CubeRequest::new(&t, 1), sink)
+            .unwrap();
+    });
     let (rules, stats) = mine_rules(&cube);
     assert_eq!(stats.rules, rules.len());
     for rule in &rules {
@@ -150,7 +182,9 @@ fn mined_rules_hold_on_raw_data() {
 fn rules_compaction_on_dependent_data() {
     let t = WeatherSpec::new(2_000, 3).generate_dims(5);
     let cube = ClosedCube::collect(t.dims(), 5, |sink| {
-        Algorithm::CCubingStarArray.run(&t, 5, sink)
+        Algorithm::CCubingStarArray
+            .run(&CubeRequest::new(&t, 5), sink)
+            .unwrap();
     });
     let (_, stats) = mine_rules(&cube);
     assert!(stats.closed_cells > 0);

@@ -5,20 +5,33 @@
 //! one shard; high cardinality makes many small shards; dependence rules
 //! make closedness reconciliation non-trivial at every level).
 
+mod common;
+
 use c_cubing::prelude::*;
+use ccube_core::fxhash::FxHashMap;
+use ccube_core::naive::{naive_closed_counts, naive_iceberg_counts};
 use ccube_core::sink::collect_counts;
+use common::seq;
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
+/// `algo`'s engine result over `table` under `cfg`.
+fn par(algo: Algorithm, table: &Table, min_sup: u64, cfg: &EngineConfig) -> FxHashMap<Cell, u64> {
+    collect_counts(|s| {
+        algo.run_parallel(&CubeRequest::new(table, min_sup), cfg, s)
+            .unwrap();
+    })
+}
+
 fn assert_parallel_equivalence(table: &Table, min_sups: &[u64], label: &str) {
     for algo in Algorithm::ALL {
         for &m in min_sups {
-            let want = collect_counts(|s| algo.run(table, m, s));
+            let want = seq(algo, table, m);
             for threads in THREADS {
                 // Default config (small tables may take the sequential fast
                 // path — that must be equivalent too) ...
-                let got = collect_counts(|s| algo.run_parallel(table, m, threads, s).unwrap());
+                let got = par(algo, table, m, &EngineConfig::with_threads(threads));
                 assert_eq!(
                     got, want,
                     "{algo} parallel({threads}) != sequential on {label} at min_sup={m}"
@@ -26,7 +39,7 @@ fn assert_parallel_equivalence(table: &Table, min_sups: &[u64], label: &str) {
                 // ... and with the fast path disabled, so the sharding and
                 // streaming-merge machinery is always exercised.
                 let cfg = EngineConfig::with_threads(threads).always_sharded();
-                let got = collect_counts(|s| algo.run_with_config(table, m, &cfg, s).unwrap());
+                let got = par(algo, table, m, &cfg);
                 assert_eq!(
                     got, want,
                     "{algo} sharded({threads}) != sequential on {label} at min_sup={m}"
@@ -44,9 +57,9 @@ fn c_cubing_variants_on_zipf_skew() {
         let t = SyntheticSpec::uniform(600, 5, 8, skew, 42).generate();
         for algo in Algorithm::C_CUBING {
             for m in [1u64, 2, 8] {
-                let want = collect_counts(|s| algo.run(&t, m, s));
+                let want = seq(algo, &t, m);
                 for threads in THREADS {
-                    let got = collect_counts(|s| algo.run_parallel(&t, m, threads, s).unwrap());
+                    let got = par(algo, &t, m, &EngineConfig::with_threads(threads));
                     assert_eq!(got, want, "{algo} S={skew} threads={threads} min_sup={m}");
                 }
             }
@@ -77,7 +90,7 @@ fn recursive_splitting_forced_matches_sequential() {
         let t = SyntheticSpec::uniform(400, 4, 6, skew, 91).generate();
         for algo in Algorithm::ALL {
             for m in [1u64, 3] {
-                let want = collect_counts(|s| algo.run(&t, m, s));
+                let want = seq(algo, &t, m);
                 for threads in THREADS {
                     let cfg = EngineConfig {
                         threads,
@@ -85,7 +98,7 @@ fn recursive_splitting_forced_matches_sequential() {
                         sequential_threshold: 0,
                         ..EngineConfig::default()
                     };
-                    let got = collect_counts(|s| algo.run_with_config(&t, m, &cfg, s).unwrap());
+                    let got = par(algo, &t, m, &cfg);
                     assert_eq!(
                         got, want,
                         "{algo} forced-split S={skew} threads={threads} min_sup={m}"
@@ -112,7 +125,8 @@ fn forced_splitting_output_sequence_is_thread_count_invariant() {
                     sequential_threshold: 0,
                     ..EngineConfig::default()
                 };
-                algo.run_with_config(&t, 2, &cfg, &mut sink).unwrap();
+                algo.run_parallel(&CubeRequest::new(&t, 2), &cfg, &mut sink)
+                    .unwrap();
             }
             cells
         };
@@ -188,7 +202,7 @@ fn sharding_ordering_does_not_change_results() {
     }
     .generate();
     for algo in Algorithm::C_CUBING {
-        let want = collect_counts(|s| algo.run(&t, 2, s));
+        let want = seq(algo, &t, 2);
         for ordering in [
             DimOrdering::Original,
             DimOrdering::CardinalityDesc,
@@ -200,7 +214,7 @@ fn sharding_ordering_does_not_change_results() {
                 sequential_threshold: 0,
                 ..EngineConfig::default()
             };
-            let got = collect_counts(|s| algo.run_with_config(&t, 2, &cfg, s).unwrap());
+            let got = par(algo, &t, 2, &cfg);
             assert_eq!(got, want, "{algo} {ordering:?}");
         }
     }
@@ -209,8 +223,13 @@ fn sharding_ordering_does_not_change_results() {
 #[test]
 fn zero_threads_means_auto() {
     let t = SyntheticSpec::uniform(200, 3, 5, 1.0, 31).generate();
-    let want = collect_counts(|s| Algorithm::CCubingStar.run(&t, 2, s));
-    let got = collect_counts(|s| Algorithm::CCubingStar.run_parallel(&t, 2, 0, s).unwrap());
+    let want = seq(Algorithm::CCubingStar, &t, 2);
+    let got = par(
+        Algorithm::CCubingStar,
+        &t,
+        2,
+        &EngineConfig::with_threads(0),
+    );
     assert_eq!(got, want);
 }
 
@@ -230,21 +249,65 @@ fn arb_bound_case() -> impl Strategy<Value = (Table, u64)> {
     })
 }
 
+/// One cube entry point per algorithm family, as the cuber crates export
+/// them (the BUC family spells its closed member `qc_dfs`), and the same
+/// four families through the facade's dispatch (`with_closed` picks the
+/// variant the request's `closed` asks for).
+type Cuber = fn(&CubeRequest<'_>, &mut CollectSink<()>);
+const FAMILIES: [(&str, Cuber); 8] = [
+    ("buc/qc_dfs", |req, sink| {
+        if req.closed {
+            ccube_baselines::qc_dfs(req, sink)
+        } else {
+            ccube_baselines::buc(req, sink)
+        }
+    }),
+    ("mm_cube", |req, sink| {
+        ccube_mm::mm_cube(req, ccube_mm::MmConfig::default(), sink)
+    }),
+    ("star_cube", |req, sink| ccube_star::star_cube(req, sink)),
+    ("star_array_cube", |req, sink| {
+        ccube_star::star_array_cube(req, sink)
+    }),
+    ("Algorithm::Buc", |req, sink| {
+        facade(Algorithm::Buc, req, sink)
+    }),
+    ("Algorithm::Mm", |req, sink| {
+        facade(Algorithm::Mm, req, sink)
+    }),
+    ("Algorithm::Star", |req, sink| {
+        facade(Algorithm::Star, req, sink)
+    }),
+    ("Algorithm::StarArray", |req, sink| {
+        facade(Algorithm::StarArray, req, sink)
+    }),
+];
+
+fn facade(family: Algorithm, req: &CubeRequest<'_>, sink: &mut CollectSink<()>) {
+    family.with_closed(req.closed).run(req, sink).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The decomposition invariant behind the engine: for every dimension
-    /// `d` and every value `v` of `d`, `run_bound` over the `(d, v)` tuple
-    /// shard emits exactly the sequential cells binding `d = v`; the union
-    /// over all `(d, v)` pairs plus the apex is exactly the sequential
-    /// result. Holds for each iceberg host's dedicated bound entry point.
+    /// The decomposition invariant behind the engine, checked at the cuber
+    /// entry and through `Algorithm::run` against the naive oracle: for
+    /// every dimension `d` and every value `v` of `d`, a `bound = 1` request
+    /// over the `(d, v)` tuple shard emits exactly the shard's cells binding
+    /// `d = v` — for iceberg requests the union over all `(d, v)` pairs plus
+    /// the apex is exactly the table's iceberg cube; for closed requests
+    /// every closed cell of a shard binds its constant dimension anyway, so
+    /// the result is the shard's whole closed cube. Every combination the
+    /// request type lets a caller write is swept: each family, closed or
+    /// not, with and without a cached pool (a skipped sort for StarArray,
+    /// ignored by the rest).
     #[test]
     fn run_bound_unions_to_exactly_the_sequential_result(case in arb_bound_case()) {
         let (table, min_sup) = case;
         let dims = table.dims();
-        for algo in [Algorithm::Buc, Algorithm::Mm, Algorithm::Star, Algorithm::StarArray] {
-            let want = collect_counts(|s| algo.run(&table, min_sup, s));
-            let mut union: ccube_core::fxhash::FxHashMap<Cell, u64> = Default::default();
+        let want = naive_iceberg_counts(&table, min_sup);
+        for (family, cuber) in FAMILIES {
+            let mut union: FxHashMap<Cell, u64> = Default::default();
             for d in 0..dims {
                 let (tids, groups) = table.shard_by_dim(d);
                 let mut dim_order = vec![d];
@@ -254,33 +317,42 @@ proptest! {
                         continue;
                     }
                     let view = table.view(&tids[g.range()], &dim_order, dims);
-                    let shard = collect_counts(|s| algo.run_bound(&view, 1, min_sup, s));
-                    for (cell, n) in shard {
+                    let pool = ccube_star::lex_sorted_pool(&view);
+                    let owned: FxHashMap<Cell, u64> = naive_iceberg_counts(&view, min_sup)
+                        .into_iter()
+                        .filter(|(cell, _)| cell.value(0) != STAR)
+                        .collect();
+                    let closed_cube = naive_closed_counts(&view, min_sup);
+                    for closed in [false, true] {
+                        for pooled in [false, true] {
+                            let req = CubeRequest {
+                                closed,
+                                bound: 1,
+                                pool: pooled.then_some(&pool[..]),
+                                ..CubeRequest::new(&view, min_sup)
+                            };
+                            let shard = collect_counts(|s| cuber(&req, s));
+                            prop_assert_eq!(
+                                &shard,
+                                if closed { &closed_cube } else { &owned },
+                                "{} closed={} pooled={} on shard d{}={}",
+                                family, closed, pooled, d, g.value
+                            );
+                        }
+                    }
+                    for (cell, n) in owned {
                         let mut global = vec![STAR; dims];
                         for (i, &v) in cell.values().iter().enumerate() {
                             global[dim_order[i]] = v;
                         }
-                        prop_assert_eq!(
-                            global[d], g.value,
-                            "{} bound run emitted a cell not binding d{}={}",
-                            algo, d, g.value
-                        );
-                        let gc = Cell::from_values(&global);
-                        prop_assert_eq!(
-                            want.get(&gc).copied(),
-                            Some(n),
-                            "{} bound cell disagrees with sequential at {}",
-                            algo,
-                            gc
-                        );
-                        union.insert(gc, n);
+                        union.insert(Cell::from_values(&global), n);
                     }
                 }
             }
             if table.rows() as u64 >= min_sup {
                 union.insert(Cell::apex(dims), table.rows() as u64);
             }
-            prop_assert_eq!(union, want, "{} union != sequential", algo);
+            prop_assert_eq!(&union, &want, "{} union != iceberg cube", family);
         }
     }
 }
@@ -298,7 +370,7 @@ fn trace_run(
         let mut sink = FnSink(|cell: &[u32], count: u64, _: &()| {
             cells.push((cell.to_vec(), count));
         });
-        algo.run_with_config(table, min_sup, cfg, &mut sink)
+        algo.run_parallel(&CubeRequest::new(table, min_sup), cfg, &mut sink)
             .unwrap();
     }
     cells
@@ -318,7 +390,7 @@ proptest! {
     fn streaming_merge_is_byte_identical_across_threads(case in arb_bound_case()) {
         let (table, min_sup) = case;
         for algo in Algorithm::ALL {
-            let want_set = collect_counts(|s| algo.run(&table, min_sup, s));
+            let want_set = seq(algo, &table, min_sup);
             for split_threshold in [8u64, 64, u64::MAX] {
                 let cfg = |threads: usize| EngineConfig {
                     threads,
@@ -364,7 +436,9 @@ fn streaming_merge_peak_stays_below_full_output() {
             ..EngineConfig::default()
         };
         let mut sink = CountingSink::default();
-        let stats = algo.run_with_config_stats(&t, 4, &cfg, &mut sink).unwrap();
+        let stats = algo
+            .run_parallel(&CubeRequest::new(&t, 4), &cfg, &mut sink)
+            .unwrap();
         assert!(stats.splits > 0, "{algo}: splitting was not forced");
         assert!(
             stats.peak_buffered_bytes < stats.total_output_bytes,
@@ -383,17 +457,25 @@ fn streaming_merge_peak_stays_below_full_output() {
 fn one_thread_engine_takes_the_fast_path() {
     let t = SyntheticSpec::uniform(5_000, 5, 10, 1.0, 45).generate();
     let algo = Algorithm::CCubingMm;
-    let want = collect_counts(|s| algo.run(&t, 4, s));
+    let want = seq(algo, &t, 4);
     let mut sink = CollectSink::default();
     let stats = algo
-        .run_with_config_stats(&t, 4, &EngineConfig::with_threads(1), &mut sink)
+        .run_parallel(
+            &CubeRequest::new(&t, 4),
+            &EngineConfig::with_threads(1),
+            &mut sink,
+        )
         .unwrap();
     assert!(stats.fast_path);
     assert_eq!(sink.counts(), want);
     // Multi-threaded on the same table: sharded, still equivalent.
     let mut sink = CollectSink::default();
     let stats = algo
-        .run_with_config_stats(&t, 4, &EngineConfig::with_threads(4), &mut sink)
+        .run_parallel(
+            &CubeRequest::new(&t, 4),
+            &EngineConfig::with_threads(4),
+            &mut sink,
+        )
         .unwrap();
     assert!(!stats.fast_path);
     assert_eq!(sink.counts(), want);
@@ -414,12 +496,17 @@ fn speedup_smoke_20k() {
 
     let mut seq_sink = CountingSink::default();
     let seq_start = Instant::now();
-    algo.run(&t, 8, &mut seq_sink);
+    algo.run(&CubeRequest::new(&t, 8), &mut seq_sink).unwrap();
     let seq_time = seq_start.elapsed();
 
     let mut par_sink = CountingSink::default();
     let par_start = Instant::now();
-    algo.run_parallel(&t, 8, 4, &mut par_sink).unwrap();
+    algo.run_parallel(
+        &CubeRequest::new(&t, 8),
+        &EngineConfig::with_threads(4),
+        &mut par_sink,
+    )
+    .unwrap();
     let par_time = par_start.elapsed();
 
     assert_eq!(seq_sink.cells, par_sink.cells);

@@ -1,10 +1,15 @@
-//! Expected-exports guard for the facade crate.
+//! Expected-exports guard for the facade crate and the entry points under
+//! it.
 //!
 //! The PR-5 redesign collapsed a combinatorial `run*` facade into the
-//! session/query API; this test pins the facade's public surface
-//! (`src/lib.rs` + `src/session.rs`) against a checked-in snapshot so a
-//! future PR cannot silently regrow `_with`/`_bound` duplication. It is a
-//! source-level guard (no rustdoc JSON on the offline toolchain): every
+//! session/query API, and PR 15 collapsed the `x / x_with / x_bound /
+//! x_bound_with / x_pooled_with / c_cubing_x*` cross product in the cuber
+//! crates and the engine into one function per algorithm family taking a
+//! `CubeRequest`. This test pins the facade's public surface (`src/lib.rs`,
+//! `src/session.rs`), the five cuber entry files and the engine against a
+//! checked-in snapshot, so a future PR cannot silently regrow
+//! `_with`/`_bound` duplication in any of them. It is a source-level guard
+//! (no rustdoc JSON on the offline toolchain): every
 //! `pub fn/struct/enum/const/trait/type/mod` above the `#[cfg(test)]`
 //! marker is extracted and compared, in order, with
 //! `tests/expected_public_api.txt`.
@@ -18,7 +23,16 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-const FACADE_SOURCES: [&str; 2] = ["src/lib.rs", "src/session.rs"];
+const SOURCES: [&str; 8] = [
+    "src/lib.rs",
+    "src/session.rs",
+    "crates/baselines/src/buc.rs",
+    "crates/baselines/src/qcdfs.rs",
+    "crates/mm/src/cuber.rs",
+    "crates/star/src/aggregate.rs",
+    "crates/star/src/stararray.rs",
+    "crates/engine/src/lib.rs",
+];
 const SNAPSHOT: &str = "tests/expected_public_api.txt";
 
 fn manifest_path(rel: &str) -> PathBuf {
@@ -54,10 +68,10 @@ fn public_items(rel: &str) -> Vec<String> {
 
 fn current_surface() -> String {
     let mut out = String::from(
-        "# Facade public API surface — regenerate with \
+        "# Public API surface: facade, cuber entry files, engine — regenerate with \
          `CCUBE_BLESS=1 cargo test --test public_api`.\n",
     );
-    for rel in FACADE_SOURCES {
+    for rel in SOURCES {
         for item in public_items(rel) {
             writeln!(out, "{item}").expect("write to string");
         }
@@ -78,15 +92,16 @@ fn facade_exports_match_the_checked_in_snapshot() {
     });
     assert_eq!(
         current, expected,
-        "facade public surface changed; review the diff above and, if \
+        "public surface changed; review the diff above and, if \
          intentional, re-bless with CCUBE_BLESS=1 cargo test --test public_api"
     );
 }
 
 #[test]
 fn snapshot_covers_the_query_api() {
-    // Belt and braces: the snapshot itself must mention the PR-5 types, so
-    // an accidentally emptied snapshot cannot pass silently.
+    // Belt and braces: the snapshot itself must mention the PR-5 types and
+    // the entry points under them, so an accidentally emptied (or narrowed)
+    // snapshot cannot pass silently.
     let expected = std::fs::read_to_string(manifest_path(SNAPSHOT)).expect("snapshot present");
     for needle in [
         "struct CubeSession",
@@ -95,6 +110,8 @@ fn snapshot_covers_the_query_api() {
         "struct TableStats",
         "fn recommend",
         "enum Algorithm",
+        "stararray.rs: fn star_array_cube",
+        "engine/src/lib.rs: fn run_partitioned",
     ] {
         assert!(expected.contains(needle), "snapshot lost `{needle}`");
     }

@@ -8,7 +8,8 @@ use ccube_core::sink::CountingSink;
 
 fn counts(algo: Algorithm, table: &Table, min_sup: u64) -> (u64, u64) {
     let mut sink = CountingSink::default();
-    algo.run(table, min_sup, &mut sink);
+    algo.run(&CubeRequest::new(table, min_sup), &mut sink)
+        .unwrap();
     (sink.cells, sink.count_sum)
 }
 

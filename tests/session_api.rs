@@ -7,9 +7,12 @@
 //! * [`CellStream`] equals [`CollectSink`] across threads {1, 2, 8};
 //! * the low-level `Algorithm::run*` path and the query path agree.
 
+mod common;
+
 use c_cubing::prelude::*;
 use ccube_core::fxhash::FxHashMap;
 use ccube_core::sink::collect_counts;
+use common::seq;
 use proptest::prelude::*;
 
 fn build_table(rows: &[Vec<u32>], dims: usize, card: u32) -> Table {
@@ -48,7 +51,7 @@ proptest! {
         let filtered = table.view(&tids, &dim_order, table.dims());
         let mut session = CubeSession::new(table).unwrap();
         for algo in Algorithm::ALL {
-            let want = collect_counts(|s| algo.run(&filtered, min_sup, s));
+            let want = seq(algo, &filtered, min_sup);
             let got = collect_counts(|s| {
                 session.query().min_sup(min_sup).algorithm(algo).slice(d, v).run(s).unwrap();
             });
@@ -68,7 +71,7 @@ proptest! {
         let sub = table.view(&tids, &dim_order, dim_order.len());
         let mut session = CubeSession::new(table).unwrap();
         for algo in [Algorithm::Buc, Algorithm::CCubingMm, Algorithm::CCubingStarArray] {
-            let want = collect_counts(|s| algo.run(&sub, min_sup, s));
+            let want = seq(algo, &sub, min_sup);
             let got = collect_counts(|s| {
                 session
                     .query()
@@ -178,29 +181,26 @@ fn stream_equals_collect_sink_across_threads() {
 
 #[test]
 fn low_level_path_agrees_with_query_path() {
-    // The acceptance clause "all pre-existing Algorithm::run* calls compile
-    // unchanged and produce identical output": spot-check every run* shape
-    // against the query layer.
+    // The low-level `Algorithm::run` / `run_parallel` calls and the query
+    // layer funnel into one dispatch: spot-check each shape against it.
     let table = SyntheticSpec::uniform(400, 4, 5, 0.5, 21).generate();
     let mut session = CubeSession::new(table.clone()).unwrap();
+    let req = CubeRequest::new(&table, 2);
     for algo in Algorithm::ALL {
-        let low = collect_counts(|s| algo.run(&table, 2, s));
+        let low = seq(algo, &table, 2);
         let query = collect_counts(|s| {
             session.query().min_sup(2).algorithm(algo).run(s).unwrap();
         });
         assert_eq!(query, low, "{algo} run");
-        let par = collect_counts(|s| algo.run_parallel(&table, 2, 2, s).unwrap());
-        assert_eq!(par, low, "{algo} run_parallel");
-        let cfg = collect_counts(|s| {
-            algo.run_with_config(
-                &table,
-                2,
-                &EngineConfig::with_threads(2).always_sharded(),
-                s,
-            )
-            .unwrap()
-        });
-        assert_eq!(cfg, low, "{algo} run_with_config");
+        for config in [
+            EngineConfig::with_threads(2),
+            EngineConfig::with_threads(2).always_sharded(),
+        ] {
+            let par = collect_counts(|s| {
+                algo.run_parallel(&req, &config, s).unwrap();
+            });
+            assert_eq!(par, low, "{algo} run_parallel {config:?}");
+        }
     }
 }
 
@@ -208,7 +208,7 @@ fn low_level_path_agrees_with_query_path() {
 fn query_stats_terminal_counts_cells() {
     let table = SyntheticSpec::uniform(300, 3, 5, 0.0, 2).generate();
     let mut session = CubeSession::new(table.clone()).unwrap();
-    let want = collect_counts(|s| session.recommend(2).run(&table, 2, s));
+    let want = seq(session.recommend(2), &table, 2);
     let stats = session.query().min_sup(2).stats().unwrap();
     assert_eq!(stats.cells, want.len() as u64);
     assert_eq!(stats.count_sum, want.values().sum::<u64>());
