@@ -10,8 +10,7 @@
 //!   use `--scale 1.0` for paper-sized inputs).
 //! * `--threads` routes every timed cube computation through the
 //!   partition-parallel engine on N worker threads (default 1 =
-//!   sequential, the paper's setting). The `parallel` experiment sweeps
-//!   1/2/4/8 threads regardless and writes `BENCH_parallel.json`.
+//!   sequential, the paper's setting).
 //! * `--out` additionally appends the Markdown report to a file.
 
 use ccube_bench::{all_experiments, ExpOptions};
@@ -104,14 +103,16 @@ fn print_help() {
     println!(
         "exp — regenerate the C-Cubing paper's tables and figures\n\n\
          USAGE: exp [--scale F] [--seed N] [--threads N] [--out PATH] [list | all | <id>...]\n\n\
-         IDs: tbl1, fig3..fig18, rules, parallel, ablate-mm, ablate-order (see `exp list`).\n\
+         IDs: tbl1, fig3..fig18, rules, ablate-mm, ablate-order (the paper),\n\
+         lifecycle, serve (see `exp list`).\n\
          Default scale 0.1 (100K tuples where the paper used 1M); \
          --scale 1.0 reproduces paper-sized inputs.\n\
-         --threads N times every figure through the parallel engine; the `parallel`\n\
-         experiment sweeps 1/2/4/8 threads and writes BENCH_parallel.json.\n\
-         The `serve` experiment load-tests the TCP server at 1/8/64 concurrent\n\
-         clients and writes BENCH_serve.json (CCUBE_ASSERT_SERVE=1 arms its\n\
-         acceptance gates)."
+         --threads N times every figure through the parallel engine.\n\
+         `lifecycle` (cancel latency, token-poll overhead) writes\n\
+         BENCH_lifecycle.json and `serve` (1/8/64 concurrent TCP clients) writes\n\
+         BENCH_serve.json; CCUBE_ASSERT_LIFECYCLE=1 / CCUBE_ASSERT_SERVE=1 arm\n\
+         their acceptance gates. Per-layer performance numbers come from\n\
+         benchmark/ (see benchmark/README.md), not from here."
     );
 }
 

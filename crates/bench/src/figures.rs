@@ -2,8 +2,7 @@
 //!
 //! Parameter lines follow the paper's captions exactly; `scale` multiplies
 //! tuple counts only (thresholds, cardinalities, dimensions and skews stay
-//! as printed). See DESIGN.md §4 for the full experiment index and
-//! EXPERIMENTS.md for an archived run with commentary.
+//! as printed).
 
 use crate::report::{mb, secs, Figure};
 use crate::{measure_size, measure_threads};
@@ -72,504 +71,11 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("fig17", fig17),
         ("fig18", fig18),
         ("rules", rules_experiment),
-        ("parallel", parallel_speedup),
-        ("substrate", substrate_micro),
-        ("session", session_experiment),
         ("lifecycle", lifecycle_experiment),
         ("serve", serve_experiment),
-        ("ingest", ingest_experiment),
         ("ablate-mm", ablate_mm_budget),
         ("ablate-order", ablate_base_order),
     ]
-}
-
-/// Columnar-substrate micro-benchmarks, each measured **before/after** the
-/// kernel layer: *before* is the pre-kernel substrate — every column widened
-/// to `u32` (no packed rows) and the retained scalar kernels — while *after*
-/// is the natural narrow table (u8 columns + packed rows at cardinality 100)
-/// running the word-parallel paths. Covers counting-sort partitioning
-/// (full-table dense, plus dense-vs-sparse reset on narrow slices over a
-/// wide domain), shard-view gathering, group-wise closedness over deep
-/// slices, and the tuple-at-a-time merge chain. Writes the medians to
-/// `BENCH_substrate.json` (median of 31 samples each, so the numbers survive
-/// noisy-neighbour CI boxes).
-fn substrate_micro(opt: &ExpOptions) -> Figure {
-    use ccube_core::closedness::ClosedInfo;
-    use ccube_core::partition::Partitioner;
-    use ccube_core::table::{TupleId, ViewArena};
-    use std::time::Instant;
-
-    fn median_secs(mut run: impl FnMut()) -> f64 {
-        let mut samples: Vec<f64> = (0..31)
-            .map(|_| {
-                let start = Instant::now();
-                run();
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    }
-
-    let tuples = opt.tuples(1_000_000);
-    let table = SyntheticSpec::uniform(tuples, 8, 100, 1.5, opt.seed).generate();
-    // The pre-kernel substrate: same rows, all-u32 columns, no packed rows.
-    let wide = table.widened();
-    let (tids, groups) = table.shard_by_first_dim();
-    let hot = groups
-        .iter()
-        .max_by_key(|g| g.len())
-        .expect("non-empty table");
-    let shard = &tids[hot.range()];
-    let dim_order: Vec<usize> = (0..8).collect();
-
-    // Full-table counting-sort pass over dimension 1 (cardinality 100,
-    // stored as u8): histogram + offsets + scatter into a destination
-    // buffer, identical work on both sides. Before: the pre-kernel scalar
-    // pass over the widened u32 column — a single histogram row, so every
-    // scatter store depends on the previous counter load for the same
-    // value. After: the u8-specialized lane-interleaved kernel pass.
-    let card = table.card(1) as usize;
-    let wide_col = wide.col(1).to_u32_vec();
-    let base = table.all_tids();
-    let mut counts = vec![0u32; card];
-    let mut scatter = vec![0 as TupleId; tuples];
-    let pass_before = median_secs(|| {
-        counts.fill(0);
-        for &tid in &base {
-            counts[wide_col[tid as usize] as usize] += 1;
-        }
-        let mut offset = 0u32;
-        for c in counts.iter_mut() {
-            let n = *c;
-            *c = offset;
-            offset += n;
-        }
-        for &tid in &base {
-            let slot = &mut counts[wide_col[tid as usize] as usize];
-            scatter[*slot as usize] = tid;
-            *slot += 1;
-        }
-        std::hint::black_box(scatter[0]);
-    });
-    let narrow_col1 = match table.col(1) {
-        ccube_core::ColRef::U8(c) => c,
-        _ => unreachable!("cardinality 100 is stored as u8"),
-    };
-    let mut rows = Vec::new();
-    let pass_after = median_secs(|| {
-        ccube_core::kernels::sort_pass_u8_into(narrow_col1, &base, &mut rows, &mut scatter);
-        std::hint::black_box(scatter[0]);
-    });
-    // End-to-end Partitioner::partition (adds group emission and the
-    // in-place copy-back on both sides). Before: a faithful inline port of
-    // the pre-kernel partition. After: the shipped dispatching partitioner.
-    // Each sample restores the identity tid order so every iteration sorts
-    // the same input.
-    let mut t_buf = base.clone();
-    let mut groups_buf: Vec<ccube_core::partition::Group> = Vec::new();
-    let partition_before = median_secs(|| {
-        t_buf.copy_from_slice(&base);
-        counts.fill(0);
-        for &tid in &t_buf {
-            counts[wide_col[tid as usize] as usize] += 1;
-        }
-        groups_buf.clear();
-        let mut offset = 0u32;
-        for (v, c) in counts.iter_mut().enumerate() {
-            let n = *c;
-            if n > 0 {
-                groups_buf.push(ccube_core::partition::Group {
-                    value: v as u32,
-                    start: offset,
-                    end: offset + n,
-                });
-            }
-            *c = offset;
-            offset += n;
-        }
-        for &tid in &t_buf {
-            let slot = &mut counts[wide_col[tid as usize] as usize];
-            scatter[*slot as usize] = tid;
-            *slot += 1;
-        }
-        t_buf.copy_from_slice(&scatter);
-        std::hint::black_box(groups_buf.len());
-    });
-    let mut partitioner = Partitioner::new();
-    let partition_after = median_secs(|| {
-        t_buf.copy_from_slice(&base);
-        groups_buf.clear();
-        partitioner.partition(&table, 1, &mut t_buf, &mut groups_buf);
-        std::hint::black_box(groups_buf.len());
-    });
-    // Narrow slices over a wide domain (the sparse-reset payoff case):
-    // dense vs sparse counter reset at cardinality 10000. The 64-tuple
-    // slices sit below the lane gate on both sides, so before/after isolates
-    // the storage width (u32 vs u16); the dense-vs-sparse contrast is the
-    // deferred counter reset.
-    let wide_domain =
-        SyntheticSpec::uniform(tuples.min(50_000), 2, 10_000, 0.5, opt.seed).generate();
-    let wide_domain_w = wide_domain.widened();
-    let wide_tids = wide_domain.all_tids();
-    let narrow = |p: &mut Partitioner, t: &Table| {
-        let mut total = 0usize;
-        let mut g = Vec::new();
-        for chunk in wide_tids.chunks(64).take(64) {
-            let mut slice = chunk.to_vec();
-            g.clear();
-            p.partition(t, 1, &mut slice, &mut g);
-            total += g.len();
-        }
-        std::hint::black_box(total);
-    };
-    let mut dense = Partitioner::new();
-    let narrow_dense_before = median_secs(|| narrow(&mut dense, &wide_domain_w));
-    let narrow_dense = median_secs(|| narrow(&mut dense, &wide_domain));
-    let mut sparse = Partitioner::with_sparse_reset();
-    let narrow_sparse_before = median_secs(|| narrow(&mut sparse, &wide_domain_w));
-    let narrow_sparse = median_secs(|| narrow(&mut sparse, &wide_domain));
-    // Shard-view materialization (per-column gather). Before: u32 gathers.
-    // After: u8 gathers plus the packed-row rebuild the closedness kernels
-    // feed on.
-    let mut arena = ViewArena::new();
-    let gather_before = median_secs(|| {
-        let view = wide.view_in(&mut arena, shard, &dim_order, 8);
-        let rows = view.rows();
-        arena.reclaim(view);
-        std::hint::black_box(rows);
-    });
-    let gather = median_secs(|| {
-        let view = table.view_in(&mut arena, shard, &dim_order, 8);
-        let rows = view.rows();
-        arena.reclaim(view);
-        std::hint::black_box(rows);
-    });
-    // Group-wise closedness over deep slices: partition by dims 0, 1 and 2
-    // (the shape a cuber's recursion hands to the closedness check — every
-    // bound dimension uniform within the group), keep the groups of >= 8
-    // tuples, and fold each. Before: the scalar per-dimension scan over the
-    // widened table (one full pass per uniform dimension, plus the separate
-    // representative min pass). After: one packed-row XOR/OR fold covering
-    // all 8 dimensions with the min fused in.
-    let deep_groups: Vec<Vec<TupleId>> = {
-        let mut t = table.all_tids();
-        let mut g = Vec::new();
-        partitioner.partition(&table, 0, &mut t, &mut g);
-        let mut level: Vec<Vec<TupleId>> = g.iter().map(|s| t[s.range()].to_vec()).collect();
-        for d in 1..3 {
-            let mut next = Vec::new();
-            for sub in &mut level {
-                let mut sg = Vec::new();
-                partitioner.partition(&table, d, sub, &mut sg);
-                next.extend(sg.iter().map(|s| sub[s.range()].to_vec()));
-            }
-            level = next;
-        }
-        level.retain(|g| g.len() >= 8);
-        level
-    };
-    let deep_tuples: usize = deep_groups.iter().map(Vec::len).sum();
-    let for_group_before = median_secs(|| {
-        let mut acc = 0u64;
-        for g in &deep_groups {
-            let info = ClosedInfo::for_group_scalar(&wide, g).expect("non-empty group");
-            acc += u64::from(info.rep) + info.mask.len() as u64;
-        }
-        std::hint::black_box(acc);
-    });
-    let for_group = median_secs(|| {
-        let mut acc = 0u64;
-        for g in &deep_groups {
-            let info = ClosedInfo::for_group(&table, g).expect("non-empty group");
-            acc += u64::from(info.rep) + info.mask.len() as u64;
-        }
-        std::hint::black_box(acc);
-    });
-    // Tuple-at-a-time merge chain over the hottest shard. Before: per-dim
-    // probe merges on the widened table. After: one SWAR byte-lane compare
-    // per merge against the packed rows.
-    let merge_chain_before = median_secs(|| {
-        std::hint::black_box(ClosedInfo::of_group(&wide, shard));
-    });
-    let merge_chain = median_secs(|| {
-        std::hint::black_box(ClosedInfo::of_group(&table, shard));
-    });
-
-    let speedup = |before: f64, after: f64| {
-        if after > 0.0 {
-            before / after
-        } else {
-            f64::INFINITY
-        }
-    };
-    let pass_x = speedup(pass_before, pass_after);
-    let partition_x = speedup(partition_before, partition_after);
-    let for_group_x = speedup(for_group_before, for_group);
-    let json = format!(
-        "{{\n  \"tuples\": {tuples}, \"dims\": 8, \"cardinality\": 100, \"skew\": 1.5, \
-         \"seed\": {},\n  \"shard_tuples\": {}, \"deep_groups\": {}, \"deep_tuples\": {},\n  \
-         \"partition_before_seconds\": {pass_before:.9},\n  \
-         \"partition_seconds\": {pass_after:.9},\n  \
-         \"partition_speedup\": {pass_x:.3},\n  \
-         \"partition_full_before_seconds\": {partition_before:.9},\n  \
-         \"partition_full_seconds\": {partition_after:.9},\n  \
-         \"partition_full_speedup\": {partition_x:.3},\n  \
-         \"partition_narrow_dense_before_seconds\": {narrow_dense_before:.9},\n  \
-         \"partition_narrow_dense_seconds\": {narrow_dense:.9},\n  \
-         \"partition_narrow_sparse_before_seconds\": {narrow_sparse_before:.9},\n  \
-         \"partition_narrow_sparse_seconds\": {narrow_sparse:.9},\n  \
-         \"view_gather_before_seconds\": {gather_before:.9},\n  \
-         \"view_gather_seconds\": {gather:.9},\n  \
-         \"for_group_before_seconds\": {for_group_before:.9},\n  \
-         \"for_group_seconds\": {for_group:.9},\n  \
-         \"for_group_speedup\": {for_group_x:.3},\n  \
-         \"merge_tuple_chain_before_seconds\": {merge_chain_before:.9},\n  \
-         \"merge_tuple_chain_seconds\": {merge_chain:.9}\n}}\n",
-        opt.seed,
-        shard.len(),
-        deep_groups.len(),
-        deep_tuples,
-    );
-    let json_note = match std::fs::write("BENCH_substrate.json", &json) {
-        Ok(()) => "Micro-numbers written to BENCH_substrate.json.".to_string(),
-        Err(e) => format!("(could not write BENCH_substrate.json: {e})"),
-    };
-
-    let pair = |before: f64, after: f64| vec![secs(before), secs(after)];
-    Figure {
-        id: "substrate",
-        title: format!(
-            "Columnar substrate micro-benchmarks (T={tuples}, D=8, C=100, Zipf 1.5, scale {})",
-            opt.scale
-        ),
-        x_label: "Primitive".into(),
-        series: vec!["before (u32 + scalar)".into(), "after (narrow + kernels)".into()],
-        rows: vec![
-            (
-                "counting-sort pass dim 1 (full table, u8)".into(),
-                pair(pass_before, pass_after),
-            ),
-            (
-                "Partitioner::partition dim 1 (groups + copy-back)".into(),
-                pair(partition_before, partition_after),
-            ),
-            (
-                "partition 64×64-tuple slices, dense reset".into(),
-                pair(narrow_dense_before, narrow_dense),
-            ),
-            (
-                "partition 64×64-tuple slices, sparse reset".into(),
-                pair(narrow_sparse_before, narrow_sparse),
-            ),
-            (
-                "view gather (hottest shard, 8 dims)".into(),
-                pair(gather_before, gather),
-            ),
-            (
-                format!("ClosedInfo::for_group ({} deep-slice groups)", deep_groups.len()),
-                pair(for_group_before, for_group),
-            ),
-            (
-                "ClosedInfo merge_tuple chain (hottest shard)".into(),
-                pair(merge_chain_before, merge_chain),
-            ),
-        ],
-        notes: format!(
-            "Before = widened all-u32 table + scalar kernels (the pre-kernel substrate); \
-             after = natural narrow columns (u8 at C=100) + word-parallel kernels. \
-             Counting-sort pass speedup {pass_x:.2}x (end-to-end partition {partition_x:.2}x), \
-             deep-slice for_group speedup {for_group_x:.2}x. Sparse vs dense narrow-slice partitioning is the deferred \
-             counter reset. {json_note}"
-        ),
-    }
-}
-
-/// Session/query API study: what does the per-table setup a [`c_cubing::CubeSession`]
-/// caches actually cost, and how much does a warm session skip? Times
-/// (a) session construction (stats measurement + first-dimension partition),
-/// (b) the first planner-backed query vs an identical warm repeat,
-/// (c) a CC(StarArray) query pair — the first builds the lex-sorted tuple
-/// pool, the second replays it, and
-/// (d) a `slice(0, v)` query pair — the warm one reads the cached partition.
-/// Writes the numbers to `BENCH_session.json` (best of 3 per point, so the
-/// cold/warm contrast survives noisy CI boxes: "cold" here is re-measured on
-/// a fresh session each sample).
-fn session_experiment(opt: &ExpOptions) -> Figure {
-    use c_cubing::prelude::*;
-    use std::time::Instant;
-
-    let tuples = opt.tuples(1_000_000);
-    let min_sup = 8;
-    let table = SyntheticSpec::uniform(tuples, 8, 100, 1.0, opt.seed).generate();
-    let slice_value = 0u32;
-
-    fn best_of<T>(n: usize, mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
-        let mut best = run();
-        for _ in 1..n {
-            let sample = run();
-            if sample.0 < best.0 {
-                best = sample;
-            }
-        }
-        best
-    }
-    let timed = |f: &mut dyn FnMut() -> u64| {
-        let start = Instant::now();
-        let cells = f();
-        (start.elapsed().as_secs_f64(), cells)
-    };
-
-    // (a) The cached artifacts, timed directly — these are exactly what a
-    // warm query skips, independent of how much the query itself costs.
-    let (setup, _) = best_of(3, || {
-        // Clone outside the timed region — the caller's owned table is not
-        // part of the setup cost (pair() below excludes it the same way).
-        let mut fresh = Some(table.clone());
-        timed(&mut || {
-            let s = CubeSession::new(fresh.take().expect("one setup per sample"))
-                .expect("ordinary table");
-            s.stats().tuples
-        })
-    });
-    let (stats_secs, _) = best_of(3, || {
-        timed(&mut || c_cubing::TableStats::measure(&table).tuples)
-    });
-    let (partition_secs, _) = best_of(3, || {
-        timed(&mut || table.shard_by_first_dim().1.len() as u64)
-    });
-    let (pool_secs, _) = best_of(3, || {
-        timed(&mut || ccube_star::lex_sorted_pool(&table).len() as u64)
-    });
-
-    // (b)–(d): per query-shape cold/warm pairs. "Cold" is the old per-call
-    // shape — session construction (stats + partition) plus the query, with
-    // any lazy artifact (the StarArray pool) built inside the first run —
-    // while "warm" repeats the identical query on the now-primed session.
-    // cold − warm ≈ the setup the cache skips.
-    let pair = |build: &mut dyn FnMut(&mut CubeSession) -> u64| {
-        best_of(3, || {
-            // The clone stands in for the caller's owned table; it is not
-            // part of the cold cost.
-            let mut fresh = Some(table.clone());
-            let mut session = None;
-            let cold = timed(&mut || {
-                let mut s = CubeSession::new(fresh.take().expect("one cold run per sample"))
-                    .expect("ordinary table");
-                let cells = build(&mut s);
-                session = Some(s);
-                cells
-            });
-            let mut s = session.expect("cold run built the session");
-            let warm = timed(&mut || build(&mut s));
-            assert_eq!(cold.1, warm.1, "warm query changed the result");
-            (cold.0, (cold.0, warm.0, cold.1))
-        })
-        .1
-    };
-    let planner = pair(&mut |s| s.query().min_sup(min_sup).stats().unwrap().cells);
-    let star_pool = pair(&mut |s| {
-        s.query()
-            .min_sup(min_sup)
-            .algorithm(Algorithm::CCubingStarArray)
-            .stats()
-            .unwrap()
-            .cells
-    });
-    let sliced = pair(&mut |s| {
-        s.query()
-            .min_sup(min_sup)
-            .slice(0, slice_value)
-            .stats()
-            .unwrap()
-            .cells
-    });
-    // Setup-dominated shape: a high-threshold slice keeps the cube tiny, so
-    // cold − warm is mostly the session setup itself.
-    let cheap_min_sup = 256;
-    let cheap = pair(&mut |s| {
-        s.query()
-            .min_sup(cheap_min_sup)
-            .slice(0, slice_value)
-            .stats()
-            .unwrap()
-            .cells
-    });
-
-    let json = format!(
-        "{{\n  \"tuples\": {tuples}, \"dims\": 8, \"cardinality\": 100, \"skew\": 1.0, \
-         \"min_sup\": {min_sup}, \"seed\": {},\n  \"session_setup_seconds\": {setup:.6},\n  \
-         \"stats_seconds\": {stats_secs:.6}, \"partition_seconds\": {partition_secs:.6}, \
-         \"star_pool_seconds\": {pool_secs:.6},\n  \
-         \"planner_query\": {{\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \"cells\": {}}},\n  \
-         \"stararray_query\": {{\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \"cells\": {}}},\n  \
-         \"sliced_query\": {{\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \"cells\": {}}},\n  \
-         \"cheap_sliced_query\": {{\"min_sup\": {cheap_min_sup}, \"cold_seconds\": {:.6}, \
-         \"warm_seconds\": {:.6}, \"cells\": {}}}\n}}\n",
-        opt.seed,
-        planner.0,
-        planner.1,
-        planner.2,
-        star_pool.0,
-        star_pool.1,
-        star_pool.2,
-        sliced.0,
-        sliced.1,
-        sliced.2,
-        cheap.0,
-        cheap.1,
-        cheap.2,
-    );
-    let json_note = match std::fs::write("BENCH_session.json", &json) {
-        Ok(()) => "Numbers written to BENCH_session.json.".to_string(),
-        Err(e) => format!("(could not write BENCH_session.json: {e})"),
-    };
-
-    Figure {
-        id: "session",
-        title: format!(
-            "Session/query API: cold vs warm (T={tuples}, D=8, C=100, S=1, M={min_sup}, scale {})",
-            opt.scale
-        ),
-        x_label: "Query shape".into(),
-        series: vec!["cold".into(), "warm".into(), "cells".into()],
-        rows: vec![
-            (
-                "session setup (stats + partition)".into(),
-                vec![secs(setup), "-".into(), "-".into()],
-            ),
-            (
-                "  · stats / partition / pool".into(),
-                vec![secs(stats_secs), secs(partition_secs), secs(pool_secs)],
-            ),
-            (
-                "planner-backed closed cube".into(),
-                vec![secs(planner.0), secs(planner.1), planner.2.to_string()],
-            ),
-            (
-                "CC(StarArray) (pool cache)".into(),
-                vec![
-                    secs(star_pool.0),
-                    secs(star_pool.1),
-                    star_pool.2.to_string(),
-                ],
-            ),
-            (
-                format!("slice(0, {slice_value}) (partition cache)"),
-                vec![secs(sliced.0), secs(sliced.1), sliced.2.to_string()],
-            ),
-            (
-                format!("slice(0, {slice_value}) at M={cheap_min_sup} (setup-dominated)"),
-                vec![secs(cheap.0), secs(cheap.1), cheap.2.to_string()],
-            ),
-        ],
-        notes: format!(
-            "Warm queries reuse the session's cached stats, first-dimension partition and \
-             (for the StarArray family) the lex-sorted tuple pool; the session-setup row is \
-             the per-query cost the cache amortizes away. Cold/warm results are asserted \
-             identical — cache reuse is invisible in the output. {json_note}"
-        ),
-    }
 }
 
 const FULL_CLOSED: [Algorithm; 4] = [
@@ -1150,266 +656,6 @@ fn rules_experiment(opt: &ExpOptions) -> Figure {
     }
 }
 
-/// Partition-parallel engine study on the paper's workload shape (T=1M
-/// scaled, D=8, C=100, M=8) at three skews: the paper's S=1 plus the
-/// heavy-skew regimes (Zipf 1.5 / 2.0) where the hottest shard bounds the
-/// makespan and recursive shard splitting has to earn its keep. For every
-/// algorithm (the three C-Cubing variants and the four iceberg hosts) it
-/// records pure sequential time, engine time at 1/2/4/8 threads with the
-/// engine's scheduling counters and peak/total merge bytes, and the
-/// *unbound* 1-thread engine time — the PR-1 execution shape in which
-/// iceberg hosts recompute the starred-prefix cells each shard drops — then
-/// writes the machine-readable curves to `BENCH_parallel.json`.
-///
-/// With `CCUBE_ASSERT_OVERHEAD=1` in the environment the experiment fails
-/// hard if any algorithm's 1-thread engine run exceeds its sequential run by
-/// more than 25% on any workload — the standing regression guard for the
-/// engine overhead the sequential fast path eliminates.
-fn parallel_speedup(opt: &ExpOptions) -> Figure {
-    use crate::{measure_engine_stats, measure_engine_unbound};
-    use ccube_engine::{EngineConfig, EngineStats};
-
-    let tuples = opt.tuples(1_000_000);
-    let min_sup = 8;
-    let skews = [1.0f64, 1.5, 2.0];
-    let algos = [
-        Algorithm::CCubingMm,
-        Algorithm::CCubingStar,
-        Algorithm::CCubingStarArray,
-        Algorithm::Buc,
-        Algorithm::Mm,
-        Algorithm::Star,
-        Algorithm::StarArray,
-    ];
-    let thread_counts = [1usize, 2, 4, 8];
-
-    struct AlgoRun {
-        seq: f64,
-        engine: Vec<f64>,
-        stats: Vec<EngineStats>,
-        unbound_1t: f64,
-        cells: u64,
-    }
-    struct WorkloadRun {
-        skew: f64,
-        runs: Vec<AlgoRun>,
-    }
-
-    let mut workloads: Vec<WorkloadRun> = Vec::new();
-    for &skew in &skews {
-        let table = SyntheticSpec::uniform(tuples, 8, 100, skew, opt.seed).generate();
-        let mut runs = Vec::new();
-        for &algo in &algos {
-            // Best of three: the sequential column is the acceptance
-            // baseline other changes are measured against, so it must not
-            // absorb a noisy-neighbour spike on a shared box.
-            let seq = (0..3)
-                .map(|_| measure_threads(algo, &table, min_sup, 1))
-                .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-                .expect("three samples");
-            let mut engine = Vec::new();
-            let mut stats = Vec::new();
-            for &t in &thread_counts {
-                // 1-thread engine is best-of-three too: the armed
-                // CCUBE_ASSERT_OVERHEAD guard compares it against the
-                // best-of-three `seq`, and a one-sided noise spike would
-                // trip the 25% budget spuriously.
-                let samples = if t == 1 { 3 } else { 1 };
-                let (m, s) = (0..samples)
-                    .map(|_| {
-                        measure_engine_stats(algo, &table, min_sup, &EngineConfig::with_threads(t))
-                    })
-                    .min_by(|a, b| a.0.seconds.total_cmp(&b.0.seconds))
-                    .expect("at least one sample");
-                engine.push(m.seconds);
-                stats.push(s);
-            }
-            let unbound =
-                measure_engine_unbound(algo, &table, min_sup, &EngineConfig::with_threads(1));
-            debug_assert_eq!(seq.cells, unbound.cells);
-            runs.push(AlgoRun {
-                seq: seq.seconds,
-                engine,
-                stats,
-                unbound_1t: unbound.seconds,
-                cells: seq.cells,
-            });
-        }
-        workloads.push(WorkloadRun { skew, runs });
-    }
-
-    // Standing regression guard for the 1-thread engine overhead (armed in
-    // the nightly workflow): fail if engine-1t exceeds sequential by >25%
-    // (plus a 5 ms absolute floor so micro-workload timing noise cannot trip
-    // it) on any workload.
-    let mut overhead_violations: Vec<String> = Vec::new();
-    for w in &workloads {
-        for (ai, algo) in algos.iter().enumerate() {
-            let r = &w.runs[ai];
-            if r.engine[0] > r.seq * 1.25 + 0.005 {
-                overhead_violations.push(format!(
-                    "{} at skew {}: engine-1t {:.4}s vs seq {:.4}s ({:.2}x)",
-                    algo.name(),
-                    w.skew,
-                    r.engine[0],
-                    r.seq,
-                    r.engine[0] / r.seq.max(1e-9)
-                ));
-            }
-        }
-    }
-    if std::env::var_os("CCUBE_ASSERT_OVERHEAD").is_some() && !overhead_violations.is_empty() {
-        panic!(
-            "1-thread engine overhead exceeds the 25% budget:\n  {}",
-            overhead_violations.join("\n  ")
-        );
-    }
-
-    // Machine-readable curves.
-    fn u64_list<T: Copy, F: Fn(T) -> u64>(items: &[T], f: F) -> String {
-        items
-            .iter()
-            .map(|&s| f(s).to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"threads\": [{}],\n",
-        thread_counts
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    json.push_str("  \"workloads\": [\n");
-    for (wi, w) in workloads.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"tuples\": {tuples}, \"dims\": 8, \"cardinality\": 100, \"skew\": {}, \
-             \"min_sup\": {min_sup}, \"seed\": {},\n     \"algorithms\": {{\n",
-            w.skew, opt.seed
-        ));
-        for (i, algo) in algos.iter().enumerate() {
-            let r = &w.runs[i];
-            let secs_list = r
-                .engine
-                .iter()
-                .map(|s| format!("{s:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let speedups = r
-                .engine
-                .iter()
-                .map(|&s| format!("{:.3}", r.engine[0] / s.max(1e-9)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            json.push_str(&format!(
-                "       \"{}\": {{\"cells\": {}, \"seq_seconds\": {:.6}, \
-                 \"engine_seconds\": [{secs_list}], \"speedup_vs_1t\": [{speedups}], \
-                 \"unbound_1t_seconds\": {:.6},\n",
-                algo.name(),
-                r.cells,
-                r.seq,
-                r.unbound_1t,
-            ));
-            json.push_str(&format!(
-                "                  \"fast_path\": [{}], \"tasks\": [{}], \"splits\": [{}], \
-                 \"steals\": [{}],\n",
-                r.stats
-                    .iter()
-                    .map(|s| s.fast_path.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                u64_list(&r.stats, |s| s.tasks),
-                u64_list(&r.stats, |s| s.splits),
-                u64_list(&r.stats, |s| s.steals),
-            ));
-            json.push_str(&format!(
-                "                  \"peak_buffered_bytes\": [{}], \
-                 \"total_output_bytes\": [{}]}}{}\n",
-                u64_list(&r.stats, |s| s.peak_buffered_bytes),
-                u64_list(&r.stats, |s| s.total_output_bytes),
-                if i + 1 < algos.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "     }}}}{}\n",
-            if wi + 1 < workloads.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let json_note = match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => "Curves written to BENCH_parallel.json.".to_string(),
-        Err(e) => format!("(could not write BENCH_parallel.json: {e})"),
-    };
-    let overhead_note = if overhead_violations.is_empty() {
-        "engine-1t within the 25% overhead budget everywhere.".to_string()
-    } else {
-        format!(
-            "OVERHEAD BUDGET EXCEEDED: {}.",
-            overhead_violations.join("; ")
-        )
-    };
-
-    let rows = workloads
-        .iter()
-        .flat_map(|w| {
-            let skew = w.skew;
-            algos.iter().enumerate().map(move |(ai, algo)| {
-                let r = &w.runs[ai];
-                (
-                    format!("S={skew} {}", algo.name()),
-                    vec![
-                        secs(r.seq),
-                        secs(r.engine[0]),
-                        format!(
-                            "{} ({:.2}x)",
-                            secs(r.engine[2]),
-                            r.engine[0] / r.engine[2].max(1e-9)
-                        ),
-                        secs(r.unbound_1t),
-                        format!(
-                            "{}/{}/{}",
-                            r.stats[2].tasks, r.stats[2].splits, r.stats[2].steals
-                        ),
-                    ],
-                )
-            })
-        })
-        .collect();
-    Figure {
-        id: "parallel",
-        title: format!(
-            "Partition-parallel engine: uniform vs. skewed (T=1000K, D=8, C=100, M={min_sup}, \
-             scale {})",
-            opt.scale
-        ),
-        x_label: "Workload / algorithm".into(),
-        series: vec![
-            "seq".into(),
-            "engine 1t".into(),
-            "engine 4t".into(),
-            "unbound 1t".into(),
-            "tasks/splits/steals 4t".into(),
-        ],
-        rows,
-        notes: format!(
-            "engine 1t ≈ seq is the sequential fast path (no sharding at one thread); \
-             unbound 1t is the PR-1 always-sharded shape kept as the overhead baseline. \
-             4t speedup is relative to engine 1t; recursive shard splitting keeps it \
-             near-linear under Zipf 1.5/2.0 where whole-shard scheduling flatlines. \
-             peak_buffered_bytes in the JSON tracks the streaming merge's completion \
-             frontier (vs total_output_bytes the old merge buffered). {overhead_note} \
-             {json_note}"
-        ),
-    }
-}
-
 /// Query-lifecycle robustness numbers on the 20k-tuple Zipf-1.5 acceptance
 /// workload (paper size 200k, default scale 0.1):
 ///
@@ -1944,7 +1190,7 @@ fn serve_experiment(opt: &ExpOptions) -> Figure {
 }
 
 /// Ablation: sensitivity of C-Cubing(MM) to the MultiWay array budget
-/// (DESIGN.md §7 calls this heuristic out; the paper fixes ~4 MB).
+/// (a heuristic of this implementation; the paper fixes ~4 MB).
 fn ablate_mm_budget(opt: &ExpOptions) -> Figure {
     use ccube_core::sink::CountingSink;
     use ccube_mm::{mm_cube, MmConfig};
@@ -2035,245 +1281,6 @@ fn ablate_base_order(opt: &ExpOptions) -> Figure {
     }
 }
 
-/// Incremental ingest: re-query cost after a 1% append, per algorithm, on
-/// Zipf-1.5 data (the skew that concentrates the append into the hottest
-/// first-dimension groups — the delta pruner's adversarial case). Two
-/// baselines per algorithm: *cold* rebuilds the session over the appended
-/// table and queries it; *delta* takes a primed session, ingests the batch
-/// (patching stats, partition, pool and — where one exists — the
-/// materialized cube) and re-queries. The materialized rows time the
-/// closed-cube maintenance itself: cold `materialize` over the final table
-/// vs the incremental patch, plus the warm `query_materialized` read path.
-///
-/// Writes `BENCH_ingest.json`. With `CCUBE_ASSERT_INGEST=1` in the
-/// environment the run fails unless the "delta ≪ cold" acceptance gate
-/// holds: the patch re-checks under half the groups of the cold build and
-/// finishes well inside its time, and the patched materialization serves a
-/// re-query far below even the fastest cold recompute.
-fn ingest_experiment(opt: &ExpOptions) -> Figure {
-    use c_cubing::prelude::*;
-    use std::time::Instant;
-
-    let tuples = opt.tuples(1_000_000);
-    let batch_rows = (tuples / 100).max(1);
-    let dims = 6;
-    let card = 1000;
-    let min_sup = 8u64;
-    let base = SyntheticSpec::uniform(tuples, dims, card, 1.5, opt.seed).generate();
-    // The 1% batch: a fresh draw from the same distribution.
-    let batch: Vec<u32> = SyntheticSpec::uniform(batch_rows, dims, card, 1.5, opt.seed ^ 0x5eed)
-        .generate()
-        .iter_rows()
-        .flat_map(|(_, row)| row)
-        .collect();
-    let appended = {
-        let mut b = TableBuilder::new(dims);
-        for (_, row) in base.iter_rows() {
-            b.push_row(&row);
-        }
-        for row in batch.chunks(dims) {
-            b.push_row(row);
-        }
-        b.build().expect("appended table")
-    };
-
-    fn best_of<T>(n: usize, mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
-        let mut best = run();
-        for _ in 1..n {
-            let sample = run();
-            if sample.0 < best.0 {
-                best = sample;
-            }
-        }
-        best
-    }
-    let timed = |f: &mut dyn FnMut() -> u64| {
-        let start = Instant::now();
-        let cells = f();
-        (start.elapsed().as_secs_f64(), cells)
-    };
-
-    // Per algorithm: cold = rebuild-then-query, delta = ingest-then-query.
-    let mut algo_rows: Vec<(String, Vec<String>)> = Vec::new();
-    let mut algo_json = String::new();
-    let mut fastest_cold = f64::INFINITY;
-    for algo in Algorithm::ALL {
-        let run_query = |s: &mut CubeSession| -> u64 {
-            let mut q = s.query().min_sup(min_sup).algorithm(algo);
-            if opt.threads != 1 {
-                q = q.threads(opt.threads);
-            }
-            q.stats().expect("query runs").cells
-        };
-        let (cold_secs, cold_cells) = best_of(2, || {
-            // The clone stands in for the caller's re-loaded table; it is
-            // not part of the cold rebuild cost.
-            let mut fresh = Some(appended.clone());
-            timed(&mut || {
-                let mut s = CubeSession::new(fresh.take().expect("one rebuild per sample"))
-                    .expect("ordinary table");
-                run_query(&mut s)
-            })
-        });
-        let (delta_secs, delta_cells) = best_of(2, || {
-            // Primed session: artifacts (stats, partition, lazy pool) are
-            // hot before the timed ingest + re-query.
-            let mut s = CubeSession::new(base.clone()).expect("ordinary table");
-            run_query(&mut s);
-            timed(&mut || {
-                s.ingest(&batch).expect("ingest");
-                run_query(&mut s)
-            })
-        });
-        assert_eq!(
-            cold_cells, delta_cells,
-            "{algo}: ingest-then-query != rebuild-then-query"
-        );
-        fastest_cold = fastest_cold.min(cold_secs);
-        if !algo_json.is_empty() {
-            algo_json.push_str(",\n    ");
-        }
-        algo_json.push_str(&format!(
-            "{{\"algorithm\": \"{algo}\", \"cold_seconds\": {cold_secs:.6}, \
-             \"delta_seconds\": {delta_secs:.6}, \"cells\": {delta_cells}}}"
-        ));
-        algo_rows.push((
-            algo.to_string(),
-            vec![secs(cold_secs), secs(delta_secs), delta_cells.to_string()],
-        ));
-    }
-
-    // Materialized closed cube: cold build over the final table vs the
-    // incremental patch, plus the warm read path it buys.
-    let (build_secs, build_delta) = best_of(2, || {
-        let mut fresh = Some(appended.clone());
-        let mut delta = DeltaStats::default();
-        let (elapsed, _) = timed(&mut || {
-            let mut s = CubeSession::new(fresh.take().expect("one build per sample"))
-                .expect("ordinary table");
-            delta = s.materialize(min_sup).expect("materialize");
-            delta.cells_added
-        });
-        (elapsed, delta)
-    });
-    let (patch_secs, patch_delta) = best_of(2, || {
-        let mut s = CubeSession::new(base.clone()).expect("ordinary table");
-        s.materialize(min_sup).expect("materialize");
-        let mut delta = DeltaStats::default();
-        let (elapsed, _) = timed(&mut || {
-            let stats = s.ingest(&batch).expect("ingest");
-            delta = stats.materialization.expect("materialization maintained");
-            delta.cells_added
-        });
-        (elapsed, delta)
-    });
-    let (serve_secs, served_cells) = {
-        let mut s = CubeSession::new(base.clone()).expect("ordinary table");
-        s.materialize(min_sup).expect("materialize");
-        s.ingest(&batch).expect("ingest");
-        // Patched-cube equivalence: cell-for-cell the cold recompute.
-        let mut cold = CubeSession::new(appended.clone()).expect("ordinary table");
-        cold.materialize(min_sup).expect("cold materialize");
-        let snapshot = |sess: &CubeSession| -> std::collections::BTreeMap<Vec<u32>, u64> {
-            sess.materialized()
-                .expect("materialized cube")
-                .cells()
-                .map(|(cell, count)| (cell.values().to_vec(), count))
-                .collect()
-        };
-        assert_eq!(
-            snapshot(&s),
-            snapshot(&cold),
-            "patched materialization != cold recompute"
-        );
-        best_of(3, || {
-            let mut sink = CollectSink::default();
-            timed(&mut || {
-                s.query_materialized(min_sup, &mut sink)
-                    .expect("materialized serve")
-            })
-        })
-    };
-
-    if std::env::var_os("CCUBE_ASSERT_INGEST").is_some() {
-        assert!(
-            patch_delta.groups_rechecked * 2 < build_delta.groups_rechecked,
-            "delta patch re-checked {} groups vs {} for the cold build — pruning is not biting",
-            patch_delta.groups_rechecked,
-            build_delta.groups_rechecked
-        );
-        assert!(
-            patch_secs < build_secs * 0.7,
-            "delta patch ({patch_secs:.3}s) not well under the cold build ({build_secs:.3}s)"
-        );
-        assert!(
-            serve_secs * 2.0 < fastest_cold,
-            "patched-cube re-query ({serve_secs:.4}s) not ≪ the fastest cold \
-             recompute ({fastest_cold:.4}s)"
-        );
-    }
-
-    let json = format!(
-        "{{\n  \"tuples\": {tuples}, \"dims\": {dims}, \"cardinality\": {card}, \"skew\": 1.5, \
-         \"min_sup\": {min_sup}, \"batch_rows\": {batch_rows}, \"seed\": {},\n  \
-         \"materialization\": {{\"build_seconds\": {build_secs:.6}, \"patch_seconds\": {patch_secs:.6}, \
-         \"build_groups_rechecked\": {}, \"patch_groups_rechecked\": {}, \
-         \"patch_cells_added\": {}, \"patch_cells_updated\": {}, \"patch_cells_removed\": {}, \
-         \"serve_seconds\": {serve_secs:.6}, \"served_cells\": {served_cells}}},\n  \
-         \"algorithms\": [\n    {algo_json}\n  ]\n}}\n",
-        opt.seed,
-        build_delta.groups_rechecked,
-        patch_delta.groups_rechecked,
-        patch_delta.cells_added,
-        patch_delta.cells_updated,
-        patch_delta.cells_removed,
-    );
-    let json_note = match std::fs::write("BENCH_ingest.json", &json) {
-        Ok(()) => "Numbers written to BENCH_ingest.json.".to_string(),
-        Err(e) => format!("(could not write BENCH_ingest.json: {e})"),
-    };
-
-    let mut rows = algo_rows;
-    rows.push((
-        "materialize: cold build".into(),
-        vec![
-            secs(build_secs),
-            "-".into(),
-            format!("{} groups", build_delta.groups_rechecked),
-        ],
-    ));
-    rows.push((
-        "materialize: delta patch".into(),
-        vec![
-            "-".into(),
-            secs(patch_secs),
-            format!("{} groups", patch_delta.groups_rechecked),
-        ],
-    ));
-    rows.push((
-        "materialized re-query".into(),
-        vec!["-".into(), secs(serve_secs), served_cells.to_string()],
-    ));
-    Figure {
-        id: "ingest",
-        title: format!(
-            "Incremental ingest: re-query after a 1% append vs cold rebuild \
-             (T={tuples}+{batch_rows}, D={dims}, C={card}, S=1.5, M={min_sup}, scale {})",
-            opt.scale
-        ),
-        x_label: "Algorithm".into(),
-        series: vec!["cold".into(), "delta".into(), "cells".into()],
-        rows,
-        notes: format!(
-            "delta = ingest (artifact + materialization patch) + warm re-query on the grown \
-             session; cold = fresh session over the appended table. The materialize rows time \
-             the closed-cube maintenance itself: the patch re-checks only groups the batch \
-             touches ({} of {}). {json_note}",
-            patch_delta.groups_rechecked, build_delta.groups_rechecked
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2290,33 +1297,13 @@ mod tests {
     #[test]
     fn registry_covers_all_paper_artifacts() {
         let ids: Vec<&str> = all_experiments().iter().map(|(id, _)| *id).collect();
-        for want in [
-            "tbl1", "fig3", "fig5", "fig8", "fig12", "fig15", "fig16", "fig17", "fig18", "rules",
-        ] {
-            assert!(ids.contains(&want), "{want} missing");
-        }
-        assert!(ids.contains(&"parallel"), "parallel missing");
-        assert!(ids.contains(&"substrate"), "substrate missing");
-        assert!(ids.contains(&"session"), "session missing");
-        assert!(ids.contains(&"lifecycle"), "lifecycle missing");
-        assert!(ids.contains(&"serve"), "serve missing");
-        assert!(ids.contains(&"ingest"), "ingest missing");
-        assert_eq!(ids.len(), 26);
-    }
-
-    #[test]
-    fn session_smoke() {
-        let fig = session_experiment(&tiny());
-        assert_eq!(fig.rows.len(), 6);
-        assert_eq!(fig.series.len(), 3);
-    }
-
-    #[test]
-    fn ingest_smoke() {
-        let fig = ingest_experiment(&tiny());
-        // One row per algorithm plus the three materialization rows.
-        assert_eq!(fig.rows.len(), c_cubing::Algorithm::ALL.len() + 3);
-        assert_eq!(fig.series.len(), 3);
+        let mut want = vec!["tbl1".to_string()];
+        want.extend((3..=18).map(|n| format!("fig{n}")));
+        want.extend(["rules", "lifecycle", "serve", "ablate-mm", "ablate-order"].map(String::from));
+        // Exactly these 22, in paper order: `parallel`, `substrate`,
+        // `session` and `ingest` are measured by `benchmark/` now.
+        assert_eq!(ids, want);
+        assert_eq!(ids.len(), 22);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Regenerates **every table and figure** of the C-Cubing paper's evaluation
 //! (Section 5) plus the Section 6.2 rule-compaction numbers. Each experiment
 //! is a function producing a [`report::Figure`]; the `exp` binary prints
-//! them as Markdown tables, and EXPERIMENTS.md archives one full run with
-//! paper-vs-measured commentary.
+//! them as Markdown tables. Per-layer performance numbers are not this
+//! crate's job: they live in `benchmark/` (see `benchmark/README.md`).
 //!
 //! The paper ran on a 3.2 GHz Pentium 4 with 1 GB RAM against up to 1M-tuple
 //! datasets; [`ExpOptions::scale`] scales tuple counts (default 0.1 ⇒ 100K
@@ -21,10 +21,9 @@ pub mod report;
 pub use figures::{all_experiments, ExpOptions};
 pub use report::Figure;
 
-use c_cubing::Algorithm;
+use c_cubing::{Algorithm, EngineConfig};
 use ccube_core::sink::{CountingSink, SizeSink};
 use ccube_core::{CubeRequest, Table};
-use ccube_engine::{EngineConfig, EngineStats};
 use std::time::Instant;
 
 /// One timed measurement.
@@ -45,73 +44,15 @@ pub fn measure_threads(
     min_sup: u64,
     threads: usize,
 ) -> Measurement {
-    if threads != 1 {
-        return measure_engine_stats(algo, table, min_sup, &EngineConfig::with_threads(threads)).0;
+    let req = CubeRequest::new(table, min_sup);
+    let mut sink = CountingSink::default();
+    let start = Instant::now();
+    if threads == 1 {
+        algo.run(&req, &mut sink).expect("benchmark run failed");
+    } else {
+        algo.run_parallel(&req, &EngineConfig::with_threads(threads), &mut sink)
+            .expect("benchmark run failed");
     }
-    let mut sink = CountingSink::default();
-    let start = Instant::now();
-    algo.run(&CubeRequest::new(table, min_sup), &mut sink)
-        .expect("benchmark run failed");
-    Measurement {
-        seconds: start.elapsed().as_secs_f64(),
-        cells: sink.cells,
-    }
-}
-
-/// Time one cube computation routed through the parallel engine even at
-/// `threads = 1` (unlike [`measure_threads`], which treats 1 as pure
-/// sequential) — the number that shows the engine's own overhead next to
-/// [`Algorithm::run`] — with the run's [`EngineStats`] (task, split and
-/// steal counters plus peak/total merge bytes) for the machine-readable
-/// benchmark reports.
-pub fn measure_engine_stats(
-    algo: Algorithm,
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-) -> (Measurement, EngineStats) {
-    let mut sink = CountingSink::default();
-    let start = Instant::now();
-    let stats = algo
-        .run_parallel(&CubeRequest::new(table, min_sup), config, &mut sink)
-        .expect("benchmark run failed");
-    (
-        Measurement {
-            seconds: start.elapsed().as_secs_f64(),
-            cells: sink.cells,
-        },
-        stats,
-    )
-}
-
-/// Time one engine run with the shard cubers deliberately ignoring the
-/// pre-bound dimensions (every shard recomputes its starred-prefix cells and
-/// the [`ccube_engine::ShardedSink`] drops them) — the PR-1 execution shape,
-/// kept as the measurable baseline for the redundancy elimination. The
-/// sequential fast path is disabled (`always_sharded`): this measurement
-/// exists precisely to show the sharded shape's cost.
-pub fn measure_engine_unbound(
-    algo: Algorithm,
-    table: &Table,
-    min_sup: u64,
-    config: &EngineConfig,
-) -> Measurement {
-    let mut sink = CountingSink::default();
-    let start = Instant::now();
-    ccube_engine::run_partitioned(
-        &CubeRequest {
-            closed: algo.is_closed(),
-            ..CubeRequest::new(table, min_sup)
-        },
-        &config.always_sharded(),
-        None,
-        |shard, out| {
-            algo.run(&CubeRequest { bound: 0, ..*shard }, out)
-                .expect("benchmark run failed");
-        },
-        &mut sink,
-    )
-    .expect("benchmark run failed");
     Measurement {
         seconds: start.elapsed().as_secs_f64(),
         cells: sink.cells,

@@ -507,14 +507,14 @@ impl Table {
         self.append_rows_with(rows, &[])
     }
 
-    /// [`Table::append_rows`] also extending the table's measure columns:
-    /// `measures` must supply exactly the table's measure columns by name,
-    /// each with one value per appended row.
-    pub fn append_rows_with(
-        &mut self,
-        rows: &[u32],
-        measures: &[(&str, &[f64])],
-    ) -> Result<AppendReport> {
+    /// Every check [`Table::append_rows_with`] makes before it mutates, on
+    /// `&self`: returns the number of rows the batch would append. A caller
+    /// that must pay to get `&mut Table` (a copy-on-write `Arc`) validates
+    /// here first, so a rejected or empty batch costs `O(batch)`.
+    ///
+    /// # Errors
+    /// As [`Table::append_rows`].
+    pub fn check_append(&self, rows: &[u32], measures: &[(&str, &[f64])]) -> Result<usize> {
         if self.cube_dims != self.dims {
             return Err(CubeError::CarriedDimensionView);
         }
@@ -527,7 +527,7 @@ impl Table {
         }
         let added = rows.len() / dims;
         // The star sentinel can never be a dimension code: reject it before
-        // touching anything (`v + 1` below would also overflow on it).
+        // touching anything (`v + 1` in the append would also overflow on it).
         for r in rows.chunks_exact(dims) {
             for (d, &v) in r.iter().enumerate() {
                 if v == u32::MAX {
@@ -557,6 +557,19 @@ impl Table {
                 });
             }
         }
+        Ok(added)
+    }
+
+    /// [`Table::append_rows`] also extending the table's measure columns:
+    /// `measures` must supply exactly the table's measure columns by name,
+    /// each with one value per appended row.
+    pub fn append_rows_with(
+        &mut self,
+        rows: &[u32],
+        measures: &[(&str, &[f64])],
+    ) -> Result<AppendReport> {
+        let added = self.check_append(rows, measures)?;
+        let dims = self.dims;
         // Grown cardinalities, and the dimensions whose storage width they
         // outgrow.
         let mut new_cards = self.cards.clone();

@@ -10,8 +10,8 @@
 //!   Section 5.3 (`R = -Σ log(1 - pruning_power)`), for Figs 12–15.
 //! * [`weather`] — a surrogate for the SEP83L synoptic weather dataset with
 //!   the paper's exact schema, cardinalities, skew and inter-dimension
-//!   dependences (Figs 7, 11, 16, 17). See DESIGN.md for the substitution
-//!   rationale.
+//!   dependences (Figs 7, 11, 16, 17); the [`weather`] module doc gives
+//!   the substitution rationale.
 //! * [`io`] — a minimal text format for saving/loading encoded tables.
 
 #![warn(missing_docs)]

@@ -24,9 +24,15 @@
 //! (Lemmas 5 and 6): a node whose Closed Mask intersects the tree's Tree
 //! Mask can neither output a closed cell nor spawn a child tree that does.
 //!
-//! Note on Lemma 5's statement: the paper's text says "if `C & TM = 0` …
-//! non-closed", but its own rationale requires the opposite sign; we
-//! implement `C & TM ≠ 0 ⇒ prune` (see DESIGN.md, "Errata").
+//! Erratum, Lemma 5: the paper's text says "if `C & TM = 0` … non-closed",
+//! but its own rationale requires the opposite sign, and we implement
+//! `C & TM ≠ 0 ⇒ prune`. The Tree Mask `TM` holds the dimensions collapsed
+//! on the way to this tree, so every cell the tree outputs has `*` there;
+//! a Closed Mask bit `d` says all tuples under the node share one value on
+//! `d`. A `d` in both means each such cell is covered by the cell that
+//! binds `d` to that value with the same count — it is not closed. With
+//! `C & TM = 0` no collapsed dimension is uniform and nothing can be
+//! concluded.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -583,7 +583,7 @@ impl Workload {
 /// `stats` is normally [`TableStats::measure`]d from the real table (a
 /// [`CubeSession`] caches it and auto-plans with it); [`Workload::stats`]
 /// synthesizes one from a hand-filled description. The thresholds are
-/// heuristics fitted to our Fig 15 reproduction; see EXPERIMENTS.md.
+/// heuristics fitted to our Fig 15 reproduction (`exp fig15`).
 pub fn recommend(stats: &TableStats, min_sup: u64) -> Algorithm {
     // Switching point: around min_sup ≈ 16 at R = 0 on 400K rows in the
     // paper's Fig 15, scaling with dependence and (weakly) with data size.

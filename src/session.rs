@@ -84,22 +84,24 @@ use ccube_engine::{ChannelSink, WarmStart};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// How many times each cached artifact has been (re)built — all `1` after
+/// How many times each cached artifact has been (re)built — unchanged by
 /// any number of warm queries; the observable proof that cache reuse works.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// [`TableStats`] measurements performed (1 after session creation).
+    /// [`TableStats`] measurements performed (1 after session creation;
+    /// ingest extends the measurement, it never re-measures).
     pub stat_builds: u32,
-    /// First-dimension counting-sort partitions performed.
+    /// First-dimension counting-sort partitions performed: one at session
+    /// creation plus one per non-empty ingest.
     pub partition_builds: u32,
-    /// StarArray lex-sorted pool constructions performed.
+    /// StarArray lex-sorted pool constructions performed: one per table
+    /// version a StarArray-family query has run against.
     pub pool_builds: u32,
     /// Tuple batches ingested ([`CubeSession::ingest`]).
     pub ingests: u32,
-    /// Cached artifacts brought current by an incremental patch (stats
-    /// extension, partition merge, pool merge, materialization splice) —
-    /// ingest maintenance never bumps the `*_builds` counters above, which
-    /// is the observable proof that ingest patches instead of rebuilding.
+    /// Cached artifacts brought current by an incremental patch: the stats
+    /// extension of every non-empty ingest plus, when a materialization
+    /// exists, its delta splice.
     pub artifacts_patched: u32,
     /// Artifacts rebuilt from scratch (cold [`CubeSession::materialize`]
     /// calls; never from ingest).
@@ -112,8 +114,7 @@ pub struct CacheStats {
 }
 
 /// What one [`CubeSession::ingest`] call did: the append itself (rows,
-/// column widening, packed-row refresh) plus which cached artifacts were
-/// patched to stay current.
+/// column widening, packed-row refresh) plus the materialization patch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Tuples appended.
@@ -124,9 +125,6 @@ pub struct IngestStats {
     /// Whether the packed-row fast-path buffer was refreshed rather than
     /// extended in place.
     pub repacked: bool,
-    /// Whether the lazy StarArray lex-sorted pool existed and was
-    /// merge-patched (false when it was never built — nothing to maintain).
-    pub pool_patched: bool,
     /// Materialized-cube maintenance counters, when a materialization
     /// exists ([`CubeSession::materialize`]); `None` otherwise.
     pub materialization: Option<DeltaStats>,
@@ -311,22 +309,26 @@ impl CubeSession {
 
     /// Append a batch of encoded tuples (`rows.len() / dims` rows, row-major
     /// like [`ccube_core::TableBuilder::row`]) and bring every cached
-    /// artifact current **incrementally** — nothing is rebuilt from scratch:
+    /// artifact current — the expensive ones incrementally, the cheap ones
+    /// by the call a cold session makes:
     ///
     /// * the table itself grows in place, widening any column whose natural
     ///   width a new value exceeds ([`Table::append_rows_with`]);
     /// * the [`TableStats`] measurement is extended over the new rows only;
-    /// * the cached leading-dimension partition is merge-patched (the
-    ///   sharding ordering and permutation stay **frozen at session
-    ///   creation**, so warm engine starts and the `slice(leading, v)` fast
-    ///   path remain stable across ingests);
-    /// * the StarArray lex-sorted pool, if built, is merge-patched;
+    /// * the cached leading-dimension partition is rebuilt with the same
+    ///   counting sort [`CubeSession::new`] runs (the sharding ordering and
+    ///   permutation stay **frozen at session creation**, so warm engine
+    ///   starts and the `slice(leading, v)` fast path remain stable across
+    ///   ingests);
+    /// * the StarArray lex-sorted pool, if built, is dropped; the next
+    ///   StarArray-family query rebuilds it once;
     /// * the materialized closed cube, if built, is delta-patched: only the
     ///   groups the batch joins are re-summarized (see `crates/delta`).
     ///
     /// In-flight [`CellStream`]s keep the pre-ingest snapshot (copy-on-write
     /// at the session boundary); queries started after `ingest` returns see
-    /// the grown table. Empty batches are valid and touch nothing.
+    /// the grown table. Empty batches are valid and touch nothing; neither
+    /// they nor rejected batches copy the table.
     ///
     /// # Errors
     /// Typed append validation ([`CubeError::BadRowWidth`],
@@ -345,30 +347,36 @@ impl CubeSession {
         rows: &[u32],
         measures: &[(&str, &[f64])],
     ) -> Result<IngestStats, CubeError> {
+        // Validate on the shared snapshot: only a batch that will append
+        // may pay for the copy-on-write below.
+        let added = self.table.check_append(rows, measures)?;
+        self.cache.ingests += 1;
+        if added == 0 {
+            return Ok(IngestStats::default());
+        }
         let old_rows = self.table.rows();
         // Copy-on-write at the session boundary: streams still consuming the
         // previous snapshot hold their own `Arc`, so the append clones at
         // most once and never mutates a table a query can observe.
         let report = Arc::make_mut(&mut self.table).append_rows_with(rows, measures)?;
-        self.cache.ingests += 1;
         let mut stats = IngestStats {
             rows: report.rows,
             widened: report.widened,
             repacked: report.repacked,
-            pool_patched: false,
             materialization: None,
         };
-        if report.rows == 0 {
-            return Ok(stats);
-        }
         self.stats_state.extend(&self.table, old_rows);
         self.stats = self.stats_state.stats();
-        self.patch_partition(old_rows);
-        self.cache.artifacts_patched += 2; // stats + partition
-        if self.patch_pool(old_rows) {
-            stats.pool_patched = true;
-            self.cache.artifacts_patched += 1;
-        }
+        self.cache.artifacts_patched += 1;
+        let (tids, groups) = self.table.shard_by_dim(self.leading_dim());
+        self.prep = Arc::new(EnginePrep {
+            ordering: self.prep.ordering,
+            perm: self.prep.perm.clone(),
+            tids,
+            groups,
+        });
+        self.cache.partition_builds += 1;
+        self.star_pool = None;
         if let Some(mut cube) = self.materialized.take() {
             let prep = self.prep.clone();
             let delta = cube.patch(
@@ -439,88 +447,6 @@ impl CubeSession {
             None => Err(CubeError::MaterializationUnavailable { min_sup }),
         }
     }
-
-    /// Merge the appended rows (`old_rows..`) into the cached level-0
-    /// partition: sort the batch by leading-dimension value, then splice
-    /// value-runs into the existing value-ascending group list. Old tuples
-    /// keep their positions ahead of appended ones within each group
-    /// (appended IDs are larger), preserving the ascending-tid invariant
-    /// the cold counting sort establishes.
-    fn patch_partition(&mut self, old_rows: usize) {
-        let d = self.prep.perm[0];
-        let col = self.table.col(d);
-        let mut batch: Vec<(u32, TupleId)> = (old_rows..self.table.rows())
-            .map(|t| (col.get(t), t as TupleId))
-            .collect();
-        batch.sort_unstable();
-        let old = self.prep.clone();
-        let mut tids = Vec::with_capacity(self.table.rows());
-        let mut groups = Vec::with_capacity(old.groups.len());
-        let mut bi = 0;
-        for g in &old.groups {
-            while bi < batch.len() && batch[bi].0 < g.value {
-                push_run(&batch, &mut bi, &mut tids, &mut groups);
-            }
-            let start = tids.len() as u32;
-            tids.extend_from_slice(&old.tids[g.range()]);
-            while bi < batch.len() && batch[bi].0 == g.value {
-                tids.push(batch[bi].1);
-                bi += 1;
-            }
-            groups.push(Group {
-                value: g.value,
-                start,
-                end: tids.len() as u32,
-            });
-        }
-        while bi < batch.len() {
-            push_run(&batch, &mut bi, &mut tids, &mut groups);
-        }
-        self.prep = Arc::new(EnginePrep {
-            ordering: old.ordering,
-            perm: old.perm.clone(),
-            tids,
-            groups,
-        });
-    }
-
-    /// Merge the appended rows into the StarArray lex-sorted pool, if one
-    /// was ever built: sort the batch row-lexicographically and two-pointer
-    /// merge with the existing pool (old tuples first on equal keys — their
-    /// IDs are smaller — matching the stable radix order of a cold build).
-    fn patch_pool(&mut self, old_rows: usize) -> bool {
-        let Some(pool) = self.star_pool.take() else {
-            return false;
-        };
-        let table = &*self.table;
-        let key_cmp = |a: TupleId, b: TupleId| {
-            for d in 0..table.cube_dims() {
-                let c = table.col(d);
-                match c.get(a as usize).cmp(&c.get(b as usize)) {
-                    std::cmp::Ordering::Equal => {}
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        let mut batch: Vec<TupleId> = (old_rows as TupleId..table.rows() as TupleId).collect();
-        batch.sort_by(|&a, &b| key_cmp(a, b).then_with(|| a.cmp(&b)));
-        let mut merged = Vec::with_capacity(pool.len() + batch.len());
-        let (mut i, mut j) = (0, 0);
-        while i < pool.len() && j < batch.len() {
-            if key_cmp(pool[i], batch[j]) != std::cmp::Ordering::Greater {
-                merged.push(pool[i]);
-                i += 1;
-            } else {
-                merged.push(batch[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&pool[i..]);
-        merged.extend_from_slice(&batch[j..]);
-        self.star_pool = Some(Arc::new(merged));
-        true
-    }
 }
 
 /// Worker threads for artifact maintenance (materialized-cube builds and
@@ -530,27 +456,6 @@ fn maintenance_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Append the run of equal leading values starting at `batch[*bi]` as one
-/// brand-new partition group.
-fn push_run(
-    batch: &[(u32, TupleId)],
-    bi: &mut usize,
-    tids: &mut Vec<TupleId>,
-    groups: &mut Vec<Group>,
-) {
-    let value = batch[*bi].0;
-    let start = tids.len() as u32;
-    while *bi < batch.len() && batch[*bi].0 == value {
-        tids.push(batch[*bi].1);
-        *bi += 1;
-    }
-    groups.push(Group {
-        value,
-        start,
-        end: tids.len() as u32,
-    });
 }
 
 impl std::fmt::Debug for CubeSession {
@@ -1681,43 +1586,54 @@ mod tests {
         assert_eq!(s.cache_stats().partition_builds, 1);
     }
 
-    /// A fresh session over the same rows as `s`, for patched-vs-rebuilt
+    /// A fresh session over the same rows as `s`, for ingested-vs-cold
     /// artifact comparisons.
     fn rebuilt(s: &CubeSession) -> CubeSession {
         CubeSession::new(s.table().clone()).unwrap()
     }
 
     #[test]
-    fn ingest_patches_artifacts_instead_of_rebuilding() {
+    fn ingest_rebuilds_partition_and_drops_pool_like_a_cold_session() {
         let mut s = session();
-        s.star_pool(); // force the lazy pool so ingest has it to maintain
+        s.star_pool(); // force the lazy pool so ingest has one to drop
         let stats = s.ingest(&[0, 1, 2, 3, 1, 1, 1, 1]).unwrap();
         assert_eq!(stats.rows, 2);
-        assert!(stats.pool_patched);
+        assert!(s.star_pool.is_none());
         let cache = s.cache_stats();
-        // The build counters did not move: everything was patched.
         assert_eq!(cache.stat_builds, 1);
-        assert_eq!(cache.partition_builds, 1);
+        assert_eq!(cache.partition_builds, 2);
         assert_eq!(cache.pool_builds, 1);
         assert_eq!(cache.ingests, 1);
-        assert_eq!(cache.artifacts_patched, 3); // stats + partition + pool
+        assert_eq!(cache.artifacts_patched, 1); // stats
         assert_eq!(cache.artifacts_rebuilt, 0);
-        // And every patched artifact equals its cold-rebuilt twin.
+        // Every artifact equals its cold-built twin: the ordering stays
+        // frozen and the partition is `shard_by_dim` of the grown table,
+        // tids ascending within each group.
         let mut cold = rebuilt(&s);
         assert_eq!(s.stats(), cold.stats());
         assert_eq!(s.prep.perm, cold.prep.perm);
-        assert_eq!(s.prep.tids, cold.prep.tids);
-        assert_eq!(s.prep.groups, cold.prep.groups);
+        let (tids, groups) = s.table().shard_by_dim(s.leading_dim());
+        assert_eq!((&s.prep.tids, &s.prep.groups), (&tids, &groups));
+        for g in &s.prep.groups {
+            assert!(s.prep.tids[g.range()].windows(2).all(|w| w[0] < w[1]));
+        }
+        // The next StarArray query rebuilds the pool once; a repeat reuses it.
+        for _ in 0..2 {
+            s.query()
+                .algorithm(Algorithm::CCubingStarArray)
+                .run(&mut CountingSink::default())
+                .unwrap();
+        }
+        assert_eq!(s.cache_stats().pool_builds, 2);
         assert_eq!(*s.star_pool(), *cold.star_pool());
     }
 
     #[test]
-    fn ingest_with_new_leading_values_splices_new_groups() {
+    fn ingest_with_new_leading_values_opens_new_groups() {
         let mut s = session();
         let lead = s.leading_dim();
         // A row whose leading-dimension value the table has never seen:
-        // card is 6, so value 6 widens nothing but opens a new group (and
-        // possibly a new column width is untouched — 6 < 256).
+        // card is 6, so value 6 widens nothing (6 < 256) but opens a group.
         let mut row = vec![0u32; s.table().dims()];
         row[lead] = 6;
         s.ingest(&row).unwrap();
@@ -1726,7 +1642,47 @@ mod tests {
         assert_eq!(s.prep.tids, cold.prep.tids);
         // The cached-partition slice fast path sees the new group.
         let tid = (s.table().rows() - 1) as TupleId;
-        assert!(s.leading_slice_tids(6).contains(&tid));
+        assert_eq!(s.leading_slice_tids(6), vec![tid]);
+    }
+
+    #[test]
+    fn rejected_and_empty_batches_do_not_copy_the_table() {
+        let table = SyntheticSpec::uniform(400, 4, 6, 1.0, 11).generate_with_measure("m");
+        let mut s = CubeSession::new(table).unwrap();
+        let want = collect_counts(|sink| {
+            s.query().run(sink).unwrap();
+        });
+        // An open stream (and `before`) share the snapshot, so the first
+        // `&mut Table` costs a clone.
+        let stream = s.query().stream().unwrap();
+        let before = s.table.clone();
+        let m: &[(&str, &[f64])] = &[("m", &[1.0])];
+        assert!(matches!(
+            s.ingest_with_measures(&[0, 1, 2], m),
+            Err(CubeError::BadRowWidth { .. })
+        ));
+        assert!(matches!(
+            s.ingest_with_measures(&[0, 1, u32::MAX, 3], m),
+            Err(CubeError::UnrepresentableValue { dim: 2, .. })
+        ));
+        assert!(matches!(
+            s.ingest(&[0, 1, 2, 3]),
+            Err(CubeError::BadMeasureColumn { .. })
+        ));
+        assert_eq!(s.ingest(&[]).unwrap(), IngestStats::default());
+        assert!(Arc::ptr_eq(&s.table, &before));
+        assert_eq!(s.cache_stats().partition_builds, 1);
+        // A valid batch clones exactly once: the session moves to a private
+        // copy, the snapshot is untouched, and the next append is in place.
+        s.ingest_with_measures(&[0, 1, 2, 3], m).unwrap();
+        assert!(!Arc::ptr_eq(&s.table, &before));
+        assert_eq!((before.rows(), s.table().rows()), (400, 401));
+        let private = Arc::as_ptr(&s.table);
+        s.ingest_with_measures(&[3, 2, 1, 0], m).unwrap();
+        assert_eq!(Arc::as_ptr(&s.table), private);
+        let got: ccube_core::fxhash::FxHashMap<Cell, u64> =
+            stream.map(|(cell, count, ())| (cell, count)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -191,9 +191,9 @@ fn assert_all_algorithms_agree(table: &Table, min_sups: &[u64], label: &str) {
     }
 }
 
-/// The three checked-in BENCH_parallel.json workload shapes (uniform,
-/// Zipf 1.5, Zipf 2.0 — T scaled down, D=8, C=100 scaled to keep the naive
-/// oracle tractable), all 8 algorithms, threads {1, 2, 8}.
+/// Three skews (Zipf 1.0, 1.5, 2.0 — the regimes where the hottest shard
+/// bounds the makespan) on a table small enough for the naive oracle, all
+/// 8 algorithms, threads {1, 2, 8}.
 #[test]
 fn all_algorithms_on_the_three_benchmark_shapes() {
     for (skew, seed) in [(1.0, 4), (1.5, 4), (2.0, 4)] {
