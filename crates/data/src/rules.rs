@@ -88,6 +88,12 @@ impl RuleSet {
     ///
     /// Values are drawn from the *low end* of each domain (value id below
     /// `card/2 + 1`) so rules actually fire under skewed value shuffling.
+    ///
+    /// Generation stops at 4 096 rules whether or not `target_r` was
+    /// reached, and a rule's pruning power shrinks with the square of the
+    /// cardinality: a requested `R = 2` comes back as `R ≈ 0.41` at
+    /// cardinality 100 and `≈ 0.004` at 1000. Read the achieved value off
+    /// [`RuleSet::dependence`]; never report the requested one.
     pub fn with_dependence(cards: &[u32], target_r: f64, seed: u64) -> RuleSet {
         assert!(
             cards.len() >= 3,

@@ -444,10 +444,15 @@ fn reply_bytes_are_unchanged_from_the_per_frame_server() {
     /// for `QueryRequest::new("synth", 2)` as a fresh server's first query,
     /// captured at the parent commit.
     const CAPTURE: (usize, usize, u64) = (11, 16_993, 3_931_016_427_990_777_700);
+    /// What the planner picked for that request when the capture was taken;
+    /// the bytes are in its emission order. This test is of the wire, not
+    /// of the planner, so the algorithm is pinned.
+    const CAPTURED_WITH: Algorithm = Algorithm::CCubingStar;
 
     let server = start_default();
     let mut client = connect(&server);
-    let req = QueryRequest::new("synth", 2);
+    let mut req = QueryRequest::new("synth", 2);
+    req.algorithm = Some(CAPTURED_WITH);
     client
         .send_raw(&proto::encode_request(&Request::Query(req)))
         .unwrap();
@@ -471,8 +476,11 @@ fn reply_bytes_are_unchanged_from_the_per_frame_server() {
     };
 
     let mut session = CubeSession::new(small_table()).unwrap();
-    let cells: Vec<(ccube_core::Cell, u64, ())> =
-        session.query().min_sup(2).stream().unwrap().collect();
+    let cells: Vec<(ccube_core::Cell, u64, ())> = (session.query().min_sup(2))
+        .algorithm(CAPTURED_WITH)
+        .stream()
+        .unwrap()
+        .collect();
     let mut expected = Vec::new();
     for (seq, chunk) in cells.chunks(64).enumerate() {
         let mut block = ccube_serve::CellBlock {

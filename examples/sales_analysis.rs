@@ -43,9 +43,9 @@ fn main() {
     // measured once and reused.
     let mut session = CubeSession::new(table).expect("ordinary table");
     println!(
-        "measured stats: typical cardinality {}, mean skew {:.2}, dependence {:.2}; \
+        "measured stats: cardinalities {:?}, mean skew {:.2}, dependence {:.2}; \
          planner picks {}\n",
-        session.stats().typical_cardinality(),
+        session.stats().cardinalities,
         session.stats().mean_skew(),
         session.stats().dependence,
         session.recommend(min_sup)

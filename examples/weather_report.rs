@@ -50,9 +50,9 @@ fn main() {
     // actual surrogate data?
     let stats = session.stats();
     println!(
-        "\nmeasured dependence {:.2}, typical cardinality {} -> advisor recommends: {}",
+        "\nmeasured dependence {:.2}, cardinalities {:?} -> advisor recommends: {}",
         stats.dependence,
-        stats.typical_cardinality(),
+        stats.cardinalities,
         session.recommend(min_sup)
     );
 

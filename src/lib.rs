@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::{
         recommend, Algorithm, CacheStats, CellStream, CubeQuery, CubeSession, DeltaStats,
         EngineConfig, EngineStats, IngestStats, MaterializedCube, QueryHandle, QueryPlan,
-        QueryStats, StreamPoll, TableStats, Workload,
+        QueryStats, StreamPoll, TableStats,
     };
     pub use ccube_core::lifecycle::CancelToken;
     pub use ccube_core::measure::{AllColumns, ColumnStats, CountOnly, MeasureSpec};
@@ -371,9 +371,7 @@ impl std::str::FromStr for Algorithm {
 
 /// Measured per-table statistics feeding the [`recommend`] planner (and the
 /// [`CubeSession`] cache): observed cardinalities and skew per dimension
-/// plus an estimated data dependence, all derived from the actual data
-/// rather than hand-filled. [`Workload`] remains as the coarse hand-filled
-/// convenience constructor ([`Workload::stats`]).
+/// plus an estimated data dependence, all derived from the actual data.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TableStats {
     /// Number of tuples measured.
@@ -385,11 +383,17 @@ pub struct TableStats {
     /// — 0 for uniform dimensions, rising toward the Zipf exponent for
     /// power-law ones.
     pub skews: Vec<f64>,
-    /// Estimated data dependence `R` (0 = independent): mean over adjacent
-    /// dimension pairs of `-ln(observed distinct pairs / expected distinct
-    /// pairs under independence)`, clamped to `[0, 4]`. Dependence shrinks
-    /// the set of value combinations that actually occur, which is exactly
-    /// what keeps closed pruning profitable (Figs 12–15).
+    /// Estimated pairwise data dependence (0 = independent): mean over the
+    /// first four adjacent dimension pairs `(a, b)` of `-ln(distinct
+    /// (a[t], b[t]) / distinct (a[t], b[t - lag]))` over the same sampled
+    /// rows, clamped to `[0, 4]`. The lagged pairs have the data's own
+    /// marginals with the row dependence broken, so skew alone reads 0 and a
+    /// functional dependence (the weather surrogate's station → latitude)
+    /// reads high. What it cannot see: once the sample holds every one of
+    /// the `card × card` pairs (cardinality 20 at 25 000 rows) both counts
+    /// saturate, and three-way `(A, B) → C` rules leave the pairwise counts
+    /// as they were; both read 0. Tables of about a thousand rows or fewer
+    /// read 0 too (no row has a lagged partner).
     pub dependence: f64,
 }
 
@@ -404,14 +408,6 @@ impl TableStats {
 
     /// Row cap for the dependence-estimation pair scans.
     pub const SAMPLE_ROWS: usize = 65_536;
-
-    /// Representative dimension cardinality (median of the observed ones) —
-    /// the Fig 5 / Fig 10 crossover input of [`recommend`].
-    pub fn typical_cardinality(&self) -> u32 {
-        let mut sorted = self.cardinalities.clone();
-        sorted.sort_unstable();
-        sorted.get(sorted.len() / 2).copied().unwrap_or(1)
-    }
 
     /// Mean per-dimension skew estimate.
     pub fn mean_skew(&self) -> f64 {
@@ -443,18 +439,62 @@ impl TableStats {
 /// can **extend** its statistics over an appended batch instead of
 /// re-scanning the whole table: per-dimension frequency vectors (grown as
 /// new values appear) plus the sampled pair-distinct sets feeding the
-/// dependence estimate. Because the dependence sample is a row prefix and
-/// appends only add rows at the end, `extend` + [`StatsState::stats`] is
-/// exactly equal to a cold [`TableStats::measure`] of the grown table.
+/// dependence estimate. Because the dependence sample is a row prefix, a
+/// lagged pair only looks back, and appends only add rows at the end,
+/// `extend` + [`StatsState::stats`] is exactly equal to a cold
+/// [`TableStats::measure`] of the grown table.
 #[derive(Clone, Debug)]
 pub(crate) struct StatsState {
     rows: usize,
     freq: Vec<Vec<u64>>,
-    pair_seen: Vec<ccube_core::fxhash::FxHashSet<u64>>,
-    sampled: usize,
+    /// Per sampled adjacent dimension pair `(a, b)`, over the same rows: the
+    /// distinct `(a[t], b[t])` seen, and the distinct `(a[t], b[t - LAG])` —
+    /// the same marginals with the row dependence broken.
+    pairs: Vec<[DistinctSketch; 2]>,
+}
+
+/// How many distinct `u64` keys were inserted, by linear counting: each key
+/// sets one hashed bit of a fixed bitmap, and the share of bits still clear
+/// gives the count (within ≈ 0.3 % at the [`TableStats::SAMPLE_ROWS`] keys
+/// it is sized for). A pure function of the key set, at one store per
+/// insert where an exact hash set costs a probe and its regrowth.
+#[derive(Clone, Debug)]
+struct DistinctSketch {
+    bits: Vec<u64>,
+    set: u32,
+}
+
+impl DistinctSketch {
+    /// Twice the most keys ever inserted, so the bitmap never fills.
+    const LOG2_BITS: u32 = (2 * TableStats::SAMPLE_ROWS).ilog2();
+
+    fn insert(&mut self, key: u64) {
+        let h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - Self::LOG2_BITS)) as usize;
+        let (word, bit) = (&mut self.bits[h / 64], 1u64 << (h % 64));
+        self.set += u32::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    fn distinct(&self) -> f64 {
+        let bits = f64::from(1u32 << Self::LOG2_BITS);
+        -bits * (1.0 - f64::from(self.set) / bits).ln()
+    }
+}
+
+impl Default for DistinctSketch {
+    fn default() -> DistinctSketch {
+        DistinctSketch {
+            bits: vec![0; (1 << Self::LOG2_BITS) / 64],
+            set: 0,
+        }
+    }
 }
 
 impl StatsState {
+    /// How far back the dependence baseline pairs a row's `a` with another
+    /// row's `b`. Tables of at most this many rows read dependence 0.
+    const LAG: usize = 1021;
+
     /// Scan `table` from scratch (`O(rows × dims)`, the once-per-session
     /// setup cost).
     pub(crate) fn new(table: &Table) -> StatsState {
@@ -463,8 +503,7 @@ impl StatsState {
         let mut state = StatsState {
             rows: 0,
             freq: vec![Vec::new(); dims],
-            pair_seen: vec![Default::default(); pairs],
-            sampled: 0,
+            pairs: vec![Default::default(); pairs],
         };
         state.extend(table, 0);
         state
@@ -485,13 +524,15 @@ impl StatsState {
                 freq[v] += 1;
             }
         }
-        for t in from_row..table.rows().min(TableStats::SAMPLE_ROWS) {
-            for (d, seen) in self.pair_seen.iter_mut().enumerate() {
-                let (a, b) = (table.col(d), table.col(d + 1));
-                seen.insert((u64::from(a.get(t)) << 32) | u64::from(b.get(t)));
+        let sample = from_row.max(Self::LAG)..table.rows().min(TableStats::SAMPLE_ROWS);
+        for (d, [seen, lagged]) in self.pairs.iter_mut().enumerate() {
+            let (a, b) = (table.col(d), table.col(d + 1));
+            for t in sample.clone() {
+                let a_t = u64::from(a.get(t)) << 32;
+                seen.insert(a_t | u64::from(b.get(t)));
+                lagged.insert(a_t | u64::from(b.get(t - Self::LAG)));
             }
         }
-        self.sampled = table.rows().min(TableStats::SAMPLE_ROWS);
         self.rows = table.rows();
     }
 
@@ -514,88 +555,201 @@ impl StatsState {
         }
         TableStats {
             tuples: n as u64,
-            dependence: self.dependence(&cardinalities),
+            dependence: self.dependence(),
             cardinalities,
             skews,
         }
     }
 
-    fn dependence(&self, cards: &[u32]) -> f64 {
-        if self.rows < 2 || self.pair_seen.is_empty() {
+    /// Of the `values` listed for dimension `dim`: how many tuples carry
+    /// one, how many of them occur at all, and the count of the most
+    /// frequent. (A value listed twice counts twice.)
+    pub(crate) fn selected(&self, dim: usize, values: &[u32]) -> (u64, u64, u64) {
+        let freq = &self.freq[dim];
+        let counts = values
+            .iter()
+            .map(|&v| freq.get(v as usize).copied().unwrap_or(0));
+        counts.fold((0, 0, 0), |(hit, distinct, top), f| {
+            (hit + f, distinct + u64::from(f > 0), top.max(f))
+        })
+    }
+
+    fn dependence(&self) -> f64 {
+        if self.rows <= Self::LAG || self.pairs.is_empty() {
             return 0.0;
         }
-        let mut total = 0.0;
-        for (d, seen) in self.pair_seen.iter().enumerate() {
-            // Expected distinct pairs under independence, capped by both the
-            // domain size and the sample size (the occupancy approximation
-            // `m(1 - e^{-n/m})` of the coupon-collector curve).
-            let m = (cards[d] as f64) * (cards[d + 1] as f64);
-            let expected = (m * (1.0 - (-(self.sampled as f64) / m).exp())).max(1.0);
-            let ratio = (seen.len() as f64 / expected).clamp(1e-6, 1.0);
-            total += -ratio.ln();
-        }
-        (total / self.pair_seen.len() as f64).clamp(0.0, 4.0)
+        let total: f64 = self
+            .pairs
+            .iter()
+            .map(|[seen, lagged]| (lagged.distinct() / seen.distinct()).max(1.0).ln())
+            .sum();
+        (total / self.pairs.len() as f64).clamp(0.0, 4.0)
     }
 }
 
-/// A coarse hand-filled description of a closed-cubing workload — the
-/// convenience constructor for [`TableStats`] when no table is at hand to
-/// [`TableStats::measure`] (capacity planning, what-if advisories).
-#[derive(Clone, Copy, Debug)]
-pub struct Workload {
-    /// Number of tuples.
-    pub tuples: u64,
-    /// Iceberg threshold.
-    pub min_sup: u64,
-    /// Typical dimension cardinality.
-    pub cardinality: u32,
-    /// Estimated data dependence `R` (0 = independent; see
-    /// [`ccube_data::rules::RuleSet::dependence`]).
-    pub dependence: f64,
+/// The four closed cubers [`recommend`] chooses among, in the row order of
+/// [`COST_MODEL`].
+const CLOSED: [Algorithm; 4] = [
+    Algorithm::QcDfs,
+    Algorithm::CCubingMm,
+    Algorithm::CCubingStar,
+    Algorithm::CCubingStarArray,
+];
+
+/// How many inputs the cost model reads ([`PlanShape::inputs`]).
+pub(crate) const MODEL_INPUTS: usize = 10;
+
+// BEGIN GENERATED by `cargo run --release --example algorithm_advisor -- --fit`
+// (paste its output over this block; never edit a number by hand).
+/// `ln(estimated milliseconds)` of each [`CLOSED`] algorithm is the dot
+/// product of its row with [`PlanShape::inputs`]. Columns:
+///  0. `1`
+///  1. `T = ln tuples`
+///  2. `D = dimensions`
+///  3. `L = mean ln cardinality`
+///  4. `P = mean top-value share`
+///  5. `M = ln min_sup`
+///  6. `D*L`
+///  7. `P*D`
+///  8. `P*T`
+///  9. `L*M` (dropped by the fit)
+#[rustfmt::skip]
+const COST_MODEL: [[f64; MODEL_INPUTS]; 4] = [
+    // QC-DFS
+    [-12.80019, 1.18835, 0.59880, 0.26644, 0.63297, -0.48641, -0.03096, 0.42796, -0.21979, 0.00000],
+    // CC(MM)
+    [-13.78385, 1.25163, 1.00347, 0.47355, 2.88519, -0.46712, -0.09457, 0.20233, -0.53403, 0.00000],
+    // CC(Star)
+    [-18.65963, 1.58993, 1.10219, 0.90417, 6.63173, -0.38574, -0.11241, 0.33115, -1.12400, 0.00000],
+    // CC(StarArray)
+    [-13.01657, 1.17642, 0.68567, 0.25873, 1.29118, -0.40864, -0.03012, 0.32804, -0.32060, 0.00000],
+];
+// END GENERATED
+
+/// What the cost model reads off the (sub)table a request cubes: a handful
+/// of numbers, so a [`CubeSession`] keeps the base table's beside its
+/// [`TableStats`] and planning a whole-table query scans nothing.
+///
+/// The per-dimension statistics enter as means over the group-by
+/// dimensions, not extremes: the calibration grid's dimensions are alike,
+/// so a table's extremes equal its means there and a fit cannot tell them
+/// apart (it answers with large weights of opposite sign, which price a
+/// slice's one-value dimension at zero milliseconds).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct PlanShape {
+    ln_tuples: f64,
+    dims: f64,
+    /// Mean `ln` of the cardinality, each capped at the tuple count (a
+    /// subtable cannot hold more values than rows).
+    ln_card: f64,
+    /// Mean share of the tuples carrying a dimension's most frequent value
+    /// — `1 / cardinality` when uniform, 0.61 at Zipf 2, 1 for a sliced
+    /// dimension. The skew axis of the model: unlike [`TableStats::skews`]
+    /// it keeps rising past Zipf 2.
+    top_share: f64,
 }
 
-impl Workload {
-    /// Synthesize the [`TableStats`] this workload describes (pass the
-    /// result plus [`Workload::min_sup`] to [`recommend`]).
-    pub fn stats(&self) -> TableStats {
-        TableStats {
-            tuples: self.tuples,
-            cardinalities: vec![self.cardinality],
-            skews: vec![0.0],
-            dependence: self.dependence,
+impl PlanShape {
+    /// The shape of a (sub)table of `tuples` rows whose group-by dimensions
+    /// have the given `(cardinality, top-value share)`.
+    pub(crate) fn new(tuples: f64, dims: &[(f64, f64)]) -> PlanShape {
+        let tuples = tuples.max(1.0);
+        let n = dims.len().max(1) as f64;
+        let ln_card = |(card, _): &(f64, f64)| card.clamp(1.0, tuples).ln();
+        PlanShape {
+            ln_tuples: tuples.ln(),
+            dims: dims.len() as f64,
+            ln_card: dims.iter().map(ln_card).sum::<f64>() / n,
+            top_share: dims.iter().map(|(_, share)| share).sum::<f64>() / n,
         }
     }
+
+    /// The shape of the whole measured table.
+    pub(crate) fn of(stats: &TableStats) -> PlanShape {
+        let dims: Vec<(f64, f64)> = (stats.cardinalities.iter().zip(&stats.skews))
+            .map(|(&card, &skew)| (f64::from(card), top_share(card, skew)))
+            .collect();
+        PlanShape::new(stats.tuples as f64, &dims)
+    }
+
+    /// The model's inputs for this shape at `min_sup`, in [`COST_MODEL`]'s
+    /// column order (documented on [`QueryPlan::inputs`]).
+    pub(crate) fn inputs(&self, min_sup: u64) -> [f64; MODEL_INPUTS] {
+        let (t, d, l, p) = (self.ln_tuples, self.dims, self.ln_card, self.top_share);
+        let m = (min_sup.max(1) as f64).ln();
+        [1.0, t, d, l, p, m, d * l, p * d, p * t, l * m]
+    }
+}
+
+/// The share of a dimension's tuples on its most frequent value, recovered
+/// from what [`TableStats`] keeps: `skew = ln(max_freq / mean_freq) /
+/// ln(cardinality)` and `mean_freq = tuples / cardinality`.
+pub(crate) fn top_share(cardinality: u32, skew: f64) -> f64 {
+    f64::from(cardinality).powf(skew - 1.0)
+}
+
+/// The model's cost estimate, in milliseconds, of cubing a (sub)table with
+/// these [`PlanShape::inputs`] sequentially with each closed algorithm.
+pub(crate) fn estimates(inputs: &[f64; MODEL_INPUTS]) -> [(Algorithm, f64); 4] {
+    std::array::from_fn(|a| {
+        let ln_ms: f64 = COST_MODEL[a].iter().zip(inputs).map(|(w, x)| w * x).sum();
+        (CLOSED[a], ln_ms.exp())
+    })
+}
+
+/// The candidate with the lowest estimate (the first of equals, so a plan
+/// is a pure function of its inputs).
+pub(crate) fn cheapest(estimates: &[(Algorithm, f64); 4]) -> Algorithm {
+    let best = estimates.iter().min_by(|a, b| a.1.total_cmp(&b.1));
+    best.expect("four candidates").0
 }
 
 /// Pick a closed cubing algorithm for measured table statistics and an
-/// iceberg threshold, following the decision surface of Section 5
-/// (Figs 8–15):
+/// iceberg threshold: the cheapest of QC-DFS, `C-Cubing(MM)`,
+/// `C-Cubing(Star)` and `C-Cubing(StarArray)` under a calibrated cost model
+/// — the paper's Section 5 decision surface (which cuber wins as T, D, C,
+/// S, M and R move), measured on this implementation instead of read off a
+/// figure.
 ///
-/// * the Star family wins while `min_sup` is low — closed pruning still has
-///   material to prune; the switching point grows with the data dependence
-///   `R` (high dependence keeps closed pruning profitable longer);
-/// * past the switching point, iceberg pruning dominates and `C-Cubing(MM)`
-///   wins;
-/// * within the Star family, low cardinality favours `C-Cubing(Star)`
-///   (multiway aggregation), high cardinality favours `C-Cubing(StarArray)`
-///   (multiway traversal) — the Fig 5 / Fig 10 crossover.
+/// Each algorithm's estimate is log-linear in what a session already
+/// measures: the tuple count, the number of group-by dimensions, the mean
+/// `ln` cardinality, the mean top-value share (the share of the tuples on
+/// a dimension's most frequent value — the skew axis), `min_sup`, and a few
+/// products of those. [`TableStats::dependence`] is measured and reported
+/// but not read: as a candidate input it did not lower held-out regret.
 ///
-/// `stats` is normally [`TableStats::measure`]d from the real table (a
-/// [`CubeSession`] caches it and auto-plans with it); [`Workload::stats`]
-/// synthesizes one from a hand-filled description. The thresholds are
-/// heuristics fitted to our Fig 15 reproduction (`exp fig15`).
+/// The coefficients are the `COST_MODEL` table above, which
+/// `examples/algorithm_advisor.rs --fit` generates: it times the four
+/// algorithms over a 486-point grid of [`ccube_data::SyntheticSpec`]'s
+/// knobs plus whole, diced, projected and sliced requests on the benchmark
+/// ladder's four generators, solves the least-squares fit, and drops every
+/// candidate input whose removal does not raise the regret (picked ÷ best
+/// measured time) on a held-out grid. Re-fit by pasting its output over the
+/// table; `--check` re-measures the held-out grid and fails when the regret
+/// leaves its gate. A plan is a pure function of `(stats, min_sup)` — no
+/// timing, sampling or history — which resume-by-re-execution in
+/// `ccube-serve` relies on.
+///
+/// What the calibration found on this implementation (winners over the
+/// grid, 162 tables per row):
+///
+/// | Zipf | wins |
+/// |---|---|
+/// | 0 | QC-DFS 131, CC(StarArray) 21, CC(MM) 6, CC(Star) 4 |
+/// | 1 | QC-DFS 127, CC(StarArray) 31, CC(Star) 4 |
+/// | 2 | CC(StarArray) 57, CC(Star) 52, CC(MM) 49, QC-DFS 4 |
+///
+/// At Zipf ≤ 1 the paper's *baseline* wins here, by 1.2× over the best
+/// C-Cubing algorithm; at Zipf 2 the best C-Cubing algorithm is 1.5×
+/// faster than QC-DFS — CC(Star) at low cardinality, CC(StarArray) at low
+/// `min_sup`, CC(MM) at high (geomeans over runs of ≥ 5 ms).
+///
+/// `stats` is normally [`TableStats::measure`]d from the real table; a
+/// [`CubeSession`] caches it and plans each query with the statistics of
+/// the sliced / projected subtable the query cubes (see
+/// [`CubeQuery::plan`]).
 pub fn recommend(stats: &TableStats, min_sup: u64) -> Algorithm {
-    // Switching point: around min_sup ≈ 16 at R = 0 on 400K rows in the
-    // paper's Fig 15, scaling with dependence and (weakly) with data size.
-    let size_factor = ((stats.tuples.max(1) as f64) / 400_000.0).max(0.1);
-    let switch = 16.0 * (1.0 + stats.dependence * stats.dependence) * size_factor.sqrt();
-    if (min_sup as f64) > switch {
-        Algorithm::CCubingMm
-    } else if stats.typical_cardinality() > 300 {
-        Algorithm::CCubingStarArray
-    } else {
-        Algorithm::CCubingStar
-    }
+    cheapest(&estimates(&PlanShape::of(stats).inputs(min_sup)))
 }
 
 #[cfg(test)]
@@ -639,42 +793,25 @@ mod tests {
     }
 
     #[test]
-    fn recommend_follows_fig15_shape() {
-        // Low min_sup, low cardinality -> CC(Star).
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 2,
-            cardinality: 20,
-            dependence: 0.0,
-        };
-        assert_eq!(recommend(&w.stats(), w.min_sup), Algorithm::CCubingStar);
-        // Low min_sup, high cardinality -> CC(StarArray).
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 2,
-            cardinality: 2000,
-            dependence: 0.0,
-        };
-        assert_eq!(
-            recommend(&w.stats(), w.min_sup),
-            Algorithm::CCubingStarArray
-        );
-        // High min_sup, independent data -> CC(MM).
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 256,
-            cardinality: 20,
-            dependence: 0.0,
-        };
-        assert_eq!(recommend(&w.stats(), w.min_sup), Algorithm::CCubingMm);
-        // Same min_sup but highly dependent data keeps Star ahead.
-        let w = Workload {
-            tuples: 400_000,
-            min_sup: 64,
-            cardinality: 20,
-            dependence: 3.0,
-        };
-        assert_eq!(recommend(&w.stats(), w.min_sup), Algorithm::CCubingStar);
+    fn recommend_picks_the_measured_winner_at_the_ladder_shapes() {
+        use ccube_data::SyntheticSpec;
+        // Measured at min_sup 8 on 25 000 x 8, cardinality 100: at Zipf 1
+        // QC-DFS takes 28 ms against 37-56 ms for the best C-Cubing
+        // algorithm; at Zipf 2 CC(StarArray) takes 46 ms against 62 ms.
+        for seed in [3, 41, 977] {
+            let zipf1 = SyntheticSpec::uniform(25_000, 8, 100, 1.0, seed).generate();
+            assert_eq!(
+                recommend(&TableStats::measure(&zipf1), 8),
+                Algorithm::QcDfs,
+                "Zipf 1, seed {seed}"
+            );
+            let zipf2 = SyntheticSpec::uniform(25_000, 8, 100, 2.0, seed).generate();
+            let pick = recommend(&TableStats::measure(&zipf2), 8);
+            assert!(
+                Algorithm::C_CUBING.contains(&pick),
+                "Zipf 2, seed {seed}: picked {pick}"
+            );
+        }
     }
 
     #[test]
@@ -720,5 +857,18 @@ mod tests {
             sd.dependence,
             s.dependence
         );
+        // The benchmark ladder: skew and sparsity alone are not dependence;
+        // the weather surrogate's station -> (latitude, longitude) is.
+        for (name, spec) in [
+            ("skew1", SyntheticSpec::uniform(25_000, 8, 100, 1.0, 5)),
+            ("skew2", SyntheticSpec::uniform(25_000, 8, 100, 2.0, 5)),
+            ("sparse", SyntheticSpec::uniform(25_000, 6, 1000, 1.5, 5)),
+        ] {
+            let dependence = TableStats::measure(&spec.generate()).dependence;
+            assert!(dependence < 0.1, "rule-free {name} reads {dependence}");
+        }
+        let weather = ccube_data::WeatherSpec::new(25_000, 5).generate();
+        let dependence = TableStats::measure(&weather).dependence;
+        assert!(dependence > 0.4, "weather reads {dependence}");
     }
 }

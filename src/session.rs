@@ -5,7 +5,8 @@
 //! query used to recompute from scratch:
 //!
 //! * measured [`TableStats`] (observed cardinalities, skew, dependence) —
-//!   the planner input of [`recommend`], built once at session creation;
+//!   the planner input of [`recommend`](crate::recommend), built once at
+//!   session creation;
 //! * the stats-informed sharding order
 //!   ([`TableStats::recommend_ordering`]), its permutation, and the
 //!   counting-sort partition along its leading dimension — handed to the
@@ -28,8 +29,10 @@
 //!   the algorithm choice (the planner maps an explicit algorithm to its
 //!   family counterpart via [`Algorithm::with_closed`]; default closed);
 //! * `measure(spec)` — complex measures riding along per Section 6.1;
-//! * `algorithm(a)` — explicit algorithm, otherwise the planner picks via
-//!   [`recommend`] over the session's cached stats;
+//! * `algorithm(a)` — explicit algorithm, otherwise the planner picks the
+//!   cheapest closed cuber under the cost model of
+//!   [`recommend`](crate::recommend), fed the session's cached stats
+//!   narrowed to the queried subtable ([`CubeQuery::plan`]);
 //! * `threads(n)` / `engine(config)` — route through the partition-parallel
 //!   engine instead of a plain sequential run;
 //! * `deadline(d)` / `memory_budget(bytes)` — lifecycle limits enforced
@@ -71,7 +74,10 @@
 //! produce byte-identical output sequences (the cached artifacts are
 //! by-construction equal to what a cold run computes).
 
-use crate::{recommend, Algorithm, EngineConfig, EngineStats, StatsState, TableStats};
+use crate::{
+    cheapest, estimates, top_share, Algorithm, EngineConfig, EngineStats, PlanShape, StatsState,
+    TableStats, MODEL_INPUTS,
+};
 use ccube_core::cell::Cell;
 use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::measure::{CountOnly, MeasureSpec};
@@ -152,6 +158,8 @@ pub struct IngestStats {
 pub struct CubeSession {
     table: Arc<Table>,
     stats: TableStats,
+    /// `stats` as the cost model reads it, refreshed wherever `stats` is.
+    shape: PlanShape,
     /// Raw accumulators behind `stats`, kept so ingest can extend the
     /// measurement over the appended rows instead of re-scanning.
     stats_state: StatsState,
@@ -211,12 +219,14 @@ impl CubeSession {
         }
         let stats_state = StatsState::new(&table);
         let stats = stats_state.stats();
+        let shape = PlanShape::of(&stats);
         let ordering = stats.recommend_ordering();
         let perm = ordering.permutation(&table);
         let (tids, groups) = table.shard_by_dim(perm[0]);
         Ok(CubeSession {
             table: Arc::new(table),
             stats,
+            shape,
             stats_state,
             prep: Arc::new(EnginePrep {
                 ordering,
@@ -249,10 +259,11 @@ impl CubeSession {
         self.cache
     }
 
-    /// What [`recommend`] picks for this table at `min_sup`, using the
-    /// cached stats.
+    /// What [`recommend`](crate::recommend) picks for this table at
+    /// `min_sup`, using the cached stats: the algorithm of
+    /// `query().min_sup(min_sup).plan()`.
     pub fn recommend(&self, min_sup: u64) -> Algorithm {
-        recommend(&self.stats, min_sup)
+        cheapest(&estimates(&self.shape.inputs(min_sup)))
     }
 
     /// The stats-informed sharding order this session derived once
@@ -367,6 +378,7 @@ impl CubeSession {
         };
         self.stats_state.extend(&self.table, old_rows);
         self.stats = self.stats_state.stats();
+        self.shape = PlanShape::of(&self.stats);
         self.cache.artifacts_patched += 1;
         let (tids, groups) = self.table.shard_by_dim(self.leading_dim());
         self.prep = Arc::new(EnginePrep {
@@ -468,8 +480,9 @@ impl std::fmt::Debug for CubeSession {
     }
 }
 
-/// The resolved execution plan of a [`CubeQuery`] (see [`CubeQuery::plan`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The resolved execution plan of a [`CubeQuery`] (see [`CubeQuery::plan`]),
+/// with what the planner saw and how it scored every candidate.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryPlan {
     /// Algorithm the query will run (explicit or planner-chosen).
     pub algorithm: Algorithm,
@@ -477,6 +490,18 @@ pub struct QueryPlan {
     pub closed: bool,
     /// Whether the run goes through the partition-parallel engine.
     pub parallel: bool,
+    /// The cost model's estimate, in milliseconds of a sequential run, for
+    /// each of the four closed algorithms on the subtable this query cubes.
+    /// A planner-chosen `algorithm` is the cheapest of them (its iceberg
+    /// counterpart under `closed(false)`).
+    pub estimates: [(Algorithm, f64); 4],
+    /// What the estimates were computed from — the columns of the
+    /// calibrated model (see [`recommend`](crate::recommend)), describing
+    /// the queried subtable: `1`, `ln tuples` `T`, group-by dimensions `D`,
+    /// mean `ln cardinality` `L`, mean top-value share `P` (the share of
+    /// the tuples on a dimension's most frequent value), `ln min_sup` `M`,
+    /// then the products `D·L`, `P·D`, `P·T`, `L·M`.
+    pub inputs: [f64; MODEL_INPUTS],
 }
 
 /// Counters returned by the [`CubeQuery::stats`] terminal.
@@ -576,7 +601,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     }
 
     /// Pin the algorithm instead of letting the planner pick from the
-    /// session's cached [`TableStats`].
+    /// session's cached [`TableStats`] ([`CubeQuery::plan`]).
     pub fn algorithm(mut self, a: Algorithm) -> Self {
         self.algorithm = Some(a);
         self
@@ -647,26 +672,66 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
         }
     }
 
-    /// The execution plan this query resolves to, without running it.
+    /// The execution plan this query resolves to, without running it —
+    /// and what the terminals run: `run` / `stats` / `stream` resolve their
+    /// algorithm through this function. A plan is a pure function of the
+    /// session's [`TableStats`] and the request, so the same query on the
+    /// same table version always plans, and therefore emits, the same way.
+    ///
+    /// Without an explicit [`CubeQuery::algorithm`] the planner picks the
+    /// cheapest closed algorithm under its cost model
+    /// ([`recommend`](crate::recommend)) for the subtable the query cubes,
+    /// not for the session's whole table: the kept dimensions only, the
+    /// tuple count the selections leave, and each dimension's cardinality
+    /// capped at that count.
     pub fn plan(&self) -> QueryPlan {
-        let (algorithm, closed) = self.planned_algorithm();
+        let inputs = self.shape().inputs(self.min_sup);
+        let estimates = estimates(&inputs);
+        let closed = self
+            .closed
+            .unwrap_or_else(|| self.algorithm.is_none_or(Algorithm::is_closed));
+        let algorithm = self.algorithm.unwrap_or_else(|| cheapest(&estimates));
         QueryPlan {
-            algorithm,
+            algorithm: algorithm.with_closed(closed),
             closed,
             parallel: self.engine.is_some() || self.threads.is_some(),
+            estimates,
+            inputs,
         }
     }
 
-    fn planned_algorithm(&self) -> (Algorithm, bool) {
-        match (self.algorithm, self.closed) {
-            (Some(a), None) => (a, a.is_closed()),
-            (Some(a), Some(c)) => (a.with_closed(c), c),
-            (None, c) => {
-                let closed = c.unwrap_or(true);
-                let rec = recommend(&self.session.stats, self.min_sup);
-                (rec.with_closed(closed), closed)
-            }
+    /// The shape of the subtable this query cubes, derived from the
+    /// session's statistics without touching a row. Tuples come from the
+    /// per-dimension value frequencies: exact for one conjunct, the product
+    /// of the conjuncts' shares (independence assumed) for several. A diced
+    /// dimension's cardinality and top-value share are those of its selected
+    /// values; every other kept dimension keeps the base table's.
+    fn shape(&self) -> PlanShape {
+        let session = &*self.session;
+        if self.dims.is_none() && self.selections.is_empty() {
+            return session.shape;
         }
+        let stats = &session.stats;
+        let rows = (stats.tuples as f64).max(1.0);
+        let mut tuples = rows;
+        let diced: Vec<(usize, (f64, f64))> = (self.selections.iter())
+            .map(|(dim, values)| {
+                let (hit, distinct, top) = session.stats_state.selected(*dim, values);
+                tuples *= (hit as f64 / rows).min(1.0);
+                (*dim, (distinct as f64, top as f64 / (hit as f64).max(1.0)))
+            })
+            .collect();
+        let kept = self.dims.unwrap_or(DimMask::all(stats.cardinalities.len()));
+        let dims: Vec<(f64, f64)> = (kept.iter())
+            .map(|d| match diced.iter().rev().find(|(dim, _)| *dim == d) {
+                Some(&(_, shape)) => shape,
+                None => {
+                    let (card, skew) = (stats.cardinalities[d], stats.skews[d]);
+                    (f64::from(card), top_share(card, skew))
+                }
+            })
+            .collect();
+        PlanShape::new(tuples, &dims)
     }
 
     fn engine_config(&self) -> Option<EngineConfig> {
@@ -694,7 +759,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
         let table_dims = self.session.table.dims();
         let full_mask = DimMask::all(table_dims);
         let mask = self.dims.unwrap_or(full_mask);
-        let (algorithm, _) = self.planned_algorithm();
+        let algorithm = self.plan().algorithm;
         let engine = self.engine_config();
 
         let base = mask == full_mask && self.selections.is_empty();
@@ -1172,6 +1237,67 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// The emission sequence of one query.
+    fn sequence(query: CubeQuery<'_>) -> Vec<(Vec<u32>, u64)> {
+        let mut cells = Vec::new();
+        let mut sink = ccube_core::sink::FnSink(|cell: &[u32], count: u64, _: &()| {
+            cells.push((cell.to_vec(), count));
+        });
+        query.run(&mut sink).unwrap();
+        cells
+    }
+
+    #[test]
+    fn what_is_planned_is_what_runs() {
+        let table = SyntheticSpec::uniform(3000, 8, 12, 1.0, 5).generate();
+        let mut s = CubeSession::new(table).unwrap();
+        type Shape = for<'s> fn(&'s mut CubeSession) -> CubeQuery<'s>;
+        let shapes: [Shape; 3] = [
+            |s| s.query().min_sup(4),
+            |s| s.query().min_sup(4).dice(2, &[0, 1, 2]),
+            |s| s.query().min_sup(4).dims(DimMask(0b0110_1001)),
+        ];
+        for (i, shape) in shapes.iter().enumerate() {
+            // Same stats, same request: same plan, inputs and estimates too.
+            let plan = shape(&mut s).plan();
+            assert_eq!(shape(&mut s).plan(), plan, "shape {i}");
+            assert!(plan.estimates.iter().any(|(a, _)| *a == plan.algorithm));
+            assert!(plan.estimates.iter().all(|(_, ms)| ms.is_finite()));
+            // The planner-routed run is the run of the planned algorithm,
+            // cell for cell and in the same order.
+            assert_eq!(
+                sequence(shape(&mut s)),
+                sequence(shape(&mut s).algorithm(plan.algorithm)),
+                "shape {i} ran something other than {}",
+                plan.algorithm
+            );
+        }
+        assert_eq!(s.recommend(4), s.query().min_sup(4).plan().algorithm);
+    }
+
+    #[test]
+    fn estimates_follow_the_request_not_the_table() {
+        // Uniform over 50 values: five of them keep a tenth of the table.
+        let table = SyntheticSpec::uniform(5000, 8, 50, 0.0, 9).generate();
+        let mut s = CubeSession::new(table).unwrap();
+        let full = s.query().min_sup(4).plan();
+        let diced = s.query().min_sup(4).dice(0, &[0, 1, 2, 3, 4]).plan();
+        let projected = s.query().min_sup(4).dims(DimMask(0b1111)).plan();
+        // inputs[1] is ln(tuples), inputs[2] the group-by dimensions.
+        assert!((full.inputs[1] - diced.inputs[1] - 10f64.ln()).abs() < 0.1);
+        assert_eq!((full.inputs[2], projected.inputs[2]), (8.0, 4.0));
+        for a in 0..4 {
+            let (algorithm, whole) = full.estimates[a];
+            assert!(
+                diced.estimates[a].1 < whole,
+                "{algorithm}: a tenth costs more"
+            );
+            assert_ne!(projected.estimates[a].1, whole, "{algorithm}");
+        }
+        // Narrowing is by the request alone: the session's own shape stays.
+        assert_eq!(s.query().min_sup(4).plan(), full);
+    }
+
     #[test]
     fn closed_flag_is_orthogonal_to_algorithm() {
         let mut s = session();
@@ -1611,6 +1737,7 @@ mod tests {
         // tids ascending within each group.
         let mut cold = rebuilt(&s);
         assert_eq!(s.stats(), cold.stats());
+        assert_eq!(s.shape, cold.shape);
         assert_eq!(s.prep.perm, cold.prep.perm);
         let (tids, groups) = s.table().shard_by_dim(s.leading_dim());
         assert_eq!((&s.prep.tids, &s.prep.groups), (&tids, &groups));

@@ -204,12 +204,35 @@ fn low_level_path_agrees_with_query_path() {
     }
 }
 
+/// The planner-chosen run is the oracle's closed cube whatever the planner
+/// picks: over tables spanning Zipf 0 → 2 and `min_sup` 2 → 64 it picks at
+/// least three different cubers, so this is not a statement about one.
 #[test]
 fn query_stats_terminal_counts_cells() {
-    let table = SyntheticSpec::uniform(300, 3, 5, 0.0, 2).generate();
-    let mut session = CubeSession::new(table.clone()).unwrap();
-    let want = seq(session.recommend(2), &table, 2);
-    let stats = session.query().min_sup(2).stats().unwrap();
-    assert_eq!(stats.cells, want.len() as u64);
-    assert_eq!(stats.count_sum, want.values().sum::<u64>());
+    let mut picked = std::collections::HashSet::new();
+    for (rows, dims, card, zipf) in [
+        (2000, 5, 8, 0.0),
+        (3000, 5, 20, 0.5),
+        (2000, 5, 8, 1.0),
+        (3000, 5, 20, 1.5),
+        (3000, 6, 12, 2.0),
+    ] {
+        let table = SyntheticSpec::uniform(rows, dims, card, zipf, 2).generate();
+        let mut session = CubeSession::new(table.clone()).unwrap();
+        for min_sup in [2, 8, 64] {
+            let want = ccube_core::naive::naive_closed_counts(&table, min_sup);
+            let plan = session.query().min_sup(min_sup).plan();
+            assert_eq!(plan.algorithm, session.recommend(min_sup));
+            picked.insert(plan.algorithm);
+            let stats = session.query().min_sup(min_sup).stats().unwrap();
+            let label = format!("Zipf {zipf}, min_sup {min_sup}, {}", plan.algorithm);
+            assert_eq!(stats.cells, want.len() as u64, "{label}");
+            assert_eq!(stats.count_sum, want.values().sum::<u64>(), "{label}");
+            let got = collect_counts(|s| {
+                session.query().min_sup(min_sup).run(s).unwrap();
+            });
+            assert_eq!(got, want, "{label}");
+        }
+    }
+    assert!(picked.len() >= 3, "the planner only ever picked {picked:?}");
 }
