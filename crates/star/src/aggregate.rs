@@ -77,8 +77,9 @@ where
         bound,
         spec,
         sink,
+        free: Vec::new(),
     };
-    ctx.process::<CLOSED>(base);
+    ctx.process::<CLOSED>(Builder::new(base));
 }
 
 /// Build the base star tree **group-wise**: star reduction replaces values
@@ -129,11 +130,12 @@ fn build_base<const CLOSED: bool, M: MeasureSpec>(
     for d in (0..cube).rev() {
         sorter.sort_pass(&reduced[d], table.card(d) + 1, &mut pool);
     }
+    let rem: Vec<usize> = (0..cube).collect();
     let mut tree = Tree::new(
         table.dims(),
-        (0..cube).collect(),
+        &rem,
         table.carried_mask(),
-        vec![STAR; cube],
+        &vec![STAR; cube],
         spec.unit(table, 0),
     );
     tree.nodes[0].count = pool.len() as u64;
@@ -212,6 +214,10 @@ struct Ctx<'a, M: MeasureSpec, S> {
     bound: usize,
     spec: &'a M,
     sink: &'a mut S,
+    /// Spent child trees (with their `path` buffers) awaiting
+    /// [`Tree::reset`]: child trees live strictly last-in-first-out, so a
+    /// run allocates only as many as are ever live at once.
+    free: Vec<Builder<M::Acc>>,
 }
 
 /// An under-construction child tree plus its insertion cursor.
@@ -219,30 +225,38 @@ struct Builder<A> {
     /// Depth (in the parent tree) of the node this child tree derives from.
     src_depth: usize,
     tree: Tree<A>,
-    /// `path[k]` = node at child depth `k` currently being extended
-    /// (`path[0]` = root).
+    /// `path[k]` = the node at child depth `k` the last insert at that depth
+    /// landed on (`path[0]` = root). Always a chain: `path[k]` is a son of
+    /// `path[k - 1]`, which makes `path[k]` the ordered-insert cursor for
+    /// the next merge under `path[k - 1]`.
     path: Vec<u32>,
 }
 
 impl<A: Clone> Builder<A> {
-    fn insert<M: MeasureSpec<Acc = A>>(
+    fn new(tree: Tree<A>) -> Builder<A> {
+        Builder {
+            src_depth: 0,
+            tree,
+            path: Vec::new(),
+        }
+    }
+
+    fn insert<const CLOSED: bool, M: MeasureSpec<Acc = A>>(
         &mut self,
         table: &Table,
         spec: &M,
         src: &Node<A>,
         child_depth: usize,
-        closed: bool,
     ) {
         debug_assert!(child_depth >= 1);
         let parent = self.path[child_depth - 1];
-        let id = self.tree.merge_son(
-            table, spec, parent, src.value, src.count, src.info, &src.acc, closed,
+        let cursor = *self.path.get(child_depth).unwrap_or(&crate::tree::NONE);
+        let id = self.tree.merge_son::<CLOSED, M>(
+            table, spec, parent, cursor, src.value, src.count, src.info, &src.acc,
         );
-        if self.path.len() == child_depth {
-            self.path.push(id);
-        } else {
-            self.path[child_depth] = id;
-        }
+        // Deeper entries were sons of the node just moved off.
+        self.path.truncate(child_depth);
+        self.path.push(id);
     }
 }
 
@@ -251,11 +265,16 @@ where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    fn process<const CLOSED: bool>(&mut self, tree: Tree<M::Acc>) {
-        let mut cell = tree.cell.clone();
+    /// Cube the finished tree of `b`, then retire it to the free list. The
+    /// tree's prefix cell doubles as the DFS cell buffer (every level
+    /// restores what it binds).
+    fn process<const CLOSED: bool>(&mut self, mut b: Builder<M::Acc>) {
+        let mut cell = std::mem::take(&mut b.tree.cell);
         let mut builders: Vec<Builder<M::Acc>> = Vec::new();
-        self.dfs::<CLOSED>(&tree, tree.root(), 0, false, &mut builders, &mut cell);
+        self.dfs::<CLOSED>(&b.tree, b.tree.root(), 0, false, &mut builders, &mut cell);
         debug_assert!(builders.is_empty());
+        b.tree.cell = cell;
+        self.free.push(b);
     }
 
     /// `suppressed` = no outputs and no child trees below here (iceberg /
@@ -320,21 +339,23 @@ where
             // pre-bound dimensions are skipped above: their cells would star
             // a bound dimension and are owned by other shards.)
             if !CLOSED || !node.info.mask.contains(collapse) {
-                let child_rem = tree.rem_dims[depth + 1..].to_vec();
-                let mut child = Tree::new(
+                let mut b = self
+                    .free
+                    .pop()
+                    .unwrap_or_else(|| Builder::new(Tree::spent()));
+                b.src_depth = depth;
+                b.tree.reset(
                     self.table.dims(),
-                    child_rem,
+                    &tree.rem_dims[depth + 1..],
                     tree.tree_mask.with(collapse),
-                    cell.clone(),
+                    cell,
                     node.acc.clone(),
                 );
-                child.nodes[0].count = node.count;
-                child.nodes[0].info = node.info;
-                builders.push(Builder {
-                    src_depth: depth,
-                    tree: child,
-                    path: vec![0],
-                });
+                b.tree.nodes[0].count = node.count;
+                b.tree.nodes[0].info = node.info;
+                b.path.clear();
+                b.path.push(b.tree.root());
+                builders.push(b);
                 spawned = true;
             }
         }
@@ -348,7 +369,7 @@ where
             let son_node = &tree.nodes[son as usize];
             let next = son_node.next_sib;
             for b in builders[..inherited].iter_mut() {
-                b.insert(self.table, self.spec, son_node, depth - b.src_depth, CLOSED);
+                b.insert::<CLOSED, M>(self.table, self.spec, son_node, depth - b.src_depth);
             }
             self.dfs::<CLOSED>(tree, son, depth + 1, suppressed, builders, cell);
             son = next;
@@ -359,7 +380,7 @@ where
                 .pop()
                 .expect("spawned builder is on top of the stack");
             debug_assert_eq!(b.src_depth, depth);
-            self.process::<CLOSED>(b.tree);
+            self.process::<CLOSED>(b);
         }
         if let Some(d) = bound_dim {
             cell[d] = STAR;
@@ -437,7 +458,8 @@ mod tests {
     fn bound_emits_exactly_the_owned_cells() {
         // Bind dim 0: run on each value-shard of dim 0 and check the union
         // against the cells of the full run that bind dim 0.
-        let t = SyntheticSpec::uniform(200, 3, 4, 1.0, 5).generate();
+        // Five dimensions: a shard's child trees derive grandchildren.
+        let t = SyntheticSpec::uniform(200, 5, 4, 1.0, 5).generate();
         for min_sup in [1, 2, 4] {
             let want = naive_iceberg_counts(&t, min_sup);
             let (tids, groups) = t.shard_by_first_dim();
@@ -446,7 +468,7 @@ mod tests {
                 if u64::from(g.len()) < min_sup {
                     continue;
                 }
-                let view = t.view(&tids[g.range()], &[0, 1, 2], 3);
+                let view = t.view(&tids[g.range()], &[0, 1, 2, 3, 4], 5);
                 let got = collect_counts(|s| {
                     star_cube(
                         &CubeRequest {
@@ -473,31 +495,89 @@ mod tests {
     fn measures_flow_through() {
         use ccube_core::measure::ColumnStats;
         use ccube_core::sink::CollectSink;
-        let t = SyntheticSpec::uniform(150, 3, 4, 0.5, 9).generate_with_measure("m");
         let spec = ColumnStats { column: 0 };
-        for (closed, mode) in [
-            (true, ccube_core::naive::Mode::ClosedIceberg),
-            (false, ccube_core::naive::Mode::Iceberg),
+        // The five-dimension table derives child trees three deep: a
+        // recycled tree that kept its last root accumulator cannot pass.
+        for t in [
+            SyntheticSpec::uniform(150, 3, 4, 0.5, 9).generate_with_measure("m"),
+            SyntheticSpec::uniform(300, 5, 4, 1.0, 13).generate_with_measure("m"),
         ] {
-            let mut got = CollectSink::default();
-            star_cube(
-                &CubeRequest {
-                    closed,
-                    ..CubeRequest::new(&t, 2)
+            for (closed, mode) in [
+                (true, ccube_core::naive::Mode::ClosedIceberg),
+                (false, ccube_core::naive::Mode::Iceberg),
+            ] {
+                let mut got = CollectSink::default();
+                star_cube(
+                    &CubeRequest {
+                        closed,
+                        ..CubeRequest::new(&t, 2)
+                    }
+                    .measure(&spec),
+                    &mut got,
+                );
+                let mut want = CollectSink::default();
+                ccube_core::naive::naive_cube_with(&t, 2, mode, &spec, &mut want);
+                assert_eq!(got.cells.len(), want.cells.len());
+                for (cell, (n, agg)) in &want.cells {
+                    let (n2, agg2) = &got.cells[cell];
+                    assert_eq!(n, n2, "count mismatch at {cell}");
+                    assert!((agg.sum - agg2.sum).abs() < 1e-9, "sum mismatch at {cell}");
+                    assert_eq!(agg.min, agg2.min);
+                    assert_eq!(agg.max, agg2.max);
                 }
-                .measure(&spec),
-                &mut got,
-            );
-            let mut want = CollectSink::default();
-            ccube_core::naive::naive_cube_with(&t, 2, mode, &spec, &mut want);
-            assert_eq!(got.cells.len(), want.cells.len());
-            for (cell, (n, agg)) in &want.cells {
-                let (n2, agg2) = &got.cells[cell];
-                assert_eq!(n, n2, "count mismatch at {cell}");
-                assert!((agg.sum - agg2.sum).abs() < 1e-9, "sum mismatch at {cell}");
-                assert_eq!(agg.min, agg2.min);
-                assert_eq!(agg.max, agg2.max);
             }
+        }
+    }
+
+    #[test]
+    fn long_sibling_lists_match_naive() {
+        // C = 500: sibling lists run to hundreds of nodes and nearly every
+        // run of merges restarts on a smaller value than the cursor's.
+        for (skew, seed) in [(1.0, 1), (0.0, 2)] {
+            let t = SyntheticSpec::uniform(2_000, 4, 500, skew, seed).generate();
+            for min_sup in [1, 3] {
+                assert_eq!(
+                    collect_counts(|s| star_cube(&CubeRequest::new(&t, min_sup), s)),
+                    naive_iceberg_counts(&t, min_sup),
+                    "plain skew={skew} min_sup={min_sup}"
+                );
+                assert_eq!(
+                    collect_counts(|s| star_cube(
+                        &CubeRequest {
+                            closed: true,
+                            ..CubeRequest::new(&t, min_sup)
+                        },
+                        s
+                    )),
+                    naive_closed_counts(&t, min_sup),
+                    "closed skew={skew} min_sup={min_sup}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_runs_emit_the_same_sequence() {
+        use ccube_core::sink::FnSink;
+        let t = SyntheticSpec::uniform(400, 5, 6, 1.0, 23).generate();
+        for closed in [false, true] {
+            let trace = || {
+                let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
+                let mut sink = FnSink(|cell: &[u32], n: u64, _: &()| {
+                    cells.push((cell.to_vec(), n));
+                });
+                star_cube(
+                    &CubeRequest {
+                        closed,
+                        ..CubeRequest::new(&t, 2)
+                    },
+                    &mut sink,
+                );
+                cells
+            };
+            let first = trace();
+            assert!(!first.is_empty());
+            assert_eq!(first, trace(), "closed={closed}");
         }
     }
 

@@ -15,9 +15,10 @@
 //! hybrid `⟨A, T⟩` of a tuple-ID array `A`, lexicographically ordered by the
 //! remaining dimensions, and a partial tree `T` whose sub-`min_sup` branches
 //! are truncated into sorted pools of `A`. Child trees are built one at a
-//! time by merging the collapsed branches' sorted runs (multiway
-//! **traversal**, Section 4.2) so every child node's final aggregate is
-//! known at creation.
+//! time (multiway **traversal**, Section 4.2): the collapsed branches'
+//! pools are concatenated and re-sorted by the child's remaining dimensions
+//! with one stable LSD counting pass per dimension, so every child node's
+//! final aggregate is known at creation.
 //!
 //! **C-Cubing(Star)** / **C-Cubing(StarArray)** add the aggregation-based
 //! closedness measure to every node and exploit it for *closed pruning*

@@ -41,7 +41,9 @@ use ccube_core::CubeRequest;
 /// [`lex_sorted_pool`] for this exact table) instead of sorting.
 ///
 /// # Panics
-/// On `min_sup == 0` or `bound > cube_dims`.
+/// On `min_sup == 0`, on `bound > cube_dims`, or when [`CubeRequest::pool`]
+/// does not hold exactly one tuple ID per table row (a shorter pool would
+/// cube a subset of the table and look complete).
 pub fn star_array_cube<M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
@@ -98,7 +100,7 @@ where
     // [`lex_sorted_pool`]), or a caller-cached copy of exactly that order.
     let pool: Vec<TupleId> = match sorted_pool {
         Some(p) => {
-            debug_assert_eq!(p.len(), table.rows(), "pool does not cover the table");
+            assert_eq!(p.len(), table.rows(), "pool does not cover the table");
             p.to_vec()
         }
         None => lex_sorted_pool(table),
@@ -106,9 +108,9 @@ where
     let sorter = Partitioner::new();
     let mut tree = Tree::new(
         table.dims(),
-        rem,
+        &rem,
         table.carried_mask(),
-        vec![STAR; cube],
+        &vec![STAR; cube],
         spec.unit(table, 0),
     );
     tree.pool = pool;
@@ -120,8 +122,9 @@ where
         spec,
         sink,
         sorter,
+        free: Vec::new(),
     };
-    ctx.process::<CLOSED>(&tree);
+    ctx.process::<CLOSED>(&mut tree);
 }
 
 /// Expand the (already pooled) tree's nodes top-down: the root covers the
@@ -226,6 +229,10 @@ struct Ctx<'a, M: MeasureSpec, S> {
     sink: &'a mut S,
     /// Reusable counting-sort scratch for child-pool radix passes.
     sorter: Partitioner,
+    /// Spent child trees awaiting [`Tree::reset`]: a child tree is done
+    /// before its parent's DFS moves on, so one per derivation level serves
+    /// the whole run.
+    free: Vec<Tree<M::Acc>>,
 }
 
 impl<'a, M, S> Ctx<'a, M, S>
@@ -233,9 +240,12 @@ where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    fn process<const CLOSED: bool>(&mut self, tree: &Tree<M::Acc>) {
-        let mut cell = tree.cell.clone();
+    /// Cube a built tree. Its prefix cell doubles as the DFS cell buffer
+    /// (every level restores what it binds).
+    fn process<const CLOSED: bool>(&mut self, tree: &mut Tree<M::Acc>) {
+        let mut cell = std::mem::take(&mut tree.cell);
         self.dfs::<CLOSED>(tree, tree.root(), 0, &mut cell);
+        tree.cell = cell;
     }
 
     fn dfs<const CLOSED: bool>(
@@ -251,7 +261,7 @@ where
             return;
         }
         let m = tree.depth();
-        let node = tree.nodes[id as usize].clone();
+        let node = &tree.nodes[id as usize];
         // Truncated leaves (count < min_sup) never reach here: the DFS only
         // descends into sufficiently supported sons.
         debug_assert!(node.count >= self.min_sup);
@@ -277,8 +287,9 @@ where
         if depth + 2 <= m && tree.rem_dims[depth] >= self.bound {
             let collapse = tree.rem_dims[depth];
             if !CLOSED || !node.info.mask.contains(collapse) {
-                let child = self.build_child::<CLOSED>(tree, &node, depth, cell);
-                self.process::<CLOSED>(&child);
+                let mut child = self.build_child::<CLOSED>(tree, node, depth, cell);
+                self.process::<CLOSED>(&mut child);
+                self.free.push(child);
             }
         }
 
@@ -310,13 +321,13 @@ where
         depth: usize,
         cell: &[u32],
     ) -> Tree<M::Acc> {
-        let child_rem = tree.rem_dims[depth + 1..].to_vec();
         let collapse = tree.rem_dims[depth];
-        let mut child = Tree::new(
+        let mut child = self.free.pop().unwrap_or_else(Tree::spent);
+        child.reset(
             self.table.dims(),
-            child_rem.clone(),
+            &tree.rem_dims[depth + 1..],
             tree.tree_mask.with(collapse),
-            cell.to_vec(),
+            cell,
             node.acc.clone(),
         );
         // The node's whole pool range (its sons' runs back to back) is the
@@ -324,12 +335,13 @@ where
         // order. (Pool order within equal child_rem keys is branch order —
         // deterministic; node aggregates are order-insensitive except for
         // floating-point accumulator rounding.)
-        let mut pool = tree.pool[node.pool_start as usize..node.pool_end as usize].to_vec();
-        for &d in child_rem.iter().rev() {
+        child
+            .pool
+            .extend_from_slice(&tree.pool[node.pool_start as usize..node.pool_end as usize]);
+        for &d in child.rem_dims.iter().rev() {
             self.sorter
-                .sort_pass(self.table.col(d), self.table.card(d), &mut pool);
+                .sort_pass(self.table.col(d), self.table.card(d), &mut child.pool);
         }
-        child.pool = pool;
         debug_assert_eq!(child.pool.len() as u64, node.count);
         build_nodes::<CLOSED, M>(self.table, &mut child, self.min_sup, self.spec);
         child
@@ -445,7 +457,8 @@ mod tests {
 
     #[test]
     fn bound_emits_exactly_the_owned_cells() {
-        let t = SyntheticSpec::uniform(200, 3, 5, 0.5, 8).generate();
+        // Five dimensions: a shard's child trees derive grandchildren.
+        let t = SyntheticSpec::uniform(200, 5, 5, 0.5, 8).generate();
         for min_sup in [1, 2, 3] {
             let want = naive_iceberg_counts(&t, min_sup);
             let (tids, groups) = t.shard_by_first_dim();
@@ -454,7 +467,7 @@ mod tests {
                 if u64::from(g.len()) < min_sup {
                     continue;
                 }
-                let view = t.view(&tids[g.range()], &[0, 1, 2], 3);
+                let view = t.view(&tids[g.range()], &[0, 1, 2, 3, 4], 5);
                 let got = collect_counts(|s| {
                     star_array_cube(
                         &CubeRequest {
@@ -481,33 +494,103 @@ mod tests {
     fn measures_flow_through() {
         use ccube_core::measure::ColumnStats;
         use ccube_core::sink::CollectSink;
-        let t = SyntheticSpec::uniform(150, 3, 5, 1.0, 3).generate_with_measure("m");
         let spec = ColumnStats { column: 0 };
-        let mut got = CollectSink::default();
-        star_array_cube(
-            &CubeRequest {
-                closed: true,
-                ..CubeRequest::new(&t, 2)
+        // The five-dimension table derives child trees three deep: a
+        // recycled tree that kept its last root accumulator or pool cannot
+        // pass.
+        for t in [
+            SyntheticSpec::uniform(150, 3, 5, 1.0, 3).generate_with_measure("m"),
+            SyntheticSpec::uniform(300, 5, 4, 1.0, 13).generate_with_measure("m"),
+        ] {
+            for (closed, mode) in [
+                (true, ccube_core::naive::Mode::ClosedIceberg),
+                (false, ccube_core::naive::Mode::Iceberg),
+            ] {
+                let mut got = CollectSink::default();
+                star_array_cube(
+                    &CubeRequest {
+                        closed,
+                        ..CubeRequest::new(&t, 2)
+                    }
+                    .measure(&spec),
+                    &mut got,
+                );
+                let mut want = CollectSink::default();
+                ccube_core::naive::naive_cube_with(&t, 2, mode, &spec, &mut want);
+                assert_eq!(got.cells.len(), want.cells.len());
+                for (cell, (n, agg)) in &want.cells {
+                    let (n2, agg2) = &got.cells[cell];
+                    assert_eq!(n, n2, "count mismatch at {cell}");
+                    assert!((agg.sum - agg2.sum).abs() < 1e-9, "sum mismatch at {cell}");
+                    assert_eq!(agg.min, agg2.min);
+                    assert_eq!(agg.max, agg2.max);
+                }
             }
-            .measure(&spec),
-            &mut got,
-        );
-        let mut want = CollectSink::default();
-        ccube_core::naive::naive_cube_with(
-            &t,
-            2,
-            ccube_core::naive::Mode::ClosedIceberg,
-            &spec,
-            &mut want,
-        );
-        assert_eq!(got.cells.len(), want.cells.len());
-        for (cell, (n, agg)) in &want.cells {
-            let (n2, agg2) = &got.cells[cell];
-            assert_eq!(n, n2, "count mismatch at {cell}");
-            assert!((agg.sum - agg2.sum).abs() < 1e-9, "sum mismatch at {cell}");
-            assert_eq!(agg.min, agg2.min);
-            assert_eq!(agg.max, agg2.max);
         }
+    }
+
+    #[test]
+    fn long_sibling_lists_match_naive() {
+        // The cardinality `aggregate`'s cursor test runs at, where nearly
+        // every branch truncates and child pools are a handful of tuples.
+        for (skew, seed) in [(1.0, 1), (0.0, 2)] {
+            let t = SyntheticSpec::uniform(2_000, 4, 500, skew, seed).generate();
+            for min_sup in [1, 3] {
+                assert_eq!(
+                    collect_counts(|s| star_array_cube(&CubeRequest::new(&t, min_sup), s)),
+                    naive_iceberg_counts(&t, min_sup),
+                    "plain skew={skew} min_sup={min_sup}"
+                );
+                assert_eq!(
+                    collect_counts(|s| star_array_cube(
+                        &CubeRequest {
+                            closed: true,
+                            ..CubeRequest::new(&t, min_sup)
+                        },
+                        s
+                    )),
+                    naive_closed_counts(&t, min_sup),
+                    "closed skew={skew} min_sup={min_sup}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_runs_emit_the_same_sequence() {
+        use ccube_core::sink::FnSink;
+        let t = SyntheticSpec::uniform(400, 5, 6, 1.0, 23).generate();
+        for closed in [false, true] {
+            let trace = || {
+                let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
+                let mut sink = FnSink(|cell: &[u32], n: u64, _: &()| {
+                    cells.push((cell.to_vec(), n));
+                });
+                star_array_cube(
+                    &CubeRequest {
+                        closed,
+                        ..CubeRequest::new(&t, 2)
+                    },
+                    &mut sink,
+                );
+                cells
+            };
+            let first = trace();
+            assert!(!first.is_empty());
+            assert_eq!(first, trace(), "closed={closed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pool does not cover the table")]
+    fn short_pool_is_refused() {
+        let t = table1();
+        let pool = lex_sorted_pool(&t);
+        let req = CubeRequest {
+            pool: Some(&pool[..2]),
+            ..CubeRequest::new(&t, 1)
+        };
+        star_array_cube(&req, &mut ccube_core::sink::NullSink);
     }
 
     #[test]

@@ -84,12 +84,41 @@ impl<A: Clone> Tree<A> {
     /// placeholder (overwritten by the first merge into the root).
     pub fn new(
         dims: usize,
-        rem_dims: Vec<usize>,
+        rem_dims: &[usize],
         tree_mask: DimMask,
-        cell: Vec<u32>,
+        cell: &[u32],
         root_acc: A,
     ) -> Tree<A> {
-        let root = Node::new(
+        let mut tree = Tree::spent();
+        tree.reset(dims, rem_dims, tree_mask, cell, root_acc);
+        tree
+    }
+
+    /// A tree with no root and no buffers: what a free list hands out before
+    /// any tree has been spent. Only [`Tree::reset`] makes it usable.
+    pub(crate) fn spent() -> Tree<A> {
+        Tree {
+            nodes: Vec::new(),
+            rem_dims: Vec::new(),
+            tree_mask: DimMask::EMPTY,
+            cell: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+
+    /// Re-arm a spent tree as an empty one (see [`Tree::new`]), keeping the
+    /// capacity of every buffer: child trees live strictly last-in-first-out,
+    /// so a run's free list serves nearly all of them without allocating.
+    pub(crate) fn reset(
+        &mut self,
+        dims: usize,
+        rem_dims: &[usize],
+        tree_mask: DimMask,
+        cell: &[u32],
+        root_acc: A,
+    ) {
+        self.nodes.clear();
+        self.nodes.push(Node::new(
             STAR,
             0,
             ClosedInfo {
@@ -97,14 +126,13 @@ impl<A: Clone> Tree<A> {
                 rep: 0,
             },
             root_acc,
-        );
-        Tree {
-            nodes: vec![root],
-            rem_dims,
-            tree_mask,
-            cell,
-            pool: Vec::new(),
-        }
+        ));
+        self.rem_dims.clear();
+        self.rem_dims.extend_from_slice(rem_dims);
+        self.tree_mask = tree_mask;
+        self.cell.clear();
+        self.cell.extend_from_slice(cell);
+        self.pool.clear();
     }
 
     /// Depth of the tree = number of remaining dimensions (`m`).
@@ -119,37 +147,39 @@ impl<A: Clone> Tree<A> {
         0
     }
 
-    /// Iterate a node's sons in ascending value order.
-    pub fn sons(&self, id: u32) -> SonIter<'_, A> {
-        SonIter {
-            tree: self,
-            cur: self.nodes[id as usize].first_son,
-        }
-    }
-
-    /// Number of sons of `id`.
-    pub fn son_count(&self, id: u32) -> usize {
-        self.sons(id).count()
-    }
-
     /// Find or create the son of `parent` holding `value`, merging
     /// `(count, info, acc)` into it (the Lemma 3 closedness merge when
-    /// `closed`; the measure merge always). Siblings stay sorted by value;
+    /// `CLOSED`; the measure merge always). Siblings stay sorted by value;
     /// [`STAR`] sorts last.
+    ///
+    /// `cursor` is the son of `parent` the previous merge under it returned,
+    /// or [`NONE`]: the scan starts there when that son's value is `≤ value`
+    /// (the multiway-aggregation DFS hands a node's sons over in ascending
+    /// order, so all but the first merge of a run continue where the last
+    /// one landed) and at the head of the list otherwise. The list comes out
+    /// link for link the same either way.
     #[allow(clippy::too_many_arguments)]
-    pub fn merge_son<M: MeasureSpec<Acc = A>>(
+    pub fn merge_son<const CLOSED: bool, M: MeasureSpec<Acc = A>>(
         &mut self,
         table: &Table,
         spec: &M,
         parent: u32,
+        cursor: u32,
         value: u32,
         count: u64,
         info: ClosedInfo,
         acc: &A,
-        closed: bool,
     ) -> u32 {
+        #[cfg(debug_assertions)]
+        self.assert_sorted_sons(parent, cursor);
+        // Starting at the cursor loses `prev` only when the cursor itself
+        // matches, and a match links nothing.
         let mut prev = NONE;
-        let mut cur = self.nodes[parent as usize].first_son;
+        let mut cur = if cursor != NONE && self.nodes[cursor as usize].value <= value {
+            cursor
+        } else {
+            self.nodes[parent as usize].first_son
+        };
         while cur != NONE && self.nodes[cur as usize].value < value {
             prev = cur;
             cur = self.nodes[cur as usize].next_sib;
@@ -158,11 +188,8 @@ impl<A: Clone> Tree<A> {
             let n = &mut self.nodes[cur as usize];
             n.count += count;
             spec.merge(&mut n.acc, acc);
-            if closed {
-                // Work around split borrows: merge on a copy, write back.
-                let mut merged = n.info;
-                merged.merge(table, &info);
-                self.nodes[cur as usize].info = merged;
+            if CLOSED {
+                n.info.merge(table, &info);
             }
             return cur;
         }
@@ -178,64 +205,22 @@ impl<A: Clone> Tree<A> {
         id
     }
 
-    /// Merge one tuple down a path of node values (base star-tree insert).
-    /// `values[j]` is the node value for depth `j + 1`.
-    pub fn insert_tuple_path<M: MeasureSpec<Acc = A>>(
-        &mut self,
-        table: &Table,
-        spec: &M,
-        values: &[u32],
-        t: TupleId,
-        closed: bool,
-    ) {
-        let info = ClosedInfo::for_tuple(table, t);
-        let unit = spec.unit(table, t);
-        // Root aggregates everything.
-        {
-            let root = &mut self.nodes[0];
-            if root.count == 0 {
-                root.count = 1;
-                root.info = info;
-                root.acc = unit.clone();
-            } else {
-                root.count += 1;
-                spec.merge(&mut root.acc, &unit);
-                if closed {
-                    let mut merged = root.info;
-                    merged.merge_tuple(table, t);
-                    self.nodes[0].info = merged;
-                }
-            }
+    /// The two conditions [`Tree::merge_son`]'s cursor start relies on:
+    /// `parent`'s sons ascend strictly by value, and `cursor` is one of them.
+    #[cfg(debug_assertions)]
+    fn assert_sorted_sons(&self, parent: u32, cursor: u32) {
+        let mut found = cursor == NONE;
+        let mut cur = self.nodes[parent as usize].first_son;
+        while cur != NONE {
+            found |= cur == cursor;
+            let next = self.nodes[cur as usize].next_sib;
+            assert!(
+                next == NONE || self.nodes[cur as usize].value < self.nodes[next as usize].value,
+                "sibling list of node {parent} is not ascending"
+            );
+            cur = next;
         }
-        let mut cur = 0u32;
-        for &v in values {
-            cur = self.merge_son(table, spec, cur, v, 1, info, &unit, closed);
-        }
-    }
-
-    /// Total number of nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-/// Iterator over a sibling list.
-pub struct SonIter<'a, A = ()> {
-    tree: &'a Tree<A>,
-    cur: u32,
-}
-
-impl<'a, A> Iterator for SonIter<'a, A> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.cur == NONE {
-            None
-        } else {
-            let id = self.cur;
-            self.cur = self.tree.nodes[id as usize].next_sib;
-            Some(id)
-        }
+        assert!(found, "cursor {cursor} is not a son of node {parent}");
     }
 }
 
@@ -268,7 +253,18 @@ mod tests {
     }
 
     fn empty_tree() -> Tree<()> {
-        Tree::new(3, vec![0, 1, 2], DimMask::EMPTY, vec![STAR; 3], ())
+        Tree::new(3, &[0, 1, 2], DimMask::EMPTY, &[STAR; 3], ())
+    }
+
+    /// Values of `id`'s sons in list order.
+    fn son_values(tree: &Tree<()>, id: u32) -> Vec<u32> {
+        let mut values = Vec::new();
+        let mut cur = tree.nodes[id as usize].first_son;
+        while cur != NONE {
+            values.push(tree.nodes[cur as usize].value);
+            cur = tree.nodes[cur as usize].next_sib;
+        }
+        values
     }
 
     #[test]
@@ -276,108 +272,68 @@ mod tests {
         let t = table();
         let mut tree = empty_tree();
         let info = ClosedInfo::for_tuple(&t, 0);
-        tree.merge_son(&t, &CountOnly, 0, 2, 1, info, &(), false);
-        tree.merge_son(&t, &CountOnly, 0, 0, 1, info, &(), false);
-        tree.merge_son(&t, &CountOnly, 0, STAR, 1, info, &(), false);
-        tree.merge_son(&t, &CountOnly, 0, 1, 1, info, &(), false);
-        let values: Vec<u32> = tree
-            .sons(0)
-            .map(|id| tree.nodes[id as usize].value)
-            .collect();
-        assert_eq!(values, vec![0, 1, 2, STAR]);
+        for v in [2, 0, STAR, 1] {
+            tree.merge_son::<false, _>(&t, &CountOnly, 0, NONE, v, 1, info, &());
+        }
+        assert_eq!(son_values(&tree, 0), vec![0, 1, 2, STAR]);
     }
 
     #[test]
     fn merge_son_merges_counts() {
         let t = table();
         let mut tree = empty_tree();
-        let a = tree.merge_son(
-            &t,
-            &CountOnly,
-            0,
-            1,
-            2,
-            ClosedInfo::for_tuple(&t, 0),
-            &(),
-            true,
-        );
-        let b = tree.merge_son(
-            &t,
-            &CountOnly,
-            0,
-            1,
-            3,
-            ClosedInfo::for_tuple(&t, 2),
-            &(),
-            true,
-        );
+        let info = |tid| ClosedInfo::for_tuple(&t, tid);
+        let a = tree.merge_son::<true, _>(&t, &CountOnly, 0, NONE, 1, 2, info(0), &());
+        let b = tree.merge_son::<true, _>(&t, &CountOnly, 0, a, 1, 3, info(2), &());
         assert_eq!(a, b);
         assert_eq!(tree.nodes[a as usize].count, 5);
-        // Tuples 0 and 2 differ on every dimension except none -> mask empty
-        // on dims where they differ; they agree nowhere except... rows
-        // (0,1,2) vs (1,2,2): agree on dim 2 only.
+        // Rows (0,1,2) and (1,2,2) agree on dim 2 only.
         assert_eq!(tree.nodes[a as usize].info.mask, DimMask::single(2));
         assert_eq!(tree.nodes[a as usize].info.rep, 0);
     }
 
     #[test]
-    fn insert_tuple_path_builds_prefix_tree() {
+    fn cursor_changes_no_link() {
+        // An ascending run, a restart on a smaller value, a repeat of the
+        // cursor's own value, STAR (sorts last) and a restart after it, a
+        // value between two existing sons: every merge through the cursor
+        // the previous one returned, against every merge from the head.
         let t = table();
-        let mut tree = empty_tree();
-        for tid in 0..3u32 {
-            let values: Vec<u32> = (0..3).map(|d| t.value(tid, d)).collect();
-            tree.insert_tuple_path(&t, &CountOnly, &values, tid, true);
-        }
-        assert_eq!(tree.nodes[0].count, 3);
-        // Two first-level sons: values 0 (count 2) and 1 (count 1).
-        let sons: Vec<(u32, u64)> = tree
-            .sons(0)
-            .map(|id| (tree.nodes[id as usize].value, tree.nodes[id as usize].count))
-            .collect();
-        assert_eq!(sons, vec![(0, 2), (1, 1)]);
-        // Root info: tuples agree on no dimension... rows (0,1,2),(0,1,0),(1,2,2)
-        // agree pairwise but not all: dim0 {0,0,1} no, dim1 {1,1,2} no, dim2 {2,0,2} no.
-        assert_eq!(tree.nodes[0].info.mask, DimMask::EMPTY);
+        let seq = [3u32, 5, 9, 4, 4, 9, STAR, STAR, 0, 7, 8, 2, STAR, 5];
+        let build = |with_cursor: bool| {
+            let mut tree = empty_tree();
+            let mut cursor = NONE;
+            let mut ids = Vec::new();
+            for (i, &v) in seq.iter().enumerate() {
+                let info = ClosedInfo::for_tuple(&t, (i % 3) as u32);
+                let n = i as u64 + 1;
+                let id = tree.merge_son::<true, _>(&t, &CountOnly, 0, cursor, v, n, info, &());
+                if with_cursor {
+                    cursor = id;
+                }
+                ids.push(id);
+            }
+            (ids, tree)
+        };
+        let (ids, hinted) = build(true);
+        let (plain_ids, plain) = build(false);
+        assert_eq!(ids, plain_ids);
+        assert_eq!(format!("{:?}", hinted.nodes), format!("{:?}", plain.nodes));
+        assert_eq!(son_values(&hinted, 0), vec![0, 2, 3, 4, 5, 7, 8, 9, STAR]);
     }
 
     #[test]
-    fn measures_aggregate_along_paths() {
-        use ccube_core::measure::ColumnStats;
-        let t = TableBuilder::new(2)
-            .row(&[0, 0])
-            .row(&[0, 1])
-            .row(&[1, 0])
-            .measure("m", vec![2.0, 4.0, 8.0])
-            .build()
-            .unwrap();
-        let spec = ColumnStats { column: 0 };
-        let mut tree = Tree::new(
-            2,
-            vec![0, 1],
-            DimMask::EMPTY,
-            vec![STAR; 2],
-            spec.unit(&t, 0),
-        );
-        for tid in 0..3u32 {
-            let values: Vec<u32> = (0..2).map(|d| t.value(tid, d)).collect();
-            tree.insert_tuple_path(&t, &spec, &values, tid, false);
-        }
-        assert_eq!(tree.nodes[0].acc.sum, 14.0);
-        let first = tree.sons(0).next().unwrap();
-        // Value 0 of dim 0 aggregates tuples 0 and 1.
-        assert_eq!(tree.nodes[first as usize].acc.sum, 6.0);
-        assert_eq!(tree.nodes[first as usize].acc.max, 4.0);
-    }
-
-    #[test]
-    fn son_count_and_iter() {
+    fn reset_leaves_nothing_of_the_spent_tree() {
         let t = table();
         let mut tree = empty_tree();
-        assert_eq!(tree.son_count(0), 0);
-        let info = ClosedInfo::for_tuple(&t, 0);
-        tree.merge_son(&t, &CountOnly, 0, 5, 1, info, &(), false);
-        tree.merge_son(&t, &CountOnly, 0, 3, 1, info, &(), false);
-        assert_eq!(tree.son_count(0), 2);
+        let info = ClosedInfo::for_tuple(&t, 1);
+        tree.merge_son::<true, _>(&t, &CountOnly, 0, NONE, 1, 4, info, &());
+        tree.nodes[0].count = 4;
+        tree.nodes[0].pool_end = 3;
+        tree.pool.extend([2, 0, 1]);
+        tree.reset(3, &[2], DimMask::single(1), &[0, STAR, STAR], ());
+        let fresh = Tree::new(3, &[2], DimMask::single(1), &[0, STAR, STAR], ());
+        assert_eq!(format!("{tree:?}"), format!("{fresh:?}"));
     }
 
     #[test]
