@@ -95,44 +95,58 @@
 //!
 //! ## Frontier-first scheduling
 //!
-//! Shards are independent, so they may *run* in any order; only the output
-//! order is fixed (by shard path, below). The pool therefore starts tasks
-//! in the order the merge releases them: seeds enter the shared injector in
-//! ascending path order, a worker runs its own split children first-child
-//! first, and a worker with nothing of its own helps a peer's started
-//! subtree (stealing its coarsest queued task) before it takes a fresh
-//! seed. The merge frontier then holds about one subtree per thread and the
-//! first cells leave after the first shard, not after most of the cube. An
-//! earlier largest-first (LPT) seeding balanced the makespan no better —
-//! splitting and stealing already do that — and held the lexicographically
-//! first shard back behind every larger one.
+//! A sharded run on `threads` threads is one scheduler loop on each of
+//! them: the **calling thread is worker 0** and spawns `threads − 1`
+//! helpers, so `threads` counts every thread that cubes (with one, no
+//! thread is spawned and the loop walks the task tree depth-first in path
+//! order). Shards are independent, so they may *run* in any order; only the
+//! output order is fixed (by shard path, below). Every thread therefore
+//! starts tasks in the order the merge releases them: seeds enter the
+//! shared injector in ascending path order (the caller claims the first
+//! before any helper exists), a thread runs its own split children
+//! first-child first, and a thread with nothing of its own helps a peer's
+//! started subtree (stealing its coarsest queued task) before it takes a
+//! fresh seed. The merge frontier then holds about one subtree per thread
+//! and the first cells leave after the first shard, not after most of the
+//! cube. An earlier largest-first (LPT) seeding balanced the makespan no
+//! better — splitting and stealing already do that — and held the
+//! lexicographically first shard back behind every larger one.
 //!
 //! ## Streaming ordered merge
 //!
-//! Tasks run on however many threads are configured, but each task buffers
-//! its cells into a [`ccube_core::CellBatch`] tagged with its *shard path*
-//! (level, value-group, then one index per split), and batches are merged
-//! into the caller's sink in lexicographic path order, apex last — the
-//! output *sequence* is identical for 1 thread and for 64 among sharded
-//! runs. (A run that takes the sequential fast path emits the same cell
-//! set in the plain algorithm's own order; disable the fast path when
-//! comparing sequences across thread counts.)
+//! Each task buffers its cells into a [`ccube_core::CellBatch`] tagged with
+//! its *shard path* (level, value-group, then one index per split), and
+//! batches are merged into the caller's sink in lexicographic path order,
+//! apex last — the output *sequence* is identical for 1 thread and for 64
+//! among sharded runs. (A run that takes the sequential fast path emits the
+//! same cell set in the plain algorithm's own order; disable the fast path
+//! when comparing sequences across thread counts.)
 //!
+//! The merge lives on the calling thread, **between its own tasks**: it
+//! merges each of its own completions at once, folds in whatever the
+//! helpers have sent before it starts its next task, and waits on the
+//! helpers only when no queue holds a task for it — and then briefly, so
+//! children a helper splits off meanwhile are still taken. (A caller that
+//! only merged, beside `threads` helpers, would leave them blocked on a
+//! merger with no CPU of its own whenever threads outnumber CPUs.)
 //! The merge is **streaming and bounded-memory**: a frontier keyed by shard
 //! path tracks every outstanding task (a split atomically replaces its path
 //! with its children's paths), and a completed batch is emitted — and its
 //! buffers recycled through a shared [`ccube_core::table::ViewArena`] — as
-//! soon as every lexicographically earlier path has finished, while a
-//! bounded worker→merger channel back-pressures completions when the final
-//! sink is the bottleneck. Peak buffered bytes therefore track the
-//! completion *frontier* (frontier plus channel, both counted), not the
-//! total output; [`EngineStats`] reports both, next to task/split/steal
-//! counters.
+//! soon as every lexicographically earlier path has finished, while the
+//! bounded helper → caller channel back-pressures helpers whenever the
+//! caller is busy cubing or the final sink is the bottleneck. Peak buffered
+//! bytes therefore track the completion *frontier* (frontier plus channel,
+//! both counted), not the total output; [`EngineStats`] reports both, next
+//! to task/split/steal counters.
 //!
 //! Downstream, [`ChannelSink`] takes each merged batch over in bulk and
 //! ships it on in batches that ramp from 64 cells to its 1024-cell cap.
 //! (It used to wait for a full 1024 cells before the first flush, which
-//! alone held a stream's first rows back several milliseconds.)
+//! alone held a stream's first rows back several milliseconds.) With
+//! helpers running, the calling thread parks after that first flush until
+//! the receiver takes it (see [`ChannelSink`]), so a consumer woken on a
+//! box whose CPUs the run occupies does not wait out a scheduler slice.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -147,10 +161,12 @@ use ccube_core::sink::{CellBatch, CellSink};
 use ccube_core::table::{Table, TupleId, ViewArena};
 use ccube_core::{faults, CubeError, CubeRequest, DimMask};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
+use std::time::Duration;
 
 /// Default [`EngineConfig::split_threshold`]: shards costing more than this
 /// many tuple·dimension units are recursively split. Roughly: a 16k-tuple
@@ -171,7 +187,9 @@ pub const DEFAULT_MAX_REST_DEPTH: u32 = 4;
 /// Configuration of the parallel engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Worker threads. `0` means one per available CPU.
+    /// Threads that run shards, the calling thread included: a sharded run
+    /// spawns `threads − 1` helpers beside it. `0` means one per available
+    /// CPU in total.
     pub threads: usize,
     /// Dimension order used for sharding (and therefore for the per-level
     /// partition dimension). Results are identical for every ordering; skew
@@ -261,14 +279,14 @@ pub struct EngineStats {
     pub tasks: u64,
     /// Tasks that split into sub-shard + rest children instead of cubing.
     pub splits: u64,
-    /// Successful cross-worker deque steals (0 on single-threaded runs).
+    /// Successful cross-thread deque steals (0 on single-threaded runs).
     pub steals: u64,
     /// High-water mark of bytes buffered in completed-but-not-yet-emittable
     /// batches, in the merge frontier or still queued in the (bounded)
-    /// worker channel ([`CellBatch::byte_size`] units: written cells, the
-    /// same unit the old collect-everything merge buffered — reserved-but-
-    /// unwritten batch capacity is not counted). The streaming merge keeps
-    /// this at the completion frontier, not the full output.
+    /// helper → caller channel ([`CellBatch::byte_size`] units: written
+    /// cells, the same unit the old collect-everything merge buffered —
+    /// reserved-but-unwritten batch capacity is not counted). The streaming
+    /// merge keeps this at the completion frontier, not the full output.
     pub peak_buffered_bytes: u64,
     /// Total bytes that passed through the merge (≈ output size).
     pub total_output_bytes: u64,
@@ -412,7 +430,7 @@ impl<'s, A: Clone> CellSink<A> for ShardedSink<'s, A> {
 /// full batch over a **bounded** channel — the adapter behind the facade's
 /// pull-based `CellStream`. The producing side (an algorithm run, possibly
 /// the whole parallel engine) back-pressures on a slow consumer exactly like
-/// the engine's internal worker→merger channel does; a consumer that hangs
+/// the engine's internal helper → caller channel does; a consumer that hangs
 /// up early (dropping the receiver) flips the sink into a discarding mode so
 /// the producer finishes without panicking instead of blocking forever.
 ///
@@ -423,6 +441,15 @@ impl<'s, A: Clone> CellSink<A> for ShardedSink<'s, A> {
 ///
 /// Call [`ChannelSink::finish`] after the run to flush the final partial
 /// batch.
+///
+/// **First-batch hand-off.** When the sink is fed by worker 0 of a sharded
+/// run with helpers, every thread of the run keeps a CPU busy, and the
+/// receiver its first batch wakes can wait several scheduler slices for a
+/// CPU of its own (0.01–5 ms on two vCPUs, against ≈ 2 ms of run before
+/// that batch). So after that one send, worker 0 parks until the receiver
+/// unparks the sending thread on taking the batch, for at most a
+/// millisecond — the facade's `CellStream` does. Runs without helpers (the
+/// sequential fast path, one thread) never park.
 pub struct ChannelSink<A = ()> {
     tx: mpsc::SyncSender<CellBatch<A>>,
     batch: CellBatch<A>,
@@ -433,6 +460,8 @@ pub struct ChannelSink<A = ()> {
     /// Receiver hung up: drop everything further (the consumer stopped
     /// pulling; the producer still has to unwind its own call stack).
     dead: bool,
+    /// The first batch has shipped (and been handed off, if due).
+    handed_off: bool,
 }
 
 /// Default cap on cells per [`ChannelSink`] batch.
@@ -441,6 +470,34 @@ pub const DEFAULT_STREAM_BATCH: usize = 1024;
 /// Cells in the first batch a [`ChannelSink`] ships (or its `batch_cells`
 /// cap, if that is smaller).
 const FIRST_STREAM_BATCH: usize = 64;
+
+/// Longest a [`ChannelSink`] fed by worker 0 of a run with helpers waits
+/// for its receiver to take the first batch. Long enough for the receiver
+/// to be moved onto the CPU the wait frees (≈ 0.5 ms at worst on two
+/// vCPUs), short against a run that has a first batch to hand off.
+const FIRST_BATCH_HANDOFF: Duration = Duration::from_millis(1);
+
+thread_local! {
+    /// Whether this thread is worker 0 of a sharded run with helpers
+    /// beside it (set by [`HelpersRunning`]).
+    static HAS_HELPERS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as worker 0 of a run with helpers until
+/// dropped — unwinding included — restoring the mark it found.
+struct HelpersRunning(bool);
+
+impl HelpersRunning {
+    fn enter(helpers: bool) -> HelpersRunning {
+        HelpersRunning(HAS_HELPERS.replace(helpers))
+    }
+}
+
+impl Drop for HelpersRunning {
+    fn drop(&mut self) {
+        HAS_HELPERS.set(self.0);
+    }
+}
 
 impl<A> ChannelSink<A> {
     /// Sink for `dims`-dimensional cells feeding `tx`, in batches that ramp
@@ -460,6 +517,7 @@ impl<A> ChannelSink<A> {
             flush_at,
             batch_cells,
             dead: false,
+            handed_off: false,
         }
     }
 
@@ -477,6 +535,12 @@ impl<A> ChannelSink<A> {
     fn flush(&mut self) {
         self.ship();
         if !self.dead {
+            if !self.handed_off {
+                self.handed_off = true;
+                if HAS_HELPERS.get() {
+                    std::thread::park_timeout(FIRST_BATCH_HANDOFF);
+                }
+            }
             self.flush_at = self.flush_at.saturating_mul(2).min(self.batch_cells);
             self.batch.reserve(self.flush_at);
         }
@@ -584,9 +648,10 @@ struct Completion<A> {
 }
 
 /// Shared recycler closing the batch-buffer loop: workers draw per-task
-/// [`CellBatch`]es out, the merging thread returns drained ones. One lock
-/// per task and per emitted batch — tasks are coarse, so contention is
-/// noise, and every buffer the merge drains comes back to the next shard.
+/// [`CellBatch`]es out, the calling thread's merge returns drained ones.
+/// One lock per task and per emitted batch — tasks are coarse, so
+/// contention is noise, and every buffer the merge drains comes back to
+/// the next shard.
 struct BatchRecycler {
     pool: Mutex<ViewArena>,
 }
@@ -613,17 +678,17 @@ impl BatchRecycler {
 /// The streaming ordered merge: tracks every outstanding shard path and
 /// emits completed batches into the final sink as soon as all
 /// lexicographically earlier paths have completed (apex reconciliation
-/// happens after the frontier drains). Lives on the merging thread; workers
-/// reach it through a **bounded** mpsc channel, so a slow final sink
-/// back-pressures the workers instead of letting completed batches pile up
-/// unaccounted — `in_flight` tracks the bytes parked in that channel and
-/// counts toward the peak.
+/// happens after the frontier drains). Lives on the calling thread, which
+/// merges its own completions directly; helper threads reach it through a
+/// **bounded** mpsc channel, so a slow final sink back-pressures them
+/// instead of letting completed batches pile up unaccounted — `in_flight`
+/// tracks the bytes parked in that channel and counts toward the peak.
 struct Merger<'a, A, S: ?Sized> {
     sink: &'a mut S,
     table: &'a Table,
     recycler: &'a BatchRecycler,
-    /// Bytes of completed batches sent by workers but not yet received here
-    /// (incremented at send, decremented at receive; 0 on sequential runs).
+    /// Bytes of completed batches sent by helpers but not yet received here
+    /// (incremented at send, decremented at receive; 0 without helpers).
     in_flight: &'a AtomicU64,
     /// Outstanding paths → completed-but-not-yet-emittable output. `None`
     /// means the task is known but still running.
@@ -664,8 +729,13 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
         }
     }
 
-    fn register(&mut self, path: Vec<u32>) {
-        self.frontier.insert(path, None);
+    /// Track every seed's path as outstanding, in one bulk build from the
+    /// path-ordered seeds: inserted one by one, `weather`'s ≈ 3 800 paths
+    /// took ≈ 0.35 ms of a stream's ≈ 2 ms to its first cell, built in bulk
+    /// ≈ 0.2 ms.
+    fn register_seeds(&mut self, seeds: &[Task]) {
+        debug_assert!(self.frontier.is_empty());
+        self.frontier = seeds.iter().map(|seed| (seed.path.clone(), None)).collect();
     }
 
     /// All registered work has been merged (no more completions can be in
@@ -674,14 +744,23 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
         self.frontier.is_empty()
     }
 
+    /// Fold in a completion a helper sent over the channel.
+    fn receive(&mut self, done: Completion<A>) {
+        self.in_flight
+            .fetch_sub(done.batch.byte_size(), Ordering::Relaxed);
+        faults::inject("engine.completion.recv");
+        self.complete(done);
+    }
+
     fn complete(&mut self, done: Completion<A>) {
         self.stats.tasks += 1;
         if !done.child_paths.is_empty() {
             self.stats.splits += 1;
         }
         for child in done.child_paths {
-            // `or_insert`: with >1 worker a child's own completion can
-            // arrive before its parent's (channel order is per-sender).
+            // `or_insert`: a child's own completion can arrive before its
+            // parent's (a thief may finish it while the parent's completion
+            // still waits in the channel).
             self.frontier.entry(child).or_insert(None);
         }
         let bytes = done.batch.byte_size();
@@ -694,7 +773,7 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
         debug_assert!(slot.is_none(), "shard path completed twice");
         *slot = Some((done.batch, done.shard_info));
         // Peak accounting spans the frontier *and* the bytes still queued in
-        // the worker channel (sampled here, once per received completion).
+        // the helper channel (sampled here, once per merged completion).
         let sample = self.buffered_bytes + self.in_flight.load(Ordering::Relaxed);
         self.stats.peak_buffered_bytes = self.stats.peak_buffered_bytes.max(sample);
         // Budget enforcement: the first sample past the budget cancels the
@@ -890,10 +969,10 @@ where
     }
 
     // ---- Sharded run. Everything from seeding to the merge drain runs
-    // under one catch_unwind: a panicking worker re-raises through
-    // `thread::scope`, a panicking final sink unwinds the merge loop — both
-    // land here and surface as `WorkerPanicked` instead of crossing the
-    // public API.
+    // under one catch_unwind: a panicking helper re-raises through
+    // `thread::scope`, a panic on the calling thread (in a shard it cubes or
+    // in the final sink) unwinds the scheduler loop — all land here and
+    // surface as `WorkerPanicked` instead of crossing the public API.
     let warm = warm.filter(|w| w.matches(table));
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let perm = match warm {
@@ -953,19 +1032,13 @@ where
         let in_flight = AtomicU64::new(0);
         let mut merger: Merger<'_, M::Acc, S> =
             Merger::new(sink, table, &recycler, &in_flight, token.clone());
-        // Frontier first: both schedulers start tasks in the order the
-        // merge releases them, ascending shard path — the order the
-        // level/group loops above built the seeds in.
+        // Frontier first: the scheduler starts tasks in the order the merge
+        // releases them, ascending shard path — the order the level/group
+        // loops above built the seeds in.
         debug_assert!(seeds.is_sorted_by(|a, b| a.path < b.path));
-        for seed in &seeds {
-            merger.register(seed.path.clone());
-        }
+        merger.register_seeds(&seeds);
         let threads = config.effective_threads().min(seeds.len().max(1));
-        if threads <= 1 {
-            ctx.run_sequential(seeds, &mut merger);
-        } else {
-            ctx.run_pool(seeds, threads, &mut merger);
-        }
+        ctx.run_shards(seeds, threads, &mut merger);
         (merger.stats, merger.apex_info, merger.is_done())
     }));
     let (mut stats, apex_info, merged_all) = match outcome {
@@ -1013,7 +1086,7 @@ struct Ctx<'a, M, F> {
     config: &'a EngineConfig,
     recycler: &'a BatchRecycler,
     algo: &'a F,
-    /// The run's lifecycle token, captured once at engine entry. Workers
+    /// The run's lifecycle token, captured once at engine entry. Helpers
     /// re-install it ambiently in their own threads so cuber checkpoints
     /// observe it; scheduler loops poll it directly between tasks.
     token: Option<CancelToken>,
@@ -1203,214 +1276,243 @@ where
         }
     }
 
-    /// Single-threaded sharded run over `seeds` in ascending path order:
-    /// process tasks in **lexicographic path order** (parents first, then
-    /// children depth-first), so every batch is emittable the moment it
-    /// completes and the merge frontier stays at one task — the
-    /// bounded-memory ideal.
-    fn run_sequential<S>(&self, seeds: Vec<Task>, merger: &mut Merger<'_, M::Acc, S>)
-    where
-        S: CellSink<M::Acc> + ?Sized,
-    {
-        let mut scratch = Scratch::default();
-        // A stack: `pop` yields ascending paths.
-        let mut stack = seeds;
-        stack.reverse();
-        let mut children = Vec::new();
-        while let Some(task) = stack.pop() {
-            if self.stopped() {
-                break;
-            }
-            let completion = self.process(task, &mut scratch, &mut children);
-            // Children are generated in ascending path order; push reversed
-            // so the lexicographically first child is processed next.
-            while let Some(child) = children.pop() {
-                stack.push(child);
-            }
-            merger.complete(completion);
-        }
-    }
-
-    /// Multi-threaded run over `seeds` in ascending path order: workers
-    /// process tasks off stealing deques and stream completions to the
-    /// merger on this (the calling) thread, which emits each batch as soon
-    /// as its lexicographic predecessors finished. The injector is FIFO, so
-    /// seeds start in the order the merge releases them.
-    fn run_pool<S>(&self, seeds: Vec<Task>, threads: usize, merger: &mut Merger<'_, M::Acc, S>)
+    /// Run `seeds` (ascending path order) on `threads` threads, **the
+    /// calling thread included**: it is worker 0 and spawns `threads − 1`
+    /// helpers. Every thread takes its tasks in the order [`Queues::next`]
+    /// gives them, so tasks start in the order the merge releases them.
+    ///
+    /// The caller owns the sink and the [`Merger`]: it merges its own
+    /// completions directly, folds in the helpers' (which arrive over a
+    /// bounded channel) before each task, and waits on that channel only
+    /// when no queue has a task for it — then for at most [`IDLE_WAIT`], so
+    /// children a helper splits off are still picked up. With no helper the
+    /// loop is a depth-first walk in path order: every batch is emittable
+    /// the moment it completes and the merge frontier stays one task deep.
+    fn run_shards<S>(&self, seeds: Vec<Task>, threads: usize, merger: &mut Merger<'_, M::Acc, S>)
     where
         M: Sync,
         S: CellSink<M::Acc> + ?Sized,
     {
-        let injector: Injector<Task> = Injector::new();
-        let pending = AtomicUsize::new(seeds.len());
-        for task in seeds {
-            injector.push(task);
-        }
-        let workers: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<Task>> = workers.iter().map(Worker::stealer).collect();
-        let steals = AtomicU64::new(0);
+        let (queues, workers) = Queues::new(seeds, threads);
+        // The caller claims the first seed before any helper exists, so it
+        // always runs a shard and the first path in merge order starts at
+        // once.
+        let mut first = queues.injector.steal().success();
         let in_flight = merger.in_flight;
-        // Abort flag: set by whichever side unwinds from a panic, so the
-        // other side stops blocking and `thread::scope` can join (and
-        // re-raise the panic) instead of deadlocking on a full channel or a
-        // `pending` count that will never reach zero.
-        let aborted = std::sync::atomic::AtomicBool::new(false);
-        // Bounded channel: a slow final sink back-pressures the workers at a
-        // few completions each instead of letting the whole output queue up
-        // unaccounted behind the merging thread.
-        let (tx, rx) = mpsc::sync_channel::<Completion<M::Acc>>(threads * 4);
+        // Bounded channel: a slow final sink, or a caller busy cubing,
+        // back-pressures the helpers at a few completions each instead of
+        // letting completed batches queue up unaccounted.
+        let (tx, rx) = mpsc::sync_channel::<Completion<M::Acc>>(threads * COMPLETION_SLOTS);
         std::thread::scope(|scope| {
-            for (wi, worker) in workers.into_iter().enumerate() {
-                let injector = &injector;
-                let pending = &pending;
-                let stealers = &stealers;
-                let steals = &steals;
-                let aborted = &aborted;
+            let mut workers = workers.into_iter();
+            let own = workers.next().expect("the caller's deque");
+            for (wi, worker) in (1..).zip(workers) {
+                let queues = &queues;
                 let tx = tx.clone();
                 let ambient_token = self.token.clone();
                 let fault_scope = faults::current_scope();
-                let worker_body = move || {
-                    let _panic_guard = AbortOnPanic(aborted);
-                    // Re-install the run's token in this worker's TLS so the
+                let helper = move || {
+                    let _panic_guard = AbortOnPanic(&queues.aborted);
+                    // Re-install the run's token in this thread's TLS so the
                     // cuber checkpoints (which read the ambient token) see
                     // cancellation from any thread. Same for the chaos fault
                     // scope: plans are thread-scoped, so injection sites in
-                    // this worker only observe the test's plan if it is
+                    // this thread only observe the test's plan if it is
                     // carried across the spawn.
                     let _ambient = ambient_token.as_ref().map(lifecycle::install);
-                    let _chaos = fault_scope
-                        .as_ref()
-                        .map(ccube_core::faults::FaultScope::install);
-                    let mut scratch = Scratch::default();
-                    let mut children: Vec<Task> = Vec::new();
-                    // Consecutive empty scans; drives the idle backoff so a
-                    // long tail task doesn't have the other workers hammering
-                    // its deque mutex (and a core) while they wait.
-                    let mut idle_scans = 0u32;
-                    'work: loop {
-                        // Own children first, then a peer's started subtree,
-                        // and only then a fresh seed: work already begun is
-                        // what the merge frontier is waiting on.
-                        let task = worker
-                            .pop()
-                            .or_else(|| {
-                                stealers
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(si, _)| si != wi)
-                                    .find_map(|(_, s)| match s.steal() {
-                                        Steal::Success(t) => {
-                                            faults::inject("engine.task.steal");
-                                            steals.fetch_add(1, Ordering::Relaxed);
-                                            Some(t)
-                                        }
-                                        _ => None,
-                                    })
-                            })
-                            .or_else(|| injector.steal().success());
-                        match task {
-                            Some(task) => {
-                                if self.stopped() || aborted.load(Ordering::SeqCst) {
-                                    // Abandon the task: the run is failing,
-                                    // nobody will read its output, and the
-                                    // merger wakes on disconnect.
-                                    break 'work;
-                                }
-                                idle_scans = 0;
-                                let completion = self.process(task, &mut scratch, &mut children);
-                                if !children.is_empty() {
-                                    // Count children before retiring the
-                                    // parent so `pending` can never dip to
-                                    // zero with work still queued.
-                                    pending.fetch_add(children.len(), Ordering::SeqCst);
-                                    // Last child first: the owner's next
-                                    // pop is the lexicographically first
-                                    // child, and thieves find the rest task
-                                    // (the coarsest) at the far end.
-                                    for child in children.drain(..).rev() {
-                                        worker.push(child);
-                                    }
-                                }
-                                in_flight
-                                    .fetch_add(completion.batch.byte_size(), Ordering::Relaxed);
-                                faults::inject("engine.completion.send");
-                                // Blocks on a full channel (merge
-                                // backpressure) and errs once the receiver
-                                // is gone — the merging side owns `rx`
-                                // inside the scope closure, so every exit
-                                // of the merge loop (done, abort, panic
-                                // unwind) drops it and releases us.
-                                if tx.send(completion).is_err() {
-                                    break 'work;
-                                }
-                                pending.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            None => {
-                                if pending.load(Ordering::SeqCst) == 0
-                                    || aborted.load(Ordering::SeqCst)
-                                    || self.stopped()
-                                {
-                                    break;
-                                }
-                                idle_scans += 1;
-                                if idle_scans < 16 {
-                                    std::thread::yield_now();
-                                } else {
-                                    // Still-idle worker: sleep briefly (new
-                                    // work appears only when a running task
-                                    // splits, which takes far longer than
-                                    // this nap).
-                                    std::thread::sleep(std::time::Duration::from_micros(100));
-                                }
-                            }
-                        }
-                    }
+                    let _chaos = fault_scope.as_ref().map(faults::FaultScope::install);
+                    self.help(queues, &worker, wi, &tx, in_flight);
                 };
                 // Named so the pool shows up as such in `top`/`perf` and in
                 // the serve chaos suite's leak check.
                 std::thread::Builder::new()
                     .name("ccube-engine-worker".into())
-                    .spawn_scoped(scope, worker_body)
+                    .spawn_scoped(scope, helper)
                     .expect("spawn engine worker");
             }
             drop(tx);
-            // ---- Streaming merge on the calling thread: every completion
-            // is folded into the frontier as it lands; batches drain to the
-            // sink the moment their lexicographic predecessors are done.
-            // `recv` blocks with no timeout: every abnormal exit (worker
-            // panic, cancellation, budget trip) ends with all workers
-            // dropping their `tx` clones, so `Disconnected` is the wakeup —
-            // no polling. `rx` is moved into this closure so that leaving
-            // the loop — normally or by unwinding from a sink panic — drops
-            // it and unblocks any worker parked in `tx.send`.
+            // `rx` is moved into this closure so that leaving the loop —
+            // normally, on a stop, or by unwinding from a panic in a shard
+            // or in the sink — drops it and releases any helper parked in
+            // `send`.
             let rx = rx;
-            let _panic_guard = AbortOnPanic(&aborted);
-            while !merger.is_done() {
-                faults::inject("engine.completion.recv");
-                match rx.recv() {
-                    Ok(completion) => {
-                        in_flight.fetch_sub(completion.batch.byte_size(), Ordering::Relaxed);
-                        merger.complete(completion);
-                        // `complete` may have tripped the budget; exiting
-                        // drops `rx`, which stops the producers.
-                        if self.stopped() {
-                            break;
-                        }
+            let _panic_guard = AbortOnPanic(&queues.aborted);
+            let _helpers = HelpersRunning::enter(threads > 1);
+            let mut scratch = Scratch::default();
+            let mut children = Vec::new();
+            loop {
+                // Fold in what the helpers finished. A completion may trip
+                // the budget; nothing more is merged after that.
+                while let Ok(done) = rx.try_recv() {
+                    merger.receive(done);
+                    if self.stopped() {
+                        break;
                     }
-                    // All workers gone with the frontier incomplete: a
-                    // worker panicked (scope exit re-raises it) or the run
-                    // was cancelled (the caller reports the token's cause).
-                    Err(mpsc::RecvError) => break,
+                }
+                if merger.is_done() || self.stopped() || queues.aborted() {
+                    break;
+                }
+                match first.take().or_else(|| queues.next(&own, 0)) {
+                    Some(task) => {
+                        let completion = self.process(task, &mut scratch, &mut children);
+                        queues.push_children(&own, &mut children);
+                        merger.complete(completion);
+                        queues.retire();
+                    }
+                    None => match rx.recv_timeout(IDLE_WAIT) {
+                        Ok(done) => merger.receive(done),
+                        Err(mpsc::RecvTimeoutError::Timeout) => {}
+                        // Every helper is gone and no queue holds a task:
+                        // the frontier is empty, or the run is failing (a
+                        // helper panicked — scope exit re-raises it — or the
+                        // token tripped; the caller reports its cause).
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                    },
                 }
             }
         });
-        merger.stats.steals = steals.load(Ordering::Relaxed);
+        merger.stats.steals = queues.steals.load(Ordering::Relaxed);
+    }
+
+    /// A helper thread's loop: take tasks in [`Queues::next`] order, send
+    /// each completion to the caller, and return once every task is
+    /// retired or the run stops.
+    fn help(
+        &self,
+        queues: &Queues,
+        own: &Worker<Task>,
+        wi: usize,
+        tx: &mpsc::SyncSender<Completion<M::Acc>>,
+        in_flight: &AtomicU64,
+    ) {
+        let mut scratch = Scratch::default();
+        let mut children = Vec::new();
+        // Consecutive empty scans; drives the idle backoff so a long tail
+        // task doesn't have the other threads hammering its deque mutex (and
+        // a core) while they wait.
+        let mut idle_scans = 0u32;
+        loop {
+            let Some(task) = queues.next(own, wi) else {
+                if queues.pending.load(Ordering::SeqCst) == 0 || queues.aborted() || self.stopped()
+                {
+                    return;
+                }
+                idle_scans += 1;
+                if idle_scans < 16 {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(IDLE_WAIT);
+                }
+                continue;
+            };
+            if self.stopped() || queues.aborted() {
+                // Abandon the task: the run is failing and nobody will read
+                // its output.
+                return;
+            }
+            idle_scans = 0;
+            let completion = self.process(task, &mut scratch, &mut children);
+            queues.push_children(own, &mut children);
+            in_flight.fetch_add(completion.batch.byte_size(), Ordering::Relaxed);
+            faults::inject("engine.completion.send");
+            // Blocks on a full channel (merge back-pressure) and errs once
+            // the caller has left its loop and dropped the receiver.
+            if tx.send(completion).is_err() {
+                return;
+            }
+            queues.retire();
+        }
+    }
+}
+
+/// How long an idle thread waits before it looks at the queues again. New
+/// work appears only when a running task splits, which takes far longer.
+const IDLE_WAIT: Duration = Duration::from_micros(100);
+
+/// Completions the helper → caller channel holds per thread of the run
+/// before a helper's `send` blocks.
+const COMPLETION_SLOTS: usize = 4;
+
+/// The task queues of one sharded run and the counters every thread
+/// updates: one LIFO deque per thread (index 0 is the caller's), a FIFO
+/// injector holding the seeds in ascending path order, and the abort flag.
+struct Queues {
+    injector: Injector<Task>,
+    stealers: Vec<Stealer<Task>>,
+    steals: AtomicU64,
+    /// Tasks not yet retired. A split counts its children before it
+    /// retires, so this reaches zero only when every task is done.
+    pending: AtomicUsize,
+    /// Set by whichever thread unwinds from a panic, so the others stop
+    /// instead of waiting for work or a merge that will never come.
+    aborted: AtomicBool,
+}
+
+impl Queues {
+    /// Queues over `seeds` for `threads` threads, and the threads' deques.
+    fn new(seeds: Vec<Task>, threads: usize) -> (Queues, Vec<Worker<Task>>) {
+        let pending = AtomicUsize::new(seeds.len());
+        let injector = Injector::new();
+        for task in seeds {
+            injector.push(task);
+        }
+        let workers: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
+        let queues = Queues {
+            injector,
+            stealers: workers.iter().map(Worker::stealer).collect(),
+            steals: AtomicU64::new(0),
+            pending,
+            aborted: AtomicBool::new(false),
+        };
+        (queues, workers)
+    }
+
+    /// The next task for thread `wi`, whose deque is `own`: its own split
+    /// children first, then a peer's started subtree (the coarsest task
+    /// queued there), and only then a fresh seed — work already begun is
+    /// what the merge frontier is waiting on.
+    fn next(&self, own: &Worker<Task>, wi: usize) -> Option<Task> {
+        own.pop()
+            .or_else(|| {
+                self.stealers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(si, _)| si != wi)
+                    .find_map(|(_, s)| match s.steal() {
+                        Steal::Success(t) => {
+                            faults::inject("engine.task.steal");
+                            self.steals.fetch_add(1, Ordering::Relaxed);
+                            Some(t)
+                        }
+                        _ => None,
+                    })
+            })
+            .or_else(|| self.injector.steal().success())
+    }
+
+    /// Queue a split's `children` on `own`, last child first: the owner's
+    /// next pop is the lexicographically first child, and thieves find the
+    /// rest task (the coarsest) at the far end.
+    fn push_children(&self, own: &Worker<Task>, children: &mut Vec<Task>) {
+        self.pending.fetch_add(children.len(), Ordering::SeqCst);
+        for child in children.drain(..).rev() {
+            own.push(child);
+        }
+    }
+
+    /// A task's completion has reached the merge or the channel to it.
+    fn retire(&self) {
+        self.pending.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn aborted(&self) -> bool {
+        self.aborted.load(Ordering::SeqCst)
     }
 }
 
 /// Sets the flag when dropped during a panic unwind — the cross-thread
-/// "stop waiting for me" signal of [`Ctx::run_pool`].
-struct AbortOnPanic<'a>(&'a std::sync::atomic::AtomicBool);
+/// "stop waiting for me" signal of [`Ctx::run_shards`].
+struct AbortOnPanic<'a>(&'a AtomicBool);
 
 impl Drop for AbortOnPanic<'_> {
     fn drop(&mut self) {
@@ -1926,7 +2028,7 @@ mod tests {
         // A 1-byte budget trips on the first completed batch, across thread
         // counts, without deadlocking the merge or the workers.
         let t = SyntheticSpec::uniform(600, 4, 6, 1.0, 7).generate();
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             let token = CancelToken::new();
             token.set_budget(1);
             let _ambient = lifecycle::install(&token);
@@ -1956,6 +2058,157 @@ mod tests {
                 other => panic!("expected BudgetExceeded, got {other:?} (threads={threads})"),
             }
         }
+    }
+
+    #[test]
+    fn threads_counts_the_calling_thread() {
+        use std::collections::HashSet;
+        let t = SyntheticSpec::uniform(600, 4, 6, 1.5, 13).generate();
+        let caller = std::thread::current().id();
+        for threads in [1usize, 2, 4] {
+            let cubed_on = Mutex::new(HashSet::new());
+            let config = EngineConfig {
+                threads,
+                split_threshold: 64,
+                ..EngineConfig::default()
+            }
+            .always_sharded();
+            let stats = run_partitioned(
+                &CubeRequest {
+                    closed: true,
+                    ..CubeRequest::new(&t, 1)
+                },
+                &config,
+                None,
+                |req, out| {
+                    cubed_on.lock().unwrap().insert(std::thread::current().id());
+                    ccube_star::star_cube(req, out)
+                },
+                &mut CountingSink::default(),
+            )
+            .unwrap();
+            assert!(stats.splits > 0, "threads={threads}: split was not forced");
+            let cubed_on = cubed_on.into_inner().unwrap();
+            assert!(cubed_on.len() <= threads, "threads={threads}: {cubed_on:?}");
+            assert!(cubed_on.contains(&caller), "threads={threads}: caller idle");
+            if threads == 1 {
+                assert_eq!(cubed_on, HashSet::from([caller]));
+            }
+        }
+    }
+
+    #[test]
+    fn only_worker_0_beside_helpers_hands_off_its_first_batch() {
+        // `ChannelSink` parks after its first batch only on the calling
+        // thread of a run with helpers: not on a helper, not on a run
+        // without one, and not after the run — an unwound one included.
+        let t = SyntheticSpec::uniform(600, 4, 6, 1.5, 13).generate();
+        let caller = std::thread::current().id();
+        let req = CubeRequest {
+            closed: true,
+            ..CubeRequest::new(&t, 1)
+        };
+        for threads in [1usize, 2] {
+            let marks = Mutex::new(Vec::new());
+            run_partitioned(
+                &req,
+                &EngineConfig::with_threads(threads).always_sharded(),
+                None,
+                |req, out| {
+                    let on_caller = std::thread::current().id() == caller;
+                    marks.lock().unwrap().push((on_caller, HAS_HELPERS.get()));
+                    ccube_star::star_cube(req, out)
+                },
+                &mut CountingSink::default(),
+            )
+            .unwrap();
+            let marks = marks.into_inner().unwrap();
+            assert!(marks.iter().any(|&(on_caller, _)| on_caller));
+            for (on_caller, marked) in marks {
+                assert_eq!(marked, on_caller && threads > 1, "threads={threads}");
+            }
+            assert!(
+                !HAS_HELPERS.get(),
+                "threads={threads}: mark outlived the run"
+            );
+        }
+        let err = run_partitioned(
+            &req,
+            &EngineConfig::with_threads(2).always_sharded(),
+            None,
+            |_, _: &mut ShardedSink<'_, ()>| panic!("shard failed"),
+            &mut CountingSink::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CubeError::WorkerPanicked { .. }), "{err:?}");
+        assert!(!HAS_HELPERS.get(), "mark outlived an unwound run");
+    }
+
+    #[test]
+    fn caller_panic_while_a_helper_is_parked_surfaces_as_error() {
+        use std::time::{Duration, Instant};
+        // 4 dimensions × 8 values, no splitting: 32 seeds of one cuber call
+        // and one completion each. The calling thread stays in its first
+        // shard, merging nothing, while the helper fills the channel and
+        // cubes one more shard, whose `send` parks it — so the helper's
+        // count stops short of the 31 other seeds, at no fewer than the
+        // channel's slots plus one. Then the caller panics. The unwind must
+        // release the helper and surface as a typed error.
+        let t = SyntheticSpec::uniform(600, 4, 8, 0.0, 3).generate();
+        let caller = std::thread::current().id();
+        let helper_shards = AtomicUsize::new(0);
+        let at_panic = AtomicUsize::new(0);
+        let config = EngineConfig {
+            threads: 2,
+            split_threshold: u64::MAX,
+            ..EngineConfig::default()
+        }
+        .always_sharded();
+        let err = run_partitioned(
+            &CubeRequest {
+                closed: true,
+                ..CubeRequest::new(&t, 1)
+            },
+            &config,
+            None,
+            |req, out| {
+                if std::thread::current().id() != caller {
+                    helper_shards.fetch_add(1, Ordering::SeqCst);
+                    return ccube_star::star_cube(req, out);
+                }
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let mut seen = usize::MAX;
+                loop {
+                    std::thread::sleep(Duration::from_millis(50));
+                    let now = helper_shards.load(Ordering::SeqCst);
+                    if now == seen && now > 2 * COMPLETION_SLOTS {
+                        break;
+                    }
+                    assert!(Instant::now() < deadline, "the helper never parked");
+                    seen = now;
+                }
+                at_panic.store(seen, Ordering::SeqCst);
+                panic!("shard exploded on the calling thread");
+            },
+            &mut CountingSink::default(),
+        )
+        .unwrap_err();
+        match err {
+            CubeError::WorkerPanicked { message } => {
+                assert!(message.contains("calling thread"), "message = {message}");
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        let parked = at_panic.load(Ordering::SeqCst);
+        assert!(
+            parked < 31,
+            "the helper ran out of seeds instead of parking"
+        );
+        assert_eq!(
+            helper_shards.load(Ordering::SeqCst),
+            parked,
+            "the helper cubed on after the caller's panic"
+        );
     }
 
     #[test]

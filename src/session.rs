@@ -607,9 +607,9 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
         self
     }
 
-    /// Run partition-parallel on `n` worker threads (`0` = one per CPU).
-    /// `threads(1)` still routes through the engine, which takes its
-    /// sequential fast path.
+    /// Run partition-parallel on `n` threads in total, the one running the
+    /// query included (`0` = one per CPU). `threads(1)` still routes
+    /// through the engine, which takes its sequential fast path.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -1010,6 +1010,7 @@ where
             cursor: 0,
             token,
             outcome: None,
+            taken_first: false,
         })
     }
 }
@@ -1036,6 +1037,8 @@ pub struct CellStream<A = ()> {
     cursor: usize,
     token: CancelToken,
     outcome: Option<Result<EngineStats, CubeError>>,
+    /// A batch has been received (and the producer unparked for it).
+    taken_first: bool,
 }
 
 impl<A> CellStream<A> {
@@ -1125,7 +1128,17 @@ impl<A> CellStream<A> {
                 .map_err(|mpsc::RecvError| mpsc::RecvTimeoutError::Disconnected),
         };
         match received {
-            Ok(batch) => StreamPoll::Batch(batch),
+            Ok(batch) => {
+                if !self.taken_first {
+                    // The producer may be parked until this batch is taken
+                    // (`ChannelSink`'s first-batch hand-off).
+                    self.taken_first = true;
+                    if let Some(handle) = &self.handle {
+                        handle.thread().unpark();
+                    }
+                }
+                StreamPoll::Batch(batch)
+            }
             Err(mpsc::RecvTimeoutError::Timeout) => StreamPoll::Idle,
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 // Producer exited (completed or aborted): join it now so
@@ -1544,6 +1557,7 @@ mod tests {
             cursor: 0,
             token: CancelToken::new(),
             outcome: None,
+            taken_first: false,
         };
         (stream, go)
     }

@@ -482,11 +482,10 @@ fn one_thread_engine_takes_the_fast_path() {
 }
 
 /// Wall-clock sanity on a larger workload. Timing assertions on shared CI
-/// runners flake, so by default this only guards against a pathological
-/// slowdown and reports the measured ratio; the measured speedup is the
-/// benchmark's `engine.par_speedup_2t` (`benchmark/README.md`). On
-/// dedicated hardware with ≥4 CPUs, set `CCUBE_ASSERT_SPEEDUP=1` to enforce
-/// the >1.5x-at-4-threads acceptance bar.
+/// runners flake, so this only guards against a pathological slowdown and
+/// reports the measured ratio; the speedup is gated where it can be
+/// measured — the nightly bound on the benchmark's `engine.par_speedup_2t`
+/// (`.github/workflows/ci.yml`), a ratio of two timings of one run.
 #[test]
 fn speedup_smoke_20k() {
     use std::time::Instant;
@@ -521,11 +520,4 @@ fn speedup_smoke_20k() {
         par_time.as_secs_f64() < seq_time.as_secs_f64() * 2.0 + 0.05,
         "parallel run pathologically slow: seq {seq_time:?}, par {par_time:?}"
     );
-    if std::env::var_os("CCUBE_ASSERT_SPEEDUP").is_some() && cpus >= 4 {
-        assert!(
-            speedup > 1.5,
-            "expected >1.5x at 4 threads on {cpus} CPUs, got {speedup:.2}x \
-             (seq {seq_time:?}, par {par_time:?})"
-        );
-    }
 }
