@@ -1,10 +1,10 @@
 //! BUC: Bottom-Up Computation of sparse and iceberg cubes.
 //!
-//! BUC expands dimensions left to right: it emits the current group-by cell,
-//! then for each dimension `d` at or after the expansion frontier it
-//! partitions the current tuple set by the values of `d` and recurses into
-//! every partition satisfying the iceberg condition (Apriori pruning: a
-//! partition below `min_sup` cannot contain any iceberg cell).
+//! BUC is the plain set of hooks on [`ccube_core::partition::descend`], the
+//! partition-and-descend loop it shares with QC-DFS and incremental
+//! maintenance: dimensions expand left to right, every node folds its
+//! measure and emits, and a partition below `min_sup` is pruned (Apriori:
+//! it cannot contain an iceberg cell).
 //!
 //! The bottom-up order makes iceberg pruning easy but shares no computation
 //! between group-bys — the property that motivates Star-Cubing/MM-Cubing on
@@ -12,7 +12,7 @@
 
 use ccube_core::cell::STAR;
 use ccube_core::measure::MeasureSpec;
-use ccube_core::partition::{Group, Partitioner};
+use ccube_core::partition::{descend, DescendHooks, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
 use ccube_core::CubeRequest;
@@ -43,78 +43,46 @@ where
     if (tids.len() as u64) < min_sup {
         return;
     }
-    let mut ctx = Ctx {
-        table,
-        min_sup,
-        spec,
-        sink,
-        // Sparse counter reset: deep BUC recursions partition ever-smaller
-        // tid slices, where zero-filling O(cardinality) counters per call
-        // would dominate (BUC is not the baseline the paper's Section 5.1
-        // counting-sort observation is about — that is QC-DFS, which keeps
-        // the dense default).
-        partitioner: Partitioner::with_sparse_reset(),
-        cell: vec![STAR; table.cube_dims()],
-    };
-    for d in 0..bound {
+    // Only the group-by dimensions are expanded; carried dimensions (if
+    // any) are closedness-only and irrelevant to an iceberg cuber.
+    let mut cell = vec![STAR; table.cube_dims()];
+    for (d, slot) in cell.iter_mut().enumerate().take(bound) {
         let v = table.value(0, d);
         debug_assert!(
             tids.iter().all(|&t| table.value(t, d) == v),
             "pre-bound dimension {d} is not constant"
         );
-        ctx.cell[d] = v;
+        *slot = v;
     }
-    let n = tids.len();
-    ctx.recurse(&mut tids, bound);
-    debug_assert_eq!(n, table.rows());
+    let order: Vec<usize> = (bound..table.cube_dims()).collect();
+    // Sparse counter reset: deep BUC recursions partition ever-smaller tid
+    // slices, where zero-filling O(cardinality) counters per call would
+    // dominate (BUC is not the baseline the paper's Section 5.1
+    // counting-sort observation is about — that is QC-DFS, which keeps the
+    // dense default).
+    let p = Partitioner::with_sparse_reset();
+    let mut emit = Emit { table, spec, sink };
+    descend(table, &order, min_sup, p, &mut cell, &mut tids, &mut emit);
 }
 
-struct Ctx<'a, M: MeasureSpec, S> {
+/// BUC's hooks: every node the loop reaches is an iceberg cell.
+struct Emit<'a, M, S> {
     table: &'a Table,
-    min_sup: u64,
     spec: &'a M,
     sink: &'a mut S,
-    partitioner: Partitioner,
-    cell: Vec<u32>,
 }
 
-impl<'a, M, S> Ctx<'a, M, S>
+impl<M, S> DescendHooks for Emit<'_, M, S>
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    fn recurse(&mut self, tids: &mut [TupleId], dim: usize) {
-        // Cooperative cancellation: unwind the recursion as soon as the
-        // ambient token trips. Partial emissions are fine — the query layer
-        // discards output when a run ends in an error.
-        if ccube_core::lifecycle::should_stop_strided() {
-            return;
-        }
-        // Emit the current cell (its count passed the iceberg check at the
-        // caller).
-        let acc = self.aggregate(tids);
-        self.sink.emit(&self.cell, tids.len() as u64, &acc);
+    type Undo = ();
 
-        // Only the group-by dimensions are expanded; carried dimensions (if
-        // any) are closedness-only and irrelevant to an iceberg cuber.
-        let dims = self.table.cube_dims();
-        let mut groups: Vec<Group> = Vec::new();
-        for d in dim..dims {
-            groups.clear();
-            self.partitioner.partition(self.table, d, tids, &mut groups);
-            for &g in &groups {
-                if u64::from(g.len()) < self.min_sup {
-                    continue; // Apriori pruning
-                }
-                self.cell[d] = g.value;
-                self.recurse(&mut tids[g.range()], d + 1);
-                self.cell[d] = STAR;
-            }
-        }
-    }
-
-    fn aggregate(&self, tids: &[TupleId]) -> M::Acc {
-        self.spec.fold(self.table, tids)
+    fn visit(&mut self, cell: &mut [u32], tids: &[TupleId], _pos: usize) -> Option<()> {
+        let acc = self.spec.fold(self.table, tids);
+        self.sink.emit(cell, tids.len() as u64, &acc);
+        Some(())
     }
 }
 

@@ -1,8 +1,9 @@
 //! QC-DFS: the Quotient Cube depth-first search (raw-data-based checking).
 //!
-//! QC-DFS derives from BUC but emits only the *upper bound* of each quotient
-//! class — precisely the closed cells. Before outputting a cell it scans
-//! every unbound dimension of the current partition:
+//! QC-DFS is BUC with a closure scan: a set of hooks on
+//! [`ccube_core::partition::descend`] that emits only the *upper bound* of
+//! each quotient class — precisely the closed cells. Before outputting a
+//! cell it scans every unbound dimension of the current partition:
 //!
 //! * if all tuples share a value on such a dimension, the cell is *extended*
 //!   ("jumped") to include that value — the closure of the cell;
@@ -22,8 +23,9 @@
 //! dimension per node, no early exit), which is exactly why the paper finds
 //! "QC-DFS performs much worse in high cardinality because the counting sort
 //! costs more computation" (Section 5.1). We reproduce that implementation,
-//! not a modern early-terminating scan, so the baseline's cost profile
-//! matches the one the paper measured.
+//! not a modern early-terminating scan, and partition with the dense-reset
+//! [`Partitioner::new`], so the baseline's cost profile matches the one the
+//! paper measured.
 //!
 //! The original QC-DFS release computed full closed cubes only; `min_sup`
 //! support is added here the BUC way (partition pruning), which is needed by
@@ -31,10 +33,10 @@
 
 use ccube_core::cell::STAR;
 use ccube_core::measure::MeasureSpec;
-use ccube_core::partition::{Group, Partitioner};
+use ccube_core::partition::{descend, DescendHooks, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
-use ccube_core::CubeRequest;
+use ccube_core::{CubeRequest, DimMask};
 
 /// Compute the closed iceberg cube `req` describes by quotient-class DFS
 /// with raw-data closure scans, emitting every closed cell into `sink`.
@@ -66,66 +68,59 @@ where
         return;
     }
     let max_card = (0..table.dims()).map(|d| table.card(d)).max().unwrap_or(1);
-    let mut ctx = Ctx {
+    let mut hooks = Closure {
         table,
-        min_sup,
         spec,
         sink,
-        partitioner: Partitioner::new(),
-        cell: vec![STAR; table.cube_dims()],
         counts: vec![0u32; max_card as usize],
     };
-    ctx.recurse(&mut tids, 0);
+    // Identity order from position 0, so a node's position is its
+    // expansion frontier.
+    let order: Vec<usize> = (0..table.cube_dims()).collect();
+    let mut cell = vec![STAR; table.cube_dims()];
+    let p = Partitioner::new();
+    descend(table, &order, min_sup, p, &mut cell, &mut tids, &mut hooks);
 }
 
-struct Ctx<'a, M: MeasureSpec, S> {
+/// QC-DFS's hooks: the closure scan, its jumps and its prune.
+struct Closure<'a, M, S> {
     table: &'a Table,
-    min_sup: u64,
     spec: &'a M,
     sink: &'a mut S,
-    partitioner: Partitioner,
-    cell: Vec<u32>,
     /// Counting buffer for the per-dimension closure checks (sized to the
     /// largest cardinality; zeroed in full per check, as counting sort does).
     counts: Vec<u32>,
 }
 
-impl<'a, M, S> Ctx<'a, M, S>
+impl<M, S> DescendHooks for Closure<'_, M, S>
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
 {
-    /// `tids` is the current partition, `dim` the expansion frontier, and
-    /// `self.cell` the current (pre-closure) cell.
-    fn recurse(&mut self, tids: &mut [TupleId], dim: usize) {
-        // Cooperative cancellation: unwind as soon as the ambient token
-        // trips (partial emissions are discarded by the query layer).
-        if ccube_core::lifecycle::should_stop_strided() {
-            return;
-        }
-        let dims = self.table.dims();
-        let cube = self.table.cube_dims();
+    /// The dimensions the closure jump bound.
+    type Undo = DimMask;
 
-        // ---- Closure check over the raw partition (the QC-DFS signature
-        // cost): one counting pass per unbound dimension, as in the
-        // BUC-derived original. Bind every unbound dimension with a
-        // partition-wide shared value; abort if one of them precedes the
-        // expansion frontier. Carried dimensions (`d >= cube`) behave like
+    /// `tids` is the current partition, `dim` the expansion frontier, and
+    /// `cell` the current (pre-closure) cell.
+    fn visit(&mut self, cell: &mut [u32], tids: &[TupleId], dim: usize) -> Option<DimMask> {
+        let cube = cell.len();
+        // Closure check over the raw partition (the QC-DFS signature cost):
+        // one counting pass per unbound dimension, as in the BUC-derived
+        // original. Bind every unbound dimension with a partition-wide
+        // shared value; prune if one of them precedes the expansion
+        // frontier. Carried dimensions (`d >= cube`) behave like
         // pre-frontier dimensions: a partition uniform on one cannot contain
         // any closed cell (every sub-group is uniform on it too), so the
         // whole subtree prunes.
-        let first = tids[0];
-        let mut jumped: Vec<usize> = Vec::new();
-        let mut pruned = false;
-        for d in 0..dims {
-            if d < cube && self.cell[d] != STAR {
+        let mut jumped = DimMask::EMPTY;
+        for d in 0..self.table.dims() {
+            if d < cube && cell[d] != STAR {
                 continue;
             }
             // Counting pass over the dimension's column (the faithful
             // BUC-derived machinery: O(cardinality + |partition|), no early
             // exit — see the module docs). The columnar layout at least
             // makes the per-tuple reads gathers from one contiguous slice.
-            let v = self.table.value(first, d);
             let uniform = ccube_core::with_lanes!(self.table.col(d), |col| {
                 let card = self.table.card(d) as usize;
                 let counts = &mut self.counts[..card];
@@ -145,44 +140,23 @@ where
                     // Carried dimension, or reached from a lexicographically
                     // earlier branch before: this entire class (and
                     // everything below it) is already computed or provably
-                    // non-closed. Undo jumps and prune.
-                    pruned = true;
-                    break;
+                    // non-closed. Undo the jumps and prune.
+                    self.leave(cell, jumped);
+                    return None;
                 }
-                self.cell[d] = v;
-                jumped.push(d);
+                cell[d] = self.table.value(tids[0], d);
+                jumped.insert(d);
             }
         }
-
-        if !pruned {
-            let acc = self.aggregate(tids);
-            self.sink.emit(&self.cell, tids.len() as u64, &acc);
-
-            let mut groups: Vec<Group> = Vec::new();
-            for d in dim..cube {
-                if self.cell[d] != STAR {
-                    continue; // bound by the closure jump
-                }
-                groups.clear();
-                self.partitioner.partition(self.table, d, tids, &mut groups);
-                for &g in &groups {
-                    if u64::from(g.len()) < self.min_sup {
-                        continue;
-                    }
-                    self.cell[d] = g.value;
-                    self.recurse(&mut tids[g.range()], d + 1);
-                    self.cell[d] = STAR;
-                }
-            }
-        }
-
-        for d in jumped {
-            self.cell[d] = STAR;
-        }
+        let acc = self.spec.fold(self.table, tids);
+        self.sink.emit(cell, tids.len() as u64, &acc);
+        Some(jumped)
     }
 
-    fn aggregate(&self, tids: &[TupleId]) -> M::Acc {
-        self.spec.fold(self.table, tids)
+    fn leave(&mut self, cell: &mut [u32], jumped: DimMask) {
+        for d in jumped {
+            cell[d] = STAR;
+        }
     }
 }
 

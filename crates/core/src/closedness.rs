@@ -95,16 +95,6 @@ impl ClosedInfo {
         }
     }
 
-    /// Summary of a singleton group when the table handle isn't around
-    /// (callers supply the dimension count).
-    #[inline]
-    pub fn for_tuple_dims(dims: usize, t: TupleId) -> ClosedInfo {
-        ClosedInfo {
-            mask: DimMask::all(dims),
-            rep: t,
-        }
-    }
-
     /// Lemma 3 merge of two non-empty parts.
     ///
     /// Only dimensions whose uniformity bit is still alive in **both** parts

@@ -561,20 +561,6 @@ pub fn eq_u8_lanes(a: u64, b: u64) -> u64 {
     eq
 }
 
-/// Pack row `t` of up to 8 `u8` columns into one word (dimension `d` in
-/// byte lane `d`) — the row-pack builder used by `Table`.
-#[inline]
-pub fn pack_row_u8(cols: &[Column], t: usize) -> u64 {
-    let mut w = 0u64;
-    for (d, c) in cols.iter().enumerate() {
-        match c {
-            Column::U8(c) => w |= u64::from(c[t]) << (8 * d),
-            _ => unreachable!("pack_row_u8 on a non-u8 column"),
-        }
-    }
-    w
-}
-
 /// Whether `cols` qualifies for the packed-row companion: at most 8
 /// dimensions, all stored as `u8`.
 #[inline]

@@ -1,38 +1,26 @@
-//! Counting-sort partitioning of tuple-ID slices.
+//! Counting-sort partitioning of tuple-ID slices, and the one BUC recursion
+//! built on it.
 //!
-//! BUC-family algorithms (BUC, QC-DFS) and MM-Cubing's sparse recursion all
-//! partition a slice of tuple IDs by the value of one dimension. This module
-//! provides the classic counting-sort partition with reusable scratch
-//! buffers, reading the dimension's **column** directly
-//! ([`Partitioner::partition_col`]) so both the counting pass and the
-//! scatter pass gather from one contiguous slice — at the column's natural
-//! width ([`ColRef`]), so a `u8` dimension's passes touch a quarter of the
-//! bytes of the old all-`u32` substrate.
+//! [`descend`] is BUC's partition-and-descend loop; BUC, QC-DFS and
+//! incremental maintenance are three sets of [`DescendHooks`] on it.
 //!
-//! Large slices additionally take the **lane-interleaved** counting-sort
-//! kernels ([`crate::kernels::lane_histogram`] /
-//! [`crate::kernels::lane_scatter`]): the slice is cut into four contiguous
-//! chunks counted/scattered in lock step against four independent counter
-//! rows, which breaks the store-to-load-forwarding serialization a skewed
-//! (Zipf) value run inflicts on a single hot counter. The gate is
-//! [`crate::kernels::LANE_SORT_MIN`] tuples *and* `|tids| ≥ cardinality`
-//! (so the 4×`card` row reset stays amortized); below it the classic
-//! single-row passes run unchanged. `u8` columns get a further
-//! specialization ([`crate::kernels::sort_pass_u8_into`] and friends):
-//! fixed 256-entry counter rows make every counter index provably in
-//! bounds, which strips the remaining per-element bounds checks from the
-//! hot loops.
+//! [`Partitioner`] is the counting-sort pass with reusable scratch buffers,
+//! reading the dimension's column at its natural width ([`ColRef`]). Slices
+//! of at least [`crate::kernels::LANE_SORT_MIN`] tuples, and no fewer than
+//! the cardinality, take the **lane-interleaved** kernels ([`crate::kernels::lane_histogram`]
+//! / [`crate::kernels::lane_scatter`]): four contiguous chunks counted and
+//! scattered in lock step against four counter rows, so a skewed (Zipf)
+//! value run does not serialize on one hot counter. `u8` columns use fixed
+//! 256-entry rows, which strips the counter bounds checks.
 //!
-//! Note the `O(cardinality)` cost per call for zeroing/prefix-summing the
-//! counter array — this is inherent to counting sort and is exactly why the
-//! paper observes "QC-DFS performs much worse in high cardinality because
-//! the counting sort costs more computation" (Section 5.1). The dense
-//! zeroing path is the default so that observation stays reproducible;
-//! callers that are not a measured baseline can opt into
-//! [`Partitioner::with_sparse_reset`], which clears only the counters the
-//! previous call touched (tracked via the emitted groups) instead of the
-//! whole `O(cardinality)` array.
+//! Counting sort pays `O(cardinality)` per call to zero its counters — why
+//! the paper finds "QC-DFS performs much worse in high cardinality because
+//! the counting sort costs more computation" (Section 5.1). That dense reset
+//! is the default, so the observation stays reproducible;
+//! [`Partitioner::with_sparse_reset`] clears only the counters a call
+//! touched.
 
+use crate::cell::STAR;
 use crate::kernels::{self, ColRef, Lane, LANE_SORT_MIN, SORT_LANES};
 use crate::lifecycle;
 use crate::table::{Table, TupleId};
@@ -442,9 +430,110 @@ impl Partitioner {
     }
 }
 
+/// What a caller of [`descend`] does at each node of the recursion.
+pub trait DescendHooks {
+    /// What [`DescendHooks::visit`] bound and [`DescendHooks::leave`] undoes.
+    type Undo;
+
+    /// Visit the node with tuple group `tids` and cell `cell` (unbound
+    /// dimensions are [`STAR`]); its children bind from position `pos` of
+    /// the order on. Emit it and return `Some`, or undo any binding and
+    /// return `None` to prune its subtree. Dimensions the visit binds in
+    /// `cell` are not partitioned along.
+    fn visit(&mut self, cell: &mut [u32], tids: &[TupleId], pos: usize) -> Option<Self::Undo>;
+
+    /// Child filter, asked of every group that passed Apriori: `false` drops
+    /// the group and its subtree.
+    fn admit(&mut self, _tids: &[TupleId]) -> bool {
+        true
+    }
+
+    /// Undo what the node's visit bound, after its children.
+    fn leave(&mut self, _cell: &mut [u32], _undo: Self::Undo) {}
+}
+
+/// The BUC partition-and-descend loop, from the group `tids` with cell
+/// `cell`. A node polls [`lifecycle::should_stop_strided`] and is visited.
+/// Then, for each position `p` of `order` from its own on whose dimension
+/// `d` the cell leaves unbound, its tuples are partitioned along `d`, and
+/// every group of at least `min_sup` tuples the hooks admit becomes a child
+/// at position `p + 1` with `d` bound. Last, the node is left.
+///
+/// The root is visited at position 0 unchecked. `order` lists only the
+/// dimensions left to bind: a pre-bound prefix is set in `cell` instead.
+pub fn descend<H: DescendHooks>(
+    table: &Table,
+    order: &[usize],
+    min_sup: u64,
+    partitioner: Partitioner,
+    cell: &mut [u32],
+    tids: &mut [TupleId],
+    hooks: &mut H,
+) {
+    Descent {
+        table,
+        order,
+        min_sup,
+        partitioner,
+        cell,
+        hooks,
+        levels: vec![Vec::new(); order.len() + 1],
+    }
+    .node(tids, 0);
+}
+
+/// One [`descend`] run. A node at position `pos` partitions into
+/// `levels[pos]`; its descendants sit at higher positions.
+struct Descent<'a, H> {
+    table: &'a Table,
+    order: &'a [usize],
+    min_sup: u64,
+    partitioner: Partitioner,
+    cell: &'a mut [u32],
+    hooks: &'a mut H,
+    levels: Vec<Vec<Group>>,
+}
+
+impl<H: DescendHooks> Descent<'_, H> {
+    fn node(&mut self, tids: &mut [TupleId], pos: usize) {
+        // Cooperative cancellation: unwind as soon as the ambient token
+        // trips (the query layer discards a stopped run's partial output).
+        if lifecycle::should_stop_strided() {
+            return;
+        }
+        let Some(undo) = self.hooks.visit(self.cell, tids, pos) else {
+            return;
+        };
+        let mut groups = std::mem::take(&mut self.levels[pos]);
+        for p in pos..self.order.len() {
+            let d = self.order[p];
+            if self.cell[d] != STAR {
+                continue; // bound by a visit
+            }
+            groups.clear();
+            self.partitioner.partition(self.table, d, tids, &mut groups);
+            for &g in &groups {
+                let child = &mut tids[g.range()];
+                if u64::from(g.len()) < self.min_sup || !self.hooks.admit(child) {
+                    continue;
+                }
+                self.cell[d] = g.value;
+                self.node(child, p + 1);
+                self.cell[d] = STAR;
+            }
+        }
+        self.levels[pos] = groups;
+        self.hooks.leave(self.cell, undo);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Cell;
+    use crate::fxhash::FxHashMap;
+    use crate::naive::naive_iceberg_counts;
+    use crate::sink::{CellSink, CollectSink};
     use crate::table::TableBuilder;
 
     fn table() -> Table {
@@ -648,6 +737,71 @@ mod tests {
             for &tid in &tids[g.range()] {
                 assert_eq!(t.value(tid, 1), g.value);
             }
+        }
+    }
+
+    /// Collects every visited cell; the sink counts repeated visits.
+    struct Visits(CollectSink<()>, u64);
+
+    impl DescendHooks for Visits {
+        type Undo = ();
+        fn visit(&mut self, cell: &mut [u32], tids: &[TupleId], _pos: usize) -> Option<()> {
+            self.1 += 1;
+            self.0.emit(cell, tids.len() as u64, &());
+            Some(())
+        }
+    }
+
+    #[test]
+    fn descend_visits_each_iceberg_cell_of_a_prefix_once() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..40 {
+            let dims = 2 + rand(4) as usize;
+            let cards: Vec<u32> = (0..dims).map(|_| 2 + rand(4) as u32).collect();
+            let rows = 10 + rand(90);
+            let mut b = TableBuilder::new(dims).cards(cards.clone());
+            for _ in 0..rows {
+                let row: Vec<u32> = cards.iter().map(|&c| rand(u64::from(c)) as u32).collect();
+                b.push_row(&row);
+            }
+            let t = b.build().unwrap();
+            let mut order: Vec<usize> = (0..dims).collect();
+            for i in (1..dims).rev() {
+                order.swap(i, rand(i as u64 + 1) as usize);
+            }
+            let (prefix, rest) = order.split_at(rand(dims as u64) as usize);
+            let min_sup = 1 + rand(3);
+            // Pre-bind the prefix to one row's values; the root group is
+            // every tuple that shares them.
+            let r = rand(rows) as TupleId;
+            let mut cell = vec![STAR; dims];
+            for &d in prefix {
+                cell[d] = t.value(r, d);
+            }
+            let in_prefix = |values: &[u32]| prefix.iter().all(|&d| values[d] == cell[d]);
+            let mut tids: Vec<TupleId> = (0..rows as TupleId)
+                .filter(|&x| in_prefix(&t.row(x)))
+                .collect();
+            let want: FxHashMap<Cell, u64> = naive_iceberg_counts(&t, min_sup)
+                .into_iter()
+                .filter(|(c, _)| in_prefix(c.values()))
+                .collect();
+            let mut hooks = Visits(CollectSink::new(), 0);
+            let mut root = cell.clone();
+            if tids.len() as u64 >= min_sup {
+                let p = Partitioner::with_sparse_reset();
+                descend(&t, rest, min_sup, p, &mut root, &mut tids, &mut hooks);
+            }
+            assert_eq!(root, cell, "the loop restores the cell");
+            assert_eq!(hooks.0.duplicates, 0, "order {order:?}");
+            assert_eq!(hooks.1, want.len() as u64, "order {order:?}");
+            assert_eq!(hooks.0.counts(), want, "order {order:?}");
         }
     }
 

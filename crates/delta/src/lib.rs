@@ -19,17 +19,16 @@
 //!
 //! ## Affected-cell enumeration
 //!
-//! [`MaterializedCube::patch`] finds the affected cells with a BUC-style
-//! depth-first recursion over the *new* table in a caller-supplied dimension
-//! order ([`DeltaPlan::order`] — the session passes its cached sharding
-//! permutation): at each node the current tuple group is counting-sort
-//! partitioned one dimension further, and a sub-group is recursed into only
-//! if it (a) meets `min_sup` (Apriori pruning, as in plain BUC) and (b)
-//! **contains at least one appended tuple** (`tid >= old_rows` — the delta
-//! prune). Every surviving node is exactly one affected cell; its count and
-//! [`ClosedInfo`] are re-derived from the group, so promotions and brand-new
-//! cells fall out uniformly. A **cold build is the same recursion with
-//! `old_rows = 0`** (every cell is "affected"), which makes
+//! [`MaterializedCube::patch`] finds the affected cells with the BUC
+//! recursion BUC and QC-DFS also run ([`ccube_core::partition::descend`]),
+//! over the *new* table in a caller-supplied dimension order
+//! ([`DeltaPlan::order`] — the session passes its cached sharding
+//! permutation). Its hooks add one prune to Apriori's: a sub-group is
+//! descended into only if it **contains at least one appended tuple**
+//! (`tid >= old_rows`). Every visited node is exactly one affected cell; its
+//! count and [`ClosedInfo`] are re-derived from the group, so promotions and
+//! brand-new cells fall out uniformly. A **cold build is the same recursion
+//! with `old_rows = 0`** (every cell is "affected"), which makes
 //! patched-vs-rebuilt equivalence hold by construction of a single code
 //! path.
 //!
@@ -40,8 +39,9 @@
 //! the parallel engine warm-starts from): one task per leading-dimension
 //! group the batch touches (cells *binding* the leading dimension), plus one
 //! "rest" task for the cells that *star* it. Tasks own disjoint cell sets,
-//! run on per-worker stealing deques, and their patch lists are spliced in
-//! task order — deterministic under any thread count.
+//! run on this crate's own per-worker stealing deques (not the engine's),
+//! and their patch lists are spliced in task order — deterministic under
+//! any thread count.
 //!
 //! The splice protocol is: affected cell found closed → upsert
 //! (new/changed); found non-closed → remove if present ("retired" — provably
@@ -54,7 +54,7 @@
 use ccube_core::cell::{Cell, STAR};
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::lifecycle::{self, CancelToken};
-use ccube_core::partition::{Group, Partitioner};
+use ccube_core::partition::{descend, DescendHooks, Group, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::{CubeError, DimMask, Table, TupleId};
 use std::collections::BTreeMap;
@@ -157,11 +157,20 @@ impl MaterializedCube {
     /// rows, appended ones included), and `old_rows` must equal the row
     /// count the previous build/patch left off at — the session layer
     /// maintains both invariants.
+    ///
+    /// # Panics
+    /// When either invariant is broken or `table` has another dimension
+    /// count than the materialization: patching on would silently produce
+    /// a different cube.
     pub fn patch(&mut self, table: &Table, old_rows: usize, plan: &DeltaPlan<'_>) -> DeltaStats {
-        debug_assert_eq!(table.dims(), self.dims);
-        debug_assert_eq!(old_rows, self.rows, "patch continuity broken");
-        debug_assert_eq!(plan.tids.len(), table.rows(), "plan is stale");
-        debug_assert_eq!(plan.order.len(), table.dims());
+        assert_eq!(table.dims(), self.dims, "table has other dimensions");
+        assert_eq!(old_rows, self.rows, "patch continuity broken");
+        assert_eq!(plan.tids.len(), table.rows(), "plan is stale");
+        assert_eq!(
+            plan.order.len(),
+            table.dims(),
+            "plan order is not a permutation of the dimensions"
+        );
         let mut stats = DeltaStats::default();
         self.rows = table.rows();
         if table.rows() == old_rows || (table.rows() as u64) < self.min_sup {
@@ -193,9 +202,10 @@ impl MaterializedCube {
         stats.tasks = tasks.len() as u64;
 
         let outputs = run_tasks(table, self.min_sup, old_rows as TupleId, plan, tasks);
-        for out in outputs {
-            stats.groups_rechecked += out.groups_rechecked;
-            for (cell, count, closed) in out.cells {
+        for cells in outputs {
+            // One re-checked group per affected cell.
+            stats.groups_rechecked += cells.len() as u64;
+            for (cell, count, closed) in cells {
                 if closed {
                     match self.cells.insert(cell, count) {
                         None => stats.cells_added += 1,
@@ -288,42 +298,29 @@ struct Task {
     tids: Vec<TupleId>,
 }
 
-/// One task's result: its affected cells (with fresh count + closed
-/// verdict) and its share of the recheck counter.
-struct TaskOutput {
-    cells: Vec<(Cell, u64, bool)>,
-    groups_rechecked: u64,
-}
+/// One task's affected cells, each with its fresh count and closed verdict.
+type Affected = Vec<(Cell, u64, bool)>;
 
 fn run_task(
     table: &Table,
     min_sup: u64,
     old_rows: TupleId,
     order: &[usize],
-    mut task: Task,
-) -> TaskOutput {
-    let mut ctx = Ctx {
+    Task { bind, mut tids }: Task,
+) -> Affected {
+    let mut cell = vec![STAR; table.dims()];
+    if let Some(v) = bind {
+        cell[order[0]] = v;
+    }
+    let mut hooks = Recheck {
         table,
-        min_sup,
         old_rows,
-        order,
-        all: DimMask::all(table.dims()),
-        partitioner: Partitioner::with_sparse_reset(),
-        cell: vec![STAR; table.dims()],
-        bound: DimMask::EMPTY,
         out: Vec::new(),
-        groups_rechecked: 0,
     };
-    if let Some(v) = task.bind {
-        let d = order[0];
-        ctx.cell[d] = v;
-        ctx.bound.insert(d);
-    }
-    ctx.recurse(&mut task.tids, 1);
-    TaskOutput {
-        cells: ctx.out,
-        groups_rechecked: ctx.groups_rechecked,
-    }
+    let p = Partitioner::with_sparse_reset();
+    let rest = &order[1..]; // `order[0]` is the task's root: bound or starred
+    descend(table, rest, min_sup, p, &mut cell, &mut tids, &mut hooks);
+    hooks.out
 }
 
 fn run_tasks(
@@ -332,7 +329,7 @@ fn run_tasks(
     old_rows: TupleId,
     plan: &DeltaPlan<'_>,
     tasks: Vec<Task>,
-) -> Vec<TaskOutput> {
+) -> Vec<Affected> {
     let workers = plan.threads.min(tasks.len()).max(1);
     if workers <= 1 {
         // Inline path. Shield the recursion from any ambient query token:
@@ -358,7 +355,7 @@ fn run_tasks(
         deques[i % workers].push((i, task));
     }
     let stealers: Vec<_> = deques.iter().map(|w| w.stealer()).collect();
-    let (tx, rx) = mpsc::channel::<(usize, TaskOutput)>();
+    let (tx, rx) = mpsc::channel::<(usize, Affected)>();
     std::thread::scope(|scope| {
         for deque in deques {
             let stealers = stealers.clone();
@@ -391,7 +388,7 @@ fn run_tasks(
         }
         drop(tx);
     });
-    let mut outputs: Vec<Option<TaskOutput>> = (0..count).map(|_| None).collect();
+    let mut outputs: Vec<Option<Affected>> = (0..count).map(|_| None).collect();
     for (idx, out) in rx {
         outputs[idx] = Some(out);
     }
@@ -401,52 +398,30 @@ fn run_tasks(
         .collect()
 }
 
-/// The delta-pruned BUC recursion (see the module docs).
-struct Ctx<'a> {
+/// Delta's hooks on the BUC recursion (see the module docs): re-check every
+/// visited group, and skip groups the batch never joins.
+struct Recheck<'a> {
     table: &'a Table,
-    min_sup: u64,
     /// Tuples with `tid >= old_rows` are appended; `0` disables the delta
     /// prune (cold build).
     old_rows: TupleId,
-    order: &'a [usize],
-    all: DimMask,
-    partitioner: Partitioner,
-    cell: Vec<u32>,
-    bound: DimMask,
-    out: Vec<(Cell, u64, bool)>,
-    groups_rechecked: u64,
+    out: Affected,
 }
 
-impl Ctx<'_> {
-    /// `tids` is the current cell's tuple group (>= min_sup tuples, at least
-    /// one appended); `pos` is the next recursion-order position eligible
-    /// for binding.
-    fn recurse(&mut self, tids: &mut [TupleId], pos: usize) {
-        self.groups_rechecked += 1;
+impl DescendHooks for Recheck<'_> {
+    type Undo = ();
+
+    fn visit(&mut self, cell: &mut [u32], tids: &[TupleId], _pos: usize) -> Option<()> {
         let info = ClosedInfo::for_group(self.table, tids).expect("group is non-empty");
-        let closed = info.is_closed(self.all ^ self.bound);
+        let starred: DimMask = (0..cell.len()).filter(|&d| cell[d] == STAR).collect();
+        let closed = info.is_closed(starred);
         self.out
-            .push((Cell::from_values(&self.cell), tids.len() as u64, closed));
-        let mut groups: Vec<Group> = Vec::new();
-        for p in pos..self.order.len() {
-            let d = self.order[p];
-            groups.clear();
-            self.partitioner.partition(self.table, d, tids, &mut groups);
-            for &g in &groups {
-                if u64::from(g.len()) < self.min_sup {
-                    continue; // Apriori pruning, as in BUC
-                }
-                let slice = &mut tids[g.range()];
-                if !touches(slice, self.old_rows) {
-                    continue; // delta pruning: the batch never joins this subtree
-                }
-                self.cell[d] = g.value;
-                self.bound.insert(d);
-                self.recurse(slice, p + 1);
-                self.bound.remove(d);
-                self.cell[d] = STAR;
-            }
-        }
+            .push((Cell::from_values(cell), tids.len() as u64, closed));
+        Some(())
+    }
+
+    fn admit(&mut self, tids: &[TupleId]) -> bool {
+        touches(tids, self.old_rows)
     }
 }
 
@@ -633,6 +608,58 @@ mod tests {
             cold_stats.groups_rechecked
         );
         assert_eq!(as_counts(&cube), naive_closed_counts(&t2, 2));
+    }
+
+    /// Build at `min_sup` 2, append one row, and patch: `other` instead of
+    /// the grown table when given, from `old_rows + old_rows_delta`, with
+    /// the pre-append partition when `stale`, along `order`.
+    fn patch_with(other: Option<&Table>, old_rows_delta: usize, stale: bool, order: &[usize]) {
+        let mut t = SyntheticSpec::uniform(60, 3, 4, 0.5, 5).generate();
+        let (mut cube, _) = build_at(&t, 2, 1);
+        let (old_tids, old_groups) = t.shard_by_dim(0);
+        let old_rows = t.rows();
+        t.append_rows(&[1, 2, 3]).unwrap();
+        let (tids, groups) = t.shard_by_dim(0);
+        let (tids, groups) = if stale {
+            (old_tids, old_groups)
+        } else {
+            (tids, groups)
+        };
+        cube.patch(
+            other.unwrap_or(&t),
+            old_rows + old_rows_delta,
+            &DeltaPlan {
+                order,
+                tids: &tids,
+                groups: &groups,
+                threads: 1,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "patch continuity broken")]
+    fn patch_refuses_a_wrong_old_rows() {
+        patch_with(None, 1, false, &[0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan is stale")]
+    fn patch_refuses_a_stale_plan() {
+        patch_with(None, 0, true, &[0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan order is not a permutation")]
+    fn patch_refuses_a_short_order() {
+        patch_with(None, 0, false, &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "table has other dimensions")]
+    fn patch_refuses_another_dimension_count() {
+        let wide = SyntheticSpec::uniform(61, 4, 4, 0.5, 5).generate();
+        patch_with(Some(&wide), 0, false, &[0, 1, 2, 3]);
     }
 
     #[test]
