@@ -28,6 +28,7 @@
 //! later trips are ignored.
 
 use crate::CubeError;
+use std::any::Any;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -265,6 +266,23 @@ pub fn stop_cause() -> CubeError {
         .unwrap_or(CubeError::Cancelled)
 }
 
+/// Turn a panic caught at a run's boundary into the run's error —
+/// [`CubeError::WorkerPanicked`] carrying the panic message — tripping
+/// `token` with it so every other observer of the run (stream consumers,
+/// query handles) sees the same outcome.
+pub fn worker_panicked(token: Option<&CancelToken>, payload: Box<dyn Any + Send>) -> CubeError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string());
+    let err = CubeError::WorkerPanicked { message };
+    if let Some(token) = token {
+        token.trip(err.clone());
+    }
+    err
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +357,35 @@ mod tests {
         // No ambient token: polls are free and bump nothing.
         assert!(!should_stop());
         assert_eq!(t.progress(), 2);
+    }
+
+    #[test]
+    fn a_caught_panic_becomes_the_runs_error_and_trips_the_token() {
+        let t = CancelToken::new();
+        let err = worker_panicked(Some(&t), Box::new("static text"));
+        assert_eq!(
+            err,
+            CubeError::WorkerPanicked {
+                message: "static text".into()
+            }
+        );
+        assert_eq!(t.cause(), Some(err));
+        // First trip wins: a later panic does not overwrite the cause.
+        let later = worker_panicked(Some(&t), Box::new(format!("formatted {}", 7)));
+        assert_eq!(
+            later,
+            CubeError::WorkerPanicked {
+                message: "formatted 7".into()
+            }
+        );
+        assert_ne!(t.cause(), Some(later));
+        let opaque = worker_panicked(None, Box::new(7u32));
+        assert_eq!(
+            opaque,
+            CubeError::WorkerPanicked {
+                message: "opaque panic payload".into()
+            }
+        );
     }
 
     #[test]

@@ -38,10 +38,12 @@
 //! partition** ([`DeltaPlan::tids`]/[`DeltaPlan::groups`], the same artifact
 //! the parallel engine warm-starts from): one task per leading-dimension
 //! group the batch touches (cells *binding* the leading dimension), plus one
-//! "rest" task for the cells that *star* it. Tasks own disjoint cell sets,
-//! run on this crate's own per-worker stealing deques (not the engine's),
-//! and their patch lists are spliced in task order — deterministic under
-//! any thread count.
+//! "rest" task for the cells that *star* it. Tasks own disjoint cell sets
+//! and run on a pool shaped like the engine's: the calling thread is
+//! worker 0 beside [`DeltaPlan::threads`] − 1 helpers, all draining one FIFO
+//! queue in task order, so the rest task — the largest — starts first.
+//! Their patch lists are spliced in task order — deterministic under any
+//! thread count.
 //!
 //! The splice protocol is: affected cell found closed → upsert
 //! (new/changed); found non-closed → remove if present ("retired" — provably
@@ -57,8 +59,8 @@ use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::partition::{descend, DescendHooks, Group, Partitioner};
 use ccube_core::sink::CellSink;
 use ccube_core::{CubeError, DimMask, Table, TupleId};
+use crossbeam_deque::{Injector, Steal};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 /// The sharding inputs of a delta pass — the session's cached artifacts,
 /// borrowed: the dimension recursion order (its sharding permutation) and
@@ -76,7 +78,8 @@ pub struct DeltaPlan<'a> {
     /// One [`Group`] per distinct `order[0]` value, value-ascending,
     /// indexing into [`DeltaPlan::tids`].
     pub groups: &'a [Group],
-    /// Worker threads for the task pool (`<= 1` runs inline).
+    /// Threads that run the pass, the calling thread included: it spawns
+    /// `threads − 1` helpers (`<= 1` runs it on the caller alone).
     pub threads: usize,
 }
 
@@ -323,6 +326,11 @@ fn run_task(
     hooks.out
 }
 
+/// Run `tasks` on `plan.threads` threads, **the calling thread included**:
+/// it is worker 0 beside `threads − 1` helpers, and every thread drains one
+/// FIFO queue seeded in task order, so the rest task (the largest) starts
+/// first. Outputs come back in task-index order, so the splice is
+/// thread-count-independent.
 fn run_tasks(
     table: &Table,
     min_sup: u64,
@@ -330,72 +338,47 @@ fn run_tasks(
     plan: &DeltaPlan<'_>,
     tasks: Vec<Task>,
 ) -> Vec<Affected> {
-    let workers = plan.threads.min(tasks.len()).max(1);
-    if workers <= 1 {
-        // Inline path. Shield the recursion from any ambient query token:
+    let count = tasks.len();
+    let queue = Injector::new();
+    for task in tasks.into_iter().enumerate() {
+        queue.push(task);
+    }
+    let drain = || {
+        // Every thread shields its recursion from any ambient query token:
         // maintenance must run to completion (a half-applied patch would
         // corrupt the materialization), and the partition kernels poll the
         // ambient token cooperatively.
         let shield = CancelToken::new();
         let _guard = lifecycle::install(&shield);
-        return tasks
-            .into_iter()
-            .map(|t| run_task(table, min_sup, old_rows, plan.order, t))
-            .collect();
-    }
-    // Stealing task pool: per-worker deques seeded round-robin, idle
-    // workers steal the oldest (coarsest) queued task — the same machinery
-    // the parallel engine schedules shard tasks with. Output is reassembled
-    // in task-index order, so the splice is thread-count-independent.
-    let count = tasks.len();
-    let deques: Vec<crossbeam_deque::Worker<(usize, Task)>> = (0..workers)
-        .map(|_| crossbeam_deque::Worker::new_lifo())
-        .collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        deques[i % workers].push((i, task));
-    }
-    let stealers: Vec<_> = deques.iter().map(|w| w.stealer()).collect();
-    let (tx, rx) = mpsc::channel::<(usize, Affected)>();
-    std::thread::scope(|scope| {
-        for deque in deques {
-            let stealers = stealers.clone();
-            let tx = tx.clone();
-            let order = plan.order;
-            let worker_body = move || {
-                let shield = CancelToken::new();
-                let _guard = lifecycle::install(&shield);
-                loop {
-                    let next = deque.pop().or_else(|| {
-                        stealers.iter().find_map(|s| loop {
-                            match s.steal() {
-                                crossbeam_deque::Steal::Success(t) => break Some(t),
-                                crossbeam_deque::Steal::Empty => break None,
-                                crossbeam_deque::Steal::Retry => continue,
-                            }
-                        })
-                    });
-                    let Some((idx, task)) = next else { break };
-                    let out = run_task(table, min_sup, old_rows, order, task);
-                    if tx.send((idx, out)).is_err() {
-                        break;
-                    }
+        let mut done = Vec::new();
+        loop {
+            match queue.steal() {
+                Steal::Success((i, task)) => {
+                    done.push((i, run_task(table, min_sup, old_rows, plan.order, task)));
                 }
-            };
-            std::thread::Builder::new()
-                .name("ccube-delta-worker".into())
-                .spawn_scoped(scope, worker_body)
-                .expect("spawn delta worker");
+                Steal::Empty => return done,
+                Steal::Retry => {}
+            }
         }
-        drop(tx);
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..plan.threads.min(count))
+            .map(|_| {
+                std::thread::Builder::new()
+                    .name("ccube-delta-worker".into())
+                    .spawn_scoped(scope, drain)
+                    .expect("spawn delta worker")
+            })
+            .collect();
+        let mut done = drain();
+        for helper in helpers {
+            done.extend(helper.join().expect("delta worker panicked"));
+        }
+        done
     });
-    let mut outputs: Vec<Option<Affected>> = (0..count).map(|_| None).collect();
-    for (idx, out) in rx {
-        outputs[idx] = Some(out);
-    }
-    outputs
-        .into_iter()
-        .map(|o| o.expect("every task ran exactly once"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert_eq!(done.len(), count, "every task runs exactly once");
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Delta's hooks on the BUC recursion (see the module docs): re-check every

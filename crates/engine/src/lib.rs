@@ -66,7 +66,7 @@
 //! All Masks, so a shard-locally-closed-but-globally-covered cell is
 //! rejected exactly where the sequential run would have rejected it.
 //!
-//! ## Cost model and the sequential fast path
+//! ## Cost model
 //!
 //! A task's estimated cost is `tuples × effective dimension span`, where
 //! the span counts the remaining unbound group-by dimensions **plus, for
@@ -86,12 +86,16 @@
 //!   is aborted (one sub-shard + one rest task over the same tuples is pure
 //!   duplication with zero parallelism); the task runs whole instead.
 //!
-//! When the configured thread count resolves to 1, or the whole table's
-//! estimated work is below [`EngineConfig::sequential_threshold`], sharding
-//! cannot pay for itself: the engine takes a **sequential fast path** and
-//! runs the plain algorithm once over the base table (`bound = 0`), making
-//! the 1-thread engine cost sequential-plus-one-output-copy instead of the
-//! per-level re-sharding the decomposition otherwise performs.
+//! ## The engine always shards; the facade routes
+//!
+//! [`run_partitioned`] shards every run it is given. Whether a run should
+//! shard at all is decided above it, by one predicate,
+//! [`EngineConfig::runs_sequentially`]: when the thread count resolves to 1,
+//! or the whole table's estimated work is below
+//! [`EngineConfig::sequential_threshold`], sharding cannot pay for itself,
+//! and the facade's `Algorithm::run_parallel` runs the plain algorithm once
+//! instead — the same call `Algorithm::run` makes — reporting
+//! [`EngineStats::fast_path`]. Its query plans read the same predicate.
 //!
 //! ## Frontier-first scheduling
 //!
@@ -117,10 +121,10 @@
 //! Each task buffers its cells into a [`ccube_core::CellBatch`] tagged with
 //! its *shard path* (level, value-group, then one index per split), and
 //! batches are merged into the caller's sink in lexicographic path order,
-//! apex last — the output *sequence* is identical for 1 thread and for 64
-//! among sharded runs. (A run that takes the sequential fast path emits the
-//! same cell set in the plain algorithm's own order; disable the fast path
-//! when comparing sequences across thread counts.)
+//! apex last — the output *sequence* is identical for 1 thread and for 64.
+//! (A run the facade routes sequentially emits the same cell set in the
+//! plain algorithm's own order; use [`EngineConfig::always_sharded`] when
+//! comparing sequences across thread counts through it.)
 //!
 //! The merge lives on the calling thread, **between its own tasks**: it
 //! merges each of its own completions at once, folds in whatever the
@@ -171,25 +175,27 @@ use std::time::Duration;
 /// Default [`EngineConfig::split_threshold`]: shards costing more than this
 /// many tuple·dimension units are recursively split. Roughly: a 16k-tuple
 /// shard with one unbound dimension left, or a 2k-tuple shard with eight.
-pub const DEFAULT_SPLIT_THRESHOLD: u64 = 16 * 1024;
+const DEFAULT_SPLIT_THRESHOLD: u64 = 16 * 1024;
 
 /// Default [`EngineConfig::sequential_threshold`]: tables whose whole-cube
-/// estimated work (`rows × dims` tuple·dimension units) is below this run on
-/// the sequential fast path at any thread count — per-shard view
-/// materialization and merge bookkeeping would outweigh the parallelism.
-pub const DEFAULT_SEQUENTIAL_THRESHOLD: u64 = 8 * 1024;
+/// estimated work (`rows × dims` tuple·dimension units) is below this run
+/// sequentially at any thread count — per-shard view materialization and
+/// merge bookkeeping would outweigh the parallelism.
+const DEFAULT_SEQUENTIAL_THRESHOLD: u64 = 8 * 1024;
 
 /// Default [`EngineConfig::max_rest_depth`]: at most this many consecutive
 /// rest-collapse steps per shard (each one re-scans the task's full tuple
 /// set, with one more carried dimension on closed runs).
-pub const DEFAULT_MAX_REST_DEPTH: u32 = 4;
+const DEFAULT_MAX_REST_DEPTH: u32 = 4;
 
 /// Configuration of the parallel engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Threads that run shards, the calling thread included: a sharded run
     /// spawns `threads − 1` helpers beside it. `0` means one per available
-    /// CPU in total.
+    /// CPU in total. A count that resolves to 1 routes the run sequentially
+    /// ([`EngineConfig::runs_sequentially`]) unless
+    /// [`EngineConfig::sequential_threshold`] is `0`.
     pub threads: usize,
     /// Dimension order used for sharding (and therefore for the per-level
     /// partition dimension). Results are identical for every ordering; skew
@@ -203,20 +209,21 @@ pub struct EngineConfig {
     /// under skew; `u64::MAX` disables it. The split decision is
     /// independent of the thread count, so with a *fixed* configuration the
     /// result set **and** its emission order are identical at every thread
-    /// count — provided every thread count takes the same path: a run that
-    /// takes the sequential fast path emits in the plain algorithm's own
-    /// order instead (set [`EngineConfig::sequential_threshold`] to `0` for
-    /// cross-thread-count sequence comparisons). Changing the threshold
-    /// re-groups the emission sequence (a split shard's cells merge per
-    /// sub-task path); the cell set itself is invariant.
+    /// count — provided every thread count shards: a run routed
+    /// sequentially emits in the plain algorithm's own order instead (set
+    /// [`EngineConfig::sequential_threshold`] to `0` for cross-thread-count
+    /// sequence comparisons). Changing the threshold re-groups the emission
+    /// sequence (a split shard's cells merge per sub-task path); the cell
+    /// set itself is invariant.
     pub split_threshold: u64,
     /// Estimated whole-table work (`rows × dims` tuple·dimension units)
     /// below which — or whenever the configured thread count resolves
-    /// to 1 — the engine skips sharding entirely and runs the plain
-    /// sequential algorithm (emission order is then the algorithm's own).
-    /// `0` disables the fast path: the engine always shards, which is what
-    /// benchmarks measuring the sharded shape and tests exercising the
-    /// merge machinery on small tables want.
+    /// to 1 — a run is routed to the plain sequential algorithm instead of
+    /// the engine (emission order is then the algorithm's own; see
+    /// [`EngineConfig::runs_sequentially`]). [`run_partitioned`] itself
+    /// does not read it: it always shards. `0` routes every run to the
+    /// engine, which is what benchmarks measuring the sharded shape and
+    /// tests exercising the merge machinery on small tables want.
     pub sequential_threshold: u64,
     /// Cap on consecutive rest-collapse steps per shard. A rest task owns
     /// the cells starring the split dimension over *all* of its parent's
@@ -247,13 +254,26 @@ impl EngineConfig {
         }
     }
 
-    /// This config with the sequential fast path disabled (always shard) —
-    /// the shape benchmarks and merge-machinery tests want.
+    /// This config with the sequential route disabled, so every run shards
+    /// at any thread count and table size — the shape benchmarks and
+    /// merge-machinery tests want.
     pub fn always_sharded(self) -> EngineConfig {
         EngineConfig {
             sequential_threshold: 0,
             ..self
         }
+    }
+
+    /// The route predicate: whether a run over a table of `rows × dims`
+    /// should run the plain algorithm once instead of sharding — when the
+    /// thread count resolves to 1, or when `rows × dims` is below
+    /// [`EngineConfig::sequential_threshold`], and never when that
+    /// threshold is `0`. Sharding cannot pay for itself there. The one
+    /// place that decides the route; [`run_partitioned`] always shards.
+    pub fn runs_sequentially(&self, rows: usize, dims: usize) -> bool {
+        self.sequential_threshold > 0
+            && (self.effective_threads() <= 1
+                || (rows as u64) * (dims as u64) < self.sequential_threshold)
     }
 
     fn effective_threads(&self) -> usize {
@@ -271,8 +291,10 @@ impl EngineConfig {
 /// [`run_partitioned`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Whether the run took the sequential fast path (no sharding; the
-    /// remaining counters then describe the single plain-algorithm run).
+    /// Whether the run was routed sequentially
+    /// ([`EngineConfig::runs_sequentially`]): one plain-algorithm run, so
+    /// `tasks` is 1 and every other counter 0. [`run_partitioned`] never
+    /// sets it.
     pub fast_path: bool,
     /// Tasks processed (seeds plus split children, including summary-only
     /// level-0 tasks).
@@ -300,10 +322,9 @@ pub struct EngineStats {
 /// span shard boundaries and are owned by other tasks; bound-aware
 /// algorithms never compute them, and closed cubers never emit them because
 /// the shard is uniform on its bound dimensions).
-pub struct ShardedSink<'s, A = ()> {
-    /// Where reconciled cells go: buffered for the merger (worker tasks) or
-    /// straight through to the caller's sink (sequential fast path).
-    out: SinkMode<'s, A>,
+pub struct ShardedSink<A = ()> {
+    /// The task's path-tagged output, buffered for the streaming merger.
+    batch: CellBatch<A>,
     /// Scratch holding the global cell under construction (all `*` between
     /// emissions).
     global: Vec<u32>,
@@ -315,85 +336,27 @@ pub struct ShardedSink<'s, A = ()> {
     bound: usize,
 }
 
-enum SinkMode<'s, A> {
-    /// Worker-task mode: cells buffer into a path-tagged batch for the
-    /// streaming merger.
-    Buffered(CellBatch<A>),
-    /// Sequential-fast-path mode: the view is the base table itself
-    /// (identity dimension map, `bound = 0`), so cells forward straight to
-    /// the caller's sink with **zero buffering**; `cells`/`bytes` feed the
-    /// run's [`EngineStats`].
-    Direct {
-        forward: &'s mut dyn FnMut(&[u32], u64, &A),
-        cells: usize,
-        bytes: u64,
-    },
-}
-
-impl<'s, A> ShardedSink<'s, A> {
+impl<A> ShardedSink<A> {
     fn new(
         batch: CellBatch<A>,
         dims: usize,
         dim_map: Vec<usize>,
         closed: bool,
         bound: usize,
-    ) -> ShardedSink<'s, A> {
+    ) -> ShardedSink<A> {
         debug_assert!(bound <= dim_map.len());
         debug_assert_eq!(batch.dims(), dims);
         ShardedSink {
-            out: SinkMode::Buffered(batch),
+            batch,
             global: vec![STAR; dims],
             dim_map,
             closed,
             bound,
         }
     }
-
-    fn direct(forward: &'s mut dyn FnMut(&[u32], u64, &A), dims: usize) -> ShardedSink<'s, A> {
-        ShardedSink {
-            out: SinkMode::Direct {
-                forward,
-                cells: 0,
-                bytes: 0,
-            },
-            global: Vec::new(),
-            dim_map: (0..dims).collect(),
-            closed: false,
-            bound: 0,
-        }
-    }
-
-    /// Take the buffered batch out (worker-task mode only).
-    fn into_batch(self) -> CellBatch<A> {
-        match self.out {
-            SinkMode::Buffered(batch) => batch,
-            SinkMode::Direct { .. } => unreachable!("direct sinks never reach the merger"),
-        }
-    }
-
-    /// `(cells, bytes)` forwarded so far (fast-path mode only).
-    fn direct_totals(&self) -> (usize, u64) {
-        match &self.out {
-            SinkMode::Direct { cells, bytes, .. } => (*cells, *bytes),
-            SinkMode::Buffered(_) => unreachable!("buffered sinks count via the merger"),
-        }
-    }
-
-    /// Cells reconciled so far (diagnostics).
-    pub fn len(&self) -> usize {
-        match &self.out {
-            SinkMode::Buffered(batch) => batch.len(),
-            SinkMode::Direct { cells, .. } => *cells,
-        }
-    }
-
-    /// True when no cell has been kept yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
-impl<'s, A: Clone> CellSink<A> for ShardedSink<'s, A> {
+impl<A: Clone> CellSink<A> for ShardedSink<A> {
     fn emit(&mut self, cell: &[u32], count: u64, acc: &A) {
         debug_assert_eq!(cell.len(), self.dim_map.len());
         if cell[..self.bound].contains(&STAR) {
@@ -402,26 +365,12 @@ impl<'s, A: Clone> CellSink<A> for ShardedSink<'s, A> {
             debug_assert!(!self.closed, "closed cuber emitted a shard-spanning cell");
             return;
         }
-        match &mut self.out {
-            SinkMode::Direct {
-                forward,
-                cells,
-                bytes,
-            } => {
-                // Fast path: the cell already is in base-table order.
-                *cells += 1;
-                *bytes += cell.len() as u64 * 4 + 8 + std::mem::size_of::<A>() as u64;
-                forward(cell, count, acc);
-            }
-            SinkMode::Buffered(batch) => {
-                for (i, &v) in cell.iter().enumerate() {
-                    self.global[self.dim_map[i]] = v;
-                }
-                batch.push(&self.global, count, acc.clone());
-                for &d in &self.dim_map {
-                    self.global[d] = STAR;
-                }
-            }
+        for (i, &v) in cell.iter().enumerate() {
+            self.global[self.dim_map[i]] = v;
+        }
+        self.batch.push(&self.global, count, acc.clone());
+        for &d in &self.dim_map {
+            self.global[d] = STAR;
         }
     }
 }
@@ -448,8 +397,8 @@ impl<'s, A: Clone> CellSink<A> for ShardedSink<'s, A> {
 /// CPU of its own (0.01–5 ms on two vCPUs, against ≈ 2 ms of run before
 /// that batch). So after that one send, worker 0 parks until the receiver
 /// unparks the sending thread on taking the batch, for at most a
-/// millisecond — the facade's `CellStream` does. Runs without helpers (the
-/// sequential fast path, one thread) never park.
+/// millisecond — the facade's `CellStream` does. Runs without helpers (a
+/// sequential run, a sharded run on one thread) never park.
 pub struct ChannelSink<A = ()> {
     tx: mpsc::SyncSender<CellBatch<A>>,
     batch: CellBatch<A>,
@@ -819,25 +768,6 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
     }
 }
 
-/// Turn a caught panic payload into the run's error, tripping `token` so
-/// every other observer of the run (stream consumers, query handles) sees
-/// the same outcome.
-fn panic_to_error(
-    token: &Option<CancelToken>,
-    payload: Box<dyn std::any::Any + Send>,
-) -> CubeError {
-    let message = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string());
-    let err = CubeError::WorkerPanicked { message };
-    if let Some(token) = token {
-        token.trip(err.clone());
-    }
-    err
-}
-
 /// Pre-derived sharding artifacts a session caches across queries so warm
 /// runs skip per-query setup: the dimension permutation (deriving the
 /// entropy order costs a full O(rows × dims) scan) and the level-0
@@ -873,10 +803,13 @@ impl WarmStart<'_> {
 /// Run `algo` partition-parallel over `req.table` and emit the exact
 /// sequential result set — the (closed, when `req.closed`) iceberg cube at
 /// `req.min_sup`, carrying `req.measure` — into `sink`, returning the run's
-/// [`EngineStats`]. Closed runs get carried-dimension views and apex
-/// closedness reconciliation; iceberg runs get plain suffix views and
-/// pre-bound-dimension filtering. `req.bound` and `req.pool` describe a
-/// single cuber call and are the engine's to set: it cubes the whole table.
+/// [`EngineStats`]. Every run shards, at any thread count and table size;
+/// routing small or one-thread runs to the plain algorithm is the caller's
+/// decision ([`EngineConfig::runs_sequentially`]). Closed runs get
+/// carried-dimension views and apex closedness reconciliation; iceberg runs
+/// get plain suffix views and pre-bound-dimension filtering. `req.bound`
+/// and `req.pool` describe a single cuber call and are the engine's to set:
+/// it cubes the whole table.
 ///
 /// `algo` is invoked once per (sub-)shard with the same request re-targeted
 /// at a view of the base table (see [`ccube_core::Table::view`]) whose first
@@ -906,7 +839,7 @@ pub fn run_partitioned<M, F, S>(
 where
     M: MeasureSpec + Sync,
     M::Acc: Send,
-    F: Fn(&CubeRequest<'_, M>, &mut ShardedSink<'_, M::Acc>) + Sync,
+    F: Fn(&CubeRequest<'_, M>, &mut ShardedSink<M::Acc>) + Sync,
     S: CellSink<M::Acc> + ?Sized,
 {
     let &CubeRequest {
@@ -935,44 +868,11 @@ where
     }
     let dims = table.dims();
 
-    // ---- Sequential fast path: with one effective thread, or a table too
-    // small for sharding to pay for itself, run the plain algorithm once
-    // over the base table (bound = 0: the sink keeps every cell, the
-    // algorithm emits the apex itself), streaming every cell straight into
-    // the caller's sink — zero buffering. This is what keeps the 1-thread
-    // engine within noise of `Algorithm::run` instead of paying per-level
-    // re-sharding for parallelism it cannot bank. Panics are contained here
-    // just as on the pool path, so the failure surface is uniform.
-    if config.sequential_threshold > 0
-        && (config.effective_threads() <= 1 || n * (dims as u64) < config.sequential_threshold)
-    {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut forward = |cell: &[u32], count: u64, acc: &M::Acc| sink.emit(cell, count, acc);
-            let mut out = ShardedSink::direct(&mut forward, dims);
-            algo(&CubeRequest { bound: 0, ..*req }, &mut out);
-            out.direct_totals()
-        }));
-        let (_, bytes) = match outcome {
-            Ok(totals) => totals,
-            Err(payload) => return Err(panic_to_error(&token, payload)),
-        };
-        if let Some(t) = &token {
-            t.check()?;
-        }
-        return Ok(EngineStats {
-            fast_path: true,
-            tasks: 1,
-            peak_buffered_bytes: 0,
-            total_output_bytes: bytes,
-            ..EngineStats::default()
-        });
-    }
-
-    // ---- Sharded run. Everything from seeding to the merge drain runs
-    // under one catch_unwind: a panicking helper re-raises through
-    // `thread::scope`, a panic on the calling thread (in a shard it cubes or
-    // in the final sink) unwinds the scheduler loop — all land here and
-    // surface as `WorkerPanicked` instead of crossing the public API.
+    // Everything from seeding to the merge drain runs under one
+    // catch_unwind: a panicking helper re-raises through `thread::scope`, a
+    // panic on the calling thread (in a shard it cubes or in the final
+    // sink) unwinds the scheduler loop — all land here and surface as
+    // `WorkerPanicked` instead of crossing the public API.
     let warm = warm.filter(|w| w.matches(table));
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let perm = match warm {
@@ -1041,10 +941,8 @@ where
         ctx.run_shards(seeds, threads, &mut merger);
         (merger.stats, merger.apex_info, merger.is_done())
     }));
-    let (mut stats, apex_info, merged_all) = match outcome {
-        Ok(state) => state,
-        Err(payload) => return Err(panic_to_error(&token, payload)),
-    };
+    let (mut stats, apex_info, merged_all) =
+        outcome.map_err(|payload| lifecycle::worker_panicked(token.as_ref(), payload))?;
     // A tripped token (cancel, deadline, budget — the merger itself trips on
     // budget overrun) is the run's outcome; partial output is the caller's
     // to discard. An aborted merge legitimately leaves work buffered, so the
@@ -1116,7 +1014,7 @@ impl<'a, M, F> Ctx<'a, M, F>
 where
     M: MeasureSpec,
     M::Acc: Send,
-    F: Fn(&CubeRequest<'_, M>, &mut ShardedSink<'_, M::Acc>) + Sync,
+    F: Fn(&CubeRequest<'_, M>, &mut ShardedSink<M::Acc>) + Sync,
 {
     /// Whether the run's token has tripped (cancel, deadline, budget, or a
     /// contained panic elsewhere). Scheduler loops poll this between tasks.
@@ -1270,7 +1168,7 @@ where
         scratch.arena.reclaim(view);
         Completion {
             path: task.path,
-            batch: out.into_batch(),
+            batch: out.batch,
             shard_info,
             child_paths: Vec::new(),
         }
@@ -1534,18 +1432,15 @@ mod tests {
         min_sup: u64,
         threads: usize,
     ) -> ccube_core::fxhash::FxHashMap<ccube_core::Cell, u64> {
-        // `always_sharded`: exercise the sharding/merge machinery even on
-        // tables small enough for the sequential fast path (which has its
-        // own dedicated tests).
         collect_counts(|sink| {
             run_partitioned(
                 &CubeRequest {
                     closed: true,
                     ..CubeRequest::new(table, min_sup)
                 },
-                &EngineConfig::with_threads(threads).always_sharded(),
+                &EngineConfig::with_threads(threads),
                 None,
-                |req, out| ccube_star::star_cube(req, out),
+                ccube_star::star_cube,
                 sink,
             )
             .unwrap();
@@ -1598,9 +1493,9 @@ mod tests {
                 let got = collect_counts(|sink| {
                     run_partitioned(
                         &CubeRequest::new(&t, min_sup),
-                        &EngineConfig::with_threads(threads).always_sharded(),
+                        &EngineConfig::with_threads(threads),
                         None,
-                        |req, out| ccube_baselines::buc(req, out),
+                        ccube_baselines::buc,
                         sink,
                     )
                     .unwrap();
@@ -1620,7 +1515,6 @@ mod tests {
             let config = EngineConfig {
                 threads,
                 split_threshold: 32,
-                sequential_threshold: 0,
                 ..EngineConfig::default()
             };
             let got = collect_counts(|sink| {
@@ -1655,7 +1549,6 @@ mod tests {
                     let config = EngineConfig {
                         threads,
                         split_threshold: threshold,
-                        sequential_threshold: 0,
                         ..EngineConfig::default()
                     };
                     let got = collect_counts(|sink| {
@@ -1666,7 +1559,7 @@ mod tests {
                             },
                             &config,
                             None,
-                            |req, out| ccube_star::star_cube(req, out),
+                            ccube_star::star_cube,
                             sink,
                         )
                         .unwrap();
@@ -1714,7 +1607,6 @@ mod tests {
                 let config = EngineConfig {
                     threads,
                     split_threshold: threshold,
-                    sequential_threshold: 0,
                     ..EngineConfig::default()
                 };
                 run_partitioned(
@@ -1757,7 +1649,6 @@ mod tests {
             let config = EngineConfig {
                 threads,
                 split_threshold: 128,
-                sequential_threshold: 0,
                 ..EngineConfig::default()
             };
             let mut got = CollectSink::default();
@@ -1793,7 +1684,7 @@ mod tests {
             &CubeRequest::new(&t, 5),
             &EngineConfig::default(),
             None,
-            |req, out| ccube_star::star_cube(req, out),
+            ccube_star::star_cube,
             &mut sink,
         )
         .unwrap();
@@ -1801,56 +1692,36 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_sequential_and_reports_stats() {
-        // Small table + default config: every thread count is below the
-        // sequential-work threshold, so all runs take the fast path and the
-        // emission order is the plain algorithm's own.
+    fn shards_even_where_the_route_predicate_says_sequential() {
+        // A small table on one thread: the facade would route this run to
+        // the plain algorithm, but the engine itself always shards.
         let t = SyntheticSpec::uniform(300, 4, 6, 1.0, 5).generate();
-        let want = collect_counts(|s| {
-            ccube_star::star_cube(
-                &CubeRequest {
-                    closed: true,
-                    ..CubeRequest::new(&t, 2)
-                },
-                s,
-            )
-        });
-        for threads in [1, 2, 8] {
-            let mut sink = CollectSink::<()>::default();
-            let stats = run_partitioned(
-                &CubeRequest {
-                    closed: true,
-                    ..CubeRequest::new(&t, 2)
-                },
-                &EngineConfig::with_threads(threads),
-                None,
-                |req, out| ccube_star::star_cube(req, out),
-                &mut sink,
-            )
-            .unwrap();
-            assert!(stats.fast_path, "threads={threads}");
-            assert_eq!(stats.tasks, 1);
-            assert_eq!(stats.splits, 0);
-            assert_eq!(stats.steals, 0);
-            assert!(stats.total_output_bytes > 0);
-            assert_eq!(sink.counts(), want, "threads={threads}");
-        }
-        // A 1-thread run with the fast path disabled shards — and agrees.
+        let config = EngineConfig::with_threads(1);
+        assert!(config.runs_sequentially(t.rows(), t.dims()));
+        let req = CubeRequest {
+            closed: true,
+            ..CubeRequest::new(&t, 2)
+        };
         let mut sink = CollectSink::<()>::default();
-        let stats = run_partitioned(
-            &CubeRequest {
-                closed: true,
-                ..CubeRequest::new(&t, 2)
-            },
-            &EngineConfig::with_threads(1).always_sharded(),
-            None,
-            |req, out| ccube_star::star_cube(req, out),
-            &mut sink,
-        )
-        .unwrap();
+        let stats = run_partitioned(&req, &config, None, ccube_star::star_cube, &mut sink).unwrap();
         assert!(!stats.fast_path);
         assert!(stats.tasks > 1);
-        assert_eq!(sink.counts(), want);
+        assert_eq!(
+            sink.counts(),
+            collect_counts(|s| ccube_star::star_cube(&req, s))
+        );
+    }
+
+    #[test]
+    fn route_predicate() {
+        let config = EngineConfig::with_threads(2);
+        assert!(!config.runs_sequentially(10_000, 4));
+        assert!(config.runs_sequentially(2_000, 4), "8 000 < 8 192");
+        assert!(EngineConfig::with_threads(1).runs_sequentially(10_000, 4));
+        for threads in [1, 2] {
+            let sharded = EngineConfig::with_threads(threads).always_sharded();
+            assert!(!sharded.runs_sequentially(10, 1), "threads={threads}");
+        }
     }
 
     #[test]
@@ -1864,7 +1735,6 @@ mod tests {
             let config = EngineConfig {
                 threads,
                 split_threshold: 64,
-                sequential_threshold: 0,
                 ..EngineConfig::default()
             };
             let mut sink = CountingSink::default();
@@ -1875,7 +1745,7 @@ mod tests {
                 },
                 &config,
                 None,
-                |req, out| ccube_star::star_cube(req, out),
+                ccube_star::star_cube,
                 &mut sink,
             )
             .unwrap();
@@ -1913,7 +1783,6 @@ mod tests {
         let config = EngineConfig {
             threads: 2,
             split_threshold: 1,
-            sequential_threshold: 0,
             max_rest_depth: 0,
             ..EngineConfig::default()
         };
@@ -1925,7 +1794,7 @@ mod tests {
             },
             &config,
             None,
-            |req, out| ccube_star::star_cube(req, out),
+            ccube_star::star_cube,
             &mut sink,
         )
         .unwrap();
@@ -1944,7 +1813,7 @@ mod tests {
             },
             &deeper,
             None,
-            |req, out| ccube_star::star_cube(req, out),
+            ccube_star::star_cube,
             &mut sink,
         )
         .unwrap();
@@ -1965,7 +1834,6 @@ mod tests {
         let config = EngineConfig {
             threads: 3,
             split_threshold: 32,
-            sequential_threshold: 0,
             ..EngineConfig::default()
         };
         let err = run_partitioned(
@@ -1975,7 +1843,7 @@ mod tests {
             },
             &config,
             None,
-            |req, out| ccube_star::star_cube(req, out),
+            ccube_star::star_cube,
             &mut sink,
         )
         .unwrap_err();
@@ -1995,7 +1863,7 @@ mod tests {
             &CubeRequest::new(&t, 0),
             &EngineConfig::default(),
             None,
-            |req, out| ccube_baselines::buc(req, out),
+            ccube_baselines::buc,
             &mut sink,
         )
         .unwrap_err();
@@ -2014,9 +1882,9 @@ mod tests {
                 closed: true,
                 ..CubeRequest::new(&t, 2)
             },
-            &EngineConfig::with_threads(4).always_sharded(),
+            &EngineConfig::with_threads(4),
             None,
-            |req, out| ccube_star::star_cube(req, out),
+            ccube_star::star_cube,
             &mut sink,
         )
         .unwrap_err();
@@ -2035,7 +1903,6 @@ mod tests {
             let config = EngineConfig {
                 threads,
                 split_threshold: 64,
-                sequential_threshold: 0,
                 ..EngineConfig::default()
             };
             let mut sink = CountingSink::default();
@@ -2046,7 +1913,7 @@ mod tests {
                 },
                 &config,
                 None,
-                |req, out| ccube_star::star_cube(req, out),
+                ccube_star::star_cube,
                 &mut sink,
             )
             .unwrap_err();
@@ -2071,8 +1938,7 @@ mod tests {
                 threads,
                 split_threshold: 64,
                 ..EngineConfig::default()
-            }
-            .always_sharded();
+            };
             let stats = run_partitioned(
                 &CubeRequest {
                     closed: true,
@@ -2112,7 +1978,7 @@ mod tests {
             let marks = Mutex::new(Vec::new());
             run_partitioned(
                 &req,
-                &EngineConfig::with_threads(threads).always_sharded(),
+                &EngineConfig::with_threads(threads),
                 None,
                 |req, out| {
                     let on_caller = std::thread::current().id() == caller;
@@ -2134,9 +2000,9 @@ mod tests {
         }
         let err = run_partitioned(
             &req,
-            &EngineConfig::with_threads(2).always_sharded(),
+            &EngineConfig::with_threads(2),
             None,
-            |_, _: &mut ShardedSink<'_, ()>| panic!("shard failed"),
+            |_, _: &mut ShardedSink<()>| panic!("shard failed"),
             &mut CountingSink::default(),
         )
         .unwrap_err();
@@ -2162,8 +2028,7 @@ mod tests {
             threads: 2,
             split_threshold: u64::MAX,
             ..EngineConfig::default()
-        }
-        .always_sharded();
+        };
         let err = run_partitioned(
             &CubeRequest {
                 closed: true,
@@ -2233,7 +2098,6 @@ mod tests {
         let config = EngineConfig {
             threads: 2,
             split_threshold: 1,
-            sequential_threshold: 0,
             ..EngineConfig::default()
         };
         let got = collect_counts(|sink| {
@@ -2244,7 +2108,7 @@ mod tests {
                 },
                 &config,
                 None,
-                |req, out| ccube_star::star_cube(req, out),
+                ccube_star::star_cube,
                 sink,
             )
             .unwrap();
@@ -2271,7 +2135,7 @@ mod tests {
             rules: None,
         }
         .generate();
-        let config = |threads| EngineConfig::with_threads(threads).always_sharded();
+        let config = |threads| EngineConfig::with_threads(threads);
         let mut want: Vec<(Vec<u32>, u64)> = Vec::new();
         run_partitioned(
             &CubeRequest {
@@ -2280,7 +2144,7 @@ mod tests {
             },
             &config(1),
             None,
-            |req, out| ccube_star::star_cube(req, out),
+            ccube_star::star_cube,
             &mut ccube_core::sink::FnSink(|c: &[u32], n: u64, _: &()| want.push((c.to_vec(), n))),
         )
         .unwrap();
@@ -2485,11 +2349,10 @@ mod tests {
                         threads: 2,
                         ordering,
                         split_threshold: 200,
-                        sequential_threshold: 0,
-                        max_rest_depth: DEFAULT_MAX_REST_DEPTH,
+                        ..EngineConfig::default()
                     },
                     None,
-                    |req, out| ccube_star::star_array_cube(req, out),
+                    ccube_star::star_array_cube,
                     sink,
                 )
                 .unwrap();

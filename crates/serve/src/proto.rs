@@ -301,11 +301,12 @@ pub struct DoneStats {
     pub cells: u64,
     /// Wall-clock service time in microseconds (admission to `Done`).
     pub elapsed_micros: u64,
-    /// Engine peak buffered bytes (0 for sequential fast-path runs).
+    /// Engine peak buffered bytes (0 for runs routed sequentially).
     pub peak_buffered_bytes: u64,
-    /// Engine task count (1 on the sequential fast path).
+    /// Engine task count (1 for a run routed sequentially).
     pub tasks: u64,
-    /// Whether the run took the engine's sequential fast path.
+    /// Whether the run was routed sequentially instead of sharded
+    /// (`EngineStats::fast_path`).
     pub fast_path: bool,
 }
 

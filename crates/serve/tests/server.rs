@@ -1021,7 +1021,7 @@ fn resume_spanning_an_ingest_is_a_typed_version_mismatch() {
 const RESERVATION_FLOOR: u64 = 64 * 1024;
 
 /// Send a `threads: 2` request whose shape the server first sees on the
-/// 600-row table — small enough for the engine's sequential fast path, which
+/// 600-row table — small enough to be routed sequentially, which
 /// buffers nothing, so the shape's learned reservation bottoms out at
 /// [`RESERVATION_FLOOR`] — then grow the table to where that shape's merge
 /// frontier no longer fits the reservation. Returns the request.

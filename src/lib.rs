@@ -252,6 +252,11 @@ impl Algorithm {
     /// and shard-boundary closedness reconciliation, and for the error
     /// semantics (misuse, ambient cancellation, contained panics).
     ///
+    /// A run [`EngineConfig::runs_sequentially`] picks out — one thread, or
+    /// a table too small for sharding to pay — is [`Algorithm::run`]
+    /// instead, in the algorithm's own emission order, and reports
+    /// [`EngineStats::fast_path`].
+    ///
     /// ```
     /// use c_cubing::prelude::*;
     ///
@@ -284,7 +289,9 @@ impl Algorithm {
     }
 
     /// [`Algorithm::run_parallel`] starting from a [`CubeSession`]'s cached
-    /// sharding artifacts, when it has them.
+    /// sharding artifacts, when it has them. The one place a run's route is
+    /// chosen: [`EngineConfig::runs_sequentially`] sends it to
+    /// [`Algorithm::run`], anything else to the engine.
     pub(crate) fn run_warm<M, S>(
         self,
         req: &CubeRequest<'_, M>,
@@ -297,19 +304,28 @@ impl Algorithm {
         M::Acc: Send,
         S: CellSink<M::Acc>,
     {
-        let req = &CubeRequest {
-            closed: self.is_closed(),
-            ..*req
-        };
-        ccube_engine::run_partitioned(
-            req,
-            config,
-            warm,
-            |shard: &CubeRequest<'_, M>, out: &mut ShardedSink<'_, M::Acc>| {
+        let table = req.table;
+        if !config.runs_sequentially(table.rows(), table.dims()) {
+            let req = &CubeRequest {
+                closed: self.is_closed(),
+                ..*req
+            };
+            let algo = |shard: &CubeRequest<'_, M>, out: &mut ShardedSink<M::Acc>| {
                 self.dispatch(shard, out)
-            },
-            sink,
-        )
+            };
+            return ccube_engine::run_partitioned(req, config, warm, algo, sink);
+        }
+        // The engine's contract holds on this route too: it cubes the whole
+        // table (`bound` is its to set) and shards no carried-dimension view.
+        if table.cube_dims() != table.dims() {
+            return Err(CubeError::CarriedDimensionView);
+        }
+        self.run(&CubeRequest { bound: 0, ..*req }, sink)?;
+        Ok(EngineStats {
+            fast_path: true,
+            tasks: 1,
+            ..EngineStats::default()
+        })
     }
 }
 
@@ -322,21 +338,8 @@ fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, CubeError> {
     if let Some(t) = &token {
         t.check()?;
     }
-    let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(result) => result,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            let err = CubeError::WorkerPanicked { message };
-            if let Some(t) = &token {
-                t.trip(err.clone());
-            }
-            return Err(err);
-        }
-    };
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|payload| ccube_core::lifecycle::worker_panicked(token.as_ref(), payload))?;
     if let Some(t) = &token {
         t.check()?;
     }
@@ -637,6 +640,9 @@ const COST_MODEL: [[f64; MODEL_INPUTS]; 4] = [
 /// slice's one-value dimension at zero milliseconds).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct PlanShape {
+    /// Tuples of the (sub)table: exact for the whole table and for one
+    /// conjunct, an independence estimate for several.
+    tuples: f64,
     ln_tuples: f64,
     dims: f64,
     /// Mean `ln` of the cardinality, each capped at the tuple count (a
@@ -653,11 +659,11 @@ impl PlanShape {
     /// The shape of a (sub)table of `tuples` rows whose group-by dimensions
     /// have the given `(cardinality, top-value share)`.
     pub(crate) fn new(tuples: f64, dims: &[(f64, f64)]) -> PlanShape {
-        let tuples = tuples.max(1.0);
         let n = dims.len().max(1) as f64;
-        let ln_card = |(card, _): &(f64, f64)| card.clamp(1.0, tuples).ln();
+        let ln_card = |(card, _): &(f64, f64)| card.clamp(1.0, tuples.max(1.0)).ln();
         PlanShape {
-            ln_tuples: tuples.ln(),
+            tuples,
+            ln_tuples: tuples.max(1.0).ln(),
             dims: dims.len() as f64,
             ln_card: dims.iter().map(ln_card).sum::<f64>() / n,
             top_share: dims.iter().map(|(_, share)| share).sum::<f64>() / n,

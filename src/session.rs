@@ -34,7 +34,8 @@
 //!   [`recommend`](crate::recommend), fed the session's cached stats
 //!   narrowed to the queried subtable ([`CubeQuery::plan`]);
 //! * `threads(n)` / `engine(config)` — route through the partition-parallel
-//!   engine instead of a plain sequential run;
+//!   engine instead of a plain sequential run, unless the subtable is too
+//!   small (or `n` is 1) for sharding to pay;
 //! * `deadline(d)` / `memory_budget(bytes)` — lifecycle limits enforced
 //!   cooperatively during the run (see below);
 //!
@@ -488,7 +489,12 @@ pub struct QueryPlan {
     pub algorithm: Algorithm,
     /// Whether only closed cells will be emitted.
     pub closed: bool,
-    /// Whether the run goes through the partition-parallel engine.
+    /// Whether the run shards through the partition-parallel engine: the
+    /// query asked for threads or an engine config, and
+    /// [`EngineConfig::runs_sequentially`] does not pick out the queried
+    /// subtable's tuples × dimensions. Exact whenever the plan's tuple count
+    /// is (no selection, or one conjunct): such a run with threads or an
+    /// engine config reports [`EngineStats::fast_path`] `== !parallel`.
     pub parallel: bool,
     /// The cost model's estimate, in milliseconds of a sequential run, for
     /// each of the four closed algorithms on the subtable this query cubes.
@@ -511,7 +517,7 @@ pub struct QueryStats {
     pub cells: u64,
     /// Sum of the result cells' counts (a cheap cross-algorithm checksum).
     pub count_sum: u64,
-    /// Engine scheduling/memory counters (all-zero for sequential runs).
+    /// Engine scheduling/memory counters (all-zero without `threads` or `engine`).
     pub engine: EngineStats,
 }
 
@@ -608,8 +614,10 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     }
 
     /// Run partition-parallel on `n` threads in total, the one running the
-    /// query included (`0` = one per CPU). `threads(1)` still routes
-    /// through the engine, which takes its sequential fast path.
+    /// query included (`0` = one per CPU). `threads(1)`, or a subtable too
+    /// small for sharding to pay, runs the plain algorithm once instead
+    /// ([`EngineConfig::runs_sequentially`]; [`QueryPlan::parallel`] says
+    /// which).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -685,16 +693,20 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     /// tuple count the selections leave, and each dimension's cardinality
     /// capped at that count.
     pub fn plan(&self) -> QueryPlan {
-        let inputs = self.shape().inputs(self.min_sup);
+        let shape = self.shape();
+        let inputs = shape.inputs(self.min_sup);
         let estimates = estimates(&inputs);
         let closed = self
             .closed
             .unwrap_or_else(|| self.algorithm.is_none_or(Algorithm::is_closed));
         let algorithm = self.algorithm.unwrap_or_else(|| cheapest(&estimates));
+        let (tuples, dims) = (shape.tuples.round() as usize, shape.dims as usize);
         QueryPlan {
             algorithm: algorithm.with_closed(closed),
             closed,
-            parallel: self.engine.is_some() || self.threads.is_some(),
+            parallel: self
+                .engine_config()
+                .is_some_and(|c| !c.runs_sequentially(tuples, dims)),
             estimates,
             inputs,
         }
@@ -930,9 +942,9 @@ where
     M::Acc: Send,
 {
     /// Execute the query, pushing every result cell into `sink`. Returns the
-    /// engine counters (all-zero for sequential runs), or the typed error
-    /// that ended the run (cancel/deadline/budget/panic/misuse) — output
-    /// already pushed before an error is partial; discard it.
+    /// engine counters (all-zero without `threads` or `engine`), or the
+    /// typed error that ended the run (cancel/deadline/budget/panic/misuse)
+    /// — output already pushed before an error is partial; discard it.
     pub fn run<S: CellSink<M::Acc>>(self, sink: &mut S) -> Result<EngineStats, CubeError> {
         let (resolved, spec, session) = self.resolve()?;
         let pool = resolved.wants_pool().then(|| session.star_pool());
@@ -1692,9 +1704,9 @@ mod tests {
                 .run(sink)
                 .unwrap();
         });
-        // Force the sharded path (the table is small enough for the
-        // sequential fast path) with the session's own ordering, so the
-        // warm start is actually consumed.
+        // Force the sharded route (the table is small enough for the
+        // sequential one) with the session's own ordering, so the warm
+        // start is actually consumed.
         let ordering = s.sharding_ordering();
         let warm = collect_counts(|sink| {
             s.query()

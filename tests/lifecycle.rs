@@ -344,6 +344,34 @@ fn builder_misuse_surfaces_as_typed_errors_not_panics() {
 }
 
 // ---------------------------------------------------------------------------
+// Panic containment
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_panicking_sink_is_contained_on_both_routes() {
+    let table = small_table();
+    let req = CubeRequest::new(&table, 2);
+    for (route, config) in [
+        ("sequential", EngineConfig::with_threads(1)),
+        ("sharded", EngineConfig::with_threads(3).always_sharded()),
+    ] {
+        let token = CancelToken::new();
+        let _ambient = ccube_core::lifecycle::install(&token);
+        let mut sink = FnSink(|_: &[u32], _: u64, _: &()| panic!("sink exploded"));
+        let err = Algorithm::CCubingStar
+            .run_parallel(&req, &config, &mut sink)
+            .unwrap_err();
+        match &err {
+            CubeError::WorkerPanicked { message } => {
+                assert!(message.contains("sink exploded"), "{route}: {message}");
+            }
+            other => panic!("{route}: expected WorkerPanicked, got {other:?}"),
+        }
+        assert_eq!(token.cause(), Some(err), "{route}: token not tripped");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Chaos matrix (compiled only under --cfg ccube_chaos; armed only when the
 // CCUBE_CHAOS environment variable is set):
 //   RUSTFLAGS="--cfg ccube_chaos" CCUBE_CHAOS=1 cargo test --test lifecycle

@@ -29,14 +29,14 @@ fn assert_parallel_equivalence(table: &Table, min_sups: &[u64], label: &str) {
         for &m in min_sups {
             let want = seq(algo, table, m);
             for threads in THREADS {
-                // Default config (small tables may take the sequential fast
-                // path — that must be equivalent too) ...
+                // Default config (small tables take the sequential route —
+                // that must be equivalent too) ...
                 let got = par(algo, table, m, &EngineConfig::with_threads(threads));
                 assert_eq!(
                     got, want,
                     "{algo} parallel({threads}) != sequential on {label} at min_sup={m}"
                 );
-                // ... and with the fast path disabled, so the sharding and
+                // ... and always sharded, so the sharding and
                 // streaming-merge machinery is always exercised.
                 let cfg = EngineConfig::with_threads(threads).always_sharded();
                 let got = par(algo, table, m, &cfg);
@@ -451,8 +451,10 @@ fn streaming_merge_peak_stays_below_full_output() {
     }
 }
 
-/// At one thread with the default config the engine takes the sequential
-/// fast path: same cells, and the engine reports it.
+/// At one thread with the default config, or on a table below the
+/// sequential threshold at any thread count, `run_parallel` takes the
+/// sequential route: same cells as `Algorithm::run`, and it reports one
+/// unsplit task.
 #[test]
 fn one_thread_engine_takes_the_fast_path() {
     let t = SyntheticSpec::uniform(5_000, 5, 10, 1.0, 45).generate();
@@ -479,6 +481,45 @@ fn one_thread_engine_takes_the_fast_path() {
         .unwrap();
     assert!(!stats.fast_path);
     assert_eq!(sink.counts(), want);
+    // 300 × 4 = 1 200 tuple·dimension units, below the default threshold:
+    // sequential at every thread count.
+    let small = SyntheticSpec::uniform(300, 4, 6, 1.0, 5).generate();
+    let want = seq(Algorithm::CCubingStar, &small, 2);
+    for threads in THREADS {
+        let mut sink = CollectSink::default();
+        let stats = Algorithm::CCubingStar
+            .run_parallel(
+                &CubeRequest::new(&small, 2),
+                &EngineConfig::with_threads(threads),
+                &mut sink,
+            )
+            .unwrap();
+        assert!(stats.fast_path, "threads={threads}");
+        assert_eq!((stats.tasks, stats.splits), (1, 0), "threads={threads}");
+        assert_eq!(sink.counts(), want, "threads={threads}");
+    }
+}
+
+/// Misuse is typed on the sequential route exactly as in the engine.
+#[test]
+fn misuse_on_the_sequential_route_is_typed() {
+    let t = SyntheticSpec::uniform(50, 3, 4, 1.0, 1).generate();
+    let carried = t.view(&t.all_tids(), &[0, 1, 2], 2);
+    for config in [
+        EngineConfig::with_threads(1),
+        EngineConfig::with_threads(1).always_sharded(),
+    ] {
+        let mut sink = CollectSink::default();
+        let err = Algorithm::CCubingStar
+            .run_parallel(&CubeRequest::new(&t, 0), &config, &mut sink)
+            .unwrap_err();
+        assert_eq!(err, CubeError::ZeroMinSup, "{config:?}");
+        let err = Algorithm::CCubingStar
+            .run_parallel(&CubeRequest::new(&carried, 1), &config, &mut sink)
+            .unwrap_err();
+        assert_eq!(err, CubeError::CarriedDimensionView, "{config:?}");
+        assert!(sink.is_empty());
+    }
 }
 
 /// Wall-clock sanity on a larger workload. Timing assertions on shared CI

@@ -204,6 +204,45 @@ fn low_level_path_agrees_with_query_path() {
     }
 }
 
+/// `plan().parallel` is the route the run takes. Dimension 0 is the leading
+/// sharding dimension under either ordering (highest cardinality, uniform).
+/// 3 000 × 4 = 12 000 tuple·dimension units shard at two threads; a
+/// leading slice (≈ 375 × 4) and a two-dimension projection (3 000 × 2) do
+/// not, and nothing shards at one thread.
+#[test]
+fn plan_parallel_is_the_route_the_run_takes() {
+    let table = SyntheticSpec {
+        tuples: 3_000,
+        cards: vec![8, 3, 3, 3],
+        skews: vec![0.0; 4],
+        seed: 19,
+        rules: None,
+    }
+    .generate();
+    let mut session = CubeSession::new(table).unwrap();
+    type Shape = for<'s> fn(CubeQuery<'s>) -> CubeQuery<'s>;
+    let shapes: [(&str, Shape); 3] = [
+        ("base", |q| q),
+        ("leading slice", |q| q.slice(0, 3)),
+        ("projection", |q| q.dims(DimMask::from_iter([0, 1]))),
+    ];
+    let mut routes = Vec::new();
+    for threads in [1, 2] {
+        for (label, shape) in shapes {
+            let plan = shape(session.query().min_sup(2).threads(threads)).plan();
+            let stats = shape(session.query().min_sup(2).threads(threads))
+                .stats()
+                .unwrap();
+            assert_eq!(
+                plan.parallel, !stats.engine.fast_path,
+                "{label} at threads={threads}"
+            );
+            routes.push(plan.parallel);
+        }
+    }
+    assert_eq!(routes, [false, false, false, true, false, false]);
+}
+
 /// The planner-chosen run is the oracle's closed cube whatever the planner
 /// picks: over tables spanning Zipf 0 → 2 and `min_sup` 2 → 64 it picks at
 /// least three different cubers, so this is not a statement about one.
