@@ -9,9 +9,10 @@ use crate::{measure_size, measure_threads};
 use c_cubing::Algorithm;
 use ccube_core::order::DimOrdering;
 use ccube_core::sink::CollectSink;
+use ccube_core::ClosedCube;
 use ccube_core::{CubeRequest, Table};
 use ccube_data::{RuleSet, SyntheticSpec, WeatherSpec};
-use ccube_rules::{mine_rules, ClosedCube};
+use ccube_rules::mine_rules;
 
 /// Global experiment options.
 #[derive(Clone, Copy, Debug)]
@@ -620,16 +621,14 @@ fn rules_experiment(opt: &ExpOptions) -> Figure {
     let tuples = (opt.tuples(1_002_752) / 4).max(1000);
     let table = WeatherSpec::new(tuples, opt.seed).generate_dims(6);
     let min_sup = 10;
-    let dims = table.dims();
+    let mut cube = ClosedCube::new(table.dims(), min_sup, Vec::new());
     let mut session = c_cubing::CubeSession::new(table).expect("ordinary table");
-    let cube = ClosedCube::collect(dims, min_sup, |sink| {
-        session
-            .query()
-            .min_sup(min_sup)
-            .algorithm(Algorithm::CCubingStarArray)
-            .run(sink)
-            .expect("rules query");
-    });
+    session
+        .query()
+        .min_sup(min_sup)
+        .algorithm(Algorithm::CCubingStarArray)
+        .run(&mut cube)
+        .expect("rules query");
     let (_, stats) = mine_rules(&cube);
     Figure {
         id: "rules",

@@ -24,6 +24,8 @@
 //!   count-based closedness per Lemma 1 / Section 6.1.
 //! * [`sink::CellSink`] — output abstraction (counting, collecting, byte
 //!   sizing, text writing) so benchmarks can disable I/O like the paper does.
+//! * [`store::ClosedCube`] — the closed cube as a lossless store: filled by
+//!   any cuber, patched under appends, served, point-queried, mined.
 //! * [`naive`] — an exhaustive reference cuber used as the test oracle.
 //! * [`order`] — dimension-ordering heuristics (Section 5.5), including the
 //!   entropy order the paper proposes.
@@ -47,6 +49,7 @@ pub mod naive;
 pub mod order;
 pub mod partition;
 pub mod sink;
+pub mod store;
 pub mod table;
 
 pub use cell::{Cell, STAR};
@@ -56,6 +59,7 @@ pub use lifecycle::CancelToken;
 pub use mask::DimMask;
 pub use measure::{CountOnly, MeasureSpec};
 pub use sink::{CellBatch, CellSink, CollectSink, CountingSink, NullSink, SizeSink};
+pub use store::ClosedCube;
 pub use table::{AppendReport, Table, TableBuilder, TupleId};
 
 /// Maximum number of dimensions supported by the mask representation.

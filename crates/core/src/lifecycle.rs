@@ -258,14 +258,6 @@ pub fn should_stop_strided() -> bool {
     }) && should_stop()
 }
 
-/// The error to surface for a stopped run: the ambient token's recorded
-/// cause, or [`CubeError::Cancelled`] when none was recorded.
-pub fn stop_cause() -> CubeError {
-    current()
-        .and_then(|t| t.cause())
-        .unwrap_or(CubeError::Cancelled)
-}
-
 /// Turn a panic caught at a run's boundary into the run's error —
 /// [`CubeError::WorkerPanicked`] carrying the panic message — tripping
 /// `token` with it so every other observer of the run (stream consumers,
@@ -329,7 +321,6 @@ mod tests {
         assert!(!should_stop(), "outer token is still live");
         outer.cancel();
         assert!(should_stop());
-        assert_eq!(stop_cause(), CubeError::Cancelled);
         drop(guard);
         assert!(!should_stop());
         assert!(current().is_none());

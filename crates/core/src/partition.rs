@@ -81,6 +81,46 @@ impl Group {
     }
 }
 
+/// A table's level-0 partition along the first dimension of a permutation:
+/// what a session caches across queries, the parallel engine warm-starts
+/// from, and incremental maintenance shards by.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LeadPartition {
+    /// The dimension permutation; `perm[0]` is the partitioned dimension.
+    pub perm: Vec<usize>,
+    /// Every tuple ID of the table, value-sorted along `perm[0]` (ascending
+    /// within each group — counting sort is stable).
+    pub tids: Vec<TupleId>,
+    /// One group per distinct `perm[0]` value, value-ascending, indexing
+    /// into `tids`.
+    pub groups: Vec<Group>,
+}
+
+impl LeadPartition {
+    /// Partition `table` along `perm[0]` with one counting sort.
+    pub fn new(table: &Table, perm: Vec<usize>) -> LeadPartition {
+        let (tids, groups) = table.shard_by_dim(perm[0]);
+        LeadPartition { perm, tids, groups }
+    }
+
+    /// Ascending tuple IDs of the slice `perm[0] = value`, read off the
+    /// partition without a column scan.
+    pub fn slice(&self, value: u32) -> &[TupleId] {
+        match self.groups.binary_search_by_key(&value, |g| g.value) {
+            Ok(i) => &self.tids[self.groups[i].range()],
+            Err(_) => &[],
+        }
+    }
+
+    /// Does this partition describe `table`: a permutation of its
+    /// dimension count, and one tuple ID per row?
+    pub fn matches(&self, table: &Table) -> bool {
+        self.perm.len() == table.dims()
+            && self.tids.len() == table.rows()
+            && (self.groups.last()).is_none_or(|g| g.range().end <= self.tids.len())
+    }
+}
+
 impl Partitioner {
     /// Fresh partitioner with the faithful dense counter reset (zero-fill
     /// `O(cardinality)` per call — the cost profile the paper measures for

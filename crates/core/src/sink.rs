@@ -333,34 +333,6 @@ impl<W: Write, A> CellSink<A> for WriterSink<W> {
     }
 }
 
-/// Fans one stream of cells out to two sinks.
-pub struct TeeSink<'a, S1, S2> {
-    /// First sink.
-    pub first: &'a mut S1,
-    /// Second sink.
-    pub second: &'a mut S2,
-}
-
-impl<'a, A, S1: CellSink<A>, S2: CellSink<A>> CellSink<A> for TeeSink<'a, S1, S2> {
-    #[inline]
-    fn emit(&mut self, cell: &[u32], count: u64, acc: &A) {
-        self.first.emit(cell, count, acc);
-        self.second.emit(cell, count, acc);
-    }
-}
-
-/// Adapter: lets a count-only algorithm (`A = ()`) drive any sink that was
-/// written for the same accumulator type. Also useful to erase accumulators:
-/// wraps a `CellSink<()>` so it can absorb emissions carrying any `A`.
-pub struct DropAcc<'a, S>(pub &'a mut S);
-
-impl<'a, A, S: CellSink<()>> CellSink<A> for DropAcc<'a, S> {
-    #[inline]
-    fn emit(&mut self, cell: &[u32], count: u64, _acc: &A) {
-        self.0.emit(cell, count, &());
-    }
-}
-
 /// Convenience: run a closure per cell.
 pub struct FnSink<F>(pub F);
 
@@ -427,21 +399,6 @@ mod tests {
             CellSink::<()>::emit(&mut s, &[1, STAR, 3], 42, &());
         }
         assert_eq!(String::from_utf8(buf).unwrap(), "1,*,3 : 42\n");
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let mut a = CountingSink::default();
-        let mut b = SizeSink::default();
-        {
-            let mut t = TeeSink {
-                first: &mut a,
-                second: &mut b,
-            };
-            CellSink::<()>::emit(&mut t, &[0], 1, &());
-        }
-        assert_eq!(a.cells, 1);
-        assert_eq!(b.cells, 1);
     }
 
     #[test]

@@ -264,17 +264,6 @@ impl Table {
         f
     }
 
-    /// Per-value frequency histogram of dimension `d` restricted to `tids`.
-    pub fn freq_of(&self, d: usize, tids: &[TupleId]) -> Vec<u32> {
-        let mut f = vec![0u32; self.cards[d] as usize];
-        with_lanes!(self.col(d), |col| {
-            for &t in tids {
-                f[u32::from(col[t as usize]) as usize] += 1;
-            }
-        });
-        f
-    }
-
     /// The entropy-ordering figure of merit from Section 5.5:
     /// `E(A) = -Σ |a_i| · log|a_i|` (constant terms dropped). Larger values
     /// mean a more uniform dimension; the paper orders dimensions by
@@ -359,34 +348,6 @@ impl Table {
             packed: pack_all(&cols),
             cols,
             measures: self.measures.clone(),
-        }
-    }
-
-    /// Keep only the first `n` rows.
-    pub fn truncate_rows(&self, n: usize) -> Table {
-        let n = n.min(self.rows);
-        let cols: Vec<Column> = self
-            .cols
-            .iter()
-            .map(|c| {
-                let mut c = c.clone();
-                c.truncate(n);
-                c
-            })
-            .collect();
-        Table {
-            dims: self.dims,
-            cube_dims: self.cube_dims,
-            rows: n,
-            cards: self.cards.clone(),
-            names: self.names.clone(),
-            packed: pack_all(&cols),
-            cols,
-            measures: self
-                .measures
-                .iter()
-                .map(|(name, col)| (name.clone(), col[..n].to_vec()))
-                .collect(),
         }
     }
 
@@ -1161,7 +1122,6 @@ mod tests {
     fn freq_and_entropy() {
         let t = example_table();
         assert_eq!(t.freq(1), vec![2, 1]);
-        assert_eq!(t.freq_of(1, &[0, 2]), vec![1, 1]);
         // Uniform dimension has higher E than a skewed one of same support.
         let uniform = TableBuilder::new(1)
             .row(&[0])
@@ -1200,16 +1160,12 @@ mod tests {
     }
 
     #[test]
-    fn truncate_dims_and_rows() {
+    fn truncate_dims_keeps_a_prefix() {
         let t = example_table();
         let k = t.truncate_dims(2);
         assert_eq!(k.dims(), 2);
         assert_eq!(k.row(2), &[0, 1]);
         assert!(k.packed_rows().is_some());
-        let r = t.truncate_rows(1);
-        assert_eq!(r.rows(), 1);
-        assert_eq!(r.row(0), t.row(0));
-        assert_eq!(r.packed_rows().unwrap().len(), 1);
     }
 
     #[test]

@@ -17,13 +17,17 @@
 //! * a cell whose group the batch does not touch has a byte-identical
 //!   summary — nothing to recompute.
 //!
+//! The store is [`ClosedCube`], the one closed-cube type of the workspace:
+//! [`build`] produces it and [`patch`] mutates it in place, stamping it
+//! with the row count it is current for. Its point-query index is dropped
+//! by the patch and rebuilt only if someone queries.
+//!
 //! ## Affected-cell enumeration
 //!
-//! [`MaterializedCube::patch`] finds the affected cells with the BUC
-//! recursion BUC and QC-DFS also run ([`ccube_core::partition::descend`]),
-//! over the *new* table in a caller-supplied dimension order
-//! ([`DeltaPlan::order`] — the session passes its cached sharding
-//! permutation). Its hooks add one prune to Apriori's: a sub-group is
+//! [`patch`] finds the affected cells with the BUC recursion BUC and QC-DFS
+//! also run ([`ccube_core::partition::descend`]), over the *new* table in
+//! the order of a caller-supplied [`LeadPartition`] (the session passes its
+//! cached one). Its hooks add one prune to Apriori's: a sub-group is
 //! descended into only if it **contains at least one appended tuple**
 //! (`tid >= old_rows`). Every visited node is exactly one affected cell; its
 //! count and [`ClosedInfo`] are re-derived from the group, so promotions and
@@ -34,16 +38,15 @@
 //!
 //! ## Sharding
 //!
-//! The recursion roots are sharded by the **existing first-dimension
-//! partition** ([`DeltaPlan::tids`]/[`DeltaPlan::groups`], the same artifact
-//! the parallel engine warm-starts from): one task per leading-dimension
-//! group the batch touches (cells *binding* the leading dimension), plus one
-//! "rest" task for the cells that *star* it. Tasks own disjoint cell sets
-//! and run on a pool shaped like the engine's: the calling thread is
-//! worker 0 beside [`DeltaPlan::threads`] − 1 helpers, all draining one FIFO
-//! queue in task order, so the rest task — the largest — starts first.
-//! Their patch lists are spliced in task order — deterministic under any
-//! thread count.
+//! The recursion roots are sharded by the **lead partition**
+//! ([`LeadPartition::groups`], the same artifact the parallel engine
+//! warm-starts from): one task per leading-dimension group the batch
+//! touches (cells *binding* the leading dimension), plus one "rest" task
+//! for the cells that *star* it. Tasks own disjoint cell sets and run on a
+//! pool shaped like the engine's: the calling thread is worker 0 beside
+//! `threads − 1` helpers, all draining one FIFO queue in task order, so the
+//! rest task — the largest — starts first. Their patch lists are spliced in
+//! task order — deterministic under any thread count.
 //!
 //! The splice protocol is: affected cell found closed → upsert
 //! (new/changed); found non-closed → remove if present ("retired" — provably
@@ -56,36 +59,13 @@
 use ccube_core::cell::{Cell, STAR};
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::lifecycle::{self, CancelToken};
-use ccube_core::partition::{descend, DescendHooks, Group, Partitioner};
-use ccube_core::sink::CellSink;
-use ccube_core::{CubeError, DimMask, Table, TupleId};
+use ccube_core::partition::{descend, DescendHooks, LeadPartition, Partitioner};
+use ccube_core::{ClosedCube, CubeError, DimMask, Table, TupleId};
 use crossbeam_deque::{Injector, Steal};
-use std::collections::BTreeMap;
 
-/// The sharding inputs of a delta pass — the session's cached artifacts,
-/// borrowed: the dimension recursion order (its sharding permutation) and
-/// the level-0 partition along `order[0]` covering **all** rows of the (new)
-/// table.
-#[derive(Clone, Copy, Debug)]
-pub struct DeltaPlan<'a> {
-    /// Dimension recursion order; `order[0]` is the sharding dimension.
-    /// Must be a permutation of `0..table.dims()`. The enumerated cell set
-    /// is order-independent; the order only shapes the task tree.
-    pub order: &'a [usize],
-    /// Value-sorted tuple IDs of the partition along `order[0]` (ascending
-    /// tuple ID within each group — counting sort is stable).
-    pub tids: &'a [TupleId],
-    /// One [`Group`] per distinct `order[0]` value, value-ascending,
-    /// indexing into [`DeltaPlan::tids`].
-    pub groups: &'a [Group],
-    /// Threads that run the pass, the calling thread included: it spawns
-    /// `threads − 1` helpers (`<= 1` runs it on the caller alone).
-    pub threads: usize,
-}
-
-/// Counters from one [`MaterializedCube::build`] / [`MaterializedCube::patch`]
-/// pass — the observable cost of maintenance, and the session's proof that
-/// invalidation was surgical rather than wholesale.
+/// Counters from one [`build`] / [`patch`] pass — the observable cost of
+/// maintenance, and the session's proof that invalidation was surgical
+/// rather than wholesale.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Tuple groups re-summarized via [`ClosedInfo::for_group`] (one per
@@ -102,186 +82,105 @@ pub struct DeltaStats {
     pub tasks: u64,
 }
 
-/// A materialized closed iceberg cube, maintained under appends.
+/// Build the store cold: the full delta recursion with `old_rows = 0`, i.e.
+/// every cell of the closed iceberg cube is "affected". The result is
+/// cell-for-cell the closed iceberg cube of `table` at `min_sup`, current
+/// for `table.rows()` rows. `lead` and `threads` are as for [`patch`].
 ///
-/// Holds every closed cell of its table with `count >= min_sup`, keyed in
-/// lexicographic cell order (so serving iterates deterministically). Built
-/// cold by [`MaterializedCube::build`] and kept current by
-/// [`MaterializedCube::patch`] after each append; served by
-/// [`MaterializedCube::serve`] at any threshold **at or above** the build
-/// threshold (closedness does not depend on `min_sup`, so a higher-threshold
-/// query is a pure count filter).
-#[derive(Clone, Debug)]
-pub struct MaterializedCube {
-    dims: usize,
+/// # Errors
+/// [`CubeError::ZeroMinSup`]; [`CubeError::CarriedDimensionView`] on an
+/// engine-internal shard view.
+pub fn build(
+    table: &Table,
     min_sup: u64,
-    /// Rows of the table this materialization is current for (the patch
-    /// continuity cursor).
-    rows: usize,
-    cells: BTreeMap<Cell, u64>,
+    lead: &LeadPartition,
+    threads: usize,
+) -> Result<(ClosedCube, DeltaStats), CubeError> {
+    if min_sup < 1 {
+        return Err(CubeError::ZeroMinSup);
+    }
+    if table.cube_dims() != table.dims() {
+        return Err(CubeError::CarriedDimensionView);
+    }
+    let mut cube = ClosedCube::new(table.dims(), min_sup, Vec::new());
+    let stats = patch(&mut cube, table, 0, lead, threads);
+    Ok((cube, stats))
 }
 
-impl MaterializedCube {
-    /// Build the materialization cold: the full delta recursion with
-    /// `old_rows = 0`, i.e. every cell of the closed iceberg cube is
-    /// "affected". The result is cell-for-cell the closed iceberg cube of
-    /// `table` at `min_sup`.
-    ///
-    /// # Errors
-    /// [`CubeError::ZeroMinSup`]; [`CubeError::CarriedDimensionView`] on an
-    /// engine-internal shard view.
-    pub fn build(
-        table: &Table,
-        min_sup: u64,
-        plan: &DeltaPlan<'_>,
-    ) -> Result<(MaterializedCube, DeltaStats), CubeError> {
-        if min_sup < 1 {
-            return Err(CubeError::ZeroMinSup);
-        }
-        if table.cube_dims() != table.dims() {
-            return Err(CubeError::CarriedDimensionView);
-        }
-        let mut cube = MaterializedCube {
-            dims: table.dims(),
-            min_sup,
-            rows: 0,
-            cells: BTreeMap::new(),
-        };
-        let stats = cube.patch(table, 0, plan);
-        Ok((cube, stats))
+/// Bring `cube` current after `table` grew from `old_rows` rows to its
+/// present size: enumerate exactly the cells whose groups contain appended
+/// tuples, re-summarize each, and splice the verdicts (closed → upsert,
+/// non-closed → defensive remove). The pass runs on `threads` threads, the
+/// calling thread included (`<= 1` runs it on the caller alone).
+///
+/// `lead` must partition the **new** table (all rows, appended ones
+/// included), and `old_rows` must equal [`ClosedCube::rows`] — the session
+/// layer maintains both invariants.
+///
+/// # Panics
+/// When either invariant is broken or `table` has another dimension count
+/// than the store: patching on would silently produce a different cube.
+pub fn patch(
+    cube: &mut ClosedCube,
+    table: &Table,
+    old_rows: usize,
+    lead: &LeadPartition,
+    threads: usize,
+) -> DeltaStats {
+    assert_eq!(table.dims(), cube.dims(), "table has other dimensions");
+    assert_eq!(old_rows, cube.rows(), "patch continuity broken");
+    assert_eq!(lead.tids.len(), table.rows(), "lead partition is stale");
+    assert_eq!(
+        lead.perm.len(),
+        table.dims(),
+        "lead permutation is not a permutation of the dimensions"
+    );
+    let mut stats = DeltaStats::default();
+    cube.set_rows(table.rows());
+    let min_sup = cube.min_sup();
+    if table.rows() == old_rows || (table.rows() as u64) < min_sup {
+        return stats;
     }
 
-    /// Bring the materialization current after `table` grew from `old_rows`
-    /// rows to its present size: enumerate exactly the cells whose groups
-    /// contain appended tuples, re-summarize each, and splice the verdicts
-    /// (closed → upsert, non-closed → defensive remove).
-    ///
-    /// `plan` must describe the **new** table (its partition covering all
-    /// rows, appended ones included), and `old_rows` must equal the row
-    /// count the previous build/patch left off at — the session layer
-    /// maintains both invariants.
-    ///
-    /// # Panics
-    /// When either invariant is broken or `table` has another dimension
-    /// count than the materialization: patching on would silently produce
-    /// a different cube.
-    pub fn patch(&mut self, table: &Table, old_rows: usize, plan: &DeltaPlan<'_>) -> DeltaStats {
-        assert_eq!(table.dims(), self.dims, "table has other dimensions");
-        assert_eq!(old_rows, self.rows, "patch continuity broken");
-        assert_eq!(plan.tids.len(), table.rows(), "plan is stale");
-        assert_eq!(
-            plan.order.len(),
-            table.dims(),
-            "plan order is not a permutation of the dimensions"
-        );
-        let mut stats = DeltaStats::default();
-        self.rows = table.rows();
-        if table.rows() == old_rows || (table.rows() as u64) < self.min_sup {
-            return stats;
+    // Root tasks: the "rest" task (cells starring the sharding dimension,
+    // apex included) plus one per touched leading group (cells binding it).
+    // Disjoint by construction; merged in task order for determinism.
+    let mut tasks: Vec<Task> = Vec::new();
+    tasks.push(Task {
+        bind: None,
+        tids: table.all_tids(),
+    });
+    for g in &lead.groups {
+        if u64::from(g.len()) < min_sup {
+            continue;
         }
-
-        // Root tasks: the "rest" task (cells starring the sharding
-        // dimension, apex included) plus one per touched leading group
-        // (cells binding it). Disjoint by construction; merged in task
-        // order for determinism.
-        let mut tasks: Vec<Task> = Vec::new();
+        let slice = &lead.tids[g.range()];
+        if !touches(slice, old_rows as TupleId) {
+            continue;
+        }
         tasks.push(Task {
-            bind: None,
-            tids: table.all_tids(),
+            bind: Some(g.value),
+            tids: slice.to_vec(),
         });
-        for g in plan.groups {
-            if u64::from(g.len()) < self.min_sup {
-                continue;
-            }
-            let slice = &plan.tids[g.range()];
-            if !touches(slice, old_rows as TupleId) {
-                continue;
-            }
-            tasks.push(Task {
-                bind: Some(g.value),
-                tids: slice.to_vec(),
-            });
-        }
-        stats.tasks = tasks.len() as u64;
+    }
+    stats.tasks = tasks.len() as u64;
 
-        let outputs = run_tasks(table, self.min_sup, old_rows as TupleId, plan, tasks);
-        for cells in outputs {
-            // One re-checked group per affected cell.
-            stats.groups_rechecked += cells.len() as u64;
-            for (cell, count, closed) in cells {
-                if closed {
-                    match self.cells.insert(cell, count) {
-                        None => stats.cells_added += 1,
-                        Some(_) => stats.cells_updated += 1,
-                    }
-                } else if self.cells.remove(&cell).is_some() {
-                    stats.cells_removed += 1;
+    let outputs = run_tasks(table, min_sup, old_rows as TupleId, lead, threads, tasks);
+    for cells in outputs {
+        // One re-checked group per affected cell.
+        stats.groups_rechecked += cells.len() as u64;
+        for (cell, count, closed) in cells {
+            if closed {
+                match cube.insert(cell, count) {
+                    None => stats.cells_added += 1,
+                    Some(_) => stats.cells_updated += 1,
                 }
+            } else if cube.remove(&cell).is_some() {
+                stats.cells_removed += 1;
             }
         }
-        stats
     }
-
-    /// Serve the closed iceberg cube at `min_sup` from the materialization:
-    /// emit every cell with `count >= min_sup` into `sink`, in lexicographic
-    /// cell order. Returns the number of cells emitted.
-    ///
-    /// # Errors
-    /// [`CubeError::ZeroMinSup`];
-    /// [`CubeError::MaterializationUnavailable`] when `min_sup` is below the
-    /// build threshold (cells under it were never materialized).
-    pub fn serve<S: CellSink<()>>(&self, min_sup: u64, sink: &mut S) -> Result<u64, CubeError> {
-        if min_sup < 1 {
-            return Err(CubeError::ZeroMinSup);
-        }
-        if min_sup < self.min_sup {
-            return Err(CubeError::MaterializationUnavailable { min_sup });
-        }
-        let mut emitted = 0u64;
-        for (cell, &count) in &self.cells {
-            if count >= min_sup {
-                sink.emit(cell.values(), count, &());
-                emitted += 1;
-            }
-        }
-        Ok(emitted)
-    }
-
-    /// The build threshold: the materialization holds every closed cell with
-    /// at least this count, and can serve any threshold at or above it.
-    pub fn min_sup(&self) -> u64 {
-        self.min_sup
-    }
-
-    /// Cell width (the table's dimension count).
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Rows of the table this materialization is current for.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of materialized closed cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when no cell is materialized.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The materialized `(cell, count)` pairs in lexicographic cell order.
-    pub fn cells(&self) -> impl Iterator<Item = (&Cell, u64)> + '_ {
-        self.cells.iter().map(|(c, &n)| (c, n))
-    }
-
-    /// Count of one materialized cell, if present.
-    pub fn get(&self, cell: &Cell) -> Option<u64> {
-        self.cells.get(cell).copied()
-    }
+    stats
 }
 
 /// Does this tuple group contain an appended tuple? Appended IDs are the
@@ -326,16 +225,17 @@ fn run_task(
     hooks.out
 }
 
-/// Run `tasks` on `plan.threads` threads, **the calling thread included**:
-/// it is worker 0 beside `threads − 1` helpers, and every thread drains one
-/// FIFO queue seeded in task order, so the rest task (the largest) starts
-/// first. Outputs come back in task-index order, so the splice is
+/// Run `tasks` on `threads` threads, **the calling thread included**: it is
+/// worker 0 beside `threads − 1` helpers, and every thread drains one FIFO
+/// queue seeded in task order, so the rest task (the largest) starts first.
+/// Outputs come back in task-index order, so the splice is
 /// thread-count-independent.
 fn run_tasks(
     table: &Table,
     min_sup: u64,
     old_rows: TupleId,
-    plan: &DeltaPlan<'_>,
+    lead: &LeadPartition,
+    threads: usize,
     tasks: Vec<Task>,
 ) -> Vec<Affected> {
     let count = tasks.len();
@@ -354,7 +254,7 @@ fn run_tasks(
         loop {
             match queue.steal() {
                 Steal::Success((i, task)) => {
-                    done.push((i, run_task(table, min_sup, old_rows, plan.order, task)));
+                    done.push((i, run_task(table, min_sup, old_rows, &lead.perm, task)));
                 }
                 Steal::Empty => return done,
                 Steal::Retry => {}
@@ -362,7 +262,7 @@ fn run_tasks(
         }
     };
     let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..plan.threads.min(count))
+        let helpers: Vec<_> = (1..threads.min(count))
             .map(|_| {
                 std::thread::Builder::new()
                     .name("ccube-delta-worker".into())
@@ -413,33 +313,20 @@ mod tests {
     use super::*;
     use ccube_core::fxhash::FxHashMap;
     use ccube_core::naive::naive_closed_counts;
-    use ccube_core::sink::CollectSink;
     use ccube_core::TableBuilder;
     use ccube_data::SyntheticSpec;
 
-    fn plan_for(table: &Table, threads: usize) -> (Vec<usize>, Vec<TupleId>, Vec<Group>, usize) {
-        let order: Vec<usize> = (0..table.dims()).collect();
-        let (tids, groups) = table.shard_by_dim(order[0]);
-        (order, tids, groups, threads)
+    /// The lead partition along the table's own dimension order.
+    fn lead_of(table: &Table) -> LeadPartition {
+        LeadPartition::new(table, (0..table.dims()).collect())
     }
 
-    fn build_at(table: &Table, min_sup: u64, threads: usize) -> (MaterializedCube, DeltaStats) {
-        let (order, tids, groups, threads) = plan_for(table, threads);
-        MaterializedCube::build(
-            table,
-            min_sup,
-            &DeltaPlan {
-                order: &order,
-                tids: &tids,
-                groups: &groups,
-                threads,
-            },
-        )
-        .unwrap()
+    fn build_at(table: &Table, min_sup: u64, threads: usize) -> (ClosedCube, DeltaStats) {
+        build(table, min_sup, &lead_of(table), threads).unwrap()
     }
 
-    fn as_counts(cube: &MaterializedCube) -> FxHashMap<Cell, u64> {
-        cube.cells().map(|(c, n)| (c.clone(), n)).collect()
+    fn as_counts(cube: &ClosedCube) -> FxHashMap<Cell, u64> {
+        cube.iter().map(|(c, n)| (c.clone(), n)).collect()
     }
 
     #[test]
@@ -453,6 +340,7 @@ mod tests {
                     naive_closed_counts(&t, min_sup),
                     "seed={seed} min_sup={min_sup}"
                 );
+                assert_eq!(cube.rows(), t.rows());
                 assert_eq!(stats.cells_removed, 0);
                 assert_eq!(stats.cells_updated, 0, "cold build only inserts");
             }
@@ -470,11 +358,13 @@ mod tests {
             .build()
             .unwrap();
         let (cube, _) = build_at(&t, 2, 1);
-        assert_eq!(cube.len(), 2);
-        assert_eq!(cube.get(&Cell::from_values(&[0, 0, 0, STAR])), Some(2));
+        let cells: Vec<(&Cell, u64)> = cube.iter().collect();
         assert_eq!(
-            cube.get(&Cell::from_values(&[0, STAR, STAR, STAR])),
-            Some(3)
+            cells,
+            [
+                (&Cell::from_values(&[0, 0, 0, STAR]), 2),
+                (&Cell::from_values(&[0, STAR, STAR, STAR]), 3)
+            ]
         );
     }
 
@@ -489,17 +379,7 @@ mod tests {
             for batch in &batches {
                 let old_rows = t.rows();
                 t.append_rows(batch).unwrap();
-                let (order, tids, groups, threads) = plan_for(&t, threads);
-                let stats = cube.patch(
-                    &t,
-                    old_rows,
-                    &DeltaPlan {
-                        order: &order,
-                        tids: &tids,
-                        groups: &groups,
-                        threads,
-                    },
-                );
+                let stats = patch(&mut cube, &t, old_rows, &lead_of(&t), threads);
                 assert_eq!(stats.cells_removed, 0, "inserts never retire closed cells");
                 let (cold, _) = build_at(&t, 2, 1);
                 assert_eq!(as_counts(&cube), as_counts(&cold), "threads={threads}");
@@ -511,54 +391,12 @@ mod tests {
     #[test]
     fn patch_recursion_order_is_irrelevant() {
         let mut t = SyntheticSpec::uniform(200, 4, 5, 0.8, 4).generate();
-        let (tids0, groups0) = t.shard_by_dim(2);
-        let order = vec![2usize, 0, 3, 1];
-        let (mut cube, _) = MaterializedCube::build(
-            &t,
-            2,
-            &DeltaPlan {
-                order: &order,
-                tids: &tids0,
-                groups: &groups0,
-                threads: 2,
-            },
-        )
-        .unwrap();
+        let perm = vec![2usize, 0, 3, 1];
+        let (mut cube, _) = build(&t, 2, &LeadPartition::new(&t, perm.clone()), 2).unwrap();
         let old_rows = t.rows();
         t.append_rows(&[1, 1, 1, 1, 0, 2, 4, 1]).unwrap();
-        let (tids, groups) = t.shard_by_dim(2);
-        cube.patch(
-            &t,
-            old_rows,
-            &DeltaPlan {
-                order: &order,
-                tids: &tids,
-                groups: &groups,
-                threads: 2,
-            },
-        );
+        patch(&mut cube, &t, old_rows, &LeadPartition::new(&t, perm), 2);
         assert_eq!(as_counts(&cube), naive_closed_counts(&t, 2));
-    }
-
-    #[test]
-    fn serve_filters_by_count_at_higher_thresholds() {
-        let t = SyntheticSpec::uniform(300, 3, 4, 1.0, 7).generate();
-        let (cube, _) = build_at(&t, 2, 1);
-        for q in [2u64, 4, 16] {
-            let mut sink = CollectSink::default();
-            let emitted = cube.serve(q, &mut sink).unwrap();
-            assert_eq!(emitted as usize, sink.len());
-            assert_eq!(sink.counts(), naive_closed_counts(&t, q), "q={q}");
-        }
-        // Below the build threshold the cells were never materialized.
-        assert!(matches!(
-            cube.serve(1, &mut CollectSink::<()>::default()),
-            Err(CubeError::MaterializationUnavailable { min_sup: 1 })
-        ));
-        assert!(matches!(
-            cube.serve(0, &mut CollectSink::<()>::default()),
-            Err(CubeError::ZeroMinSup)
-        ));
     }
 
     #[test]
@@ -573,17 +411,7 @@ mod tests {
         let row0 = t2.row(0);
         t2.append_rows(&row0).unwrap();
         let mut cube = cube0.clone();
-        let (order, tids, groups, threads) = plan_for(&t2, 1);
-        let stats = cube.patch(
-            &t2,
-            old_rows,
-            &DeltaPlan {
-                order: &order,
-                tids: &tids,
-                groups: &groups,
-                threads,
-            },
-        );
+        let stats = patch(&mut cube, &t2, old_rows, &lead_of(&t2), 1);
         assert!(
             stats.groups_rechecked * 4 < cold_stats.groups_rechecked,
             "delta rechecked {} of {} cold groups",
@@ -595,28 +423,24 @@ mod tests {
 
     /// Build at `min_sup` 2, append one row, and patch: `other` instead of
     /// the grown table when given, from `old_rows + old_rows_delta`, with
-    /// the pre-append partition when `stale`, along `order`.
-    fn patch_with(other: Option<&Table>, old_rows_delta: usize, stale: bool, order: &[usize]) {
+    /// the pre-append partition when `stale`, along `perm`.
+    fn patch_with(other: Option<&Table>, old_rows_delta: usize, stale: bool, perm: &[usize]) {
         let mut t = SyntheticSpec::uniform(60, 3, 4, 0.5, 5).generate();
         let (mut cube, _) = build_at(&t, 2, 1);
-        let (old_tids, old_groups) = t.shard_by_dim(0);
+        let old = lead_of(&t);
         let old_rows = t.rows();
         t.append_rows(&[1, 2, 3]).unwrap();
-        let (tids, groups) = t.shard_by_dim(0);
-        let (tids, groups) = if stale {
-            (old_tids, old_groups)
-        } else {
-            (tids, groups)
+        let lead = if stale { old } else { lead_of(&t) };
+        let lead = LeadPartition {
+            perm: perm.to_vec(),
+            ..lead
         };
-        cube.patch(
+        patch(
+            &mut cube,
             other.unwrap_or(&t),
             old_rows + old_rows_delta,
-            &DeltaPlan {
-                order,
-                tids: &tids,
-                groups: &groups,
-                threads: 1,
-            },
+            &lead,
+            1,
         );
     }
 
@@ -627,14 +451,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "plan is stale")]
-    fn patch_refuses_a_stale_plan() {
+    #[should_panic(expected = "lead partition is stale")]
+    fn patch_refuses_a_stale_partition() {
         patch_with(None, 0, true, &[0, 1, 2]);
     }
 
     #[test]
-    #[should_panic(expected = "plan order is not a permutation")]
-    fn patch_refuses_a_short_order() {
+    #[should_panic(expected = "lead permutation is not a permutation")]
+    fn patch_refuses_a_short_permutation() {
         patch_with(None, 0, false, &[0, 1]);
     }
 
@@ -648,30 +472,13 @@ mod tests {
     #[test]
     fn build_rejects_misuse() {
         let t = SyntheticSpec::uniform(50, 3, 4, 0.0, 1).generate();
-        let (order, tids, groups, _) = plan_for(&t, 1);
-        let plan = DeltaPlan {
-            order: &order,
-            tids: &tids,
-            groups: &groups,
-            threads: 1,
-        };
         assert!(matches!(
-            MaterializedCube::build(&t, 0, &plan),
+            build(&t, 0, &lead_of(&t), 1),
             Err(CubeError::ZeroMinSup)
         ));
         let view = t.view(&t.all_tids(), &[0, 1, 2], 2);
-        let (vt, vg) = view.shard_by_dim(0);
         assert!(matches!(
-            MaterializedCube::build(
-                &view,
-                1,
-                &DeltaPlan {
-                    order: &[0, 1, 2],
-                    tids: &vt,
-                    groups: &vg,
-                    threads: 1
-                }
-            ),
+            build(&view, 1, &lead_of(&view), 1),
             Err(CubeError::CarriedDimensionView)
         ));
     }

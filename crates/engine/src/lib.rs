@@ -160,7 +160,7 @@ use ccube_core::closedness::ClosedInfo;
 use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::measure::MeasureSpec;
 use ccube_core::order::DimOrdering;
-use ccube_core::partition::{Group, Partitioner};
+use ccube_core::partition::{Group, LeadPartition, Partitioner};
 use ccube_core::sink::{CellBatch, CellSink};
 use ccube_core::table::{Table, TupleId, ViewArena};
 use ccube_core::{faults, CubeError, CubeRequest, DimMask};
@@ -768,38 +768,6 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
     }
 }
 
-/// Pre-derived sharding artifacts a session caches across queries so warm
-/// runs skip per-query setup: the dimension permutation (deriving the
-/// entropy order costs a full O(rows × dims) scan) and the level-0
-/// partition keyed on `perm[0]` (another O(rows) counting-sort pass).
-///
-/// The engine trusts but verifies: a warm start whose shapes don't match
-/// the table (wrong row count, wrong dimension count) is ignored and the
-/// run falls back to deriving both cold, so a stale cache can cost time
-/// but never correctness.
-#[derive(Debug, Clone, Copy)]
-pub struct WarmStart<'a> {
-    /// Sharding permutation realizing the caller's chosen [`DimOrdering`]
-    /// (overrides `config.ordering`).
-    pub perm: &'a [usize],
-    /// Tuple ids of the whole table, value-sorted along `perm[0]`.
-    pub tids: &'a [TupleId],
-    /// Group boundaries of `tids` (one per distinct `perm[0]` value).
-    pub groups: &'a [Group],
-}
-
-impl WarmStart<'_> {
-    /// Does this warm start actually describe `table`?
-    fn matches(&self, table: &Table) -> bool {
-        self.perm.len() == table.dims()
-            && self.tids.len() == table.rows()
-            && self
-                .groups
-                .last()
-                .is_none_or(|g| g.range().end <= self.tids.len())
-    }
-}
-
 /// Run `algo` partition-parallel over `req.table` and emit the exact
 /// sequential result set — the (closed, when `req.closed`) iceberg cube at
 /// `req.min_sup`, carrying `req.measure` — into `sink`, returning the run's
@@ -819,10 +787,12 @@ impl WarmStart<'_> {
 /// `bound` and emits every cell of the view stays correct (the sink drops
 /// foreign cells) but wastes the redundancy pre-binding eliminates.
 ///
-/// `warm` optionally supplies pre-derived sharding artifacts (see
-/// [`WarmStart`]). The cube computed is identical either way; a valid warm
-/// start only removes the per-query permutation scan and the level-0
-/// partition pass.
+/// `warm` optionally supplies the caller's cached [`LeadPartition`]: its
+/// permutation overrides `config.ordering`, and its partition is level 0.
+/// The cube computed is identical either way; a warm start only removes the
+/// per-query permutation scan and the level-0 partition pass. One that does
+/// not [match](LeadPartition::matches) the table is ignored, so a stale
+/// cache can cost time but never correctness.
 ///
 /// Fallible: misuse (`min_sup == 0`, a carried-dimension view) is reported
 /// as a typed [`CubeError`], and so is every lifecycle outcome — an ambient
@@ -832,7 +802,7 @@ impl WarmStart<'_> {
 pub fn run_partitioned<M, F, S>(
     req: &CubeRequest<'_, M>,
     config: &EngineConfig,
-    warm: Option<&WarmStart<'_>>,
+    warm: Option<&LeadPartition>,
     algo: F,
     sink: &mut S,
 ) -> Result<EngineStats, CubeError>
@@ -876,7 +846,7 @@ where
     let warm = warm.filter(|w| w.matches(table));
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let perm = match warm {
-            Some(w) => w.perm.to_vec(),
+            Some(w) => w.perm.clone(),
             None => config.ordering.permutation(table),
         };
 
@@ -890,7 +860,7 @@ where
         for (k, &dim) in perm.iter().enumerate() {
             faults::inject("engine.seed");
             let (level_tids, level_groups): (&[TupleId], &[Group]) = match warm {
-                Some(w) if k == 0 => (w.tids, w.groups),
+                Some(w) if k == 0 => (&w.tids, &w.groups),
                 _ => {
                     tids.clear();
                     tids.extend(0..table.rows() as TupleId);

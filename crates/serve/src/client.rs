@@ -264,37 +264,6 @@ impl Client {
         self.pump_reply(on_batch, |_| {})
     }
 
-    /// [`Client::query_with`], additionally reporting every batch's
-    /// `(query_id, seq, version)` tag (resume bookkeeping path).
-    pub fn query_with_meta(
-        &mut self,
-        req: &QueryRequest,
-        on_batch: impl FnMut(&CellBlock),
-        on_meta: impl FnMut((u64, u64, u64)),
-    ) -> Result<QueryOutcome, ClientError> {
-        self.send(&Request::Query(req.clone()))?;
-        self.pump_reply(on_batch, on_meta)
-    }
-
-    /// Resume an interrupted query: re-issue `req` asking the server to
-    /// skip the first `next_seq` batches. `on_batch` sees only batches
-    /// `next_seq, next_seq+1, …` — exactly the ones the interrupted stream
-    /// never delivered.
-    pub fn resume_with(
-        &mut self,
-        req: &QueryRequest,
-        query_id: u64,
-        next_seq: u64,
-        on_batch: impl FnMut(&CellBlock),
-    ) -> Result<QueryOutcome, ClientError> {
-        self.send(&Request::Resume {
-            query_id,
-            next_seq,
-            query: req.clone(),
-        })?;
-        self.pump_reply(on_batch, |_| {})
-    }
-
     /// Drain one query's reply stream. `on_meta` observes every batch's
     /// `(query_id, seq, version)` tag before `on_batch` sees the cells —
     /// the resilient client uses it to track its resume cursor and pin the

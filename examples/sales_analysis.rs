@@ -127,16 +127,9 @@ fn main() {
     println!("\nstreamed the first {streamed} cells, then hung up (remainder discarded)");
 
     // Lossless recovery demo: any iceberg cell's count is answerable from
-    // the closed cube alone.
-    let cube = ClosedCube::new(
-        session.table().dims(),
-        min_sup,
-        closed
-            .cells
-            .iter()
-            .map(|(c, (n, _))| (c.clone(), *n))
-            .collect(),
-    );
+    // the session's materialized closed cube alone.
+    session.materialize(min_sup).unwrap();
+    let cube = session.materialized().expect("just materialized");
     let probe = closed
         .cells
         .keys()

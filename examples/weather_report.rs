@@ -69,19 +69,12 @@ fn main() {
         println!("  {ordering:<16?} {secs:>8.3}s   {cells} cells");
     }
 
-    // 4. Closed rules (Section 6.2): the compact dependence summary.
+    // 4. Closed rules (Section 6.2): the compact dependence summary, mined
+    // from the session's materialized closed cube.
     let small = WeatherSpec::new(20_000, 7).generate_dims(5);
-    let dims = small.dims();
     let mut small = CubeSession::new(small).expect("ordinary table");
-    let cube = ClosedCube::collect(dims, 10, |sink| {
-        small
-            .query()
-            .min_sup(10)
-            .algorithm(Algorithm::CCubingStarArray)
-            .run(sink)
-            .expect("query runs");
-    });
-    let (rules, stats) = mine_rules(&cube);
+    small.materialize(10).expect("min_sup is positive");
+    let (rules, stats) = mine_rules(small.materialized().expect("just materialized"));
     println!(
         "\nclosed rules on a 20K x 5-dim slice (min_sup 10): {} rules for {} closed cells ({:.1}%)",
         stats.rules,

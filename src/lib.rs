@@ -13,7 +13,9 @@
 //!   the BUC and QC-DFS baselines;
 //! * data generators matching the paper's experiments (Zipf skew,
 //!   dependence rules, a weather-dataset surrogate);
-//! * closed-rule mining and lossless recovery queries (Section 6.2).
+//! * the closed cube as one store ([`ClosedCube`]) that any cuber fills, a
+//!   session materializes and patches under ingest, and closed-rule mining
+//!   and lossless point queries read (Section 6.2).
 //!
 //! ## Quickstart
 //!
@@ -61,7 +63,8 @@ pub use ccube_mm as mm;
 pub use ccube_rules as rules;
 pub use ccube_star as star;
 
-pub use ccube_delta::{DeltaStats, MaterializedCube};
+pub use ccube_core::ClosedCube;
+pub use ccube_delta::DeltaStats;
 pub use ccube_engine::{EngineConfig, EngineStats};
 
 mod session;
@@ -79,9 +82,9 @@ use ccube_engine::ShardedSink;
 /// Everything needed for typical use.
 pub mod prelude {
     pub use crate::{
-        recommend, Algorithm, CacheStats, CellStream, CubeQuery, CubeSession, DeltaStats,
-        EngineConfig, EngineStats, IngestStats, MaterializedCube, QueryHandle, QueryPlan,
-        QueryStats, StreamPoll, TableStats,
+        recommend, Algorithm, CacheStats, CellStream, ClosedCube, CubeQuery, CubeSession,
+        DeltaStats, EngineConfig, EngineStats, IngestStats, QueryHandle, QueryPlan, QueryStats,
+        StreamPoll, TableStats,
     };
     pub use ccube_core::lifecycle::CancelToken;
     pub use ccube_core::measure::{AllColumns, ColumnStats, CountOnly, MeasureSpec};
@@ -94,7 +97,7 @@ pub mod prelude {
         Cell, ClosedInfo, CubeRequest, DimMask, Table, TableBuilder, TupleId, STAR,
     };
     pub use ccube_data::{RuleSet, SyntheticSpec, WeatherSpec};
-    pub use ccube_rules::{mine_rules, ClosedCube};
+    pub use ccube_rules::mine_rules;
 }
 
 /// All cubing algorithms in the workspace, runnable through one interface.
@@ -289,14 +292,14 @@ impl Algorithm {
     }
 
     /// [`Algorithm::run_parallel`] starting from a [`CubeSession`]'s cached
-    /// sharding artifacts, when it has them. The one place a run's route is
+    /// lead partition, when it has one. The one place a run's route is
     /// chosen: [`EngineConfig::runs_sequentially`] sends it to
     /// [`Algorithm::run`], anything else to the engine.
     pub(crate) fn run_warm<M, S>(
         self,
         req: &CubeRequest<'_, M>,
         config: &EngineConfig,
-        warm: Option<&ccube_engine::WarmStart<'_>>,
+        warm: Option<&ccube_core::partition::LeadPartition>,
         sink: &mut S,
     ) -> Result<EngineStats, CubeError>
     where

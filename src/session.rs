@@ -9,11 +9,11 @@
 //!   session creation;
 //! * the stats-informed sharding order
 //!   ([`TableStats::recommend_ordering`]), its permutation, and the
-//!   counting-sort partition along its leading dimension — handed to the
-//!   parallel engine as a [`ccube_engine::WarmStart`] so warm engine
+//!   counting-sort partition along its leading dimension, one
+//!   [`LeadPartition`] — the parallel engine's warm start, so warm engine
 //!   queries skip the per-query permutation scan and level-0 partition
-//!   pass, and doubling as the fast path for `slice(leading, v)`
-//!   selections;
+//!   pass, the shards of materialized-cube maintenance, and the fast path
+//!   for `slice(leading, v)` selections;
 //! * lazily, on the first StarArray-family query, the lexicographically
 //!   radix-sorted tuple pool ([`ccube_star::lex_sorted_pool`]) the StarArray
 //!   construction starts from (it depends only on the table, not on
@@ -83,11 +83,11 @@ use ccube_core::cell::Cell;
 use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::measure::{CountOnly, MeasureSpec};
 use ccube_core::order::DimOrdering;
-use ccube_core::partition::Group;
+use ccube_core::partition::LeadPartition;
 use ccube_core::sink::{CellBatch, CellSink, CountingSink};
-use ccube_core::{CubeError, CubeRequest, DimMask, Table, TupleId};
-use ccube_delta::{DeltaPlan, DeltaStats, MaterializedCube};
-use ccube_engine::{ChannelSink, WarmStart};
+use ccube_core::{ClosedCube, CubeError, CubeRequest, DimMask, Table, TupleId};
+use ccube_delta::DeltaStats;
+use ccube_engine::ChannelSink;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -164,43 +164,19 @@ pub struct CubeSession {
     /// Raw accumulators behind `stats`, kept so ingest can extend the
     /// measurement over the appended rows instead of re-scanning.
     stats_state: StatsState,
-    /// Cached engine sharding artifacts (built eagerly — the stats-informed
-    /// permutation and the leading-dimension partition are both the
-    /// engine's warm start and the `slice(leading, v)` fast path).
-    prep: Arc<EnginePrep>,
+    /// The stats-informed sharding ordering, frozen at session creation.
+    ordering: DimOrdering,
+    /// Its permutation and the partition along its leading dimension, built
+    /// eagerly and shared (via `Arc`) with in-flight query runs, so a
+    /// stream producer can outlive the borrow on the session.
+    lead: Arc<LeadPartition>,
     /// StarArray lex-sorted pool, built on the first StarArray-family query
     /// against the base table (min_sup-independent, so shared by all).
     star_pool: Option<Arc<Vec<TupleId>>>,
     /// Materialized closed cube, built by [`CubeSession::materialize`] and
     /// patched under ingest (see `crates/delta`).
-    materialized: Option<MaterializedCube>,
+    materialized: Option<ClosedCube>,
     cache: CacheStats,
-}
-
-/// The session's cached sharding artifacts, shared (via `Arc`) with
-/// in-flight query runs so a stream producer can outlive the borrow on the
-/// session. Handed to the engine as a [`WarmStart`] on warm base-table
-/// runs.
-struct EnginePrep {
-    /// The stats-informed ordering the permutation realizes.
-    ordering: DimOrdering,
-    /// Its dimension permutation over the session's table.
-    perm: Vec<usize>,
-    /// Level-0 partition along `perm[0]`: value-sorted tuple ids (ascending
-    /// within each group — counting sort is stable) plus one group per
-    /// distinct leading-dimension value.
-    tids: Vec<TupleId>,
-    groups: Vec<Group>,
-}
-
-impl EnginePrep {
-    fn warm_start(&self) -> WarmStart<'_> {
-        WarmStart {
-            perm: &self.perm,
-            tids: &self.tids,
-            groups: &self.groups,
-        }
-    }
 }
 
 impl CubeSession {
@@ -222,19 +198,14 @@ impl CubeSession {
         let stats = stats_state.stats();
         let shape = PlanShape::of(&stats);
         let ordering = stats.recommend_ordering();
-        let perm = ordering.permutation(&table);
-        let (tids, groups) = table.shard_by_dim(perm[0]);
+        let lead = LeadPartition::new(&table, ordering.permutation(&table));
         Ok(CubeSession {
             table: Arc::new(table),
             stats,
             shape,
             stats_state,
-            prep: Arc::new(EnginePrep {
-                ordering,
-                perm,
-                tids,
-                groups,
-            }),
+            ordering,
+            lead: Arc::new(lead),
             star_pool: None,
             materialized: None,
             cache: CacheStats {
@@ -273,7 +244,7 @@ impl CubeSession {
     /// partition — on every warm engine-routed query against the base
     /// table.
     pub fn sharding_ordering(&self) -> DimOrdering {
-        self.prep.ordering
+        self.ordering
     }
 
     /// Start composing a query against this session's table.
@@ -306,17 +277,7 @@ impl CubeSession {
     /// The dimension the cached partition keys on (`perm[0]` of the
     /// sharding permutation).
     fn leading_dim(&self) -> usize {
-        self.prep.perm[0]
-    }
-
-    /// Ascending tuple IDs of the slice `leading_dim = value`, from the
-    /// cached partition (no column scan).
-    fn leading_slice_tids(&self, value: u32) -> Vec<TupleId> {
-        let EnginePrep { tids, groups, .. } = &*self.prep;
-        match groups.binary_search_by_key(&value, |g| g.value) {
-            Ok(i) => tids[groups[i].range()].to_vec(),
-            Err(_) => Vec::new(),
-        }
+        self.lead.perm[0]
     }
 
     /// Append a batch of encoded tuples (`rows.len() / dims` rows, row-major
@@ -381,28 +342,12 @@ impl CubeSession {
         self.stats = self.stats_state.stats();
         self.shape = PlanShape::of(&self.stats);
         self.cache.artifacts_patched += 1;
-        let (tids, groups) = self.table.shard_by_dim(self.leading_dim());
-        self.prep = Arc::new(EnginePrep {
-            ordering: self.prep.ordering,
-            perm: self.prep.perm.clone(),
-            tids,
-            groups,
-        });
+        self.lead = Arc::new(LeadPartition::new(&self.table, self.lead.perm.clone()));
         self.cache.partition_builds += 1;
         self.star_pool = None;
-        if let Some(mut cube) = self.materialized.take() {
-            let prep = self.prep.clone();
-            let delta = cube.patch(
-                &self.table,
-                old_rows,
-                &DeltaPlan {
-                    order: &prep.perm,
-                    tids: &prep.tids,
-                    groups: &prep.groups,
-                    threads: maintenance_threads(),
-                },
-            );
-            self.materialized = Some(cube);
+        if let Some(cube) = self.materialized.as_mut() {
+            let threads = maintenance_threads();
+            let delta = ccube_delta::patch(cube, &self.table, old_rows, &self.lead, threads);
             self.cache.artifacts_patched += 1;
             self.cache.groups_rechecked += delta.groups_rechecked;
             stats.materialization = Some(delta);
@@ -412,31 +357,25 @@ impl CubeSession {
 
     /// Build (or rebuild) the materialized closed cube at `min_sup`: every
     /// closed cell with at least that count, kept current under
-    /// [`CubeSession::ingest`] and served by
-    /// [`CubeSession::query_materialized`] at any threshold ≥ `min_sup`.
+    /// [`CubeSession::ingest`], served by
+    /// [`CubeSession::query_materialized`] at any threshold ≥ `min_sup`, and
+    /// point-queried or mined through [`CubeSession::materialized`].
     ///
     /// # Errors
     /// [`CubeError::ZeroMinSup`].
     pub fn materialize(&mut self, min_sup: u64) -> Result<DeltaStats, CubeError> {
-        let prep = self.prep.clone();
-        let (cube, stats) = MaterializedCube::build(
-            &self.table,
-            min_sup,
-            &DeltaPlan {
-                order: &prep.perm,
-                tids: &prep.tids,
-                groups: &prep.groups,
-                threads: maintenance_threads(),
-            },
-        )?;
+        let threads = maintenance_threads();
+        let (cube, stats) = ccube_delta::build(&self.table, min_sup, &self.lead, threads)?;
         self.materialized = Some(cube);
         self.cache.artifacts_rebuilt += 1;
         self.cache.groups_rechecked += stats.groups_rechecked;
         Ok(stats)
     }
 
-    /// The session's materialized closed cube, if one has been built.
-    pub fn materialized(&self) -> Option<&MaterializedCube> {
+    /// The session's materialized closed cube, if one has been built —
+    /// current for the session's table ([`ClosedCube::rows`]), so its point
+    /// queries and `ccube_rules::mine_rules` see every ingested row.
+    pub fn materialized(&self) -> Option<&ClosedCube> {
         self.materialized.as_ref()
     }
 
@@ -754,7 +693,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
             // picks its cached stats-informed sharding order so the run can
             // reuse the prepared permutation + level-0 partition.
             (None, Some(n)) => Some(EngineConfig {
-                ordering: self.session.prep.ordering,
+                ordering: self.session.ordering,
                 ..EngineConfig::with_threads(n)
             }),
             (None, None) => None,
@@ -786,7 +725,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
                 match tids.as_mut() {
                     None => {
                         tids = Some(if *dim == self.session.leading_dim() && values.len() == 1 {
-                            self.session.leading_slice_tids(values[0])
+                            self.session.lead.slice(values[0]).to_vec()
                         } else {
                             self.session.table.select_tids(*dim, values)
                         });
@@ -805,8 +744,8 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
         // level-0 partition (any other ordering re-derives both cold —
         // the cube is identical either way).
         let warm = match &engine {
-            Some(cfg) if base && cfg.ordering == self.session.prep.ordering => {
-                Some(self.session.prep.clone())
+            Some(cfg) if base && cfg.ordering == self.session.ordering => {
+                Some(self.session.lead.clone())
             }
             _ => None,
         };
@@ -879,9 +818,9 @@ struct Resolved {
     algorithm: Algorithm,
     min_sup: u64,
     engine: Option<EngineConfig>,
-    /// The session's cached sharding artifacts, when this run can reuse
-    /// them (base table, matching ordering).
-    warm: Option<Arc<EnginePrep>>,
+    /// The session's cached lead partition, when this run can reuse it
+    /// (base table, matching ordering).
+    warm: Option<Arc<LeadPartition>>,
     token: CancelToken,
     deadline: Option<Duration>,
     budget: Option<usize>,
@@ -917,10 +856,9 @@ impl Resolved {
         };
         match &self.engine {
             None => self.algorithm.run(&req, sink),
-            Some(config) => {
-                let warm = self.warm.as_ref().map(|prep| prep.warm_start());
-                self.algorithm.run_warm(&req, config, warm.as_ref(), sink)
-            }
+            Some(config) => self
+                .algorithm
+                .run_warm(&req, config, self.warm.as_deref(), sink),
         }
     }
 
@@ -1683,11 +1621,7 @@ mod tests {
         let s = CubeSession::new(t.clone()).unwrap();
         let lead = s.leading_dim();
         for v in 0..4 {
-            assert_eq!(
-                s.leading_slice_tids(v),
-                t.select_tids(lead, &[v]),
-                "value {v}"
-            );
+            assert_eq!(s.lead.slice(v), t.select_tids(lead, &[v]), "value {v}");
         }
     }
 
@@ -1764,11 +1698,11 @@ mod tests {
         let mut cold = rebuilt(&s);
         assert_eq!(s.stats(), cold.stats());
         assert_eq!(s.shape, cold.shape);
-        assert_eq!(s.prep.perm, cold.prep.perm);
+        assert_eq!(s.lead, cold.lead);
         let (tids, groups) = s.table().shard_by_dim(s.leading_dim());
-        assert_eq!((&s.prep.tids, &s.prep.groups), (&tids, &groups));
-        for g in &s.prep.groups {
-            assert!(s.prep.tids[g.range()].windows(2).all(|w| w[0] < w[1]));
+        assert_eq!((&s.lead.tids, &s.lead.groups), (&tids, &groups));
+        for g in &s.lead.groups {
+            assert!(s.lead.tids[g.range()].windows(2).all(|w| w[0] < w[1]));
         }
         // The next StarArray query rebuilds the pool once; a repeat reuses it.
         for _ in 0..2 {
@@ -1791,11 +1725,10 @@ mod tests {
         row[lead] = 6;
         s.ingest(&row).unwrap();
         let cold = rebuilt(&s);
-        assert_eq!(s.prep.groups, cold.prep.groups);
-        assert_eq!(s.prep.tids, cold.prep.tids);
+        assert_eq!(s.lead, cold.lead);
         // The cached-partition slice fast path sees the new group.
         let tid = (s.table().rows() - 1) as TupleId;
-        assert_eq!(s.leading_slice_tids(6), vec![tid]);
+        assert_eq!(s.lead.slice(6), [tid]);
     }
 
     #[test]
@@ -1841,12 +1774,12 @@ mod tests {
     #[test]
     fn ingest_empty_batch_is_a_no_op() {
         let mut s = session();
-        let before_prep = s.prep.clone();
+        let before_lead = s.lead.clone();
         let stats = s.ingest(&[]).unwrap();
         assert_eq!(stats, IngestStats::default());
         assert_eq!(s.cache_stats().ingests, 1);
         assert_eq!(s.cache_stats().artifacts_patched, 0);
-        assert!(Arc::ptr_eq(&s.prep, &before_prep));
+        assert!(Arc::ptr_eq(&s.lead, &before_lead));
     }
 
     #[test]
@@ -1901,6 +1834,23 @@ mod tests {
             s.query_materialized(1, &mut CollectSink::default()),
             Err(CubeError::MaterializationUnavailable { min_sup: 1 })
         ));
+    }
+
+    #[test]
+    fn materialized_serve_is_in_lexicographic_order() {
+        let mut s = session();
+        s.materialize(1).unwrap();
+        s.ingest(&[5, 0, 3, 1, 0, 0, 0, 0]).unwrap();
+        let mut cells = Vec::new();
+        let mut sink = ccube_core::sink::FnSink(|cell: &[u32], _: u64, _: &()| {
+            cells.push(cell.to_vec());
+        });
+        s.query_materialized(1, &mut sink).unwrap();
+        assert!(cells.len() > 1);
+        assert!(
+            cells.windows(2).all(|w| w[0] < w[1]),
+            "not strictly ascending"
+        );
     }
 
     #[test]

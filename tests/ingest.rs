@@ -7,6 +7,7 @@
 
 use c_cubing::prelude::*;
 use ccube_core::fxhash::FxHashMap;
+use ccube_core::naive::{cell_count, naive_iceberg_counts};
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -100,7 +101,8 @@ proptest! {
     }
 
     /// The materialized closed cube, patched batch by batch, must equal a
-    /// cold `materialize` over the final table — cell for cell — and pure
+    /// cold `materialize` over the final table — cell for cell — must
+    /// answer every iceberg cell's count by lossless point query, and pure
     /// inserts must never retire a closed cell.
     #[test]
     fn patched_materialization_equals_cold_recompute(case in arb_history()) {
@@ -128,6 +130,14 @@ proptest! {
                     "patched != cold at min_sup={}",
                     min_sup
                 );
+            }
+            let store = grown.materialized().expect("materialized");
+            prop_assert_eq!(store.rows(), all_rows.len());
+            for (cell, count) in naive_iceberg_counts(grown.table(), 2) {
+                prop_assert_eq!(store.query(&cell), Some(count), "query of {}", cell);
+                let closure = store.closure_of(&cell).expect("a closed cell extends it");
+                prop_assert!(cell.generalizes(closure));
+                prop_assert_eq!(cell_count(grown.table(), closure), count, "closure of {}", cell);
             }
         }
 

@@ -232,9 +232,8 @@ proptest! {
         let mut b = TableBuilder::new(3);
         for r in &rows { b.push_row(r); }
         let t = b.build().unwrap();
-        let cube = ClosedCube::collect(3, min_sup, |sink| {
-            Algorithm::CCubingStarArray.run(&CubeRequest::new(&t, min_sup), sink).unwrap();
-        });
+        let mut cube = ClosedCube::new(3, min_sup, Vec::new());
+        Algorithm::CCubingStarArray.run(&CubeRequest::new(&t, min_sup), &mut cube).unwrap();
         // Probe arbitrary cells, including empty and sub-threshold ones.
         for v0 in [0u32, 1, STAR] {
             for v1 in [2u32, 3, STAR] {

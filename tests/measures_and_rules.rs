@@ -130,11 +130,10 @@ fn recovery_across_algorithms() {
     // computed by BUC.
     let t = SyntheticSpec::uniform(300, 4, 6, 0.5, 6).generate();
     let min_sup = 2;
-    let cube = ClosedCube::collect(t.dims(), min_sup, |sink| {
-        Algorithm::CCubingStarArray
-            .run(&CubeRequest::new(&t, min_sup), sink)
-            .unwrap();
-    });
+    let mut cube = ClosedCube::new(t.dims(), min_sup, Vec::new());
+    Algorithm::CCubingStarArray
+        .run(&CubeRequest::new(&t, min_sup), &mut cube)
+        .unwrap();
     let iceberg = ccube_core::sink::collect_counts(|s| {
         Algorithm::Buc
             .run(&CubeRequest::new(&t, min_sup), s)
@@ -159,11 +158,10 @@ fn mined_rules_hold_on_raw_data() {
         rules: Some(dep),
     }
     .generate();
-    let cube = ClosedCube::collect(t.dims(), 1, |sink| {
-        Algorithm::CCubingStar
-            .run(&CubeRequest::new(&t, 1), sink)
-            .unwrap();
-    });
+    let mut cube = ClosedCube::new(t.dims(), 1, Vec::new());
+    Algorithm::CCubingStar
+        .run(&CubeRequest::new(&t, 1), &mut cube)
+        .unwrap();
     let (rules, stats) = mine_rules(&cube);
     assert_eq!(stats.rules, rules.len());
     for rule in &rules {
@@ -179,13 +177,33 @@ fn mined_rules_hold_on_raw_data() {
 }
 
 #[test]
+fn rules_mined_from_a_session_equal_rules_from_a_cuber() {
+    // The session's materialized cube, patched under ingest, is the store
+    // `mine_rules` reads: mining it equals mining the same table's closed
+    // cube filled by a cuber.
+    let t = WeatherSpec::new(1_500, 5).generate_dims(5);
+    let min_sup = 4;
+    let mut session = CubeSession::new(t).unwrap();
+    session.materialize(min_sup).unwrap();
+    let batch: Vec<u32> = (0..40).flat_map(|t| session.table().row(t * 7)).collect();
+    session.ingest(&batch).unwrap();
+    let store = session.materialized().expect("materialized");
+    let mut filled = ClosedCube::new(store.dims(), min_sup, Vec::new());
+    Algorithm::CCubingStarArray
+        .run(&CubeRequest::new(session.table(), min_sup), &mut filled)
+        .unwrap();
+    let (rules, stats) = mine_rules(store);
+    assert!(stats.rules > 0, "{stats:?}");
+    assert_eq!((rules, stats), mine_rules(&filled));
+}
+
+#[test]
 fn rules_compaction_on_dependent_data() {
     let t = WeatherSpec::new(2_000, 3).generate_dims(5);
-    let cube = ClosedCube::collect(t.dims(), 5, |sink| {
-        Algorithm::CCubingStarArray
-            .run(&CubeRequest::new(&t, 5), sink)
-            .unwrap();
-    });
+    let mut cube = ClosedCube::new(t.dims(), 5, Vec::new());
+    Algorithm::CCubingStarArray
+        .run(&CubeRequest::new(&t, 5), &mut cube)
+        .unwrap();
     let (_, stats) = mine_rules(&cube);
     assert!(stats.closed_cells > 0);
     // The weather surrogate's functional dependences guarantee substantial

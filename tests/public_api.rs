@@ -5,10 +5,13 @@
 //! session/query API, and PR 15 collapsed the `x / x_with / x_bound /
 //! x_bound_with / x_pooled_with / c_cubing_x*` cross product in the cuber
 //! crates and the engine into one function per algorithm family taking a
-//! `CubeRequest`. This test pins the facade's public surface (`src/lib.rs`,
-//! `src/session.rs`), the five cuber entry files and the engine against a
-//! checked-in snapshot, so a future PR cannot silently regrow
-//! `_with`/`_bound` duplication in any of them. It is a source-level guard
+//! `CubeRequest`; later the closed cube became one store type. This test
+//! pins the facade's public surface (`src/lib.rs`, `src/session.rs`), the
+//! five cuber entry files, the engine, the closed-cube store and the two
+//! crates built on it (`ccube-delta`, `ccube-rules`) against a checked-in
+//! snapshot, so a future PR cannot silently regrow `_with`/`_bound`
+//! duplication, a second store type or a second partition descriptor in
+//! any of them. It is a source-level guard
 //! (no rustdoc JSON on the offline toolchain): every
 //! `pub fn/struct/enum/const/trait/type/mod` above the `#[cfg(test)]`
 //! marker is extracted and compared, in order, with
@@ -23,7 +26,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-const SOURCES: [&str; 8] = [
+const SOURCES: [&str; 11] = [
     "src/lib.rs",
     "src/session.rs",
     "crates/baselines/src/buc.rs",
@@ -32,6 +35,9 @@ const SOURCES: [&str; 8] = [
     "crates/star/src/aggregate.rs",
     "crates/star/src/stararray.rs",
     "crates/engine/src/lib.rs",
+    "crates/core/src/store.rs",
+    "crates/delta/src/lib.rs",
+    "crates/rules/src/lib.rs",
 ];
 const SNAPSHOT: &str = "tests/expected_public_api.txt";
 
@@ -68,7 +74,8 @@ fn public_items(rel: &str) -> Vec<String> {
 
 fn current_surface() -> String {
     let mut out = String::from(
-        "# Public API surface: facade, cuber entry files, engine — regenerate with \
+        "# Public API surface: facade, cuber entry files, engine, store, delta, rules — \
+         regenerate with \
          `CCUBE_BLESS=1 cargo test --test public_api`.\n",
     );
     for rel in SOURCES {
@@ -112,6 +119,8 @@ fn snapshot_covers_the_query_api() {
         "enum Algorithm",
         "stararray.rs: fn star_array_cube",
         "engine/src/lib.rs: fn run_partitioned",
+        "store.rs: struct ClosedCube",
+        "rules/src/lib.rs: fn mine_rules",
     ] {
         assert!(expected.contains(needle), "snapshot lost `{needle}`");
     }
