@@ -5,86 +5,80 @@
 //!
 //! ## Decomposition
 //!
-//! Fix a dimension order `perm` (the [`EngineConfig::ordering`]). Every
-//! output cell other than the apex has a first bound dimension along `perm`;
-//! group cells by that *level* `k` and by their value `v` on `perm[k]`. The
-//! cells of shard `(k, v)` aggregate only tuples with `perm[k] = v`, so each
-//! shard is an independent task:
+//! Fix a dimension order `perm` (the [`EngineConfig::ordering`]). A run
+//! starts from one **root task**: the whole table, nothing bound, nothing
+//! carried. A task either cubes its view or *splits* along its first
+//! unbound dimension `d` into independent children:
 //!
-//! * level `k` partitions the **whole table** by `perm[k]` (the classic
-//!   first-dimension partitioning BUC-style recursion relies on — one
-//!   counting-sort partitioner reused across levels; each seed task owns a
-//!   copy of its group's tuple IDs so it can move to any worker);
-//! * task `(k, v)` materializes a row view with group-by dimensions
-//!   `perm[k..]` and runs the algorithm on it with its first dimension
-//!   **pre-bound** ([`CubeRequest::bound`]): the shard is constant on
-//!   `perm[k]`, so the algorithm computes only the cells the shard owns.
-//!   Iceberg hosts previously recomputed every `perm[k] = *` cell only for
-//!   [`ShardedSink`] to drop it — roughly double work per shard; closed
-//!   cubers never had the redundancy (a cell starring a uniform dimension is
-//!   non-closed);
-//! * the **apex** (all-`*`) cell spans every shard: its count is the row
-//!   count and, for closed cubers, its closedness is re-checked by merging
-//!   the per-shard Closed Masks with the Lemma 3 rule (mask intersection
-//!   plus the representative-tuple equality mask) — the paper's
-//!   aggregation-based checking applied across shard boundaries.
+//! * one **sub-shard** per value `w` of `d` held by at least `min_sup` of
+//!   the task's tuples, with `d` additionally **pre-bound**
+//!   ([`CubeRequest::bound`]) — it owns the task's cells that bind `d = w`,
+//!   and the cuber computes only those (the shard is constant on its bound
+//!   dimensions);
+//! * one **rest task** over *all* the task's tuples with `d` removed from
+//!   the group-by dimensions (and carried for closed runs) — it owns the
+//!   task's cells that star `d`, and may split again along the next
+//!   dimension.
+//!
+//! Seeding is the root's split along `perm[0]`: its sub-shards are the
+//! level-0 shards `perm[0] = v`, its rest task splits into the level-1
+//! shards and a rest task of its own, and so on — the first-dimension
+//! partitioning BUC-style recursion relies on, built by the same rule. The
+//! last task of that rest chain has one group-by dimension left and cubes
+//! it whole, apex included. Every task owns a copy of its tuple IDs, so it
+//! can move to any worker.
 //!
 //! ## Recursive shard splitting and work stealing
 //!
-//! Under heavy skew the hottest `(0, v)` shard alone can bound the makespan.
-//! When a shard's estimated cost — `tuples × remaining unbound group-by
-//! dimensions` — exceeds [`EngineConfig::split_threshold`], the task does
-//! not run the cuber; it *splits* along its first unbound dimension `d` into
-//! independent sub-tasks:
-//!
-//! * one **sub-shard task** per sufficiently supported value `w` of `d`,
-//!   with `d` additionally pre-bound (`bound + 1` constant dimensions) —
-//!   these own the shard's cells that bind `d = w`;
-//! * one **rest task** over *all* the shard's tuples with `d` removed from
-//!   the group-by dimensions (and carried for closed runs) — it owns the
-//!   shard's cells that star `d`, and may recursively split again along the
-//!   next dimension.
-//!
-//! Sub-tasks go onto the splitting worker's deque last child first, so the
+//! Under heavy skew the hottest level-0 shard alone can bound the makespan,
+//! so a *bound* shard splits too when its estimated cost exceeds
+//! [`EngineConfig::split_threshold`] (see "Cost model"). A bound split's
+//! children go onto the splitting worker's deque last child first, so the
 //! owner's LIFO pop is the lexicographically first child; idle workers
 //! steal from the opposite end — the rest task, the coarsest — so the
 //! critical path shrinks from "hottest shard" to "deepest unsplittable
-//! sub-shard". Because the split decision depends only on shard size and
+//! sub-shard". Because the split decision depends only on the data and the
 //! configuration — never on thread count or timing — the task tree is
 //! deterministic.
 //!
 //! ## Closedness across shards
 //!
-//! A cell of shard `(k, v)` stars every dimension before `perm[k]` (and
-//! every dimension a rest task collapsed); it is only globally closed if its
-//! tuple group is non-uniform on those starred dimensions, which the
-//! shard-local run cannot see through the group-by dimensions alone. The
-//! engine therefore builds closed-cuber views with those dimensions
-//! **carried** ([`ccube_core::Table::view`] with `cube_dims < dims`): the
-//! `(Closed Mask, Representative Tuple ID)` measure spans carried
-//! dimensions, and each cuber unions the carried mask into its output-time
-//! All Masks, so a shard-locally-closed-but-globally-covered cell is
-//! rejected exactly where the sequential run would have rejected it.
+//! A task's cells star every dimension a rest task collapsed on the way to
+//! it; such a cell is only globally closed if its tuple group is
+//! non-uniform on those starred dimensions, which the group-by dimensions
+//! alone cannot show. The engine therefore builds closed-cuber views with
+//! those dimensions **carried** ([`ccube_core::Table::view`] with
+//! `cube_dims < dims`): the `(Closed Mask, Representative Tuple ID)`
+//! measure spans carried dimensions, and each cuber unions the carried mask
+//! into its output-time All Masks, so a shard-locally-closed-but-globally-
+//! covered cell is rejected exactly where the sequential run would have
+//! rejected it — the paper's aggregation-based checking across shard
+//! boundaries. The apex is a cell of the rest chain's last task, which
+//! carries every other dimension, so it is decided the same way.
 //!
 //! ## Cost model
 //!
-//! A task's estimated cost is `tuples × effective dimension span`, where
+//! A task with nothing bound always splits while two group-by dimensions
+//! remain: it is the cube's level structure, not a shard too big to run,
+//! so every run shards at any [`EngineConfig::split_threshold`]. A bound
+//! shard's estimated cost is `tuples × effective dimension span`, where
 //! the span counts the remaining unbound group-by dimensions **plus, for
 //! closed runs, the carried dimensions**: carried dimensions ride along in
-//! every view row and in every `eq_mask`/[`ClosedInfo`] merge, so a rest
+//! every view row and in every `eq_mask`/Closed Mask merge, so a rest
 //! task that has collapsed `k` dimensions re-scans its tuples with `k`
 //! extra columns of closedness work. Charging them keeps the split
-//! decision honest under heavy skew; the cost decides *whether* a task
+//! decision honest under heavy skew; the cost decides *whether* a shard
 //! splits, never *when* it runs (see "Frontier-first scheduling"). Two
 //! further guards bound the split tree's overhead:
 //!
 //! * [`EngineConfig::max_rest_depth`] caps consecutive rest-collapse steps
-//!   per shard (each rest task re-scans all of its parent's tuples; the cap
-//!   bounds that duplication at `max_rest_depth` extra passes). Binding a
-//!   value (a sub-shard child) starts a fresh chain.
-//! * A split along a dimension with a **single distinct value** in the shard
-//!   is aborted (one sub-shard + one rest task over the same tuples is pure
-//!   duplication with zero parallelism); the task runs whole instead.
+//!   per bound shard (each rest task re-scans all of its parent's tuples;
+//!   the cap bounds that duplication at `max_rest_depth` extra passes).
+//!   Binding a value (a sub-shard child) starts a fresh chain.
+//! * A dimension with a **single distinct value** in the task is never
+//!   split along (one sub-shard + one rest task over the same tuples is
+//!   pure duplication with zero parallelism): the split takes the next
+//!   unbound dimension instead, and with none left the task runs whole.
 //!
 //! ## The engine always shards; the facade routes
 //!
@@ -105,23 +99,27 @@
 //! thread is spawned and the loop walks the task tree depth-first in path
 //! order). Shards are independent, so they may *run* in any order; only the
 //! output order is fixed (by shard path, below). Every thread therefore
-//! starts tasks in the order the merge releases them: seeds enter the
-//! shared injector in ascending path order (the caller claims the first
-//! before any helper exists), a thread runs its own split children
-//! first-child first, and a thread with nothing of its own helps a peer's
-//! started subtree (stealing its coarsest queued task) before it takes a
-//! fresh seed. The merge frontier then holds about one subtree per thread
-//! and the first cells leave after the first shard, not after most of the
-//! cube. An earlier largest-first (LPT) seeding balanced the makespan no
-//! better — splitting and stealing already do that — and held the
-//! lexicographically first shard back behind every larger one.
+//! starts tasks in the order the merge releases them: the caller splits the
+//! root before any helper exists, its children (the seeds) enter the
+//! shared FIFO injector in path order, and so do the children of every
+//! later split of the root's rest chain, behind the seeds already queued.
+//! A thread runs its own (bound) split children first-child first, and a
+//! thread with nothing of its own helps a peer's started subtree (stealing
+//! its coarsest queued task) before it takes a fresh seed. The merge
+//! frontier then holds about one subtree per thread and the first cells
+//! leave after the first shard, not after most of the cube. (The rest
+//! chain's children on the splitter's own deque would let that thread run
+//! ahead into later levels: peak buffered bytes grew about fourfold.) An
+//! earlier largest-first (LPT) seeding balanced the makespan no better —
+//! splitting and stealing already do that — and held the lexicographically
+//! first shard back behind every larger one.
 //!
 //! ## Streaming ordered merge
 //!
 //! Each task buffers its cells into a [`ccube_core::CellBatch`] tagged with
-//! its *shard path* (level, value-group, then one index per split), and
-//! batches are merged into the caller's sink in lexicographic path order,
-//! apex last — the output *sequence* is identical for 1 thread and for 64.
+//! its *shard path* (one child index per split from the root), and batches
+//! are merged into the caller's sink in lexicographic path order — the
+//! output *sequence* is identical for 1 thread and for 64.
 //! (A run the facade routes sequentially emits the same cell set in the
 //! plain algorithm's own order; use [`EngineConfig::always_sharded`] when
 //! comparing sequences across thread counts through it.)
@@ -156,14 +154,13 @@
 #![warn(rust_2018_idioms)]
 
 use ccube_core::cell::STAR;
-use ccube_core::closedness::ClosedInfo;
 use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::measure::MeasureSpec;
 use ccube_core::order::DimOrdering;
 use ccube_core::partition::{Group, LeadPartition, Partitioner};
 use ccube_core::sink::{CellBatch, CellSink};
-use ccube_core::table::{Table, TupleId, ViewArena};
-use ccube_core::{faults, CubeError, CubeRequest, DimMask};
+use ccube_core::table::{TupleId, ViewArena};
+use ccube_core::{faults, CubeError, CubeRequest};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -201,12 +198,14 @@ pub struct EngineConfig {
     /// partition dimension). Results are identical for every ordering; skew
     /// and cardinality of the leading dimensions drive load balance.
     pub ordering: DimOrdering,
-    /// Estimated-cost threshold above which a shard is split into sub-shard
-    /// tasks instead of being cubed whole. The estimate is
+    /// Estimated-cost threshold above which a bound shard is split into
+    /// sub-shard tasks instead of being cubed whole. The estimate is
     /// `tuples × remaining unbound group-by dimensions` (plus carried
     /// dimensions on closed runs — see the module docs). Splitting is what
     /// lets parallel time track total work instead of the hottest shard
-    /// under skew; `u64::MAX` disables it. The split decision is
+    /// under skew; `u64::MAX` keeps bound shards whole. The root task and
+    /// its rest chain, which bind nothing, split at any threshold: they are
+    /// the cube's level structure. The split decision is
     /// independent of the thread count, so with a *fixed* configuration the
     /// result set **and** its emission order are identical at every thread
     /// count — provided every thread count shards: a run routed
@@ -225,11 +224,12 @@ pub struct EngineConfig {
     /// engine, which is what benchmarks measuring the sharded shape and
     /// tests exercising the merge machinery on small tables want.
     pub sequential_threshold: u64,
-    /// Cap on consecutive rest-collapse steps per shard. A rest task owns
-    /// the cells starring the split dimension over *all* of its parent's
-    /// tuples, so a chain of `k` rest tasks re-scans those tuples `k` extra
-    /// times; past the cap the task runs whole instead of splitting again.
-    /// `0` disables splitting entirely.
+    /// Cap on consecutive rest-collapse steps per bound shard. A rest task
+    /// owns the cells starring the split dimension over *all* of its
+    /// parent's tuples, so a chain of `k` rest tasks re-scans those tuples
+    /// `k` extra times; past the cap the task runs whole instead of
+    /// splitting again. `0` keeps bound shards whole; the root's rest chain
+    /// is not capped.
     pub max_rest_depth: u32,
 }
 
@@ -296,8 +296,8 @@ pub struct EngineStats {
     /// `tasks` is 1 and every other counter 0. [`run_partitioned`] never
     /// sets it.
     pub fast_path: bool,
-    /// Tasks processed (seeds plus split children, including summary-only
-    /// level-0 tasks).
+    /// Tasks processed: the seeds (the root task's children) and every
+    /// child split off after them.
     pub tasks: u64,
     /// Tasks that split into sub-shard + rest children instead of cubing.
     pub splits: u64,
@@ -533,32 +533,29 @@ impl<A: Clone> CellSink<A> for ChannelSink<A> {
 /// One schedulable unit: a shard of the cube's output cells, identified by
 /// its path in the split tree.
 struct Task {
-    /// `[level, value-group, split-child, split-child, ...]` — lexicographic
-    /// path order is the deterministic output order.
+    /// One child index per split from the root (whose path is empty) down
+    /// to this task — lexicographic path order is the deterministic output
+    /// order.
     path: Vec<u32>,
-    /// The shard's tuples (base-table IDs, ascending per the stable
-    /// partitioning, which keeps representative-tuple selection
-    /// deterministic).
+    /// The shard's tuples (base-table IDs, in the order the stable
+    /// partitions of the splits above left them — not ascending, but a
+    /// function of the data alone, which keeps representative-tuple
+    /// selection deterministic).
     tids: Vec<TupleId>,
     /// Base-table dimensions forming the view's group-by set; the first
     /// [`Task::bound`] of them are constant over [`Task::tids`].
     group_dims: Vec<usize>,
     /// Dimensions carried for cross-shard closedness (closed runs only):
-    /// the engine-level starred prefix plus every dimension a rest task
-    /// collapsed on the way here.
+    /// every dimension a rest task collapsed on the way here.
     carried: Vec<usize>,
-    /// Leading group-by dimensions that are pre-bound.
+    /// Leading group-by dimensions that are pre-bound (none for the root
+    /// and its rest chain).
     bound: usize,
-    /// Consecutive rest-collapse steps that led to this task (0 for seeds
-    /// and for sub-shard children, which bind a value and start a fresh
-    /// chain). Compared against [`EngineConfig::max_rest_depth`].
+    /// Consecutive rest-collapse steps of bound shards that led to this
+    /// task (0 on the root's chain and for sub-shard children, which bind a
+    /// value and start a fresh chain). Compared against
+    /// [`EngineConfig::max_rest_depth`].
     rest_depth: u32,
-    /// Run the cuber (false for level-0 groups below `min_sup`, which exist
-    /// only to contribute their Closed Mask to the apex reconciliation).
-    cube: bool,
-    /// Compute the shard closedness summary over the task's tuples (level-0
-    /// tasks of closed runs) — the input to the cross-shard apex merge.
-    want_info: bool,
 }
 
 impl Task {
@@ -577,19 +574,12 @@ impl Task {
     }
 }
 
-/// A completed batch parked in the merge frontier until every
-/// lexicographically earlier shard path finishes.
-type Ready<A> = (CellBatch<A>, Option<ClosedInfo>);
-
 /// One completed task's message to the streaming merger.
 struct Completion<A> {
     /// The task's shard path (the merge key).
     path: Vec<u32>,
-    /// The task's reconciled output cells (empty for summary-only and split
-    /// tasks).
+    /// The task's reconciled output cells (empty for split tasks).
     batch: CellBatch<A>,
-    /// Level-0 closedness summary for the apex merge, if requested.
-    shard_info: Option<ClosedInfo>,
     /// Paths of the children this task split into (registered with the
     /// merger atomically with the parent's completion, so the frontier is
     /// never transiently empty while work remains).
@@ -626,23 +616,21 @@ impl BatchRecycler {
 
 /// The streaming ordered merge: tracks every outstanding shard path and
 /// emits completed batches into the final sink as soon as all
-/// lexicographically earlier paths have completed (apex reconciliation
-/// happens after the frontier drains). Lives on the calling thread, which
-/// merges its own completions directly; helper threads reach it through a
-/// **bounded** mpsc channel, so a slow final sink back-pressures them
-/// instead of letting completed batches pile up unaccounted — `in_flight`
-/// tracks the bytes parked in that channel and counts toward the peak.
+/// lexicographically earlier paths have completed. Lives on the calling
+/// thread, which merges its own completions directly; helper threads reach
+/// it through a **bounded** mpsc channel, so a slow final sink
+/// back-pressures them instead of letting completed batches pile up
+/// unaccounted — `in_flight` tracks the bytes parked in that channel and
+/// counts toward the peak.
 struct Merger<'a, A, S: ?Sized> {
     sink: &'a mut S,
-    table: &'a Table,
     recycler: &'a BatchRecycler,
     /// Bytes of completed batches sent by helpers but not yet received here
     /// (incremented at send, decremented at receive; 0 without helpers).
     in_flight: &'a AtomicU64,
     /// Outstanding paths → completed-but-not-yet-emittable output. `None`
     /// means the task is known but still running.
-    frontier: BTreeMap<Vec<u32>, Option<Ready<A>>>,
-    apex_info: Option<ClosedInfo>,
+    frontier: BTreeMap<Vec<u32>, Option<CellBatch<A>>>,
     buffered_bytes: u64,
     stats: EngineStats,
     /// The run's lifecycle token (enforces the memory budget: the merger is
@@ -653,12 +641,14 @@ struct Merger<'a, A, S: ?Sized> {
 }
 
 impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
+    /// A merger with every seed's path outstanding (built in bulk from the
+    /// path-ordered seeds).
     fn new(
         sink: &'a mut S,
-        table: &'a Table,
         recycler: &'a BatchRecycler,
         in_flight: &'a AtomicU64,
         token: Option<CancelToken>,
+        seeds: &[Task],
     ) -> Merger<'a, A, S> {
         let budget = token
             .as_ref()
@@ -666,25 +656,14 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
             .map(|bytes| bytes as u64);
         Merger {
             sink,
-            table,
             recycler,
             in_flight,
-            frontier: BTreeMap::new(),
-            apex_info: None,
+            frontier: seeds.iter().map(|seed| (seed.path.clone(), None)).collect(),
             buffered_bytes: 0,
             stats: EngineStats::default(),
             token,
             budget,
         }
-    }
-
-    /// Track every seed's path as outstanding, in one bulk build from the
-    /// path-ordered seeds: inserted one by one, `weather`'s ≈ 3 800 paths
-    /// took ≈ 0.35 ms of a stream's ≈ 2 ms to its first cell, built in bulk
-    /// ≈ 0.2 ms.
-    fn register_seeds(&mut self, seeds: &[Task]) {
-        debug_assert!(self.frontier.is_empty());
-        self.frontier = seeds.iter().map(|seed| (seed.path.clone(), None)).collect();
     }
 
     /// All registered work has been merged (no more completions can be in
@@ -720,7 +699,7 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
             .entry(done.path)
             .or_insert(None /* out-of-order child */);
         debug_assert!(slot.is_none(), "shard path completed twice");
-        *slot = Some((done.batch, done.shard_info));
+        *slot = Some(done.batch);
         // Peak accounting spans the frontier *and* the bytes still queued in
         // the helper channel (sampled here, once per merged completion).
         let sample = self.buffered_bytes + self.in_flight.load(Ordering::Relaxed);
@@ -746,23 +725,17 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
             .is_some_and(|(_, slot)| slot.is_some())
         {
             let (_, slot) = self.frontier.pop_first().expect("non-empty frontier");
-            let (batch, shard_info) = slot.expect("checked completed");
+            let batch = slot.expect("checked completed");
             self.buffered_bytes -= batch.byte_size();
             if !batch.is_empty() {
                 self.sink.emit_batch(&batch);
             }
             // Recycle any batch that owns buffers (including a cubing
             // task's pre-reserved batch that happened to emit nothing);
-            // capacity-less split-parent/summary placeholders are dropped
-            // rather than burying real buffers in the pool.
+            // capacity-less split-parent placeholders are dropped rather
+            // than burying real buffers in the pool.
             if batch.has_capacity() {
                 self.recycler.put(batch);
-            }
-            if let Some(info) = shard_info {
-                match &mut self.apex_info {
-                    None => self.apex_info = Some(info),
-                    Some(acc) => acc.merge(self.table, &info),
-                }
             }
         }
     }
@@ -774,8 +747,9 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
 /// [`EngineStats`]. Every run shards, at any thread count and table size;
 /// routing small or one-thread runs to the plain algorithm is the caller's
 /// decision ([`EngineConfig::runs_sequentially`]). Closed runs get
-/// carried-dimension views and apex closedness reconciliation; iceberg runs
-/// get plain suffix views and pre-bound-dimension filtering. `req.bound`
+/// carried-dimension views, which decide closedness across shards, the
+/// apex's included; iceberg runs get plain views and pre-bound-dimension
+/// filtering. `req.bound`
 /// and `req.pool` describe a single cuber call and are the engine's to set:
 /// it cubes the whole table.
 ///
@@ -812,13 +786,7 @@ where
     F: Fn(&CubeRequest<'_, M>, &mut ShardedSink<M::Acc>) + Sync,
     S: CellSink<M::Acc> + ?Sized,
 {
-    let &CubeRequest {
-        table,
-        min_sup,
-        closed,
-        measure: spec,
-        ..
-    } = req;
+    let &CubeRequest { table, min_sup, .. } = req;
     if min_sup < 1 {
         return Err(CubeError::ZeroMinSup);
     }
@@ -832,11 +800,9 @@ where
     if let Some(t) = &token {
         t.check()?;
     }
-    let n = table.rows() as u64;
-    if n < min_sup {
+    if (table.rows() as u64) < min_sup {
         return Ok(EngineStats::default());
     }
-    let dims = table.dims();
 
     // Everything from seeding to the merge drain runs under one
     // catch_unwind: a panicking helper re-raises through `thread::scope`, a
@@ -845,52 +811,7 @@ where
     // `WorkerPanicked` instead of crossing the public API.
     let warm = warm.filter(|w| w.matches(table));
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let perm = match warm {
-            Some(w) => w.perm.clone(),
-            None => config.ordering.permutation(table),
-        };
-
-        // Seed tasks: one per (level, value) shard of the full table. One
-        // partitioner + tid buffer is reused across levels; level 0 reuses
-        // the caller's cached partition when a warm start supplied one.
-        let mut seeds: Vec<Task> = Vec::new();
-        let mut partitioner = Partitioner::with_sparse_reset();
-        let mut tids: Vec<TupleId> = Vec::new();
-        let mut groups: Vec<Group> = Vec::new();
-        for (k, &dim) in perm.iter().enumerate() {
-            faults::inject("engine.seed");
-            let (level_tids, level_groups): (&[TupleId], &[Group]) = match warm {
-                Some(w) if k == 0 => (&w.tids, &w.groups),
-                _ => {
-                    tids.clear();
-                    tids.extend(0..table.rows() as TupleId);
-                    groups.clear();
-                    partitioner.partition(table, dim, &mut tids, &mut groups);
-                    (&tids, &groups)
-                }
-            };
-            for (gi, g) in level_groups.iter().enumerate() {
-                let cube = u64::from(g.len()) >= min_sup;
-                let want_info = closed && k == 0;
-                if cube || want_info {
-                    seeds.push(Task {
-                        path: vec![k as u32, gi as u32],
-                        tids: level_tids[g.range()].to_vec(),
-                        group_dims: perm[k..].to_vec(),
-                        carried: if closed {
-                            perm[..k].to_vec()
-                        } else {
-                            Vec::new()
-                        },
-                        bound: 1,
-                        rest_depth: 0,
-                        cube,
-                        want_info,
-                    });
-                }
-            }
-        }
-
+        faults::inject("engine.seed");
         let recycler = BatchRecycler::new();
         let ctx = Ctx {
             req,
@@ -899,19 +820,35 @@ where
             algo: &algo,
             token: token.clone(),
         };
+        // Seeding is the root task's split along `perm[0]`, from the
+        // caller's cached partition when a warm start supplied one. The
+        // seeds are the level-0 shards plus one rest task, in path order.
+        let (perm, tids, lead) = match warm {
+            Some(w) => (w.perm.clone(), w.tids.clone(), Some(&w.groups[..])),
+            None => {
+                let perm = config.ordering.permutation(table);
+                (perm, (0..table.rows() as TupleId).collect(), None)
+            }
+        };
+        let root = Task {
+            path: Vec::new(),
+            tids,
+            group_dims: perm,
+            carried: Vec::new(),
+            bound: 0,
+            rest_depth: 0,
+        };
+        let mut seeds = Vec::new();
+        if let Err(root) = ctx.split(root, lead, &mut Scratch::default(), &mut seeds) {
+            seeds.push(root);
+        }
         let in_flight = AtomicU64::new(0);
-        let mut merger: Merger<'_, M::Acc, S> =
-            Merger::new(sink, table, &recycler, &in_flight, token.clone());
-        // Frontier first: the scheduler starts tasks in the order the merge
-        // releases them, ascending shard path — the order the level/group
-        // loops above built the seeds in.
-        debug_assert!(seeds.is_sorted_by(|a, b| a.path < b.path));
-        merger.register_seeds(&seeds);
-        let threads = config.effective_threads().min(seeds.len().max(1));
+        let mut merger = Merger::new(sink, &recycler, &in_flight, token.clone(), &seeds);
+        let threads = config.effective_threads().min(seeds.len());
         ctx.run_shards(seeds, threads, &mut merger);
-        (merger.stats, merger.apex_info, merger.is_done())
+        (merger.stats, merger.is_done())
     }));
-    let (mut stats, apex_info, merged_all) =
+    let (stats, merged_all) =
         outcome.map_err(|payload| lifecycle::worker_panicked(token.as_ref(), payload))?;
     // A tripped token (cancel, deadline, budget — the merger itself trips on
     // budget overrun) is the run's outcome; partial output is the caller's
@@ -921,28 +858,6 @@ where
         t.check()?;
     }
     debug_assert!(merged_all, "streaming merge left work buffered");
-
-    // ---- Apex reconciliation. Its count is the full row count; for closed
-    // runs the merged per-shard Closed Mask decides closedness (Definition 9
-    // with the all-dimensions All Mask).
-    let emit_apex = if closed {
-        apex_info
-            .expect("closed runs always collect level-0 shard summaries")
-            .is_closed(DimMask::all(dims))
-    } else {
-        // The apex is always an iceberg cell here (n >= min_sup was checked).
-        true
-    };
-    if emit_apex {
-        let apex = vec![STAR; dims];
-        let mut acc = spec.unit(table, 0);
-        for t in 1..table.rows() as TupleId {
-            let unit = spec.unit(table, t);
-            spec.merge(&mut acc, &unit);
-        }
-        sink.emit(&apex, n, &acc);
-        stats.total_output_bytes += dims as u64 * 4 + 8 + std::mem::size_of::<M::Acc>() as u64;
-    }
     Ok(stats)
 }
 
@@ -992,12 +907,109 @@ where
         self.token.as_ref().is_some_and(|t| t.is_tripped())
     }
 
-    /// Process one task: either run the cuber over its view, or split it
-    /// into `children` (left for the caller to schedule). Returns the
+    /// The split rule, for seeding and for every task after it: split
+    /// `task` into `children` (pushed in path order) and return its path,
+    /// or hand it back to be cubed whole.
+    ///
+    /// A task with nothing bound always splits while two group-by
+    /// dimensions remain; a bound shard only past the cost threshold and
+    /// below the rest-depth cap. `lead`, if given, is the partition of
+    /// `task.tids` along `task.group_dims[task.bound]` (a warm start's).
+    fn split(
+        &self,
+        mut task: Task,
+        mut lead: Option<&[Group]>,
+        scratch: &mut Scratch,
+        children: &mut Vec<Task>,
+    ) -> Result<Vec<u32>, Task> {
+        let &CubeRequest {
+            table,
+            min_sup,
+            closed,
+            ..
+        } = self.req;
+        let unbound = task.bound == 0;
+        if task.group_dims.len() - task.bound < 2
+            || !unbound
+                && (task.rest_depth >= self.config.max_rest_depth
+                    || task.cost(closed) <= self.config.split_threshold)
+        {
+            return Err(task);
+        }
+        // Split along the first unbound dimension with at least two
+        // distinct values in the task, swapped into the `bound` slot. A
+        // failed probe's single-group partition leaves `tids` untouched
+        // (see `Partitioner::partition`), so probing has no side effects;
+        // if every unbound dimension is single-valued the task runs whole.
+        // All of this depends only on the data, never on timing, so the
+        // task tree stays deterministic.
+        let mut split_at = task.bound;
+        while split_at < task.group_dims.len() {
+            scratch.groups.clear();
+            match lead.take() {
+                Some(groups) => scratch.groups.extend_from_slice(groups),
+                None => scratch.partitioner.partition(
+                    table,
+                    task.group_dims[split_at],
+                    &mut task.tids,
+                    &mut scratch.groups,
+                ),
+            }
+            if scratch.groups.len() >= 2 {
+                break;
+            }
+            split_at += 1;
+        }
+        if split_at == task.group_dims.len() {
+            return Err(task);
+        }
+        faults::inject("engine.task.split");
+        task.group_dims.swap(task.bound, split_at);
+        let split_dim = task.group_dims[task.bound];
+        let child_path = |i: usize| [&task.path[..], &[i as u32]].concat();
+        for (gi, g) in scratch.groups.iter().enumerate() {
+            if u64::from(g.len()) < min_sup {
+                continue; // Apriori: no owned cell can reach min_sup.
+            }
+            children.push(Task {
+                path: child_path(gi),
+                tids: task.tids[g.range()].to_vec(),
+                group_dims: task.group_dims.clone(),
+                carried: task.carried.clone(),
+                bound: task.bound + 1,
+                // Binding a value starts a fresh rest chain.
+                rest_depth: 0,
+            });
+        }
+        // The rest task owns the task's cells starring `split_dim`: all its
+        // tuples, `split_dim` out of the group-by set and carried for
+        // closed runs (a rest-cell uniform on it is covered by a
+        // sub-shard's cell and must be rejected).
+        let path = child_path(scratch.groups.len());
+        let mut group_dims = task.group_dims;
+        group_dims.remove(task.bound);
+        let mut carried = task.carried;
+        if closed {
+            carried.push(split_dim);
+        }
+        children.push(Task {
+            path,
+            tids: task.tids,
+            group_dims,
+            carried,
+            bound: task.bound,
+            // The root's chain is the level structure, not duplication.
+            rest_depth: task.rest_depth + u32::from(!unbound),
+        });
+        Ok(task.path)
+    }
+
+    /// Process one task: either split it into `children` (left for the
+    /// caller to schedule) or run the cuber over its view. Returns the
     /// task's [`Completion`] for the streaming merger.
     fn process(
         &self,
-        mut task: Task,
+        task: Task,
         scratch: &mut Scratch,
         children: &mut Vec<Task>,
     ) -> Completion<M::Acc> {
@@ -1010,102 +1022,16 @@ where
             ..
         } = self.req;
         let dims = table.dims();
-        let shard_info = task
-            .want_info
-            .then(|| ClosedInfo::for_group(table, &task.tids).expect("tasks are non-empty"));
-        if !task.cube {
-            return Completion {
-                path: task.path,
-                batch: CellBatch::new(dims),
-                shard_info,
-                child_paths: Vec::new(),
-            };
-        }
-
-        let remaining = task.group_dims.len() - task.bound;
-        if remaining >= 2
-            && task.rest_depth < self.config.max_rest_depth
-            && task.cost(closed) > self.config.split_threshold
-        {
-            // ---- Split along the first unbound dimension with at least
-            // two distinct values in the shard. A single-valued dimension
-            // makes the split pure duplication (one sub-shard plus a rest
-            // task over the same tuples), so such dimensions are skipped:
-            // probe forward until a splittable one is found, then swap it
-            // into the `bound` slot so the sub-shard/rest construction
-            // below stays uniform. A failed probe's single-group partition
-            // leaves `tids` untouched (see `Partitioner::partition`), so
-            // probing is free of side effects; if every unbound dimension
-            // is single-valued the shard runs whole. All of this depends
-            // only on the data, never on timing, so the task tree stays
-            // deterministic.
-            let mut split_at = task.bound;
-            while split_at < task.group_dims.len() {
-                scratch.groups.clear();
-                scratch.partitioner.partition(
-                    table,
-                    task.group_dims[split_at],
-                    &mut task.tids,
-                    &mut scratch.groups,
-                );
-                if scratch.groups.len() >= 2 {
-                    break;
-                }
-                split_at += 1;
-            }
-            if split_at < task.group_dims.len() {
-                faults::inject("engine.task.split");
-                task.group_dims.swap(task.bound, split_at);
-                let split_dim = task.group_dims[task.bound];
-                let parent_path = task.path.clone();
-                for (gi, g) in scratch.groups.iter().enumerate() {
-                    if u64::from(g.len()) < min_sup {
-                        continue; // Apriori: no owned cell can reach min_sup.
-                    }
-                    let mut path = task.path.clone();
-                    path.push(gi as u32);
-                    children.push(Task {
-                        path,
-                        tids: task.tids[g.range()].to_vec(),
-                        group_dims: task.group_dims.clone(),
-                        carried: task.carried.clone(),
-                        bound: task.bound + 1,
-                        // Binding a value starts a fresh rest chain.
-                        rest_depth: 0,
-                        cube: true,
-                        want_info: false,
-                    });
-                }
-                // The rest task owns the shard's cells starring `split_dim`:
-                // all the shard's tuples, `split_dim` out of the group-by set
-                // and carried for closed runs (a rest-cell uniform on it is
-                // covered by a sub-shard's cell and must be rejected).
-                let mut path = task.path;
-                path.push(scratch.groups.len() as u32);
-                let mut group_dims = task.group_dims;
-                group_dims.remove(task.bound);
-                let mut carried = task.carried;
-                if closed {
-                    carried.push(split_dim);
-                }
-                children.push(Task {
-                    path,
-                    tids: task.tids,
-                    group_dims,
-                    carried,
-                    bound: task.bound,
-                    rest_depth: task.rest_depth + 1,
-                    cube: true,
-                    want_info: false,
-                });
+        let task = match self.split(task, None, scratch, children) {
+            Ok(path) => {
                 return Completion {
-                    path: parent_path,
+                    path,
                     batch: CellBatch::new(dims),
-                    shard_info,
                     child_paths: children.iter().map(|c| c.path.clone()).collect(),
-                };
+                }
             }
-        }
+            Err(task) => task,
+        };
 
         // ---- Run the cuber over the shard view.
         let mut dim_order = task.group_dims.clone();
@@ -1139,12 +1065,11 @@ where
         Completion {
             path: task.path,
             batch: out.batch,
-            shard_info,
             child_paths: Vec::new(),
         }
     }
 
-    /// Run `seeds` (ascending path order) on `threads` threads, **the
+    /// Run `seeds` (path order) on `threads` threads, **the
     /// calling thread included**: it is worker 0 and spawns `threads − 1`
     /// helpers. Every thread takes its tasks in the order [`Queues::next`]
     /// gives them, so tasks start in the order the merge releases them.
@@ -1303,7 +1228,8 @@ const COMPLETION_SLOTS: usize = 4;
 
 /// The task queues of one sharded run and the counters every thread
 /// updates: one LIFO deque per thread (index 0 is the caller's), a FIFO
-/// injector holding the seeds in ascending path order, and the abort flag.
+/// injector holding the seeds and the root chain's later splits in path
+/// order, and the abort flag.
 struct Queues {
     injector: Injector<Task>,
     stealers: Vec<Stealer<Task>>,
@@ -1358,13 +1284,20 @@ impl Queues {
             .or_else(|| self.injector.steal().success())
     }
 
-    /// Queue a split's `children` on `own`, last child first: the owner's
-    /// next pop is the lexicographically first child, and thieves find the
-    /// rest task (the coarsest) at the far end.
+    /// Queue a split's `children`. A bound shard's go on `own`, last child
+    /// first: the owner's next pop is the lexicographically first child,
+    /// and thieves find the rest task (the coarsest) at the far end. The
+    /// root chain's — recognised by their unbound rest task — go behind the
+    /// seeds in the injector, in path order, which keeps the merge frontier
+    /// one level deep.
     fn push_children(&self, own: &Worker<Task>, children: &mut Vec<Task>) {
         self.pending.fetch_add(children.len(), Ordering::SeqCst);
-        for child in children.drain(..).rev() {
-            own.push(child);
+        if children.last().is_some_and(|rest| rest.bound == 0) {
+            children
+                .drain(..)
+                .for_each(|child| self.injector.push(child));
+        } else {
+            children.drain(..).rev().for_each(|child| own.push(child));
         }
     }
 
@@ -1394,7 +1327,7 @@ impl Drop for AbortOnPanic<'_> {
 mod tests {
     use super::*;
     use ccube_core::sink::{collect_counts, CollectSink, CountingSink};
-    use ccube_core::TableBuilder;
+    use ccube_core::{Table, TableBuilder};
     use ccube_data::SyntheticSpec;
 
     fn run_par_closed(
@@ -1542,9 +1475,11 @@ mod tests {
 
     #[test]
     fn apex_closedness_reconciles_across_shards() {
+        use ccube_core::naive::naive_closed_counts;
         // dim0 varies, dim1 is globally constant: the apex is NOT closed
         // (its closure binds dim1) even though no single level-0 shard spans
-        // enough tuples to prove it alone — only the merged Closed Mask does.
+        // enough tuples to prove it alone — only the last rest task, which
+        // carries every other dimension, does.
         let t = TableBuilder::new(2)
             .row(&[0, 7])
             .row(&[1, 7])
@@ -1552,17 +1487,87 @@ mod tests {
             .build()
             .unwrap();
         let got = run_par_closed(&t, 1, 2);
-        let want = collect_counts(|s| {
-            ccube_star::star_cube(
-                &CubeRequest {
-                    closed: true,
-                    ..CubeRequest::new(&t, 1)
-                },
-                s,
-            )
-        });
-        assert_eq!(got, want);
+        assert_eq!(got, naive_closed_counts(&t, 1));
         assert!(!got.contains_key(&ccube_core::Cell::apex(2)));
+        // Four dimensions with a constant one first, in the middle or last
+        // in the sharding order (the original order here), or none.
+        for uniform in [Some(0), Some(2), Some(3), None] {
+            let mut b = TableBuilder::new(4);
+            for i in 0..60u32 {
+                let mut row = [i % 3, (i / 3) % 4, i % 5, (i / 2) % 3];
+                if let Some(d) = uniform {
+                    row[d] = 1;
+                }
+                b.push_row(&row);
+            }
+            let t = b.build().unwrap();
+            for min_sup in [1, 4] {
+                let want = naive_closed_counts(&t, min_sup);
+                for threads in [1, 2] {
+                    let got = run_par_closed(&t, min_sup, threads);
+                    let label = format!("uniform={uniform:?} min_sup={min_sup} threads={threads}");
+                    assert_eq!(got, want, "{label}");
+                    let apex = ccube_core::Cell::apex(4);
+                    assert_eq!(got.contains_key(&apex), uniform.is_none(), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_root_chain_splits_at_any_threshold() {
+        // With bound shards kept whole, the root and its rest chain still
+        // split: a run has more tasks than level-0 groups. A root that
+        // obeyed the cost rule would run whole, as one task.
+        let t = SyntheticSpec::uniform(400, 4, 6, 1.0, 8).generate();
+        let req = CubeRequest {
+            closed: true,
+            ..CubeRequest::new(&t, 2)
+        };
+        let level0 = t.shard_by_dim(0).1.len() as u64;
+        let want = collect_counts(|s| ccube_star::star_cube(&req, s));
+        for threads in [1, 2] {
+            let config = EngineConfig {
+                threads,
+                split_threshold: u64::MAX,
+                ..EngineConfig::default()
+            };
+            let mut sink = CollectSink::<()>::default();
+            let stats =
+                run_partitioned(&req, &config, None, ccube_star::star_cube, &mut sink).unwrap();
+            assert!(stats.tasks > level0, "threads={threads}: {stats:?}");
+            assert_eq!(sink.counts(), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn warm_and_cold_starts_emit_the_same_sequence() {
+        let t = SyntheticSpec::uniform(500, 4, 6, 1.5, 21).generate();
+        let ordering = DimOrdering::CardinalityDesc;
+        let lead = LeadPartition::new(&t, ordering.permutation(&t));
+        let req = CubeRequest {
+            closed: true,
+            ..CubeRequest::new(&t, 2)
+        };
+        let trace = |threads: usize, warm: Option<&LeadPartition>| {
+            let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
+            let config = EngineConfig {
+                threads,
+                ordering,
+                split_threshold: 128,
+                ..EngineConfig::default()
+            };
+            let mut sink = ccube_core::sink::FnSink(|c: &[u32], n: u64, _: &()| {
+                cells.push((c.to_vec(), n));
+            });
+            run_partitioned(&req, &config, warm, ccube_star::star_cube, &mut sink).unwrap();
+            cells
+        };
+        for threads in [1, 2, 4] {
+            let cold = trace(threads, None);
+            assert!(!cold.is_empty());
+            assert_eq!(trace(threads, Some(&lead)), cold, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1749,7 +1754,8 @@ mod tests {
                 s,
             )
         });
-        // max_rest_depth = 0 disables splitting outright.
+        // max_rest_depth = 0 keeps every bound shard whole; only the root's
+        // rest chain splits (the root's own split is the seeding, uncounted).
         let config = EngineConfig {
             threads: 2,
             split_threshold: 1,
@@ -1768,7 +1774,7 @@ mod tests {
             &mut sink,
         )
         .unwrap();
-        assert_eq!(stats.splits, 0);
+        assert_eq!(stats.splits, t.dims() as u64 - 2);
         assert_eq!(sink.counts(), want);
         // A deeper cap splits, and the cell set still does not move.
         let deeper = EngineConfig {
@@ -1983,14 +1989,17 @@ mod tests {
     #[test]
     fn caller_panic_while_a_helper_is_parked_surfaces_as_error() {
         use std::time::{Duration, Instant};
-        // 4 dimensions × 8 values, no splitting: 32 seeds of one cuber call
-        // and one completion each. The calling thread stays in its first
-        // shard, merging nothing, while the helper fills the channel and
-        // cubes one more shard, whose `send` parks it — so the helper's
-        // count stops short of the 31 other seeds, at no fewer than the
-        // channel's slots plus one. Then the caller panics. The unwind must
-        // release the helper and surface as a typed error.
-        let t = SyntheticSpec::uniform(600, 4, 8, 0.0, 3).generate();
+        // 4 dimensions × 16 values, no bound shard split: 49 cuber calls
+        // (16 shards on each of the first three levels, then the rest
+        // chain's last task), one completion each, plus two split
+        // completions of the rest chain. The calling thread stays in its
+        // first shard, merging nothing, while the helper fills the channel
+        // and cubes one more shard, whose `send` parks it — so the helper's
+        // count stops short of the 48 other cuber calls, and above the
+        // channel's 2 × COMPLETION_SLOTS slots less those two splits. Then
+        // the caller panics. The unwind must release the helper and surface
+        // as a typed error.
+        let t = SyntheticSpec::uniform(600, 4, 16, 0.0, 3).generate();
         let caller = std::thread::current().id();
         let helper_shards = AtomicUsize::new(0);
         let at_panic = AtomicUsize::new(0);
@@ -2016,7 +2025,7 @@ mod tests {
                 loop {
                     std::thread::sleep(Duration::from_millis(50));
                     let now = helper_shards.load(Ordering::SeqCst);
-                    if now == seen && now > 2 * COMPLETION_SLOTS {
+                    if now == seen && now > COMPLETION_SLOTS {
                         break;
                     }
                     assert!(Instant::now() < deadline, "the helper never parked");
@@ -2036,8 +2045,8 @@ mod tests {
         }
         let parked = at_panic.load(Ordering::SeqCst);
         assert!(
-            parked < 31,
-            "the helper ran out of seeds instead of parking"
+            parked < 48,
+            "the helper ran out of shards instead of parking"
         );
         assert_eq!(
             helper_shards.load(Ordering::SeqCst),

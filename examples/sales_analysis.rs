@@ -43,11 +43,9 @@ fn main() {
     // measured once and reused.
     let mut session = CubeSession::new(table).expect("ordinary table");
     println!(
-        "measured stats: cardinalities {:?}, mean skew {:.2}, dependence {:.2}; \
-         planner picks {}\n",
+        "measured stats: cardinalities {:?}, mean skew {:.2}; planner picks {}\n",
         session.stats().cardinalities,
         session.stats().mean_skew(),
-        session.stats().dependence,
         session.recommend(min_sup)
     );
 

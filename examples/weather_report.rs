@@ -50,8 +50,7 @@ fn main() {
     // actual surrogate data?
     let stats = session.stats();
     println!(
-        "\nmeasured dependence {:.2}, cardinalities {:?} -> advisor recommends: {}",
-        stats.dependence,
+        "\nmeasured cardinalities {:?} -> advisor recommends: {}",
         stats.cardinalities,
         session.recommend(min_sup)
     );

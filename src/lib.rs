@@ -376,8 +376,8 @@ impl std::str::FromStr for Algorithm {
 }
 
 /// Measured per-table statistics feeding the [`recommend`] planner (and the
-/// [`CubeSession`] cache): observed cardinalities and skew per dimension
-/// plus an estimated data dependence, all derived from the actual data.
+/// [`CubeSession`] cache): observed cardinalities and skew per dimension,
+/// derived from the actual data.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TableStats {
     /// Number of tuples measured.
@@ -389,31 +389,15 @@ pub struct TableStats {
     /// — 0 for uniform dimensions, rising toward the Zipf exponent for
     /// power-law ones.
     pub skews: Vec<f64>,
-    /// Estimated pairwise data dependence (0 = independent): mean over the
-    /// first four adjacent dimension pairs `(a, b)` of `-ln(distinct
-    /// (a[t], b[t]) / distinct (a[t], b[t - lag]))` over the same sampled
-    /// rows, clamped to `[0, 4]`. The lagged pairs have the data's own
-    /// marginals with the row dependence broken, so skew alone reads 0 and a
-    /// functional dependence (the weather surrogate's station → latitude)
-    /// reads high. What it cannot see: once the sample holds every one of
-    /// the `card × card` pairs (cardinality 20 at 25 000 rows) both counts
-    /// saturate, and three-way `(A, B) → C` rules leave the pairwise counts
-    /// as they were; both read 0. Tables of about a thousand rows or fewer
-    /// read 0 too (no row has a lagged partner).
-    pub dependence: f64,
 }
 
 impl TableStats {
-    /// Measure `table`: one frequency pass per dimension plus one hashed
-    /// pair-counting pass per adjacent dimension pair (sampled at most
-    /// [`TableStats::SAMPLE_ROWS`] rows). `O(rows × dims)` overall — this is
-    /// the per-table setup a [`CubeSession`] pays once instead of per query.
+    /// Measure `table`: one frequency pass per dimension, `O(rows × dims)`
+    /// — the per-table setup a [`CubeSession`] pays once instead of per
+    /// query.
     pub fn measure(table: &Table) -> TableStats {
         StatsState::new(table).stats()
     }
-
-    /// Row cap for the dependence-estimation pair scans.
-    pub const SAMPLE_ROWS: usize = 65_536;
 
     /// Mean per-dimension skew estimate.
     pub fn mean_skew(&self) -> f64 {
@@ -443,73 +427,22 @@ impl TableStats {
 
 /// The raw accumulators behind [`TableStats`], kept so a [`CubeSession`]
 /// can **extend** its statistics over an appended batch instead of
-/// re-scanning the whole table: per-dimension frequency vectors (grown as
-/// new values appear) plus the sampled pair-distinct sets feeding the
-/// dependence estimate. Because the dependence sample is a row prefix, a
-/// lagged pair only looks back, and appends only add rows at the end,
-/// `extend` + [`StatsState::stats`] is exactly equal to a cold
-/// [`TableStats::measure`] of the grown table.
+/// re-scanning the whole table: per-dimension frequency vectors, grown as
+/// new values appear. `extend` + [`StatsState::stats`] is exactly equal to
+/// a cold [`TableStats::measure`] of the grown table.
 #[derive(Clone, Debug)]
 pub(crate) struct StatsState {
     rows: usize,
     freq: Vec<Vec<u64>>,
-    /// Per sampled adjacent dimension pair `(a, b)`, over the same rows: the
-    /// distinct `(a[t], b[t])` seen, and the distinct `(a[t], b[t - LAG])` —
-    /// the same marginals with the row dependence broken.
-    pairs: Vec<[DistinctSketch; 2]>,
-}
-
-/// How many distinct `u64` keys were inserted, by linear counting: each key
-/// sets one hashed bit of a fixed bitmap, and the share of bits still clear
-/// gives the count (within ≈ 0.3 % at the [`TableStats::SAMPLE_ROWS`] keys
-/// it is sized for). A pure function of the key set, at one store per
-/// insert where an exact hash set costs a probe and its regrowth.
-#[derive(Clone, Debug)]
-struct DistinctSketch {
-    bits: Vec<u64>,
-    set: u32,
-}
-
-impl DistinctSketch {
-    /// Twice the most keys ever inserted, so the bitmap never fills.
-    const LOG2_BITS: u32 = (2 * TableStats::SAMPLE_ROWS).ilog2();
-
-    fn insert(&mut self, key: u64) {
-        let h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - Self::LOG2_BITS)) as usize;
-        let (word, bit) = (&mut self.bits[h / 64], 1u64 << (h % 64));
-        self.set += u32::from(*word & bit == 0);
-        *word |= bit;
-    }
-
-    fn distinct(&self) -> f64 {
-        let bits = f64::from(1u32 << Self::LOG2_BITS);
-        -bits * (1.0 - f64::from(self.set) / bits).ln()
-    }
-}
-
-impl Default for DistinctSketch {
-    fn default() -> DistinctSketch {
-        DistinctSketch {
-            bits: vec![0; (1 << Self::LOG2_BITS) / 64],
-            set: 0,
-        }
-    }
 }
 
 impl StatsState {
-    /// How far back the dependence baseline pairs a row's `a` with another
-    /// row's `b`. Tables of at most this many rows read dependence 0.
-    const LAG: usize = 1021;
-
     /// Scan `table` from scratch (`O(rows × dims)`, the once-per-session
     /// setup cost).
     pub(crate) fn new(table: &Table) -> StatsState {
-        let dims = table.dims();
-        let pairs = if dims < 2 { 0 } else { (dims - 1).min(4) };
         let mut state = StatsState {
             rows: 0,
-            freq: vec![Vec::new(); dims],
-            pairs: vec![Default::default(); pairs],
+            freq: vec![Vec::new(); table.dims()],
         };
         state.extend(table, 0);
         state
@@ -528,15 +461,6 @@ impl StatsState {
                     freq.resize(v + 1, 0);
                 }
                 freq[v] += 1;
-            }
-        }
-        let sample = from_row.max(Self::LAG)..table.rows().min(TableStats::SAMPLE_ROWS);
-        for (d, [seen, lagged]) in self.pairs.iter_mut().enumerate() {
-            let (a, b) = (table.col(d), table.col(d + 1));
-            for t in sample.clone() {
-                let a_t = u64::from(a.get(t)) << 32;
-                seen.insert(a_t | u64::from(b.get(t)));
-                lagged.insert(a_t | u64::from(b.get(t - Self::LAG)));
             }
         }
         self.rows = table.rows();
@@ -561,7 +485,6 @@ impl StatsState {
         }
         TableStats {
             tuples: n as u64,
-            dependence: self.dependence(),
             cardinalities,
             skews,
         }
@@ -578,18 +501,6 @@ impl StatsState {
         counts.fold((0, 0, 0), |(hit, distinct, top), f| {
             (hit + f, distinct + u64::from(f > 0), top.max(f))
         })
-    }
-
-    fn dependence(&self) -> f64 {
-        if self.rows <= Self::LAG || self.pairs.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .pairs
-            .iter()
-            .map(|[seen, lagged]| (lagged.distinct() / seen.distinct()).max(1.0).ln())
-            .sum();
-        (total / self.pairs.len() as f64).clamp(0.0, 4.0)
     }
 }
 
@@ -724,8 +635,8 @@ pub(crate) fn cheapest(estimates: &[(Algorithm, f64); 4]) -> Algorithm {
 /// measures: the tuple count, the number of group-by dimensions, the mean
 /// `ln` cardinality, the mean top-value share (the share of the tuples on
 /// a dimension's most frequent value — the skew axis), `min_sup`, and a few
-/// products of those. [`TableStats::dependence`] is measured and reported
-/// but not read: as a candidate input it did not lower held-out regret.
+/// products of those. Data dependence is not measured: as a candidate input
+/// it did not lower held-out regret.
 ///
 /// The coefficients are the `COST_MODEL` table above, which
 /// `examples/algorithm_advisor.rs --fit` generates: it times the four
@@ -837,47 +748,16 @@ mod tests {
 
     #[test]
     fn measured_stats_follow_the_data() {
-        use ccube_data::{RuleSet, SyntheticSpec};
-        // Uniform independent data: near-zero skew and dependence.
+        use ccube_data::SyntheticSpec;
+        // Uniform independent data: near-zero skew.
         let flat = SyntheticSpec::uniform(4000, 4, 20, 0.0, 5).generate();
         let s = TableStats::measure(&flat);
         assert_eq!(s.tuples, 4000);
         assert!(s.cardinalities.iter().all(|&c| c <= 20));
         assert!(s.mean_skew() < 0.25, "uniform skew {}", s.mean_skew());
-        assert!(s.dependence < 0.5, "independent dep {}", s.dependence);
         // Skewed data: higher measured skew.
         let skewed = SyntheticSpec::uniform(4000, 4, 20, 2.0, 5).generate();
         let sk = TableStats::measure(&skewed);
         assert!(sk.mean_skew() > s.mean_skew());
-        // Rule-dependent data: higher measured dependence.
-        let cards = vec![20u32; 4];
-        let dep = SyntheticSpec {
-            tuples: 4000,
-            cards: cards.clone(),
-            skews: vec![0.0; 4],
-            seed: 5,
-            rules: Some(RuleSet::with_dependence(&cards, 3.0, 9)),
-        }
-        .generate();
-        let sd = TableStats::measure(&dep);
-        assert!(
-            sd.dependence > s.dependence,
-            "dependent {} vs independent {}",
-            sd.dependence,
-            s.dependence
-        );
-        // The benchmark ladder: skew and sparsity alone are not dependence;
-        // the weather surrogate's station -> (latitude, longitude) is.
-        for (name, spec) in [
-            ("skew1", SyntheticSpec::uniform(25_000, 8, 100, 1.0, 5)),
-            ("skew2", SyntheticSpec::uniform(25_000, 8, 100, 2.0, 5)),
-            ("sparse", SyntheticSpec::uniform(25_000, 6, 1000, 1.5, 5)),
-        ] {
-            let dependence = TableStats::measure(&spec.generate()).dependence;
-            assert!(dependence < 0.1, "rule-free {name} reads {dependence}");
-        }
-        let weather = ccube_data::WeatherSpec::new(25_000, 5).generate();
-        let dependence = TableStats::measure(&weather).dependence;
-        assert!(dependence > 0.4, "weather reads {dependence}");
     }
 }

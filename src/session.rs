@@ -4,7 +4,7 @@
 //! A **session** owns one fact table plus the per-table artifacts every
 //! query used to recompute from scratch:
 //!
-//! * measured [`TableStats`] (observed cardinalities, skew, dependence) —
+//! * measured [`TableStats`] (observed cardinalities and skew) —
 //!   the planner input of [`recommend`](crate::recommend), built once at
 //!   session creation;
 //! * the stats-informed sharding order
