@@ -59,6 +59,14 @@ pub trait MeasureSpec {
         }
         acc
     }
+
+    /// The accumulator of every cell when this spec aggregates nothing but
+    /// `count` — what a store of counts alone can serve it with
+    /// ([`ClosedCube::serve`](crate::ClosedCube::serve)). `None`, the
+    /// default, for any spec that reads a measure column.
+    fn count_only(&self) -> Option<Self::Acc> {
+        None
+    }
 }
 
 /// The paper's default: measure = `count` only. Zero-sized accumulator.
@@ -73,6 +81,10 @@ impl MeasureSpec for CountOnly {
 
     #[inline]
     fn merge(&self, _acc: &mut (), _other: &()) {}
+
+    fn count_only(&self) -> Option<()> {
+        Some(())
+    }
 }
 
 /// Distributive summary of one `f64` measure column: `sum`, `min`, `max`

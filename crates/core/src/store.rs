@@ -18,6 +18,7 @@
 
 use crate::cell::{Cell, STAR};
 use crate::fxhash::FxHashMap;
+use crate::lifecycle;
 use crate::sink::CellSink;
 use crate::CubeError;
 use std::collections::BTreeMap;
@@ -133,16 +134,25 @@ impl ClosedCube {
         self.rows = rows;
     }
 
-    /// Serve the closed iceberg cube at `min_sup`: emit every cell with
-    /// `count >= min_sup` into `sink`, in lexicographic cell order (closedness
-    /// does not depend on `min_sup`, so a higher threshold is a count
-    /// filter). Returns the number of cells emitted.
+    /// Serve the closed iceberg cube at `min_sup`: one scan emits, in
+    /// lexicographic cell order, every stored cell with `count >= min_sup`,
+    /// each carrying `acc`; returns the number emitted. Closedness does not
+    /// depend on `min_sup`, so a higher threshold is a count filter.
+    ///
+    /// The scan polls the ambient cancel token every
+    /// [`POLL_STRIDE`](crate::lifecycle::POLL_STRIDE) cells.
     ///
     /// # Errors
     /// [`CubeError::ZeroMinSup`];
     /// [`CubeError::MaterializationUnavailable`] when `min_sup` is below the
-    /// build threshold (cells under it were never stored).
-    pub fn serve<S: CellSink<()>>(&self, min_sup: u64, sink: &mut S) -> Result<u64, CubeError> {
+    /// build threshold (cells under it were never stored); the ambient
+    /// token's cause once it trips.
+    pub fn serve<A, S: CellSink<A>>(
+        &self,
+        min_sup: u64,
+        acc: &A,
+        sink: &mut S,
+    ) -> Result<u64, CubeError> {
         if min_sup < 1 {
             return Err(CubeError::ZeroMinSup);
         }
@@ -151,8 +161,11 @@ impl ClosedCube {
         }
         let mut emitted = 0u64;
         for (cell, &count) in &self.cells {
+            if lifecycle::should_stop_strided() {
+                lifecycle::current().map_or(Ok(()), |token| token.check())?;
+            }
             if count >= min_sup {
-                sink.emit(cell.values(), count, &());
+                sink.emit(cell.values(), count, acc);
                 emitted += 1;
             }
         }
@@ -315,19 +328,32 @@ mod tests {
         }
         for q in [2u64, 4, 16] {
             let mut sink = CollectSink::default();
-            let emitted = cube.serve(q, &mut sink).unwrap();
+            let emitted = cube.serve(q, &(), &mut sink).unwrap();
             assert_eq!(emitted as usize, sink.len());
             assert_eq!(sink.counts(), naive_closed_counts(&t, q), "q={q}");
         }
         let order: Vec<&Cell> = cube.iter().map(|(c, _)| c).collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]));
         assert!(matches!(
-            cube.serve(1, &mut CollectSink::default()),
+            cube.serve(1, &(), &mut CollectSink::default()),
             Err(CubeError::MaterializationUnavailable { min_sup: 1 })
         ));
         assert!(matches!(
-            cube.serve(0, &mut CollectSink::default()),
+            cube.serve(0, &(), &mut CollectSink::default()),
             Err(CubeError::ZeroMinSup)
         ));
+    }
+
+    #[test]
+    fn a_tripped_ambient_token_stops_the_scan() {
+        let t = random_table(300, 4, 5, 13);
+        let cube = closed_cube(&t, 1);
+        assert!(cube.len() > 2 * crate::lifecycle::POLL_STRIDE as usize);
+        let token = crate::lifecycle::CancelToken::new();
+        token.cancel();
+        let _ambient = lifecycle::install(&token);
+        let mut sink = CollectSink::default();
+        assert_eq!(cube.serve(1, &(), &mut sink), Err(CubeError::Cancelled));
+        assert!(sink.len() < 2 * crate::lifecycle::POLL_STRIDE as usize);
     }
 }

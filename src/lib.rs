@@ -336,7 +336,7 @@ impl Algorithm {
 /// checks the ambient token before and after, contains panics into
 /// [`CubeError::WorkerPanicked`] (tripping the token so every observer
 /// agrees on the outcome), and reports a token trip as the run's error.
-fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, CubeError> {
+pub(crate) fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, CubeError> {
     let token = ccube_core::lifecycle::current();
     if let Some(t) = &token {
         t.check()?;

@@ -73,7 +73,22 @@
 //!
 //! Cache reuse is **invisible**: repeated identical queries on one session
 //! produce byte-identical output sequences (the cached artifacts are
-//! by-construction equal to what a cold run computes).
+//! by-construction equal to what a cold run computes). The materialized
+//! store is the one cache whose use shows: a query it answers emits the
+//! same cells in lexicographic cell order (next section).
+//!
+//! ## Answering from the materialized store
+//!
+//! Once [`CubeSession::materialize`] has built the closed-cube store, a
+//! query it subsumes is one filtered scan of the store instead of a run of
+//! a cuber ([`QueryPlan::from_store`]). Subsumed means: the planner picks
+//! the algorithm (an explicit [`CubeQuery::algorithm`] is an order and
+//! still runs), the query is closed, keeps every dimension, selects
+//! nothing, carries no measure but `count`, and asks for `min_sup` at or
+//! above the store's. The cell set is the one a closed cuber computes; the
+//! order is the store's lexicographic one, so calling `materialize()`
+//! changes the emission order, never the cells, of the queries it
+//! subsumes. Everything else is computed as before.
 
 use crate::{
     cheapest, estimates, top_share, Algorithm, EngineConfig, EngineStats, PlanShape, StatsState,
@@ -174,8 +189,10 @@ pub struct CubeSession {
     /// against the base table (min_sup-independent, so shared by all).
     star_pool: Option<Arc<Vec<TupleId>>>,
     /// Materialized closed cube, built by [`CubeSession::materialize`] and
-    /// patched under ingest (see `crates/delta`).
-    materialized: Option<ClosedCube>,
+    /// patched under ingest (see `crates/delta`); shared (via `Arc`) with
+    /// the in-flight query runs it answers, and copied on write like
+    /// `table`.
+    materialized: Option<Arc<ClosedCube>>,
     cache: CacheStats,
 }
 
@@ -298,10 +315,11 @@ impl CubeSession {
     /// * the materialized closed cube, if built, is delta-patched: only the
     ///   groups the batch joins are re-summarized (see `crates/delta`).
     ///
-    /// In-flight [`CellStream`]s keep the pre-ingest snapshot (copy-on-write
-    /// at the session boundary); queries started after `ingest` returns see
-    /// the grown table. Empty batches are valid and touch nothing; neither
-    /// they nor rejected batches copy the table.
+    /// In-flight [`CellStream`]s keep the pre-ingest snapshot of the table
+    /// and of the store (copy-on-write at the session boundary); queries
+    /// started after `ingest` returns see the grown table. Empty batches
+    /// are valid and touch nothing; neither they nor rejected batches copy
+    /// the table.
     ///
     /// # Errors
     /// Typed append validation ([`CubeError::BadRowWidth`],
@@ -347,6 +365,7 @@ impl CubeSession {
         self.star_pool = None;
         if let Some(cube) = self.materialized.as_mut() {
             let threads = maintenance_threads();
+            let cube = Arc::make_mut(cube);
             let delta = ccube_delta::patch(cube, &self.table, old_rows, &self.lead, threads);
             self.cache.artifacts_patched += 1;
             self.cache.groups_rechecked += delta.groups_rechecked;
@@ -358,15 +377,18 @@ impl CubeSession {
     /// Build (or rebuild) the materialized closed cube at `min_sup`: every
     /// closed cell with at least that count, kept current under
     /// [`CubeSession::ingest`], served by
-    /// [`CubeSession::query_materialized`] at any threshold ≥ `min_sup`, and
-    /// point-queried or mined through [`CubeSession::materialized`].
+    /// [`CubeSession::query_materialized`] at any threshold ≥ `min_sup`,
+    /// point-queried or mined through [`CubeSession::materialized`] — and
+    /// from then on the answer to every query it subsumes
+    /// ([`QueryPlan::from_store`]): those queries scan the store instead of
+    /// running a cuber, and emit in its lexicographic order.
     ///
     /// # Errors
     /// [`CubeError::ZeroMinSup`].
     pub fn materialize(&mut self, min_sup: u64) -> Result<DeltaStats, CubeError> {
         let threads = maintenance_threads();
         let (cube, stats) = ccube_delta::build(&self.table, min_sup, &self.lead, threads)?;
-        self.materialized = Some(cube);
+        self.materialized = Some(Arc::new(cube));
         self.cache.artifacts_rebuilt += 1;
         self.cache.groups_rechecked += stats.groups_rechecked;
         Ok(stats)
@@ -374,16 +396,20 @@ impl CubeSession {
 
     /// The session's materialized closed cube, if one has been built —
     /// current for the session's table ([`ClosedCube::rows`]), so its point
-    /// queries and `ccube_rules::mine_rules` see every ingested row.
+    /// queries and `ccube_rules::mine_rules` see every ingested row. The
+    /// same store answers the queries it subsumes
+    /// ([`QueryPlan::from_store`]).
     pub fn materialized(&self) -> Option<&ClosedCube> {
-        self.materialized.as_ref()
+        self.materialized.as_deref()
     }
 
     /// Serve the closed iceberg cube of the **base table** at `min_sup`
     /// straight from the materialization — no recursion, no partitioning,
     /// one ordered scan of the materialized cells (count-only; emitted in
     /// lexicographic cell order). Cell-for-cell identical to a cold
-    /// `query().min_sup(k).run(..)` on any algorithm.
+    /// `query().min_sup(k).run(..)` with any closed algorithm; an iceberg
+    /// algorithm (`Buc`, `Mm`, `Star`, `StarArray`) emits the iceberg cube
+    /// instead.
     ///
     /// # Errors
     /// [`CubeError::MaterializationUnavailable`] when no materialization
@@ -395,7 +421,7 @@ impl CubeSession {
         sink: &mut S,
     ) -> Result<u64, CubeError> {
         match &self.materialized {
-            Some(cube) => cube.serve(min_sup, sink),
+            Some(cube) => cube.serve(min_sup, &(), sink),
             None => Err(CubeError::MaterializationUnavailable { min_sup }),
         }
     }
@@ -424,17 +450,23 @@ impl std::fmt::Debug for CubeSession {
 /// with what the planner saw and how it scored every candidate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryPlan {
-    /// Algorithm the query will run (explicit or planner-chosen).
+    /// Algorithm the query will run (explicit or planner-chosen), unless
+    /// it is answered `from_store`.
     pub algorithm: Algorithm,
     /// Whether only closed cells will be emitted.
     pub closed: bool,
     /// Whether the run shards through the partition-parallel engine: the
-    /// query asked for threads or an engine config, and
-    /// [`EngineConfig::runs_sequentially`] does not pick out the queried
-    /// subtable's tuples × dimensions. Exact whenever the plan's tuple count
-    /// is (no selection, or one conjunct): such a run with threads or an
-    /// engine config reports [`EngineStats::fast_path`] `== !parallel`.
+    /// query asked for threads or an engine config, is not answered
+    /// `from_store`, and [`EngineConfig::runs_sequentially`] does not pick
+    /// out the queried subtable's tuples × dimensions. Exact whenever the
+    /// plan's tuple count is (no selection, or one conjunct): such a run
+    /// with threads or an engine config reports [`EngineStats::fast_path`]
+    /// `== !parallel`.
     pub parallel: bool,
+    /// Whether the session's materialized store subsumes the query, which
+    /// is then one filtered scan of it in lexicographic cell order (see
+    /// "Answering from the materialized store" in the module docs).
+    pub from_store: bool,
     /// The cost model's estimate, in milliseconds of a sequential run, for
     /// each of the four closed algorithms on the subtable this query cubes.
     /// A planner-chosen `algorithm` is the cheapest of them (its iceberg
@@ -621,9 +653,12 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
 
     /// The execution plan this query resolves to, without running it —
     /// and what the terminals run: `run` / `stats` / `stream` resolve their
-    /// algorithm through this function. A plan is a pure function of the
-    /// session's [`TableStats`] and the request, so the same query on the
-    /// same table version always plans, and therefore emits, the same way.
+    /// algorithm through this function. A plan depends on the session's
+    /// [`TableStats`], the request, and whether a current materialized
+    /// store subsumes the query ([`QueryPlan::from_store`]) — no timing,
+    /// sampling or history. [`CubeSession::materialize`] leaves the table
+    /// version as it is but can change the emission order, never the
+    /// cells, of the queries the store subsumes.
     ///
     /// Without an explicit [`CubeQuery::algorithm`] the planner picks the
     /// cheapest closed algorithm under its cost model
@@ -631,6 +666,9 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     /// not for the session's whole table: the kept dimensions only, the
     /// tuple count the selections leave, and each dimension's cardinality
     /// capped at that count.
+    ///
+    /// A query the session's materialized store subsumes is answered from
+    /// it instead ([`QueryPlan::from_store`]).
     pub fn plan(&self) -> QueryPlan {
         let shape = self.shape();
         let inputs = shape.inputs(self.min_sup);
@@ -640,15 +678,37 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
             .unwrap_or_else(|| self.algorithm.is_none_or(Algorithm::is_closed));
         let algorithm = self.algorithm.unwrap_or_else(|| cheapest(&estimates));
         let (tuples, dims) = (shape.tuples.round() as usize, shape.dims as usize);
+        let from_store = self.store().is_some();
         QueryPlan {
             algorithm: algorithm.with_closed(closed),
             closed,
-            parallel: self
-                .engine_config()
-                .is_some_and(|c| !c.runs_sequentially(tuples, dims)),
+            parallel: !from_store
+                && self
+                    .engine_config()
+                    .is_some_and(|c| !c.runs_sequentially(tuples, dims)),
+            from_store,
             estimates,
             inputs,
         }
+    }
+
+    /// The session's materialized store, when it subsumes this query: the
+    /// store is current for the table, the planner picks the algorithm, and
+    /// the query is a closed, count-only cube of the whole table (no
+    /// projection, no selection) at or above the store's threshold.
+    fn store(&self) -> Option<&Arc<ClosedCube>> {
+        let store = self.session.materialized.as_ref()?;
+        let table = &self.session.table;
+        let subsumed = store.rows() == table.rows()
+            && self.algorithm.is_none()
+            && self.closed != Some(false)
+            && self
+                .dims
+                .is_none_or(|mask| mask == DimMask::all(table.dims()))
+            && self.selections.is_empty()
+            && self.min_sup >= store.min_sup()
+            && self.spec.count_only().is_some();
+        subsumed.then_some(store)
     }
 
     /// The shape of the subtable this query cubes, derived from the
@@ -712,6 +772,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
         let mask = self.dims.unwrap_or(full_mask);
         let algorithm = self.plan().algorithm;
         let engine = self.engine_config();
+        let store = self.store().cloned();
 
         let base = mask == full_mask && self.selections.is_empty();
         let table = if base {
@@ -757,6 +818,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
                 min_sup: self.min_sup,
                 engine,
                 warm,
+                store,
                 token: self.token,
                 deadline: self.deadline,
                 budget: self.budget,
@@ -821,16 +883,21 @@ struct Resolved {
     /// The session's cached lead partition, when this run can reuse it
     /// (base table, matching ordering).
     warm: Option<Arc<LeadPartition>>,
+    /// The session's store, when it answers the query
+    /// ([`QueryPlan::from_store`]); `table` is then the base table, and no
+    /// cuber runs.
+    store: Option<Arc<ClosedCube>>,
     token: CancelToken,
     deadline: Option<Duration>,
     budget: Option<usize>,
 }
 
 impl Resolved {
-    /// Execute into `sink`, handing the cuber the cached StarArray `pool`
-    /// when the sequential StarArray fast path applies. Arms the query's
-    /// lifecycle token (deadline clock starts here) and installs it
-    /// ambiently for the duration of the run, so the checkpoints in the
+    /// Execute into `sink` — one scan of the store when it answers the
+    /// query, else a cuber run, handed the cached StarArray `pool` when the
+    /// sequential StarArray fast path applies. Arms the query's lifecycle
+    /// token (deadline clock starts here) and installs it ambiently for the
+    /// duration of the run, so the checkpoints in the store scan, the
     /// cubers, the partition kernels and the engine all observe it.
     fn execute<M, S>(
         &self,
@@ -850,6 +917,19 @@ impl Resolved {
             self.token.set_budget(b);
         }
         let _ambient = lifecycle::install(&self.token);
+        if let Some(store) = &self.store {
+            let acc = spec
+                .count_only()
+                .expect("the store answers count-only queries only");
+            crate::run_guarded(|| store.serve(self.min_sup, &acc, sink))??;
+            // The sequential route's report: one task, nothing sharded.
+            let routed = self.engine.is_some();
+            return Ok(EngineStats {
+                fast_path: routed,
+                tasks: u64::from(routed),
+                ..EngineStats::default()
+            });
+        }
         let req = CubeRequest {
             pool,
             ..CubeRequest::new(&self.table, self.min_sup).measure(spec)
@@ -863,10 +943,11 @@ impl Resolved {
     }
 
     /// Whether the sequential StarArray run can start from the session's
-    /// cached pool (base table, no engine, StarArray family).
+    /// cached pool (base table, no engine, no store, StarArray family).
     fn wants_pool(&self) -> bool {
         self.base
             && self.engine.is_none()
+            && self.store.is_none()
             && matches!(
                 self.algorithm,
                 Algorithm::StarArray | Algorithm::CCubingStarArray
@@ -1851,6 +1932,22 @@ mod tests {
             cells.windows(2).all(|w| w[0] < w[1]),
             "not strictly ascending"
         );
+    }
+
+    #[test]
+    fn a_store_behind_the_table_answers_nothing() {
+        let mut s = session();
+        s.materialize(2).unwrap();
+        assert!(s.query().min_sup(2).plan().from_store);
+        // Stale, and wrong: were it served, the bogus cell would show.
+        let store = Arc::make_mut(s.materialized.as_mut().unwrap());
+        store.set_rows(s.table.rows() - 1);
+        store.insert(Cell::from_values(&[0, 0, 0, 0]), 1_000);
+        assert!(!s.query().min_sup(2).plan().from_store);
+        let got = collect_counts(|sink| {
+            s.query().min_sup(2).run(sink).unwrap();
+        });
+        assert_eq!(got, ccube_core::naive::naive_closed_counts(s.table(), 2));
     }
 
     #[test]
