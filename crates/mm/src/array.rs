@@ -22,6 +22,7 @@ use ccube_core::mask::DimMask;
 use ccube_core::measure::MeasureSpec;
 use ccube_core::sink::CellSink;
 use ccube_core::table::{Table, TupleId};
+use std::cell::Cell;
 
 /// Row-major mirror of a table's values, built **once per cubing run** (one
 /// column-pinned fill pass) and shared by every aggregation array of the
@@ -142,22 +143,44 @@ impl<A> Entry<A> {
 }
 
 /// The dense array plus everything needed to emit cells from it.
+///
+/// One array serves a whole cubing run: [`DenseArray::load`] re-aims it at
+/// a level's dense sets and [`DenseArray::fill`] rebuilds the base in
+/// place, so the run allocates only while its buffers are still growing.
 pub struct DenseArray<'a, const CLOSED: bool, M: MeasureSpec> {
     table: &'a Table,
     /// Present exactly when `CLOSED` (non-closed runs never merge reps).
     mirror: Option<&'a RowMirror>,
     spec: &'a M,
     dims: Vec<DenseDim>,
+    /// Value buffers of dimensions dropped by [`DenseArray::load`].
+    spare: Vec<Vec<u32>>,
+    /// Flat base-array index of each tuple (scratch of [`DenseArray::fill`]).
+    idx: Vec<u32>,
     base: Vec<Entry<M::Acc>>,
+    /// One child-array buffer per lattice depth, lent to each walk (behind
+    /// a `Cell` so emitting needs only `&self`). Depth `j` holds arrays at
+    /// most `base / 2^j` long, so live memory stays within twice the base.
+    children: Cell<Vec<Vec<Entry<M::Acc>>>>,
 }
 
 impl<'a, const CLOSED: bool, M: MeasureSpec> DenseArray<'a, CLOSED, M> {
-    /// Build the base array from the partition. `coord_of(t, i)` must
-    /// return the coordinate of tuple `t` on array dimension `i`
-    /// (consulting the value mask). A first pass computes every tuple's
-    /// flat array index **one dimension at a time** (each pass gathers from
-    /// a single table column); the merge pass then folds tuples into their
-    /// cells, with closedness merges going through the row-major `mirror`.
+    /// An array with no dimensions and no tuples.
+    pub fn new(table: &'a Table, mirror: Option<&'a RowMirror>, spec: &'a M) -> Self {
+        DenseArray {
+            table,
+            mirror,
+            spec,
+            dims: Vec::new(),
+            spare: Vec::new(),
+            idx: Vec::new(),
+            base: Vec::new(),
+            children: Cell::default(),
+        }
+    }
+
+    /// Build the base array from the partition: [`DenseArray::new`], `dims`,
+    /// then [`DenseArray::fill`].
     pub fn build<F>(
         table: &'a Table,
         mirror: Option<&'a RowMirror>,
@@ -169,48 +192,61 @@ impl<'a, const CLOSED: bool, M: MeasureSpec> DenseArray<'a, CLOSED, M> {
     where
         F: Fn(TupleId, &DenseDim) -> u32,
     {
-        let size: usize = dims.iter().map(DenseDim::size).product();
-        let mut base: Vec<Entry<M::Acc>> = Vec::with_capacity(size);
-        for _ in 0..size {
-            base.push(Entry::empty(table.dims()));
+        let mut arr = DenseArray::new(table, mirror, spec);
+        arr.dims = dims;
+        arr.fill(tids, coord_of);
+        arr
+    }
+
+    /// Re-aim the array at `(dimension, ascending dense values)` pairs,
+    /// reusing the value buffers of the previous dimensions.
+    pub fn load<'v>(&mut self, dense: impl Iterator<Item = (usize, &'v [u32])>) {
+        self.spare.extend(self.dims.drain(..).map(|d| d.values));
+        for (dim, values) in dense {
+            let mut buf = self.spare.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(values);
+            self.dims.push(DenseDim::new(self.table, dim, buf));
         }
+    }
+
+    /// Rebuild the base array from the partition. `coord_of(t, d)` must
+    /// return the coordinate of tuple `t` on array dimension `d`
+    /// (consulting the value mask). A first pass computes every tuple's
+    /// flat array index **one dimension at a time** (each pass gathers from
+    /// a single table column); the merge pass then folds tuples into their
+    /// cells, with closedness merges going through the row-major `mirror`.
+    pub fn fill<F>(&mut self, tids: &[TupleId], coord_of: F)
+    where
+        F: Fn(TupleId, &DenseDim) -> u32,
+    {
+        let size: usize = self.dims.iter().map(DenseDim::size).product();
+        let dims = self.table.dims();
+        self.base.clear();
+        self.base.resize_with(size, || Entry::empty(dims));
         // Pass 1 (per dimension, columnar): flat index of each tuple.
-        let mut idx = vec![0u32; tids.len()];
-        for d in &dims {
+        self.idx.clear();
+        self.idx.resize(tids.len(), 0);
+        for d in &self.dims {
             let dsize = d.size() as u32;
-            for (slot, &t) in idx.iter_mut().zip(tids.iter()) {
+            for (slot, &t) in self.idx.iter_mut().zip(tids.iter()) {
                 *slot = *slot * dsize + coord_of(t, d);
             }
         }
         // Pass 2: merge each tuple into its cell.
-        for (&ix, &t) in idx.iter().zip(tids.iter()) {
-            let e = &mut base[ix as usize];
+        let (table, mirror, spec) = (self.table, self.mirror, self.spec);
+        for (&ix, &t) in self.idx.iter().zip(tids.iter()) {
+            let unit = Entry {
+                count: 1,
+                info: ClosedInfo::for_tuple(table, t),
+                acc: Some(spec.unit(table, t)),
+            };
+            let e = &mut self.base[ix as usize];
             if e.count == 0 {
-                e.count = 1;
-                if CLOSED {
-                    e.info = ClosedInfo::for_tuple(table, t);
-                }
-                e.acc = Some(spec.unit(table, t));
+                *e = unit;
             } else {
-                e.count += 1;
-                if CLOSED {
-                    let mirror = mirror.expect("closed runs carry a row mirror");
-                    e.info.mask &= mirror.eq_mask(e.info.rep, t);
-                    e.info.rep = e.info.rep.min(t);
-                }
-                let unit = spec.unit(table, t);
-                spec.merge(
-                    e.acc.as_mut().expect("occupied entry has an accumulator"),
-                    &unit,
-                );
+                merge::<CLOSED, M>(mirror, spec, e, &unit);
             }
-        }
-        DenseArray {
-            table,
-            mirror,
-            spec,
-            dims,
-            base,
         }
     }
 
@@ -218,7 +254,6 @@ impl<'a, const CLOSED: bool, M: MeasureSpec> DenseArray<'a, CLOSED, M> {
     /// subset of array dimensions. `cell` holds the fixed values of the
     /// enclosing subspace (array dims must be `*` on entry; restored on
     /// exit). `fixed_bound` is the mask of dimensions bound in `cell`.
-    #[allow(clippy::too_many_arguments)]
     pub fn emit_all<S: CellSink<M::Acc>>(
         &self,
         min_sup: u64,
@@ -226,14 +261,23 @@ impl<'a, const CLOSED: bool, M: MeasureSpec> DenseArray<'a, CLOSED, M> {
         fixed_bound: DimMask,
         sink: &mut S,
     ) {
-        let present: Vec<usize> = (0..self.dims.len()).collect();
-        self.lattice(&present, &self.base, min_sup, cell, fixed_bound, sink);
+        let mut children = self.children.take();
+        children.resize_with(children.len().max(self.dims.len()), Vec::new);
+        let present = (1u64 << self.dims.len()) - 1;
+        let (base, kids) = (&self.base, &mut children);
+        self.lattice(present, base, kids, min_sup, cell, fixed_bound, sink);
+        self.children.set(children);
     }
 
+    /// Emit the cuboid of array-dimension slots `present` (a bit set) from
+    /// `arr`, then recurse into its spanning-tree children, each summed
+    /// into the first buffer of `children`.
+    #[allow(clippy::too_many_arguments)]
     fn lattice<S: CellSink<M::Acc>>(
         &self,
-        present: &[usize],
+        present: u64,
         arr: &[Entry<M::Acc>],
+        children: &mut [Vec<Entry<M::Acc>>],
         min_sup: u64,
         cell: &mut [u32],
         fixed_bound: DimMask,
@@ -241,117 +285,129 @@ impl<'a, const CLOSED: bool, M: MeasureSpec> DenseArray<'a, CLOSED, M> {
     ) {
         self.emit_subset(present, arr, min_sup, cell, fixed_bound, sink);
         // children(S) = { S \ {p} : p ∈ S, p < min(complement) } gives a
-        // spanning tree where each subset is reached exactly once.
-        let min_missing = (0..self.dims.len())
-            .find(|p| !present.contains(p))
-            .unwrap_or(self.dims.len());
-        for (i, &p) in present.iter().enumerate() {
-            if p >= min_missing {
-                break;
-            }
-            let child_present: Vec<usize> = present
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &q)| q)
-                .collect();
-            let child = self.sum_out(present, arr, i);
-            self.lattice(&child_present, &child, min_sup, cell, fixed_bound, sink);
+        // spanning tree where each subset is reached exactly once; every
+        // slot below the first missing one is present.
+        let min_missing = ((!present).trailing_zeros() as usize).min(self.dims.len());
+        let Some((child, deeper)) = children.split_first_mut() else {
+            return;
+        };
+        for p in 0..min_missing {
+            self.sum_out(present, arr, p, child);
+            let present = present & !(1 << p);
+            self.lattice(present, child, deeper, min_sup, cell, fixed_bound, sink);
         }
     }
 
-    /// Sum coordinate `remove_slot` (an index into `present`) out of `arr`.
+    /// Sum slot `p` out of `arr` (the cuboid of slots `present`) into
+    /// `child`.
     fn sum_out(
         &self,
-        present: &[usize],
+        present: u64,
         arr: &[Entry<M::Acc>],
-        remove_slot: usize,
-    ) -> Vec<Entry<M::Acc>> {
-        let sizes: Vec<usize> = present.iter().map(|&p| self.dims[p].size()).collect();
-        // Row-major stride of the removed coordinate.
-        let stride: usize = sizes[remove_slot + 1..].iter().product();
-        let n_r = sizes[remove_slot];
-        let block = stride * n_r;
-        let child_size = arr.len() / n_r;
-        let mut child: Vec<Entry<M::Acc>> = Vec::with_capacity(child_size);
-        for _ in 0..child_size {
-            child.push(Entry::empty(self.table.dims()));
-        }
-        for (i, e) in arr.iter().enumerate() {
-            if e.count == 0 {
-                continue;
-            }
-            let high = i / block;
-            let low = i % stride;
-            let ci = high * stride + low;
-            let c = &mut child[ci];
-            if c.count == 0 {
-                c.count = e.count;
-                if CLOSED {
-                    c.info = e.info;
+        p: usize,
+        child: &mut Vec<Entry<M::Acc>>,
+    ) {
+        // Row-major, last slot fastest: the removed coordinate's stride is
+        // the product of the sizes of the present slots after it.
+        let stride: usize = (p + 1..self.dims.len())
+            .filter(|&q| present >> q & 1 == 1)
+            .map(|q| self.dims[q].size())
+            .product();
+        // Each block of the parent is `size(p)` parts, one per coordinate
+        // of `p`; the child's block is their sum: the first part, copied,
+        // plus the rest, merged.
+        let block = stride * self.dims[p].size();
+        child.clear();
+        for blk in arr.chunks_exact(block) {
+            let (first, rest) = blk.split_at(stride);
+            let out = child.len();
+            child.extend_from_slice(first);
+            for part in rest.chunks_exact(stride) {
+                for (c, e) in child[out..].iter_mut().zip(part) {
+                    merge::<CLOSED, M>(self.mirror, self.spec, c, e);
                 }
-                c.acc.clone_from(&e.acc);
-            } else {
-                c.count += e.count;
-                if CLOSED {
-                    let mirror = self.mirror.expect("closed runs carry a row mirror");
-                    c.info.mask &= e.info.mask & mirror.eq_mask(c.info.rep, e.info.rep);
-                    c.info.rep = c.info.rep.min(e.info.rep);
-                }
-                self.spec.merge(
-                    c.acc.as_mut().expect("occupied entry has an accumulator"),
-                    e.acc.as_ref().expect("occupied entry has an accumulator"),
-                );
             }
         }
-        child
     }
 
     fn emit_subset<S: CellSink<M::Acc>>(
         &self,
-        present: &[usize],
+        present: u64,
         arr: &[Entry<M::Acc>],
         min_sup: u64,
         cell: &mut [u32],
         fixed_bound: DimMask,
         sink: &mut S,
     ) {
-        let sizes: Vec<usize> = present.iter().map(|&p| self.dims[p].size()).collect();
         let mut bound = fixed_bound;
-        for &p in present {
-            bound.insert(self.dims[p].dim);
+        for q in (0..self.dims.len()).filter(|&q| present >> q & 1 == 1) {
+            bound.insert(self.dims[q].dim);
         }
         let all_mask = DimMask::all(self.table.dims()) ^ bound;
-        'entries: for (i, e) in arr.iter().enumerate() {
-            if e.count < min_sup {
-                continue;
+        let emit = |e: &Entry<M::Acc>, cell: &[u32], sink: &mut S| {
+            if e.count >= min_sup && (!CLOSED || e.info.is_closed(all_mask)) {
+                let acc = e.acc.as_ref().expect("qualifying entry is occupied");
+                sink.emit(cell, e.count, acc);
             }
-            // Decode coordinates; skip cells touching an OTHER slot.
-            let mut idx = i;
-            for slot in (0..present.len()).rev() {
-                let d = &self.dims[present[slot]];
-                let coord = (idx % sizes[slot]) as u32;
-                idx /= sizes[slot];
-                if coord == d.other() {
-                    // Restore before skipping.
-                    for s in slot + 1..present.len() {
-                        cell[self.dims[present[s]].dim] = STAR;
-                    }
-                    continue 'entries;
-                }
-                cell[d.dim] = d.values[coord as usize];
-            }
-            if !CLOSED || e.info.is_closed(all_mask) {
-                sink.emit(
-                    cell,
-                    e.count,
-                    e.acc.as_ref().expect("qualifying entry is occupied"),
-                );
-            }
-            for &p in present {
-                cell[self.dims[p].dim] = STAR;
-            }
+        };
+        self.emit_block(present, arr, &emit, cell, sink);
+    }
+
+    /// Emit the entries of `block`, the part of a cuboid whose slots below
+    /// the lowest one in `present` are already decoded into `cell`: one
+    /// sub-block per dense coordinate of that slot, slowest first, and
+    /// never the OTHER sub-block. With no slot left, `block` is one entry.
+    fn emit_block<S, F>(
+        &self,
+        present: u64,
+        block: &[Entry<M::Acc>],
+        emit: &F,
+        cell: &mut [u32],
+        sink: &mut S,
+    ) where
+        F: Fn(&Entry<M::Acc>, &[u32], &mut S),
+    {
+        if present == 0 {
+            return emit(&block[0], cell, sink);
         }
+        let d = &self.dims[present.trailing_zeros() as usize];
+        let stride = block.len() / d.size();
+        for (&v, sub) in d.values.iter().zip(block.chunks_exact(stride)) {
+            cell[d.dim] = v;
+            self.emit_block(present & (present - 1), sub, emit, cell, sink);
+        }
+        cell[d.dim] = STAR;
+    }
+}
+
+/// Fold entry `e` into `c` (Lemma 3 for the closedness measure).
+#[inline]
+fn merge<const CLOSED: bool, M: MeasureSpec>(
+    mirror: Option<&RowMirror>,
+    spec: &M,
+    c: &mut Entry<M::Acc>,
+    e: &Entry<M::Acc>,
+) {
+    if e.count == 0 {
+        return;
+    }
+    if c.count == 0 {
+        c.count = e.count;
+        if CLOSED {
+            c.info = e.info;
+        }
+        c.acc.clone_from(&e.acc);
+    } else {
+        c.count += e.count;
+        if CLOSED {
+            let mirror = mirror.expect("closed runs carry a row mirror");
+            c.info.mask &= e.info.mask & mirror.eq_mask(c.info.rep, e.info.rep);
+            c.info.rep = c.info.rep.min(e.info.rep);
+        }
+        spec.merge(
+            c.acc.as_mut().expect("occupied entry has an accumulator"),
+            e.acc.as_ref().expect("occupied entry has an accumulator"),
+        );
     }
 }
 

@@ -9,57 +9,68 @@
 //!   iceberg cell — they stay sparse and are skipped by the recursion
 //!   (Apriori pruning);
 //! * of the remaining candidates, a greedy pass in descending frequency
-//!   admits values into the **dense** sets while the MultiWay array size
-//!   `Π (|dense_d| + 1)` stays within the budget. The budget is the minimum
-//!   of the configured cap (the paper bounds the aggregation table at
-//!   ~4 MB) and a multiple of the partition size — MultiWay only pays off
-//!   when the array is reasonably full ("heuristics are designed to make
-//!   the dense subspace reasonably small", Section 2.1.3);
+//!   admits values into the **dense** sets while two limits hold. The
+//!   MultiWay walk visits every sub-array of the base array — `Π (n_d + 2)`
+//!   entries over the dense dimensions, for `n_d` dense values of dimension
+//!   `d` — so that lattice is what the partition pays for, and it stays
+//!   within `max(16, 4·|partition|)`: MultiWay only pays off when its work
+//!   is comparable to the tuples it aggregates ("heuristics are designed to
+//!   make the dense subspace reasonably small", Section 2.1.3). The base
+//!   array `Π (n_d + 1)` separately stays within the configured cap, the
+//!   paper's ~4 MB bound on the aggregation table;
 //! * everything else is **sparse**: each such value spawns a recursive
 //!   subspace on its partition.
 //!
 //! Frequency counting uses card-sized scratch counters with *touched-value*
 //! lists, so a level costs `O(|partition| · dims)` — independent of
 //! cardinality — matching MM-Cubing's adaptivity to wide domains.
+//! [`classify_into`] refills a caller-owned [`LevelClass`], so a recursion
+//! that keeps one per depth classifies without allocating.
 
 use crate::valuemask::ValueMask;
 use ccube_core::table::{Table, TupleId};
 
-/// Reusable per-dimension frequency counters (zeroed via touched lists, so
-/// repeated use never pays `O(cardinality)`).
+/// Reusable frequency counters (zeroed via a touched list, so repeated use
+/// never pays `O(cardinality)`), and the dense-candidate list of the level
+/// being classified.
 #[derive(Debug)]
 pub struct FreqScratch {
-    counts: Vec<Vec<u32>>,
-    touched: Vec<Vec<u32>>,
+    /// One counter per value of the widest dimension.
+    counts: Vec<u32>,
+    /// The values of one dimension the partition touches.
+    touched: Vec<u32>,
+    /// `(freq, slot, value)` of every dense candidate.
+    candidates: Vec<(u32, usize, u32)>,
 }
 
 impl FreqScratch {
     /// Scratch sized for `table`.
     pub fn new(table: &Table) -> FreqScratch {
+        let widest = (0..table.dims()).map(|d| table.card(d)).max().unwrap_or(0);
         FreqScratch {
-            counts: (0..table.dims())
-                .map(|d| vec![0u32; table.card(d) as usize])
-                .collect(),
-            touched: vec![Vec::new(); table.dims()],
+            counts: vec![0; widest as usize],
+            touched: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 }
 
 /// Classification of one dimension at one recursion level.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DimClass {
     /// The dimension.
     pub dim: usize,
     /// Values admitted to the dense array (ascending).
     pub dense: Vec<u32>,
     /// Unmasked values present in the partition but not dense, with their
-    /// frequencies (ascending by value). Those with `freq >= min_sup` get a
-    /// recursive subspace; all of them get masked for later dimensions.
+    /// frequencies (in no particular order). Those with `freq >= min_sup`
+    /// get a recursive subspace; all of them get masked for later
+    /// dimensions.
     pub sparse: Vec<(u32, u32)>,
 }
 
 /// Classification of a whole recursion level.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LevelClass {
     /// One entry per unprocessed dimension (same order as the input).
     pub dims: Vec<DimClass>,
@@ -87,83 +98,97 @@ pub fn classify(
     max_array_cells: usize,
     scratch: &mut FreqScratch,
 ) -> LevelClass {
-    // Count frequencies per dimension, recording the values we touch. One
-    // dimension at a time: the outer loop pins one table column, so every
-    // tuple read is a gather from a single contiguous slice (and the counts
-    // array for that dimension stays hot).
-    for &d in unfixed {
-        scratch.touched[d].clear();
-        let counts = &mut scratch.counts[d];
-        let touched = &mut scratch.touched[d];
+    let mut class = LevelClass::default();
+    classify_into(
+        table,
+        tids,
+        unfixed,
+        vmask,
+        min_sup,
+        max_array_cells,
+        scratch,
+        &mut class,
+    );
+    class
+}
+
+/// [`classify`] into `class`, reusing its buffers.
+#[allow(clippy::too_many_arguments)]
+pub fn classify_into(
+    table: &Table,
+    tids: &[TupleId],
+    unfixed: &[usize],
+    vmask: &ValueMask,
+    min_sup: u64,
+    max_array_cells: usize,
+    scratch: &mut FreqScratch,
+    class: &mut LevelClass,
+) {
+    class.dims.resize_with(unfixed.len(), DimClass::default);
+    let FreqScratch {
+        counts,
+        touched,
+        candidates,
+    } = scratch;
+    candidates.clear();
+    for ((slot, &d), c) in unfixed.iter().enumerate().zip(&mut class.dims) {
+        c.dim = d;
+        c.dense.clear();
+        c.sparse.clear();
+        // Count one dimension, recording the values touched: the loop pins
+        // one table column, so every tuple read is a gather from a single
+        // contiguous slice. The touched list is written unconditionally
+        // and advanced only on a value's first sighting — no branch on the
+        // unpredictable first-seen test.
+        touched.clear();
+        touched.resize(tids.len(), 0);
+        let mut seen = 0;
         ccube_core::with_lanes!(table.col(d), |col| {
             for &t in tids {
-                let v = u32::from(col[t as usize]) as usize;
-                if counts[v] == 0 {
-                    touched.push(v as u32);
-                }
-                counts[v] += 1;
+                let v = u32::from(col[t as usize]);
+                touched[seen] = v;
+                seen += usize::from(counts[v as usize] == 0);
+                counts[v as usize] += 1;
             }
         });
-    }
-
-    // Dense candidates across all dimensions, admitted greedily by
-    // descending frequency. MultiWay is only effective when the array is
-    // comparably sized to the partition (otherwise it aggregates mostly
-    // empty cells), so the budget also scales with the partition.
-    let budget = max_array_cells.min((tids.len().saturating_mul(4)).max(16));
-    let mut candidates: Vec<(u32, usize, u32)> = Vec::new(); // (freq, slot, value)
-    for (i, &d) in unfixed.iter().enumerate() {
-        for &v in &scratch.touched[d] {
-            let f = scratch.counts[d][v as usize];
-            if u64::from(f) >= min_sup && !vmask.is_masked(d, v) {
-                candidates.push((f, i, v));
+        // Frequent unmasked values are dense candidates; the infrequent
+        // ones are sparse. Zero the counters before the next dimension.
+        for &v in &touched[..seen] {
+            let f = std::mem::take(&mut counts[v as usize]);
+            if vmask.is_masked(d, v) {
+                continue;
+            }
+            if u64::from(f) >= min_sup {
+                candidates.push((f, slot, v));
+            } else {
+                c.sparse.push((v, f));
             }
         }
     }
-    candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
-    let mut dense: Vec<Vec<u32>> = vec![Vec::new(); unfixed.len()];
-    let mut factors: Vec<usize> = vec![1; unfixed.len()];
-    let mut size: usize = 1;
-    for (_f, slot, v) in candidates {
-        let old = factors[slot];
-        let new = if old == 1 { 2 } else { old + 1 };
-        let new_size = size / old * new;
-        if new_size <= budget {
-            factors[slot] = new;
-            size = new_size;
-            dense[slot].push(v);
+    // Admit candidates greedily by descending frequency (a total order, so
+    // the unstable sort is deterministic); the rejected ones are sparse. A
+    // dimension's first dense value takes its lattice factor from 1 to 3
+    // and its array factor from 1 to 2; each later value adds 1 to both.
+    candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    let lattice_budget = tids.len().saturating_mul(4).max(16);
+    let (mut lattice, mut cells) = (1usize, 1usize);
+    for &(f, slot, v) in candidates.iter() {
+        let c = &mut class.dims[slot];
+        let n = c.dense.len();
+        let (lattice_was, cells_was) = if n == 0 { (1, 1) } else { (n + 2, n + 1) };
+        let new_lattice = lattice / lattice_was * (n + 3);
+        let new_cells = cells / cells_was * (n + 2);
+        if new_lattice <= lattice_budget && new_cells <= max_array_cells {
+            (lattice, cells) = (new_lattice, new_cells);
+            c.dense.push(v);
+        } else {
+            c.sparse.push((v, f));
         }
     }
-    for d in &mut dense {
-        d.sort_unstable();
+    for c in &mut class.dims {
+        c.dense.sort_unstable();
     }
-
-    let dims = unfixed
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let dense_set = &dense[i];
-            let mut touched = std::mem::take(&mut scratch.touched[d]);
-            touched.sort_unstable();
-            let sparse: Vec<(u32, u32)> = touched
-                .iter()
-                .filter(|&&v| !vmask.is_masked(d, v) && dense_set.binary_search(&v).is_err())
-                .map(|&v| (v, scratch.counts[d][v as usize]))
-                .collect();
-            // Zero the counters we touched before handing scratch back.
-            for &v in &touched {
-                scratch.counts[d][v as usize] = 0;
-            }
-            scratch.touched[d] = touched;
-            DimClass {
-                dim: d,
-                dense: dense[i].clone(),
-                sparse,
-            }
-        })
-        .collect();
-    LevelClass { dims }
 }
 
 #[cfg(test)]

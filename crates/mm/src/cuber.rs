@@ -6,9 +6,14 @@
 //! MultiWay array pass ([`crate::array`]), then recurses into each
 //! sufficiently-supported sparse value's partition, masking the current
 //! level's sparse values of earlier dimensions so no cell is produced twice.
+//!
+//! A run allocates while its buffers grow, not once per level: each
+//! recursion depth keeps the buffers its levels build (classification,
+//! partition groups, the next level's dimension list), and one aggregation
+//! array is rebuilt in place at every level.
 
-use crate::array::{DenseArray, DenseDim, RowMirror};
-use crate::classify::{classify, FreqScratch};
+use crate::array::{DenseArray, RowMirror};
+use crate::classify::{classify_into, FreqScratch, LevelClass};
 use crate::valuemask::ValueMask;
 use ccube_core::cell::STAR;
 use ccube_core::closedness::ClosedInfo;
@@ -79,6 +84,9 @@ where
     // in closedness through the full-width masks of `ClosedInfo`. Pre-bound
     // dimensions are fixed up front and excluded from the factorization.
     let unfixed: Vec<usize> = (bound..table.cube_dims()).collect();
+    // Row-major value mirror for the lattice's closedness merges (closed
+    // runs only; see [`RowMirror`]).
+    let mirror = CLOSED.then(|| RowMirror::new(table));
     let mut st = State {
         table,
         min_sup,
@@ -86,11 +94,12 @@ where
         spec,
         sink,
         vmask: ValueMask::new(table),
-        mirror: CLOSED.then(|| RowMirror::new(table)),
         // Sparse counter reset: subspace recursion partitions shrinking tid
         // slices, often over wide domains (MM-Cubing's target regime).
         partitioner: Partitioner::with_sparse_reset(),
         scratch: FreqScratch::new(table),
+        array: DenseArray::<CLOSED, M>::new(table, mirror.as_ref(), spec),
+        frames: (0..=unfixed.len()).map(|_| Frame::default()).collect(),
         cell: vec![STAR; table.cube_dims()],
     };
     let mut fixed = DimMask::EMPTY;
@@ -103,25 +112,37 @@ where
         st.cell[d] = v;
         fixed.insert(d);
     }
-    st.level::<CLOSED>(&mut tids, &unfixed, fixed);
+    st.level(&mut tids, &unfixed, fixed);
 }
 
-struct State<'a, M: MeasureSpec, S> {
+/// What one recursion level builds, kept per depth so that a run allocates
+/// while its buffers grow, not once per level.
+#[derive(Default)]
+struct Frame {
+    class: LevelClass,
+    sub_unfixed: Vec<usize>,
+    groups: Vec<Group>,
+}
+
+struct State<'a, const CLOSED: bool, M: MeasureSpec, S> {
     table: &'a Table,
     min_sup: u64,
     config: MmConfig,
     spec: &'a M,
     sink: &'a mut S,
     vmask: ValueMask,
-    /// Row-major value mirror for the lattice's closedness merges (built
-    /// once per run, closed runs only; see [`RowMirror`]).
-    mirror: Option<RowMirror>,
     partitioner: Partitioner,
     scratch: FreqScratch,
+    /// The run's one aggregation array, rebuilt in place at every level
+    /// (each level emits all of it before recursing).
+    array: DenseArray<'a, CLOSED, M>,
+    /// Indexed by a level's unfixed-dimension count, which is one less at
+    /// every recursion step.
+    frames: Vec<Frame>,
     cell: Vec<u32>,
 }
 
-impl<'a, M, S> State<'a, M, S>
+impl<'a, const CLOSED: bool, M, S> State<'a, CLOSED, M, S>
 where
     M: MeasureSpec,
     S: CellSink<M::Acc>,
@@ -129,12 +150,7 @@ where
     /// Process one subspace. `self.cell` holds the fixed values (`STAR`
     /// elsewhere), `fixed_bound` their mask; `tids.len() >= min_sup` is the
     /// caller's responsibility.
-    fn level<const CLOSED: bool>(
-        &mut self,
-        tids: &mut [TupleId],
-        unfixed: &[usize],
-        fixed_bound: DimMask,
-    ) {
+    fn level(&mut self, tids: &mut [TupleId], unfixed: &[usize], fixed_bound: DimMask) {
         debug_assert!(tids.len() as u64 >= self.min_sup);
 
         // Cooperative cancellation: unwind as soon as the ambient token
@@ -152,7 +168,9 @@ where
             return;
         }
 
-        let class = classify(
+        let mut frame = std::mem::take(&mut self.frames[unfixed.len()]);
+        let class = &mut frame.class;
+        classify_into(
             self.table,
             tids,
             unfixed,
@@ -160,71 +178,62 @@ where
             self.min_sup,
             self.config.max_array_cells,
             &mut self.scratch,
+            class,
         );
 
         // ---- Dense subspace: one MultiWay array pass emits all group-bys
         // over dense values (plus the all-star cell of this subspace).
-        {
-            let dense_dims: Vec<DenseDim> = class
-                .dims
-                .iter()
-                .filter(|c| !c.dense.is_empty())
-                .map(|c| DenseDim::new(self.table, c.dim, c.dense.clone()))
-                .collect();
-            let table = self.table;
-            let vmask = &self.vmask;
-            let arr: DenseArray<'_, CLOSED, M> = DenseArray::build(
-                table,
-                self.mirror.as_ref(),
-                self.spec,
-                dense_dims,
-                tids,
-                |t, d| {
-                    let v = table.value(t, d.dim);
-                    d.coord(v, vmask.is_masked(d.dim, v))
-                },
-            );
-            arr.emit_all(self.min_sup, &mut self.cell, fixed_bound, self.sink);
-        }
+        let dense = class.dims.iter().filter(|c| !c.dense.is_empty());
+        self.array.load(dense.map(|c| (c.dim, &c.dense[..])));
+        // Dense values are never masked, so a tuple's coordinate is its
+        // value's dense slot or OTHER.
+        let table = self.table;
+        self.array
+            .fill(tids, |t, d| d.coord(table.value(t, d.dim), false));
+        self.array
+            .emit_all(self.min_sup, &mut self.cell, fixed_bound, self.sink);
 
         // ---- Sparse subspaces: recurse per (dimension, sparse value),
         // masking this level's sparse values of already-processed dimensions.
-        let mut masked_here: Vec<(usize, u32)> = Vec::new();
-        let mut groups: Vec<Group> = Vec::new();
-        for dc in &class.dims {
+        for dc in &frame.class.dims {
             let d = dc.dim;
             if dc.sparse.iter().any(|&(_, f)| u64::from(f) >= self.min_sup) {
+                let groups = &mut frame.groups;
                 groups.clear();
-                self.partitioner.partition(self.table, d, tids, &mut groups);
-                let sub_unfixed: Vec<usize> = unfixed.iter().copied().filter(|&x| x != d).collect();
-                for &g in &groups {
-                    if u64::from(g.len()) < self.min_sup {
-                        continue;
-                    }
+                self.partitioner.partition(self.table, d, tids, groups);
+                frame.sub_unfixed.clear();
+                frame
+                    .sub_unfixed
+                    .extend(unfixed.iter().filter(|&&x| x != d));
+                for &g in groups.iter() {
                     // Only this level's sparse values recurse: dense values
                     // are fully covered by the array, masked values belong
                     // to earlier subspaces.
-                    if dc
-                        .sparse
-                        .binary_search_by_key(&g.value, |&(v, _)| v)
-                        .is_err()
+                    if u64::from(g.len()) < self.min_sup
+                        || self.vmask.is_masked(d, g.value)
+                        || dc.dense.binary_search(&g.value).is_ok()
                     {
                         continue;
                     }
                     self.cell[d] = g.value;
-                    self.level::<CLOSED>(&mut tids[g.range()], &sub_unfixed, fixed_bound.with(d));
+                    let sub = &mut tids[g.range()];
+                    self.level(sub, &frame.sub_unfixed, fixed_bound.with(d));
                     self.cell[d] = STAR;
                 }
             }
+            // Classification left every sparse value unmasked, so this
+            // level owns each mask it sets here.
             for &(v, _) in &dc.sparse {
-                if self.vmask.mask(d, v) {
-                    masked_here.push((d, v));
-                }
+                let fresh = self.vmask.mask(d, v);
+                debug_assert!(fresh, "sparse value {v} of dimension {d} was masked");
             }
         }
-        for (d, v) in masked_here {
-            self.vmask.unmask(d, v);
+        for dc in &frame.class.dims {
+            for &(v, _) in &dc.sparse {
+                self.vmask.unmask(dc.dim, v);
+            }
         }
+        self.frames[unfixed.len()] = frame;
     }
 
     /// Direct output for a subspace whose size equals `min_sup`: every cell
@@ -240,22 +249,21 @@ where
         if info.mask.intersects(self.table.carried_mask()) {
             return;
         }
-        let mut bindings: Vec<(usize, u32)> = Vec::new();
-        for &d in unfixed {
-            if info.mask.contains(d) {
-                let v = self.table.value(info.rep, d);
-                if self.vmask.is_masked(d, v) {
-                    return;
-                }
-                bindings.push((d, v));
-            }
+        let closure = || {
+            unfixed
+                .iter()
+                .filter(|&&d| info.mask.contains(d))
+                .map(|&d| (d, self.table.value(info.rep, d)))
+        };
+        if closure().any(|(d, v)| self.vmask.is_masked(d, v)) {
+            return;
         }
         let acc = self.spec.fold(self.table, tids);
-        for &(d, v) in &bindings {
+        for (d, v) in closure() {
             self.cell[d] = v;
         }
         self.sink.emit(&self.cell, tids.len() as u64, &acc);
-        for &(d, _) in &bindings {
+        for &d in unfixed {
             self.cell[d] = STAR;
         }
     }

@@ -1973,11 +1973,22 @@ mod tests {
         // Value 300 exceeds u8 on every dimension.
         let stats = s.ingest(&[300, 0, 0]).unwrap();
         assert!(stats.widened.contains(0));
-        let want = collect_counts(|sink| {
-            s.query().min_sup(1).run(sink).unwrap();
-        });
+        // The reference is the oracle over the widened table: the planner's
+        // query below is answered from the same store it would check.
+        let widened = TableBuilder::new(3)
+            .row(&[0, 0, 0])
+            .row(&[1, 1, 1])
+            .row(&[0, 0, 1])
+            .row(&[300, 0, 0])
+            .build()
+            .unwrap();
+        let want = ccube_core::naive::naive_closed_counts(&widened, 1);
         let mut sink = CollectSink::default();
         s.query_materialized(1, &mut sink).unwrap();
         assert_eq!(sink.counts(), want);
+        let planned = collect_counts(|sink| {
+            s.query().min_sup(1).run(sink).unwrap();
+        });
+        assert_eq!(planned, want);
     }
 }
