@@ -122,11 +122,6 @@ impl Cell {
             .all(|(&a, &b)| a == STAR || a == b)
     }
 
-    /// Strict form of [`Cell::generalizes`].
-    pub fn strictly_generalizes(&self, other: &Cell) -> bool {
-        self != other && self.generalizes(other)
-    }
-
     /// Does tuple `t` of `table` belong to this cell's group?
     pub fn matches_tuple(&self, table: &Table, t: TupleId) -> bool {
         self.values
@@ -248,10 +243,8 @@ mod tests {
         let g = Cell::from_values(&[0, STAR, 0, STAR]);
         let s = Cell::from_values(&[0, 0, 0, STAR]);
         assert!(g.generalizes(&s));
-        assert!(g.strictly_generalizes(&s));
         assert!(!s.generalizes(&g));
         assert!(s.generalizes(&s));
-        assert!(!s.strictly_generalizes(&s));
         // Conflicting bound value: no relation.
         let other = Cell::from_values(&[1, STAR, 0, STAR]);
         assert!(!g.generalizes(&other) && !other.generalizes(&g));
@@ -279,7 +272,7 @@ mod tests {
     fn bind_produces_specialization() {
         let c = Cell::apex(3).bind(1, 7);
         assert_eq!(c, Cell::from_bindings(3, &[(1, 7)]));
-        assert!(Cell::apex(3).strictly_generalizes(&c));
+        assert!(Cell::apex(3).generalizes(&c) && !c.generalizes(&Cell::apex(3)));
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub type Result<T> = std::result::Result<T, CubeError>;
 /// the workspace (`ccube_baselines::{buc, qc_dfs}`, `ccube_mm::mm_cube`,
 /// `ccube_star::{star_cube, star_array_cube}`), the parallel engine and the
 /// facade's `Algorithm::run*` take exactly this, so "closed", "pre-bound
-/// prefix", "measure" and "pre-sorted pool" are four independent fields of
-/// one call rather than a cross product of entry points.
+/// prefix" and "measure" are three independent fields of one call rather
+/// than a cross product of entry points.
 ///
 /// ```
 /// use ccube_core::{CubeRequest, TableBuilder};
@@ -85,7 +85,7 @@ pub type Result<T> = std::result::Result<T, CubeError>;
 /// let table = TableBuilder::new(2).row(&[0, 1]).row(&[0, 2]).build().unwrap();
 /// // Count-only iceberg cube, nothing pre-bound ...
 /// let req = CubeRequest::new(&table, 2);
-/// assert!(!req.closed && req.bound == 0 && req.pool.is_none());
+/// assert!(!req.closed && req.bound == 0);
 /// // ... and the closed cube of the same table.
 /// let closed = CubeRequest { closed: true, ..req };
 /// assert!(closed.closed);
@@ -115,11 +115,6 @@ pub struct CubeRequest<'a, M = CountOnly> {
     /// The complex measures carried on every emitted cell (Section 6.1);
     /// `&CountOnly` is the count-only spelling.
     pub measure: &'a M,
-    /// The tuple IDs of `table` in lexicographic group-by-dimension order
-    /// (`ccube_star::lex_sorted_pool`), when the caller has that order
-    /// cached. Only `star_array_cube` starts from it; it is a skipped sort,
-    /// never a different result.
-    pub pool: Option<&'a [TupleId]>,
 }
 
 // By hand: a derive would demand `M: Copy` for what is a handful of words
@@ -133,7 +128,7 @@ impl<M> Copy for CubeRequest<'_, M> {}
 
 impl<'a> CubeRequest<'a> {
     /// The count-only iceberg cube of `table` at `min_sup`, nothing
-    /// pre-bound, no cached pool.
+    /// pre-bound.
     pub fn new(table: &'a Table, min_sup: u64) -> Self {
         CubeRequest {
             table,
@@ -141,7 +136,6 @@ impl<'a> CubeRequest<'a> {
             closed: false,
             bound: 0,
             measure: &CountOnly,
-            pool: None,
         }
     }
 }
@@ -156,7 +150,6 @@ impl<'a, M> CubeRequest<'a, M> {
             closed: self.closed,
             bound: self.bound,
             measure: spec,
-            pool: self.pool,
         }
     }
 }

@@ -192,11 +192,6 @@ impl Table {
         (0..self.rows as TupleId).collect()
     }
 
-    /// Names of the measure columns.
-    pub fn measure_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.measures.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Number of measure columns.
     pub fn measure_count(&self) -> usize {
         self.measures.len()
@@ -1212,7 +1207,6 @@ mod tests {
             .unwrap();
         assert_eq!(t.measure_count(), 1);
         assert_eq!(t.measure(1, 0), 2.5);
-        assert_eq!(t.measure_names().collect::<Vec<_>>(), vec!["price"]);
     }
 
     #[test]

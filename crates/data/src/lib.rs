@@ -12,12 +12,10 @@
 //!   the paper's exact schema, cardinalities, skew and inter-dimension
 //!   dependences (Figs 7, 11, 16, 17); the [`weather`] module doc gives
 //!   the substitution rationale.
-//! * [`io`] — a minimal text format for saving/loading encoded tables.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod io;
 pub mod rules;
 pub mod synthetic;
 pub mod weather;

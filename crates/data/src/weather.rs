@@ -59,14 +59,6 @@ impl WeatherSpec {
         WeatherSpec { tuples, seed }
     }
 
-    /// Paper-sized dataset (≈ 1M reports).
-    pub fn paper_size(seed: u64) -> WeatherSpec {
-        WeatherSpec {
-            tuples: 1_002_752,
-            seed,
-        }
-    }
-
     /// Generate the 8-dimension table.
     pub fn generate(&self) -> Table {
         let cards = WEATHER_CARDS;

@@ -85,11 +85,13 @@
 //! [`run_partitioned`] shards every run it is given. Whether a run should
 //! shard at all is decided above it, by one predicate,
 //! [`EngineConfig::runs_sequentially`]: when the thread count resolves to 1,
-//! or the whole table's estimated work is below
-//! [`EngineConfig::sequential_threshold`], sharding cannot pay for itself,
-//! and the facade's `Algorithm::run_parallel` runs the plain algorithm once
-//! instead — the same call `Algorithm::run` makes — reporting
-//! [`EngineStats::fast_path`]. Its query plans read the same predicate.
+//! or the whole table's estimated work is below 8 192 tuple·dimension
+//! units, sharding cannot pay for itself (unless the config is
+//! [`EngineConfig::always_sharded`]). The facade's query planner reads the
+//! predicate once per query and records the route in its plan;
+//! `Algorithm::run_parallel` reads it per call. Either way a run it picks
+//! out is the plain algorithm once — the same call `Algorithm::run`
+//! makes — reporting [`EngineStats::fast_path`].
 //!
 //! ## Frontier-first scheduling
 //!
@@ -174,11 +176,11 @@ use std::time::Duration;
 /// shard with one unbound dimension left, or a 2k-tuple shard with eight.
 const DEFAULT_SPLIT_THRESHOLD: u64 = 16 * 1024;
 
-/// Default [`EngineConfig::sequential_threshold`]: tables whose whole-cube
-/// estimated work (`rows × dims` tuple·dimension units) is below this run
-/// sequentially at any thread count — per-shard view materialization and
-/// merge bookkeeping would outweigh the parallelism.
-const DEFAULT_SEQUENTIAL_THRESHOLD: u64 = 8 * 1024;
+/// Tables whose whole-cube estimated work (`rows × dims` tuple·dimension
+/// units) is below this run sequentially at any thread count
+/// ([`EngineConfig::runs_sequentially`]) — per-shard view materialization
+/// and merge bookkeeping would outweigh the parallelism.
+const SEQUENTIAL_THRESHOLD: u64 = 8 * 1024;
 
 /// Default [`EngineConfig::max_rest_depth`]: at most this many consecutive
 /// rest-collapse steps per shard (each one re-scans the task's full tuple
@@ -192,7 +194,7 @@ pub struct EngineConfig {
     /// spawns `threads − 1` helpers beside it. `0` means one per available
     /// CPU in total. A count that resolves to 1 routes the run sequentially
     /// ([`EngineConfig::runs_sequentially`]) unless
-    /// [`EngineConfig::sequential_threshold`] is `0`.
+    /// [`EngineConfig::sharded_only`] is set.
     pub threads: usize,
     /// Dimension order used for sharding (and therefore for the per-level
     /// partition dimension). Results are identical for every ordering; skew
@@ -210,20 +212,17 @@ pub struct EngineConfig {
     /// result set **and** its emission order are identical at every thread
     /// count — provided every thread count shards: a run routed
     /// sequentially emits in the plain algorithm's own order instead (set
-    /// [`EngineConfig::sequential_threshold`] to `0` for cross-thread-count
-    /// sequence comparisons). Changing the threshold re-groups the emission
+    /// [`EngineConfig::sharded_only`] for cross-thread-count sequence
+    /// comparisons). Changing the threshold re-groups the emission
     /// sequence (a split shard's cells merge per sub-task path); the cell
     /// set itself is invariant.
     pub split_threshold: u64,
-    /// Estimated whole-table work (`rows × dims` tuple·dimension units)
-    /// below which — or whenever the configured thread count resolves
-    /// to 1 — a run is routed to the plain sequential algorithm instead of
-    /// the engine (emission order is then the algorithm's own; see
-    /// [`EngineConfig::runs_sequentially`]). [`run_partitioned`] itself
-    /// does not read it: it always shards. `0` routes every run to the
-    /// engine, which is what benchmarks measuring the sharded shape and
-    /// tests exercising the merge machinery on small tables want.
-    pub sequential_threshold: u64,
+    /// Never route a run sequentially: every run shards, at any thread
+    /// count and table size ([`EngineConfig::runs_sequentially`] is then
+    /// always `false`). Benchmarks measuring the sharded shape and tests
+    /// exercising the merge machinery on small tables want this;
+    /// [`run_partitioned`] itself does not read it.
+    pub sharded_only: bool,
     /// Cap on consecutive rest-collapse steps per bound shard. A rest task
     /// owns the cells starring the split dimension over *all* of its
     /// parent's tuples, so a chain of `k` rest tasks re-scans those tuples
@@ -239,7 +238,7 @@ impl Default for EngineConfig {
             threads: 0,
             ordering: DimOrdering::Original,
             split_threshold: DEFAULT_SPLIT_THRESHOLD,
-            sequential_threshold: DEFAULT_SEQUENTIAL_THRESHOLD,
+            sharded_only: false,
             max_rest_depth: DEFAULT_MAX_REST_DEPTH,
         }
     }
@@ -259,21 +258,21 @@ impl EngineConfig {
     /// merge-machinery tests want.
     pub fn always_sharded(self) -> EngineConfig {
         EngineConfig {
-            sequential_threshold: 0,
+            sharded_only: true,
             ..self
         }
     }
 
     /// The route predicate: whether a run over a table of `rows × dims`
     /// should run the plain algorithm once instead of sharding — when the
-    /// thread count resolves to 1, or when `rows × dims` is below
-    /// [`EngineConfig::sequential_threshold`], and never when that
-    /// threshold is `0`. Sharding cannot pay for itself there. The one
-    /// place that decides the route; [`run_partitioned`] always shards.
+    /// thread count resolves to 1, or when `rows × dims` is below 8 192
+    /// tuple·dimension units, and never when the config is
+    /// [`EngineConfig::sharded_only`]. Sharding cannot pay for itself
+    /// there. [`run_partitioned`] does not read it: it always shards.
     pub fn runs_sequentially(&self, rows: usize, dims: usize) -> bool {
-        self.sequential_threshold > 0
+        !self.sharded_only
             && (self.effective_threads() <= 1
-                || (rows as u64) * (dims as u64) < self.sequential_threshold)
+                || (rows as u64) * (dims as u64) < SEQUENTIAL_THRESHOLD)
     }
 
     fn effective_threads(&self) -> usize {
@@ -414,7 +413,7 @@ pub struct ChannelSink<A = ()> {
 }
 
 /// Default cap on cells per [`ChannelSink`] batch.
-pub const DEFAULT_STREAM_BATCH: usize = 1024;
+const DEFAULT_STREAM_BATCH: usize = 1024;
 
 /// Cells in the first batch a [`ChannelSink`] ships (or its `batch_cells`
 /// cap, if that is smaller).
@@ -450,7 +449,7 @@ impl Drop for HelpersRunning {
 
 impl<A> ChannelSink<A> {
     /// Sink for `dims`-dimensional cells feeding `tx`, in batches that ramp
-    /// from 64 up to `batch_cells` cells (`0` = [`DEFAULT_STREAM_BATCH`]).
+    /// from 64 up to `batch_cells` cells (`0` = 1024).
     pub fn new(tx: mpsc::SyncSender<CellBatch<A>>, dims: usize, batch_cells: usize) -> Self {
         let batch_cells = if batch_cells == 0 {
             DEFAULT_STREAM_BATCH
@@ -749,9 +748,8 @@ impl<'a, A: Clone, S: CellSink<A> + ?Sized> Merger<'a, A, S> {
 /// decision ([`EngineConfig::runs_sequentially`]). Closed runs get
 /// carried-dimension views, which decide closedness across shards, the
 /// apex's included; iceberg runs get plain views and pre-bound-dimension
-/// filtering. `req.bound`
-/// and `req.pool` describe a single cuber call and are the engine's to set:
-/// it cubes the whole table.
+/// filtering. `req.bound` describes a single cuber call and is the
+/// engine's to set: it cubes the whole table.
 ///
 /// `algo` is invoked once per (sub-)shard with the same request re-targeted
 /// at a view of the base table (see [`ccube_core::Table::view`]) whose first
@@ -1056,7 +1054,6 @@ where
             &CubeRequest {
                 table: &view,
                 bound: task.bound,
-                pool: None,
                 ..*self.req
             },
             &mut out,

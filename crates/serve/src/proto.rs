@@ -25,7 +25,7 @@
 //!
 //! A query's reply is zero or more `Batch` frames (seq `0, 1, 2, …`,
 //! interleaved with any number of `Heartbeat` frames) terminated by exactly
-//! one of `Done` / `Error` / `Overloaded`. Cells use [`STAR`] (`u32::MAX`)
+//! one of `Done` / `Error` / `Overloaded`. Cells use [`STAR`](ccube_core::STAR) (`u32::MAX`)
 //! for `*` exactly as the in-process API does.
 //!
 //! ## Resumability
@@ -53,7 +53,6 @@
 //! ingest is told the stream is unrecoverable instead of diverging.
 
 use c_cubing::Algorithm;
-use ccube_core::STAR;
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -253,7 +252,7 @@ impl QueryRequest {
 }
 
 /// A block of result cells (one `Batch` frame). `dims`-wide cells stored
-/// flattened, [`STAR`] marking `*`.
+/// flattened, [`STAR`](ccube_core::STAR) marking `*`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellBlock {
     /// Cell width.
@@ -927,13 +926,10 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<FrameRead> {
     Ok(FrameRead::Frame(payload))
 }
 
-/// The cell emission order is the server's; expose STAR for clients
-/// reconstructing `Cell`s.
-pub const WIRE_STAR: u32 = STAR;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccube_core::STAR;
     use proptest::prelude::*;
 
     /// The `Batch` payload spelled out field by field, value by value — the

@@ -43,4 +43,4 @@ pub mod stararray;
 pub mod tree;
 
 pub use aggregate::star_cube;
-pub use stararray::{lex_sorted_pool, star_array_cube};
+pub use stararray::star_array_cube;

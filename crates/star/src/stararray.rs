@@ -36,14 +36,10 @@ use ccube_core::CubeRequest;
 
 /// StarArray cubing (the non-closed host of Fig 17), or C-Cubing(StarArray)
 /// with closed pruning when [`CubeRequest::closed`]: the (closed) iceberg
-/// cube `req` describes, emitted into `sink`. Starts from
-/// [`CubeRequest::pool`] when the caller supplies one (the output of
-/// [`lex_sorted_pool`] for this exact table) instead of sorting.
+/// cube `req` describes, emitted into `sink`.
 ///
 /// # Panics
-/// On `min_sup == 0`, on `bound > cube_dims`, or when [`CubeRequest::pool`]
-/// does not hold exactly one tuple ID per table row (a shorter pool would
-/// cube a subset of the table and look complete).
+/// On `min_sup == 0` or on `bound > cube_dims`.
 pub fn star_array_cube<M, S>(req: &CubeRequest<'_, M>, sink: &mut S)
 where
     M: MeasureSpec,
@@ -58,12 +54,8 @@ where
 
 /// The lexicographic `(group-by dims, tid)` tuple-ID order the StarArray
 /// construction starts from: ascending tuple IDs, then one stable LSD
-/// counting pass per group-by dimension, last dimension first. The order
-/// depends only on the table — **not** on `min_sup` — so per-table callers
-/// (the facade's `CubeSession`) compute it once and replay it as
-/// [`CubeRequest::pool`] across queries, skipping the
-/// `O(dims × (rows + card))` radix passes.
-pub fn lex_sorted_pool(table: &Table) -> Vec<TupleId> {
+/// counting pass per group-by dimension, last dimension first.
+fn lex_sorted_pool(table: &Table) -> Vec<TupleId> {
     let mut pool: Vec<TupleId> = table.all_tids();
     let mut sorter = Partitioner::new();
     for d in (0..table.cube_dims()).rev() {
@@ -82,7 +74,6 @@ where
         min_sup,
         bound,
         measure: spec,
-        pool: sorted_pool,
         ..
     } = req;
     assert!(min_sup >= 1, "min_sup must be at least 1");
@@ -96,15 +87,6 @@ where
     // them without further changes.
     let cube = table.cube_dims();
     let rem: Vec<usize> = (0..cube).collect();
-    // Lexicographic (rem_dims, tid) order by LSD radix (see
-    // [`lex_sorted_pool`]), or a caller-cached copy of exactly that order.
-    let pool: Vec<TupleId> = match sorted_pool {
-        Some(p) => {
-            assert_eq!(p.len(), table.rows(), "pool does not cover the table");
-            p.to_vec()
-        }
-        None => lex_sorted_pool(table),
-    };
     let sorter = Partitioner::new();
     let mut tree = Tree::new(
         table.dims(),
@@ -113,7 +95,7 @@ where
         &vec![STAR; cube],
         spec.unit(table, 0),
     );
-    tree.pool = pool;
+    tree.pool = lex_sorted_pool(table);
     build_nodes::<CLOSED, M>(table, &mut tree, min_sup, spec);
     let mut ctx = Ctx {
         table,
@@ -578,49 +560,6 @@ mod tests {
             let first = trace();
             assert!(!first.is_empty());
             assert_eq!(first, trace(), "closed={closed}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pool does not cover the table")]
-    fn short_pool_is_refused() {
-        let t = table1();
-        let pool = lex_sorted_pool(&t);
-        let req = CubeRequest {
-            pool: Some(&pool[..2]),
-            ..CubeRequest::new(&t, 1)
-        };
-        star_array_cube(&req, &mut ccube_core::sink::NullSink);
-    }
-
-    #[test]
-    fn pooled_entries_match_unpooled() {
-        use ccube_core::sink::FnSink;
-        let t = SyntheticSpec::uniform(300, 4, 6, 1.0, 17).generate();
-        let pool = lex_sorted_pool(&t);
-        for min_sup in [1u64, 2, 4] {
-            // Emission-sequence equality, not just cell-set equality: the
-            // pool is the same order the unpooled run computes.
-            let trace = |pooled: bool, closed: bool| {
-                let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
-                let mut sink = FnSink(|cell: &[u32], n: u64, _: &()| {
-                    cells.push((cell.to_vec(), n));
-                });
-                let req = CubeRequest {
-                    closed,
-                    pool: pooled.then_some(&pool[..]),
-                    ..CubeRequest::new(&t, min_sup)
-                };
-                star_array_cube(&req, &mut sink);
-                cells
-            };
-            for closed in [false, true] {
-                assert_eq!(
-                    trace(true, closed),
-                    trace(false, closed),
-                    "min_sup={min_sup} closed={closed}"
-                );
-            }
         }
     }
 

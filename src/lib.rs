@@ -21,7 +21,7 @@
 //!
 //! The intended entry point is a [`CubeSession`]: it owns the fact table,
 //! caches per-table artifacts (column statistics, the first-dimension
-//! partition, the StarArray tuple pool) across queries, and hands out
+//! partition, a materialized closed cube) across queries, and hands out
 //! composable [`CubeQuery`] builders with a planner in front:
 //!
 //! ```
@@ -71,7 +71,7 @@ mod session;
 
 pub use session::{
     CacheStats, CellStream, CubeQuery, CubeSession, IngestStats, QueryHandle, QueryPlan,
-    QueryStats, StreamPoll,
+    QueryStats, Route, StreamPoll,
 };
 
 use ccube_core::measure::MeasureSpec;
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::{
         recommend, Algorithm, CacheStats, CellStream, ClosedCube, CubeQuery, CubeSession,
         DeltaStats, EngineConfig, EngineStats, IngestStats, QueryHandle, QueryPlan, QueryStats,
-        StreamPoll, TableStats,
+        Route, StreamPoll, TableStats,
     };
     pub use ccube_core::lifecycle::CancelToken;
     pub use ccube_core::measure::{AllColumns, ColumnStats, CountOnly, MeasureSpec};
@@ -288,14 +288,22 @@ impl Algorithm {
         M::Acc: Send,
         S: CellSink<M::Acc>,
     {
-        self.run_warm(req, config, None, sink)
+        let table = req.table;
+        if !config.runs_sequentially(table.rows(), table.dims()) {
+            return self.run_sharded(req, config, None, sink);
+        }
+        // The engine's contract holds on this route too: it cubes the whole
+        // table (`bound` is its to set) and shards no carried-dimension view.
+        if table.cube_dims() != table.dims() {
+            return Err(CubeError::CarriedDimensionView);
+        }
+        self.run(&CubeRequest { bound: 0, ..*req }, sink)?;
+        Ok(unsharded(true))
     }
 
-    /// [`Algorithm::run_parallel`] starting from a [`CubeSession`]'s cached
-    /// lead partition, when it has one. The one place a run's route is
-    /// chosen: [`EngineConfig::runs_sequentially`] sends it to
-    /// [`Algorithm::run`], anything else to the engine.
-    pub(crate) fn run_warm<M, S>(
+    /// The sharded route: `req` through the engine, starting from a
+    /// [`CubeSession`]'s cached lead partition when it has one.
+    pub(crate) fn run_sharded<M, S>(
         self,
         req: &CubeRequest<'_, M>,
         config: &EngineConfig,
@@ -307,28 +315,23 @@ impl Algorithm {
         M::Acc: Send,
         S: CellSink<M::Acc>,
     {
-        let table = req.table;
-        if !config.runs_sequentially(table.rows(), table.dims()) {
-            let req = &CubeRequest {
-                closed: self.is_closed(),
-                ..*req
-            };
-            let algo = |shard: &CubeRequest<'_, M>, out: &mut ShardedSink<M::Acc>| {
-                self.dispatch(shard, out)
-            };
-            return ccube_engine::run_partitioned(req, config, warm, algo, sink);
-        }
-        // The engine's contract holds on this route too: it cubes the whole
-        // table (`bound` is its to set) and shards no carried-dimension view.
-        if table.cube_dims() != table.dims() {
-            return Err(CubeError::CarriedDimensionView);
-        }
-        self.run(&CubeRequest { bound: 0, ..*req }, sink)?;
-        Ok(EngineStats {
-            fast_path: true,
-            tasks: 1,
-            ..EngineStats::default()
-        })
+        let req = &CubeRequest {
+            closed: self.is_closed(),
+            ..*req
+        };
+        let algo =
+            |shard: &CubeRequest<'_, M>, out: &mut ShardedSink<M::Acc>| self.dispatch(shard, out);
+        ccube_engine::run_partitioned(req, config, warm, algo, sink)
+    }
+}
+
+/// The report of a run that shards nothing: with an engine requested, one
+/// task on the [`EngineStats::fast_path`]; without, all zero.
+pub(crate) fn unsharded(engine_requested: bool) -> EngineStats {
+    EngineStats {
+        fast_path: engine_requested,
+        tasks: u64::from(engine_requested),
+        ..EngineStats::default()
     }
 }
 

@@ -14,10 +14,7 @@
 //!   queries skip the per-query permutation scan and level-0 partition
 //!   pass, the shards of materialized-cube maintenance, and the fast path
 //!   for `slice(leading, v)` selections;
-//! * lazily, on the first StarArray-family query, the lexicographically
-//!   radix-sorted tuple pool ([`ccube_star::lex_sorted_pool`]) the StarArray
-//!   construction starts from (it depends only on the table, not on
-//!   `min_sup`).
+//! * on request ([`CubeSession::materialize`]), the closed-cube store.
 //!
 //! A **query** composes, in any order:
 //!
@@ -35,7 +32,7 @@
 //!   narrowed to the queried subtable ([`CubeQuery::plan`]);
 //! * `threads(n)` / `engine(config)` — route through the partition-parallel
 //!   engine instead of a plain sequential run, unless the subtable is too
-//!   small (or `n` is 1) for sharding to pay;
+//!   small (or `n` is 1) for sharding to pay (see "Routes" below);
 //! * `deadline(d)` / `memory_budget(bytes)` — lifecycle limits enforced
 //!   cooperatively during the run (see below);
 //!
@@ -75,13 +72,26 @@
 //! produce byte-identical output sequences (the cached artifacts are
 //! by-construction equal to what a cold run computes). The materialized
 //! store is the one cache whose use shows: a query it answers emits the
-//! same cells in lexicographic cell order (next section).
+//! same cells in lexicographic cell order (below).
+//!
+//! ## Routes
+//!
+//! A query runs one of three ways, its [`Route`]: one scan of the
+//! materialized store ([`Route::Store`]), one run of the algorithm on one
+//! thread ([`Route::Sequential`]), or the partition-parallel engine
+//! ([`Route::Sharded`]). [`CubeQuery::plan`] picks it once, from the
+//! session's statistics and the request, and every terminal runs exactly
+//! the route the plan names. A query without `threads` or `engine`, one at
+//! `threads(1)`, and one whose subtable is too small for sharding to pay
+//! all take the same sequential route; only their
+//! [`EngineStats::fast_path`] differs, which says whether an engine was
+//! requested.
 //!
 //! ## Answering from the materialized store
 //!
 //! Once [`CubeSession::materialize`] has built the closed-cube store, a
 //! query it subsumes is one filtered scan of the store instead of a run of
-//! a cuber ([`QueryPlan::from_store`]). Subsumed means: the planner picks
+//! a cuber ([`Route::Store`]). Subsumed means: the planner picks
 //! the algorithm (an explicit [`CubeQuery::algorithm`] is an order and
 //! still runs), the query is closed, keeps every dimension, selects
 //! nothing, carries no measure but `count`, and asks for `min_sup` at or
@@ -91,8 +101,8 @@
 //! subsumes. Everything else is computed as before.
 
 use crate::{
-    cheapest, estimates, top_share, Algorithm, EngineConfig, EngineStats, PlanShape, StatsState,
-    TableStats, MODEL_INPUTS,
+    cheapest, estimates, top_share, unsharded, Algorithm, EngineConfig, EngineStats, PlanShape,
+    StatsState, TableStats, MODEL_INPUTS,
 };
 use ccube_core::cell::Cell;
 use ccube_core::lifecycle::{self, CancelToken};
@@ -116,8 +126,8 @@ pub struct CacheStats {
     /// First-dimension counting-sort partitions performed: one at session
     /// creation plus one per non-empty ingest.
     pub partition_builds: u32,
-    /// StarArray lex-sorted pool constructions performed: one per table
-    /// version a StarArray-family query has run against.
+    /// Always 0: the session no longer caches a StarArray tuple pool.
+    /// The field stays because `benchmark/` reports it.
     pub pool_builds: u32,
     /// Tuple batches ingested ([`CubeSession::ingest`]).
     pub ingests: u32,
@@ -185,9 +195,6 @@ pub struct CubeSession {
     /// eagerly and shared (via `Arc`) with in-flight query runs, so a
     /// stream producer can outlive the borrow on the session.
     lead: Arc<LeadPartition>,
-    /// StarArray lex-sorted pool, built on the first StarArray-family query
-    /// against the base table (min_sup-independent, so shared by all).
-    star_pool: Option<Arc<Vec<TupleId>>>,
     /// Materialized closed cube, built by [`CubeSession::materialize`] and
     /// patched under ingest (see `crates/delta`); shared (via `Arc`) with
     /// the in-flight query runs it answers, and copied on write like
@@ -223,7 +230,6 @@ impl CubeSession {
             stats_state,
             ordering,
             lead: Arc::new(lead),
-            star_pool: None,
             materialized: None,
             cache: CacheStats {
                 stat_builds: 1,
@@ -283,14 +289,6 @@ impl CubeSession {
         }
     }
 
-    fn star_pool(&mut self) -> Arc<Vec<TupleId>> {
-        if self.star_pool.is_none() {
-            self.star_pool = Some(Arc::new(ccube_star::lex_sorted_pool(&self.table)));
-            self.cache.pool_builds += 1;
-        }
-        self.star_pool.as_ref().expect("just built").clone()
-    }
-
     /// The dimension the cached partition keys on (`perm[0]` of the
     /// sharding permutation).
     fn leading_dim(&self) -> usize {
@@ -310,8 +308,6 @@ impl CubeSession {
     ///   permutation stay **frozen at session creation**, so warm engine
     ///   starts and the `slice(leading, v)` fast path remain stable across
     ///   ingests);
-    /// * the StarArray lex-sorted pool, if built, is dropped; the next
-    ///   StarArray-family query rebuilds it once;
     /// * the materialized closed cube, if built, is delta-patched: only the
     ///   groups the batch joins are re-summarized (see `crates/delta`).
     ///
@@ -362,7 +358,6 @@ impl CubeSession {
         self.cache.artifacts_patched += 1;
         self.lead = Arc::new(LeadPartition::new(&self.table, self.lead.perm.clone()));
         self.cache.partition_builds += 1;
-        self.star_pool = None;
         if let Some(cube) = self.materialized.as_mut() {
             let threads = maintenance_threads();
             let cube = Arc::make_mut(cube);
@@ -380,8 +375,8 @@ impl CubeSession {
     /// [`CubeSession::query_materialized`] at any threshold ≥ `min_sup`,
     /// point-queried or mined through [`CubeSession::materialized`] — and
     /// from then on the answer to every query it subsumes
-    /// ([`QueryPlan::from_store`]): those queries scan the store instead of
-    /// running a cuber, and emit in its lexicographic order.
+    /// ([`Route::Store`]): those queries scan the store instead of running
+    /// a cuber, and emit in its lexicographic order.
     ///
     /// # Errors
     /// [`CubeError::ZeroMinSup`].
@@ -397,8 +392,7 @@ impl CubeSession {
     /// The session's materialized closed cube, if one has been built —
     /// current for the session's table ([`ClosedCube::rows`]), so its point
     /// queries and `ccube_rules::mine_rules` see every ingested row. The
-    /// same store answers the queries it subsumes
-    /// ([`QueryPlan::from_store`]).
+    /// same store answers the queries it subsumes ([`Route::Store`]).
     pub fn materialized(&self) -> Option<&ClosedCube> {
         self.materialized.as_deref()
     }
@@ -446,27 +440,39 @@ impl std::fmt::Debug for CubeSession {
     }
 }
 
+/// How a query runs (see "Routes" in the module docs): chosen once by
+/// [`CubeQuery::plan`], and what every terminal then runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// One filtered scan of the session's materialized store, in
+    /// lexicographic cell order; no cuber runs (see "Answering from the
+    /// materialized store" in the module docs).
+    Store,
+    /// One run of the algorithm on one thread, in its own emission order:
+    /// no `threads` or `engine` was asked for, or
+    /// [`EngineConfig::runs_sequentially`] picks out the subtable.
+    Sequential,
+    /// The partition-parallel engine, in shard-path order.
+    Sharded,
+}
+
 /// The resolved execution plan of a [`CubeQuery`] (see [`CubeQuery::plan`]),
 /// with what the planner saw and how it scored every candidate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryPlan {
     /// Algorithm the query will run (explicit or planner-chosen), unless
-    /// it is answered `from_store`.
+    /// the [`Route::Store`] answers it.
     pub algorithm: Algorithm,
     /// Whether only closed cells will be emitted.
     pub closed: bool,
-    /// Whether the run shards through the partition-parallel engine: the
-    /// query asked for threads or an engine config, is not answered
-    /// `from_store`, and [`EngineConfig::runs_sequentially`] does not pick
-    /// out the queried subtable's tuples × dimensions. Exact whenever the
-    /// plan's tuple count is (no selection, or one conjunct): such a run
-    /// with threads or an engine config reports [`EngineStats::fast_path`]
-    /// `== !parallel`.
-    pub parallel: bool,
-    /// Whether the session's materialized store subsumes the query, which
-    /// is then one filtered scan of it in lexicographic cell order (see
-    /// "Answering from the materialized store" in the module docs).
-    pub from_store: bool,
+    /// How the query runs: [`Route::Store`] when the session's
+    /// materialized store subsumes it, else [`Route::Sharded`] when it asks
+    /// for threads or an engine config and
+    /// [`EngineConfig::runs_sequentially`] does not pick out the plan's
+    /// tuples × dimensions, else [`Route::Sequential`]. The run takes this
+    /// route whatever the subtable's real size: with several conjuncts the
+    /// tuple count is the plan's estimate.
+    pub route: Route,
     /// The cost model's estimate, in milliseconds of a sequential run, for
     /// each of the four closed algorithms on the subtable this query cubes.
     /// A planner-chosen `algorithm` is the cheapest of them (its iceberg
@@ -587,7 +593,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     /// Run partition-parallel on `n` threads in total, the one running the
     /// query included (`0` = one per CPU). `threads(1)`, or a subtable too
     /// small for sharding to pay, runs the plain algorithm once instead
-    /// ([`EngineConfig::runs_sequentially`]; [`QueryPlan::parallel`] says
+    /// ([`EngineConfig::runs_sequentially`]; [`QueryPlan::route`] says
     /// which).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
@@ -652,11 +658,11 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     }
 
     /// The execution plan this query resolves to, without running it —
-    /// and what the terminals run: `run` / `stats` / `stream` resolve their
-    /// algorithm through this function. A plan depends on the session's
-    /// [`TableStats`], the request, and whether a current materialized
-    /// store subsumes the query ([`QueryPlan::from_store`]) — no timing,
-    /// sampling or history. [`CubeSession::materialize`] leaves the table
+    /// and what the terminals run: `run` / `stats` / `stream` take their
+    /// algorithm and [`Route`] from this function. A plan depends on the
+    /// session's [`TableStats`], the request, and whether a current
+    /// materialized store subsumes the query — no timing, sampling or
+    /// history. [`CubeSession::materialize`] leaves the table
     /// version as it is but can change the emission order, never the
     /// cells, of the queries the store subsumes.
     ///
@@ -668,7 +674,7 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     /// capped at that count.
     ///
     /// A query the session's materialized store subsumes is answered from
-    /// it instead ([`QueryPlan::from_store`]).
+    /// it instead ([`Route::Store`]).
     pub fn plan(&self) -> QueryPlan {
         let shape = self.shape();
         let inputs = shape.inputs(self.min_sup);
@@ -678,15 +684,17 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
             .unwrap_or_else(|| self.algorithm.is_none_or(Algorithm::is_closed));
         let algorithm = self.algorithm.unwrap_or_else(|| cheapest(&estimates));
         let (tuples, dims) = (shape.tuples.round() as usize, shape.dims as usize);
-        let from_store = self.store().is_some();
+        let route = if self.store().is_some() {
+            Route::Store
+        } else if (self.engine_config()).is_some_and(|c| !c.runs_sequentially(tuples, dims)) {
+            Route::Sharded
+        } else {
+            Route::Sequential
+        };
         QueryPlan {
             algorithm: algorithm.with_closed(closed),
             closed,
-            parallel: !from_store
-                && self
-                    .engine_config()
-                    .is_some_and(|c| !c.runs_sequentially(tuples, dims)),
-            from_store,
+            route,
             estimates,
             inputs,
         }
@@ -760,19 +768,18 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
         }
     }
 
-    /// Resolve the query into its target (sub)table, algorithm, engine
-    /// routing and lifecycle limits, consuming the builder. Deferred builder
+    /// Resolve the query into its target (sub)table, algorithm, planned
+    /// route and lifecycle limits, consuming the builder. Deferred builder
     /// misuse surfaces here, before any work is done.
-    fn resolve(self) -> Result<(Resolved, M, &'s mut CubeSession), CubeError> {
+    fn resolve(self) -> Result<(Resolved, M), CubeError> {
         if let Some(err) = self.misuse {
             return Err(err);
         }
         let table_dims = self.session.table.dims();
         let full_mask = DimMask::all(table_dims);
         let mask = self.dims.unwrap_or(full_mask);
-        let algorithm = self.plan().algorithm;
+        let plan = self.plan();
         let engine = self.engine_config();
-        let store = self.store().cloned();
 
         let base = mask == full_mask && self.selections.is_empty();
         let table = if base {
@@ -800,31 +807,32 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
             let dim_order: Vec<usize> = mask.iter().collect();
             Arc::new(self.session.table.view(&tids, &dim_order, dim_order.len()))
         };
-        // Warm engine start: base-table runs whose config realizes the
-        // session's cached ordering reuse the prepared permutation and
-        // level-0 partition (any other ordering re-derives both cold —
-        // the cube is identical either way).
-        let warm = match &engine {
-            Some(cfg) if base && cfg.ordering == self.session.ordering => {
-                Some(self.session.lead.clone())
+        let route = match plan.route {
+            Route::Store => Routed::Store(self.store().expect("planned from the store").clone()),
+            Route::Sequential => Routed::Sequential,
+            Route::Sharded => {
+                let config = engine.expect("a sharded plan has an engine config");
+                // Warm engine start: base-table runs whose config realizes
+                // the session's cached ordering reuse the prepared
+                // permutation and level-0 partition (any other ordering
+                // re-derives both cold — the cube is identical either way).
+                let warm = (base && config.ordering == self.session.ordering)
+                    .then(|| self.session.lead.clone());
+                Routed::Sharded { config, warm }
             }
-            _ => None,
         };
         Ok((
             Resolved {
                 table,
-                base,
-                algorithm,
+                algorithm: plan.algorithm,
                 min_sup: self.min_sup,
-                engine,
-                warm,
-                store,
+                route,
+                engine_requested: engine.is_some(),
                 token: self.token,
                 deadline: self.deadline,
                 budget: self.budget,
             },
             self.spec,
-            self.session,
         ))
     }
 }
@@ -874,37 +882,39 @@ impl QueryHandle {
 
 /// A fully resolved query, ready to execute (possibly on another thread).
 struct Resolved {
+    /// The (sub)table the query cubes; the base table on the store route.
     table: Arc<Table>,
-    /// Target is the session's base table (cached artifacts apply).
-    base: bool,
     algorithm: Algorithm,
     min_sup: u64,
-    engine: Option<EngineConfig>,
-    /// The session's cached lead partition, when this run can reuse it
-    /// (base table, matching ordering).
-    warm: Option<Arc<LeadPartition>>,
-    /// The session's store, when it answers the query
-    /// ([`QueryPlan::from_store`]); `table` is then the base table, and no
-    /// cuber runs.
-    store: Option<Arc<ClosedCube>>,
+    route: Routed,
+    /// The query asked for `threads` or `engine` (what
+    /// [`EngineStats::fast_path`] reports on the unsharded routes).
+    engine_requested: bool,
     token: CancelToken,
     deadline: Option<Duration>,
     budget: Option<usize>,
 }
 
+/// A [`Route`] with what running it needs.
+enum Routed {
+    /// The session's store, which answers the query.
+    Store(Arc<ClosedCube>),
+    Sequential,
+    /// The engine's config, and the session's cached lead partition when
+    /// the run can reuse it (base table, matching ordering).
+    Sharded {
+        config: EngineConfig,
+        warm: Option<Arc<LeadPartition>>,
+    },
+}
+
 impl Resolved {
-    /// Execute into `sink` — one scan of the store when it answers the
-    /// query, else a cuber run, handed the cached StarArray `pool` when the
-    /// sequential StarArray fast path applies. Arms the query's lifecycle
-    /// token (deadline clock starts here) and installs it ambiently for the
-    /// duration of the run, so the checkpoints in the store scan, the
-    /// cubers, the partition kernels and the engine all observe it.
-    fn execute<M, S>(
-        &self,
-        pool: Option<&[TupleId]>,
-        spec: &M,
-        sink: &mut S,
-    ) -> Result<EngineStats, CubeError>
+    /// Execute into `sink` along the planned route. Arms the query's
+    /// lifecycle token (deadline clock starts here) and installs it
+    /// ambiently for the duration of the run, so the checkpoints in the
+    /// store scan, the cubers, the partition kernels and the engine all
+    /// observe it.
+    fn execute<M, S>(&self, spec: &M, sink: &mut S) -> Result<EngineStats, CubeError>
     where
         M: MeasureSpec + Sync,
         M::Acc: Send,
@@ -917,41 +927,22 @@ impl Resolved {
             self.token.set_budget(b);
         }
         let _ambient = lifecycle::install(&self.token);
-        if let Some(store) = &self.store {
-            let acc = spec
-                .count_only()
-                .expect("the store answers count-only queries only");
-            crate::run_guarded(|| store.serve(self.min_sup, &acc, sink))??;
-            // The sequential route's report: one task, nothing sharded.
-            let routed = self.engine.is_some();
-            return Ok(EngineStats {
-                fast_path: routed,
-                tasks: u64::from(routed),
-                ..EngineStats::default()
-            });
+        let req = CubeRequest::new(&self.table, self.min_sup).measure(spec);
+        match &self.route {
+            Routed::Store(store) => {
+                let acc = spec
+                    .count_only()
+                    .expect("the store answers count-only queries only");
+                crate::run_guarded(|| store.serve(self.min_sup, &acc, sink))??;
+            }
+            Routed::Sequential => {
+                self.algorithm.run(&req, sink)?;
+            }
+            Routed::Sharded { config, warm } => {
+                return (self.algorithm).run_sharded(&req, config, warm.as_deref(), sink);
+            }
         }
-        let req = CubeRequest {
-            pool,
-            ..CubeRequest::new(&self.table, self.min_sup).measure(spec)
-        };
-        match &self.engine {
-            None => self.algorithm.run(&req, sink),
-            Some(config) => self
-                .algorithm
-                .run_warm(&req, config, self.warm.as_deref(), sink),
-        }
-    }
-
-    /// Whether the sequential StarArray run can start from the session's
-    /// cached pool (base table, no engine, no store, StarArray family).
-    fn wants_pool(&self) -> bool {
-        self.base
-            && self.engine.is_none()
-            && self.store.is_none()
-            && matches!(
-                self.algorithm,
-                Algorithm::StarArray | Algorithm::CCubingStarArray
-            )
+        Ok(unsharded(self.engine_requested))
     }
 }
 
@@ -965,9 +956,8 @@ where
     /// typed error that ended the run (cancel/deadline/budget/panic/misuse)
     /// — output already pushed before an error is partial; discard it.
     pub fn run<S: CellSink<M::Acc>>(self, sink: &mut S) -> Result<EngineStats, CubeError> {
-        let (resolved, spec, session) = self.resolve()?;
-        let pool = resolved.wants_pool().then(|| session.star_pool());
-        resolved.execute(pool.as_deref().map(Vec::as_slice), &spec, sink)
+        let (resolved, spec) = self.resolve()?;
+        resolved.execute(&spec, sink)
     }
 
     /// Execute the query with output discarded, returning cell/count/engine
@@ -1003,8 +993,7 @@ where
     /// ([`EngineStats`] or the typed error); builder misuse fails here,
     /// before any thread is spawned.
     pub fn stream(self) -> Result<CellStream<M::Acc>, CubeError> {
-        let (resolved, spec, session) = self.resolve()?;
-        let pool = resolved.wants_pool().then(|| session.star_pool());
+        let (resolved, spec) = self.resolve()?;
         let (tx, rx) = mpsc::sync_channel::<CellBatch<M::Acc>>(4);
         let dims = resolved.table.dims();
         let token = resolved.token.clone();
@@ -1025,7 +1014,7 @@ where
                 // to unblock that flush too.
                 let _ambient = lifecycle::install(&resolved.token);
                 let mut sink = ChannelSink::new(tx, dims, 0);
-                let result = resolved.execute(pool.as_deref().map(Vec::as_slice), &spec, &mut sink);
+                let result = resolved.execute(&spec, &mut sink);
                 if result.is_ok() {
                     // Flush the tail batch only for completed runs; a failed
                     // run's partial tail is dropped here instead of sent.
@@ -1466,27 +1455,6 @@ mod tests {
     }
 
     #[test]
-    fn star_pool_cache_is_invisible_and_built_once() {
-        let mut s = session();
-        assert_eq!(s.cache_stats().pool_builds, 0);
-        let want = low_level(Algorithm::CCubingStarArray, s.table(), 2);
-        for round in 0..3 {
-            let got = collect_counts(|sink| {
-                s.query()
-                    .min_sup(2)
-                    .algorithm(Algorithm::CCubingStarArray)
-                    .run(sink)
-                    .unwrap();
-            });
-            assert_eq!(got, want, "round {round}");
-        }
-        let cache = s.cache_stats();
-        assert_eq!(cache.pool_builds, 1, "pool rebuilt on a warm query");
-        assert_eq!(cache.stat_builds, 1);
-        assert_eq!(cache.partition_builds, 1);
-    }
-
-    #[test]
     fn measures_ride_through_the_query() {
         use ccube_core::measure::ColumnStats;
         let t = SyntheticSpec::uniform(300, 3, 5, 1.0, 6).generate_with_measure("m");
@@ -1760,23 +1728,20 @@ mod tests {
     }
 
     #[test]
-    fn ingest_rebuilds_partition_and_drops_pool_like_a_cold_session() {
+    fn ingest_rebuilds_partition_like_a_cold_session() {
         let mut s = session();
-        s.star_pool(); // force the lazy pool so ingest has one to drop
         let stats = s.ingest(&[0, 1, 2, 3, 1, 1, 1, 1]).unwrap();
         assert_eq!(stats.rows, 2);
-        assert!(s.star_pool.is_none());
         let cache = s.cache_stats();
         assert_eq!(cache.stat_builds, 1);
         assert_eq!(cache.partition_builds, 2);
-        assert_eq!(cache.pool_builds, 1);
         assert_eq!(cache.ingests, 1);
         assert_eq!(cache.artifacts_patched, 1); // stats
         assert_eq!(cache.artifacts_rebuilt, 0);
         // Every artifact equals its cold-built twin: the ordering stays
         // frozen and the partition is `shard_by_dim` of the grown table,
         // tids ascending within each group.
-        let mut cold = rebuilt(&s);
+        let cold = rebuilt(&s);
         assert_eq!(s.stats(), cold.stats());
         assert_eq!(s.shape, cold.shape);
         assert_eq!(s.lead, cold.lead);
@@ -1785,15 +1750,6 @@ mod tests {
         for g in &s.lead.groups {
             assert!(s.lead.tids[g.range()].windows(2).all(|w| w[0] < w[1]));
         }
-        // The next StarArray query rebuilds the pool once; a repeat reuses it.
-        for _ in 0..2 {
-            s.query()
-                .algorithm(Algorithm::CCubingStarArray)
-                .run(&mut CountingSink::default())
-                .unwrap();
-        }
-        assert_eq!(s.cache_stats().pool_builds, 2);
-        assert_eq!(*s.star_pool(), *cold.star_pool());
     }
 
     #[test]
@@ -1938,12 +1894,12 @@ mod tests {
     fn a_store_behind_the_table_answers_nothing() {
         let mut s = session();
         s.materialize(2).unwrap();
-        assert!(s.query().min_sup(2).plan().from_store);
+        assert_eq!(s.query().min_sup(2).plan().route, Route::Store);
         // Stale, and wrong: were it served, the bogus cell would show.
         let store = Arc::make_mut(s.materialized.as_mut().unwrap());
         store.set_rows(s.table.rows() - 1);
         store.insert(Cell::from_values(&[0, 0, 0, 0]), 1_000);
-        assert!(!s.query().min_sup(2).plan().from_store);
+        assert_eq!(s.query().min_sup(2).plan().route, Route::Sequential);
         let got = collect_counts(|sink| {
             s.query().min_sup(2).run(sink).unwrap();
         });

@@ -95,7 +95,7 @@ fn recursive_splitting_forced_matches_sequential() {
                     let cfg = EngineConfig {
                         threads,
                         split_threshold: 16,
-                        sequential_threshold: 0,
+                        sharded_only: true,
                         ..EngineConfig::default()
                     };
                     let got = par(algo, &t, m, &cfg);
@@ -122,7 +122,7 @@ fn forced_splitting_output_sequence_is_thread_count_invariant() {
                 let cfg = EngineConfig {
                     threads,
                     split_threshold: 32,
-                    sequential_threshold: 0,
+                    sharded_only: true,
                     ..EngineConfig::default()
                 };
                 algo.run_parallel(&CubeRequest::new(&t, 2), &cfg, &mut sink)
@@ -211,7 +211,7 @@ fn sharding_ordering_does_not_change_results() {
             let cfg = EngineConfig {
                 threads: 2,
                 ordering,
-                sequential_threshold: 0,
+                sharded_only: true,
                 ..EngineConfig::default()
             };
             let got = par(algo, &t, 2, &cfg);
@@ -299,8 +299,7 @@ proptest! {
     /// every closed cell of a shard binds its constant dimension anyway, so
     /// the result is the shard's whole closed cube. Every combination the
     /// request type lets a caller write is swept: each family, closed or
-    /// not, with and without a cached pool (a skipped sort for StarArray,
-    /// ignored by the rest).
+    /// not.
     #[test]
     fn run_bound_unions_to_exactly_the_sequential_result(case in arb_bound_case()) {
         let (table, min_sup) = case;
@@ -317,28 +316,24 @@ proptest! {
                         continue;
                     }
                     let view = table.view(&tids[g.range()], &dim_order, dims);
-                    let pool = ccube_star::lex_sorted_pool(&view);
                     let owned: FxHashMap<Cell, u64> = naive_iceberg_counts(&view, min_sup)
                         .into_iter()
                         .filter(|(cell, _)| cell.value(0) != STAR)
                         .collect();
                     let closed_cube = naive_closed_counts(&view, min_sup);
                     for closed in [false, true] {
-                        for pooled in [false, true] {
-                            let req = CubeRequest {
-                                closed,
-                                bound: 1,
-                                pool: pooled.then_some(&pool[..]),
-                                ..CubeRequest::new(&view, min_sup)
-                            };
-                            let shard = collect_counts(|s| cuber(&req, s));
-                            prop_assert_eq!(
-                                &shard,
-                                if closed { &closed_cube } else { &owned },
-                                "{} closed={} pooled={} on shard d{}={}",
-                                family, closed, pooled, d, g.value
-                            );
-                        }
+                        let req = CubeRequest {
+                            closed,
+                            bound: 1,
+                            ..CubeRequest::new(&view, min_sup)
+                        };
+                        let shard = collect_counts(|s| cuber(&req, s));
+                        prop_assert_eq!(
+                            &shard,
+                            if closed { &closed_cube } else { &owned },
+                            "{} closed={} on shard d{}={}",
+                            family, closed, d, g.value
+                        );
                     }
                     for (cell, n) in owned {
                         let mut global = vec![STAR; dims];
@@ -395,7 +390,7 @@ proptest! {
                 let cfg = |threads: usize| EngineConfig {
                     threads,
                     split_threshold,
-                    sequential_threshold: 0,
+                    sharded_only: true,
                     ..EngineConfig::default()
                 };
                 let reference = trace_run(algo, &table, min_sup, &cfg(1));
@@ -432,7 +427,7 @@ fn streaming_merge_peak_stays_below_full_output() {
         let cfg = EngineConfig {
             threads: 1,
             split_threshold: 256,
-            sequential_threshold: 0,
+            sharded_only: true,
             ..EngineConfig::default()
         };
         let mut sink = CountingSink::default();
@@ -481,7 +476,7 @@ fn one_thread_engine_takes_the_fast_path() {
         .unwrap();
     assert!(!stats.fast_path);
     assert_eq!(sink.counts(), want);
-    // 300 × 4 = 1 200 tuple·dimension units, below the default threshold:
+    // 300 × 4 = 1 200 tuple·dimension units, below the 8 192-unit threshold:
     // sequential at every thread count.
     let small = SyntheticSpec::uniform(300, 4, 6, 1.0, 5).generate();
     let want = seq(Algorithm::CCubingStar, &small, 2);

@@ -87,34 +87,35 @@ proptest! {
     }
 }
 
-/// Full emission sequence of one query — "byte-identical" means this.
-fn trace<M>(query: CubeQuery<'_, M>) -> Vec<(Vec<u32>, u64)>
-where
-    M: MeasureSpec + Send + Sync + 'static,
-    M::Acc: Send + 'static,
-{
+/// Full emission sequence of one query — "byte-identical" means this —
+/// and its engine counters.
+fn traced(query: CubeQuery<'_>) -> (Vec<(Vec<u32>, u64)>, EngineStats) {
     let mut cells: Vec<(Vec<u32>, u64)> = Vec::new();
-    {
-        let mut sink = FnSink(|cell: &[u32], count: u64, _: &M::Acc| {
-            cells.push((cell.to_vec(), count));
-        });
-        query.run(&mut sink).unwrap();
-    }
-    cells
+    let mut sink = FnSink(|cell: &[u32], count: u64, _: &()| {
+        cells.push((cell.to_vec(), count));
+    });
+    let stats = query.run(&mut sink).unwrap();
+    (cells, stats)
+}
+
+fn trace(query: CubeQuery<'_>) -> Vec<(Vec<u32>, u64)> {
+    traced(query).0
 }
 
 #[test]
 fn repeated_queries_are_byte_identical() {
     let table = SyntheticSpec::uniform(500, 4, 6, 1.5, 7).generate();
     let mut session = CubeSession::new(table).unwrap();
-    // Sequential, for every algorithm — including the StarArray family,
-    // whose second run replays the cached pool.
+    // Sequential, for every algorithm. `threads(1)` is the same route as
+    // no threads at all, so it emits the same sequence.
     for algo in Algorithm::ALL {
         let first = trace(session.query().min_sup(2).algorithm(algo));
         for round in 0..2 {
             let again = trace(session.query().min_sup(2).algorithm(algo));
             assert_eq!(again, first, "{algo} round {round}");
         }
+        let one_thread = trace(session.query().min_sup(2).algorithm(algo).threads(1));
+        assert_eq!(one_thread, first, "{algo} threads(1)");
     }
     // Planner-backed (no explicit algorithm), sliced, and engine-routed
     // shapes repeat identically too.
@@ -128,11 +129,12 @@ fn repeated_queries_are_byte_identical() {
         let first = shape(&mut session);
         assert_eq!(shape(&mut session), first, "shape {i}");
     }
-    // And the caches were each built exactly once across all of the above.
+    // And the caches were each built exactly once across all of the above
+    // (no tuple pool is cached at all).
     let cache = session.cache_stats();
     assert_eq!(
         (cache.stat_builds, cache.partition_builds, cache.pool_builds),
-        (1, 1, 1)
+        (1, 1, 0)
     );
 }
 
@@ -204,13 +206,50 @@ fn low_level_path_agrees_with_query_path() {
     }
 }
 
-/// `plan().parallel` is the route the run takes. Dimension 0 is the leading
-/// sharding dimension under either ordering (highest cardinality, uniform).
-/// 3 000 × 4 = 12 000 tuple·dimension units shard at two threads; a
-/// leading slice (≈ 375 × 4) and a two-dimension projection (3 000 × 2) do
-/// not, and nothing shards at one thread.
+/// The route a run took, read off what it did: the store's own scan, one
+/// unsharded run, or the engine.
+fn route_taken(
+    session: &CubeSession,
+    min_sup: u64,
+    cells: &[(Vec<u32>, u64)],
+    stats: &EngineStats,
+) -> Route {
+    let mut scan: Vec<(Vec<u32>, u64)> = Vec::new();
+    if let Some(store) = session.materialized() {
+        let mut sink = FnSink(|cell: &[u32], count: u64, _: &()| {
+            scan.push((cell.to_vec(), count));
+        });
+        store.serve(min_sup, &(), &mut sink).unwrap();
+    }
+    if !scan.is_empty() && scan == cells {
+        Route::Store
+    } else if stats.tasks > 1 || (stats.tasks == 1 && !stats.fast_path) {
+        Route::Sharded
+    } else {
+        Route::Sequential
+    }
+}
+
+/// Apply `threads` (unset, or `threads(n)`) to `query`.
+fn with_threads(query: CubeQuery<'_>, threads: Option<usize>) -> CubeQuery<'_> {
+    match threads {
+        Some(n) => query.threads(n),
+        None => query,
+    }
+}
+
+/// `plan().route` is the route the run takes, at no threads, one and two.
+/// Dimension 0 of `plain` is the leading sharding dimension under either
+/// ordering (highest cardinality, uniform): 3 000 × 4 = 12 000
+/// tuple·dimension units shard at two threads; a leading slice (≈ 375 × 4)
+/// and a two-dimension projection (3 000 × 2) do not. `materialized` is
+/// `plain` with a store at `min_sup` 2, which answers the whole-table
+/// query. In `dependent`, dimension 1 repeats dimension 0, so the two
+/// slices keep 3 000 × 4 = 12 000 units while the plan's independence
+/// estimate is 1 500 × 4 = 6 000: the plan's estimate decides, and the run
+/// follows it.
 #[test]
-fn plan_parallel_is_the_route_the_run_takes() {
+fn plan_route_is_the_route_the_run_takes() {
     let table = SyntheticSpec {
         tuples: 3_000,
         cards: vec![8, 3, 3, 3],
@@ -219,28 +258,54 @@ fn plan_parallel_is_the_route_the_run_takes() {
         rules: None,
     }
     .generate();
-    let mut session = CubeSession::new(table).unwrap();
-    type Shape = for<'s> fn(CubeQuery<'s>) -> CubeQuery<'s>;
-    let shapes: [(&str, Shape); 3] = [
-        ("base", |q| q),
-        ("leading slice", |q| q.slice(0, 3)),
-        ("projection", |q| q.dims(DimMask::from_iter([0, 1]))),
-    ];
-    let mut routes = Vec::new();
-    for threads in [1, 2] {
-        for (label, shape) in shapes {
-            let plan = shape(session.query().min_sup(2).threads(threads)).plan();
-            let stats = shape(session.query().min_sup(2).threads(threads))
-                .stats()
-                .unwrap();
-            assert_eq!(
-                plan.parallel, !stats.engine.fast_path,
-                "{label} at threads={threads}"
-            );
-            routes.push(plan.parallel);
-        }
+    let plain = CubeSession::new(table.clone()).unwrap();
+    let mut materialized = CubeSession::new(table).unwrap();
+    materialized.materialize(2).unwrap();
+    let mut builder = TableBuilder::new(4);
+    for i in 0..6_000u32 {
+        builder.push_row(&[i % 2, i % 2, (i / 2) % 3, (i / 6) % 3]);
     }
-    assert_eq!(routes, [false, false, false, true, false, false]);
+    let dependent = CubeSession::new(builder.build().unwrap()).unwrap();
+    let mut sessions = [plain, materialized, dependent];
+    type Shape = for<'s> fn(CubeQuery<'s>) -> CubeQuery<'s>;
+    let shapes: [(&str, usize, Shape); 7] = [
+        ("base", 0, |q| q),
+        ("leading slice", 0, |q| q.slice(0, 3)),
+        ("projection", 0, |q| q.dims(DimMask::from_iter([0, 1]))),
+        ("materialized base", 1, |q| q),
+        ("materialized slice", 1, |q| q.slice(0, 3)),
+        ("dependent conjuncts", 2, |q| q.slice(0, 0).slice(1, 0)),
+        ("dependent base", 2, |q| q),
+    ];
+    use Route::{Sequential as Seq, Sharded, Store};
+    // Per shape: the route at no threads, `threads(1)`, `threads(2)`.
+    let want = [
+        [Seq, Seq, Sharded],
+        [Seq, Seq, Seq],
+        [Seq, Seq, Seq],
+        [Store, Store, Store],
+        [Seq, Seq, Seq],
+        [Seq, Seq, Seq],
+        [Seq, Seq, Sharded],
+    ];
+    for ((label, i, shape), want) in shapes.into_iter().zip(want) {
+        let session = &mut sessions[i];
+        let mut routes = Vec::new();
+        for threads in [None, Some(1), Some(2)] {
+            let plan = with_threads(shape(session.query().min_sup(2)), threads).plan();
+            let (cells, stats) = traced(with_threads(shape(session.query().min_sup(2)), threads));
+            let taken = route_taken(session, 2, &cells, &stats);
+            assert_eq!(plan.route, taken, "{label} at threads={threads:?}");
+            if taken != Sharded {
+                // One report for both unsharded routes: the fast path is
+                // "an engine was asked for".
+                assert_eq!(stats.fast_path, threads.is_some(), "{label}");
+                assert_eq!(stats.tasks, u64::from(threads.is_some()), "{label}");
+            }
+            routes.push(taken);
+        }
+        assert_eq!(routes, want, "{label}");
+    }
 }
 
 /// The planner-chosen run is the oracle's closed cube whatever the planner

@@ -1,7 +1,7 @@
 //! Queries answered from the session's materialized store: a planner-chosen,
 //! closed, count-only query of the whole table (no projection, no
 //! selection) at or above the store's threshold is one filtered scan of the
-//! store (`QueryPlan::from_store`). The identity that scan rests on —
+//! store (`Route::Store`). The identity that scan rests on —
 //! closedness does not depend on `min_sup`, so a higher threshold is a
 //! count filter — is checked here against the naive oracle across ingest
 //! histories, at both terminals and every thread setting; so is every
@@ -153,8 +153,7 @@ proptest! {
             for threads in THREADS {
                 let label = format!("{terminal:?} threads={threads:?} {case:?}");
                 let plan = with_threads(session.query().min_sup(case.min_sup), threads).plan();
-                prop_assert!(plan.from_store, "not routed: {}", label);
-                prop_assert!(!plan.parallel, "{}", label);
+                prop_assert_eq!(plan.route, Route::Store, "not routed: {}", label);
                 let query = with_threads(session.query().min_sup(case.min_sup), threads);
                 let (cells, stats) = emitted(query, terminal);
                 prop_assert_eq!(&counts(&cells), &want, "{}", label);
@@ -164,7 +163,8 @@ proptest! {
         }
     }
 
-    /// Every query the store must not answer reports `from_store == false`
+    /// Every query the store must not answer plans another route than
+    /// `Route::Store`
     /// and is still the oracle's cube.
     #[test]
     fn unsubsumed_queries_are_computed_and_equal_naive(case in arb_case()) {
@@ -204,7 +204,7 @@ proptest! {
                 for threads in THREADS {
                     let label = format!("{label} {terminal:?} threads={threads:?} {case:?}");
                     let plan = with_threads(shape(session.query(), &case), threads).plan();
-                    prop_assert!(!plan.from_store, "routed: {}", label);
+                    prop_assert_ne!(plan.route, Route::Store, "routed: {}", label);
                     let query = with_threads(shape(session.query(), &case), threads);
                     let (cells, _) = emitted(query, terminal);
                     prop_assert_eq!(&counts(&cells), want, "{}", label);
@@ -214,7 +214,8 @@ proptest! {
         // A measure other than count.
         for terminal in TERMINALS {
             let spec = ColumnStats { column: 0 };
-            prop_assert!(!session.query().min_sup(m).measure(spec).plan().from_store);
+            let plan = session.query().min_sup(m).measure(spec).plan();
+            prop_assert_ne!(plan.route, Route::Store);
             let (cells, _) = emitted(session.query().min_sup(m).measure(spec), terminal);
             prop_assert_eq!(&counts(&cells), &naive_closed_counts(&table, m), "{:?}", terminal);
         }
@@ -237,7 +238,7 @@ fn an_open_store_stream_keeps_its_snapshot_across_ingest() {
     let mut session = big_session();
     let old = session.table().clone();
     let query = session.query();
-    assert!(query.plan().from_store);
+    assert_eq!(query.plan().route, Route::Store);
     let mut stream = query.stream().unwrap();
     let first = stream.next().expect("a first cell");
     // Brand-new values on every dimension: the ingest changes the cube.
@@ -253,7 +254,7 @@ fn an_open_store_stream_keeps_its_snapshot_across_ingest() {
     let store = session.materialized().unwrap();
     assert_eq!(store.rows(), old.rows() + 3);
     let query = session.query().min_sup(2);
-    assert!(query.plan().from_store);
+    assert_eq!(query.plan().route, Route::Store);
     let (cells, _) = emitted(query, Terminal::Stream);
     assert_eq!(counts(&cells), naive_closed_counts(session.table(), 2));
 }
@@ -265,7 +266,7 @@ fn cancelled_and_expired_store_queries_end_in_typed_errors() {
         let label = format!("{terminal:?}");
         // Cancelled before the run.
         let query = session.query();
-        assert!(query.plan().from_store);
+        assert_eq!(query.plan().route, Route::Store);
         query.handle().cancel();
         let mut sink = CollectSink::<()>::default();
         let outcome = match terminal {
@@ -276,7 +277,7 @@ fn cancelled_and_expired_store_queries_end_in_typed_errors() {
         assert!(sink.is_empty(), "{label}");
         // A zero deadline.
         let query = session.query().deadline(Duration::ZERO);
-        assert!(query.plan().from_store);
+        assert_eq!(query.plan().route, Route::Store);
         let outcome = match terminal {
             Terminal::Run => query.run(&mut sink),
             Terminal::Stream => {
@@ -311,7 +312,8 @@ fn identical_queries_emit_identical_sequences_with_and_without_a_store() {
     for (i, (shape, routed)) in shapes.iter().enumerate() {
         let mut sets = Vec::new();
         for (session, from_store) in [(&mut computed, false), (&mut stored, *routed)] {
-            assert_eq!(shape(session.query()).plan().from_store, from_store);
+            let route = shape(session.query()).plan().route;
+            assert_eq!(route == Route::Store, from_store);
             let mut sequences = Vec::new();
             for terminal in TERMINALS {
                 for _ in 0..2 {
