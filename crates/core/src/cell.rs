@@ -17,6 +17,14 @@ pub struct Cell {
     values: Box<[u32]>,
 }
 
+/// A cell compares, orders and hashes as its value slice, so maps keyed by
+/// cells can be searched with a borrowed `&[u32]`.
+impl std::borrow::Borrow<[u32]> for Cell {
+    fn borrow(&self) -> &[u32] {
+        &self.values
+    }
+}
+
 impl Cell {
     /// The all-`*` apex cell of a `dims`-dimensional cube.
     pub fn apex(dims: usize) -> Cell {

@@ -84,11 +84,8 @@ pub fn mine_rules(cube: &ClosedCube) -> (Vec<ClosedRule>, RuleStats) {
     let mut stats = RuleStats::default();
     for (cell, count) in cube.iter() {
         stats.closed_cells += 1;
-        let bound: Vec<(usize, u32)> = (0..cell.dims())
-            .filter_map(|d| {
-                let v = cell.value(d);
-                (v != STAR).then_some((d, v))
-            })
+        let bound: Vec<(usize, u32)> = (0..cell.len())
+            .filter_map(|d| (cell[d] != STAR).then_some((d, cell[d])))
             .collect();
         // Greedy minimal generator: drop any binding whose removal keeps the
         // recovered count equal (same count ⇒ same tuple group ⇒ same
@@ -97,7 +94,7 @@ pub fn mine_rules(cube: &ClosedCube) -> (Vec<ClosedRule>, RuleStats) {
         // fresh candidate vector + cell allocation per step — this loop runs
         // once per binding per closed cell.
         let mut generator = bound.clone();
-        let mut probe = Cell::from_bindings(cell.dims(), &generator);
+        let mut probe = Cell::from_bindings(cell.len(), &generator);
         let mut i = 0;
         while i < generator.len() {
             if generator.len() == 1 {
@@ -201,11 +198,10 @@ mod tests {
         // Every rule must actually hold on the closed cube.
         for rule in &rules {
             for (cell, _) in cube.iter() {
-                if rule.conditions.iter().all(|&(d, v)| cell.value(d) == v) {
+                if rule.conditions.iter().all(|&(d, v)| cell[d] == v) {
                     assert_eq!(
-                        cell.value(rule.target.0),
-                        rule.target.1,
-                        "rule {rule} violated by {cell}"
+                        cell[rule.target.0], rule.target.1,
+                        "rule {rule} violated by {cell:?}"
                     );
                 }
             }

@@ -40,7 +40,7 @@ fn armed() -> bool {
 
 /// Names of this process's live threads that belong to the serving stack
 /// (Linux). Every thread the stack spawns is named `ccube-…` (accept,
-/// watchdog, connection, stream producer, engine and delta workers); the
+/// watchdog, connection, stream producer and engine workers); the
 /// test harness's own threads come and go between tests — the next test's
 /// thread is spawned, and parks on [`SERIAL`], while this one still runs —
 /// so a bare thread count is not comparable to any baseline.

@@ -12,8 +12,7 @@
 //!   counting-sort partition along its leading dimension, one
 //!   [`LeadPartition`] — the parallel engine's warm start, so warm engine
 //!   queries skip the per-query permutation scan and level-0 partition
-//!   pass, the shards of materialized-cube maintenance, and the fast path
-//!   for `slice(leading, v)` selections;
+//!   pass, and the fast path for `slice(leading, v)` selections;
 //! * on request ([`CubeSession::materialize`]), the closed-cube store.
 //!
 //! A **query** composes, in any order:
@@ -138,10 +137,10 @@ pub struct CacheStats {
     /// Artifacts rebuilt from scratch (cold [`CubeSession::materialize`]
     /// calls; never from ingest).
     pub artifacts_rebuilt: u32,
-    /// Tuple groups re-summarized by materialized-cube maintenance
-    /// ([`DeltaStats::groups_rechecked`] accumulated over builds and
-    /// patches): after a small append this grows by far less than a cold
-    /// build's group count.
+    /// Groups re-checked by materialized-cube maintenance
+    /// ([`DeltaStats::groups_rechecked`] accumulated over builds, which
+    /// count the cells they store, and patches): after a small append this
+    /// grows by far less than a build's count.
     pub groups_rechecked: u64,
 }
 
@@ -308,8 +307,11 @@ impl CubeSession {
     ///   permutation stay **frozen at session creation**, so warm engine
     ///   starts and the `slice(leading, v)` fast path remain stable across
     ///   ingests);
-    /// * the materialized closed cube, if built, is delta-patched: only the
-    ///   groups the batch joins are re-summarized (see `crates/delta`).
+    /// * the materialized closed cube, if built, is patched by
+    ///   [`ccube_delta::patch`] on the calling thread: it walks only the
+    ///   cells that generalize an appended row, takes each one's old count
+    ///   and closure from the store (counting from the old rows only the
+    ///   cells the store lacks), and upserts the cells found closed.
     ///
     /// In-flight [`CellStream`]s keep the pre-ingest snapshot of the table
     /// and of the store (copy-on-write at the session boundary); queries
@@ -359,9 +361,8 @@ impl CubeSession {
         self.lead = Arc::new(LeadPartition::new(&self.table, self.lead.perm.clone()));
         self.cache.partition_builds += 1;
         if let Some(cube) = self.materialized.as_mut() {
-            let threads = maintenance_threads();
             let cube = Arc::make_mut(cube);
-            let delta = ccube_delta::patch(cube, &self.table, old_rows, &self.lead, threads);
+            let delta = ccube_delta::patch(cube, &self.table, old_rows);
             self.cache.artifacts_patched += 1;
             self.cache.groups_rechecked += delta.groups_rechecked;
             stats.materialization = Some(delta);
@@ -378,11 +379,33 @@ impl CubeSession {
     /// ([`Route::Store`]): those queries scan the store instead of running
     /// a cuber, and emit in its lexicographic order.
     ///
+    /// The store is filled by the closed cuber the planner picks at
+    /// `min_sup` ([`CubeSession::recommend`]), in one sequential run on the
+    /// calling thread that no ambient cancel token can stop half-way. The
+    /// returned [`DeltaStats`] count the cells stored as both
+    /// `groups_rechecked` and `cells_added`.
+    ///
     /// # Errors
     /// [`CubeError::ZeroMinSup`].
     pub fn materialize(&mut self, min_sup: u64) -> Result<DeltaStats, CubeError> {
-        let threads = maintenance_threads();
-        let (cube, stats) = ccube_delta::build(&self.table, min_sup, &self.lead, threads)?;
+        if min_sup == 0 {
+            return Err(CubeError::ZeroMinSup);
+        }
+        let mut cube = ClosedCube::new(self.table.dims(), min_sup, Vec::new());
+        {
+            let shield = CancelToken::new();
+            let _guard = lifecycle::install(&shield);
+            let request = CubeRequest::new(&self.table, min_sup);
+            self.recommend(min_sup).run(&request, &mut cube)?;
+        }
+        cube.compact();
+        cube.set_rows(self.table.rows());
+        let cells = cube.len() as u64;
+        let stats = DeltaStats {
+            groups_rechecked: cells,
+            cells_added: cells,
+            ..DeltaStats::default()
+        };
         self.materialized = Some(Arc::new(cube));
         self.cache.artifacts_rebuilt += 1;
         self.cache.groups_rechecked += stats.groups_rechecked;
@@ -419,15 +442,6 @@ impl CubeSession {
             None => Err(CubeError::MaterializationUnavailable { min_sup }),
         }
     }
-}
-
-/// Worker threads for artifact maintenance (materialized-cube builds and
-/// patches) — maintenance is synchronous on the ingest caller, so it uses
-/// the machine rather than a per-query budget.
-fn maintenance_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 impl std::fmt::Debug for CubeSession {
@@ -551,14 +565,18 @@ impl<'s, M: MeasureSpec> CubeQuery<'s, M> {
     }
 
     /// Keep only tuples whose value on `dim` is one of `values` (OR within
-    /// the list, AND with previous selections).
+    /// the list, AND with previous selections). A value listed twice is
+    /// one value: the plan and the selection read the same set.
     pub fn dice(mut self, dim: usize, values: &[u32]) -> Self {
         let dims = self.session.table.dims();
         if dim >= dims {
             self.flag(CubeError::DimensionOutOfRange { dim, dims });
             return self;
         }
-        self.selections.push((dim, values.to_vec()));
+        let mut values = values.to_vec();
+        values.sort_unstable();
+        values.dedup();
+        self.selections.push((dim, values));
         self
     }
 
@@ -1914,6 +1932,18 @@ mod tests {
             Err(CubeError::MaterializationUnavailable { min_sup: 2 })
         ));
         assert!(s.materialized().is_none());
+    }
+
+    #[test]
+    fn materialize_refuses_zero_min_sup_and_keeps_the_store() {
+        let mut s = session();
+        assert!(matches!(s.materialize(0), Err(CubeError::ZeroMinSup)));
+        assert!(s.materialized().is_none());
+        s.materialize(2).unwrap();
+        assert!(matches!(s.materialize(0), Err(CubeError::ZeroMinSup)));
+        let store = s.materialized().expect("the min_sup 2 store stays");
+        assert_eq!(store.min_sup(), 2);
+        assert_eq!(s.cache_stats().artifacts_rebuilt, 1);
     }
 
     #[test]

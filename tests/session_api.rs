@@ -340,3 +340,35 @@ fn query_stats_terminal_counts_cells() {
     }
     assert!(picked.len() >= 3, "the planner only ever picked {picked:?}");
 }
+
+/// A value listed twice in one `dice` is one value: the plan (its tuple
+/// estimate, hence algorithm and route) and the cells are those of the
+/// value listed once.
+#[test]
+fn repeated_dice_value_counts_once() {
+    let table = SyntheticSpec::uniform(3000, 5, 8, 0.5, 7).generate();
+    let mut session = CubeSession::new(table).unwrap();
+    for d in 0..5 {
+        for v in [0, 3] {
+            for threads in [None, Some(2)] {
+                let label = format!("dim {d}, value {v}, threads {threads:?}");
+                let plan_once =
+                    with_threads(session.query().min_sup(2).dice(d, &[v]), threads).plan();
+                let plan_twice =
+                    with_threads(session.query().min_sup(2).dice(d, &[v, v]), threads).plan();
+                assert_eq!(plan_twice, plan_once, "{label}");
+                let cells_once = collect_counts(|s| {
+                    with_threads(session.query().min_sup(2).dice(d, &[v]), threads)
+                        .run(s)
+                        .unwrap();
+                });
+                let cells_twice = collect_counts(|s| {
+                    with_threads(session.query().min_sup(2).dice(d, &[v, v]), threads)
+                        .run(s)
+                        .unwrap();
+                });
+                assert_eq!(cells_twice, cells_once, "{label}");
+            }
+        }
+    }
+}
