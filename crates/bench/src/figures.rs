@@ -8,7 +8,7 @@ use crate::report::{mb, secs, Figure};
 use crate::{measure_size, measure_threads};
 use c_cubing::Algorithm;
 use ccube_core::order::DimOrdering;
-use ccube_core::sink::CollectSink;
+use ccube_core::sink::{CellBatch, CollectSink, FnSink};
 use ccube_core::ClosedCube;
 use ccube_core::{CubeRequest, Table};
 use ccube_data::{RuleSet, SyntheticSpec, WeatherSpec};
@@ -621,15 +621,18 @@ fn rules_experiment(opt: &ExpOptions) -> Figure {
     let tuples = (opt.tuples(1_002_752) / 4).max(1000);
     let table = WeatherSpec::new(tuples, opt.seed).generate_dims(6);
     let min_sup = 10;
-    let mut cube = ClosedCube::new(table.dims(), min_sup, Vec::new());
+    let mut cells = CellBatch::new(table.dims());
     let mut session = c_cubing::CubeSession::new(table).expect("ordinary table");
     session
         .query()
         .min_sup(min_sup)
         .algorithm(Algorithm::CCubingStarArray)
-        .run(&mut cube)
+        .run(&mut FnSink(|cell: &[u32], count, _: &()| {
+            cells.push(cell, count, ())
+        }))
         .expect("rules query");
-    let (_, stats) = mine_rules(&cube);
+    let stored = cells.iter().map(|(cell, count, _)| (cell, count));
+    let (_, stats) = mine_rules(&ClosedCube::new(cells.dims(), min_sup, stored));
     Figure {
         id: "rules",
         title: format!(

@@ -24,8 +24,9 @@
 //!   count-based closedness per Lemma 1 / Section 6.1.
 //! * [`sink::CellSink`] — output abstraction (counting, collecting, byte
 //!   sizing, text writing) so benchmarks can disable I/O like the paper does.
-//! * [`store::ClosedCube`] — the closed cube as a lossless store: filled by
-//!   any cuber, patched under appends, served, point-queried, mined.
+//! * [`store::ClosedCube`] — the closed cube as a lossless store, one sorted
+//!   run: built from any cuber's output, patched under appends, served,
+//!   point-queried, mined.
 //! * [`naive`] — an exhaustive reference cuber used as the test oracle.
 //! * [`order`] — dimension-ordering heuristics (Section 5.5), including the
 //!   entropy order the paper proposes.

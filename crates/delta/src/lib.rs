@@ -16,10 +16,9 @@
 //! * Every other cell keeps its group, and its stored verdict stands.
 //!
 //! The store is [`ClosedCube`], the one closed-cube type of the workspace: a
-//! closed cuber builds it (through its `CellSink` impl) and [`patch`]
-//! mutates it in place, stamping it with the row count it is current for.
-//! Its point-query index is dropped by the patch and rebuilt only if
-//! someone queries.
+//! closed cuber's output builds it and [`patch`] mutates it in place,
+//! stamping it with the row count it is current for. Its point-query index
+//! is dropped by the patch and rebuilt only if someone queries.
 //!
 //! ## Batch-cell enumeration
 //!
@@ -58,16 +57,18 @@
 //! must run to completion (a half-applied patch would corrupt the store),
 //! and the partition kernels poll the ambient token cooperatively.
 //!
-//! The splice upserts every batch cell found closed (new or changed), then
-//! compacts the store ([`ClosedCube::compact`]), so the next serve streams
-//! one sorted array. A batch cell found non-closed is never stored: a
-//! stored cell's old part is summarized with itself as closure, so its
-//! verdict is closed. Debug builds assert it.
+//! The walk collects every batch cell found closed (new or changed) into
+//! one flat buffer, and the patch ends in one [`ClosedCube::apply`] of it:
+//! the store sorts the buffer, updates the stored cells' counts in place
+//! and merges the new ones into its sorted run. Nothing is ever removed. A
+//! batch cell found non-closed is never stored: a stored cell's old part is
+//! summarized with itself as closure, so its verdict is closed. Debug
+//! builds assert it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use ccube_core::cell::{Cell, STAR};
+use ccube_core::cell::STAR;
 use ccube_core::closedness::ClosedInfo;
 use ccube_core::lifecycle::{self, CancelToken};
 use ccube_core::partition::{descend, DescendHooks, Partitioner};
@@ -86,10 +87,6 @@ pub struct DeltaStats {
     pub cells_added: u64,
     /// Closed cells whose count was updated in place.
     pub cells_updated: u64,
-    /// Stored cells found non-closed and removed: always 0, since a stored
-    /// cell's old closure is itself and an append only removes Closed-Mask
-    /// bits (see the module docs).
-    pub cells_removed: u64,
 }
 
 /// Bring `cube` current after `table` grew from `old_rows` rows to its
@@ -117,7 +114,7 @@ pub fn patch(cube: &mut ClosedCube, table: &Table, old_rows: usize) -> DeltaStat
         return stats;
     }
 
-    let closed = {
+    let (values, counts) = {
         let shield = CancelToken::new();
         let _guard = lifecycle::install(&shield);
         let order: Vec<usize> = (0..table.dims()).collect();
@@ -132,22 +129,18 @@ pub fn patch(cube: &mut ClosedCube, table: &Table, old_rows: usize) -> DeltaStat
             stack: Vec::new(),
             depth: 0,
             rechecked: 0,
-            closed: Vec::new(),
+            values: Vec::new(),
+            counts: Vec::new(),
         };
         let mut cell = vec![STAR; table.dims()];
         let mut batch: Vec<TupleId> = (old_rows as TupleId..table.rows() as TupleId).collect();
         let p = Partitioner::with_sparse_reset();
         descend(table, &order, 1, p, &mut cell, &mut batch, &mut walk);
         stats.groups_rechecked = walk.rechecked;
-        walk.closed
+        (walk.values, walk.counts)
     };
-    for (cell, count) in closed {
-        match cube.insert(cell, count) {
-            None => stats.cells_added += 1,
-            Some(_) => stats.cells_updated += 1,
-        }
-    }
-    cube.compact();
+    let cells = values.chunks_exact(table.dims()).zip(counts);
+    (stats.cells_added, stats.cells_updated) = cube.apply(cells);
     stats
 }
 
@@ -336,8 +329,10 @@ struct Walk<'a> {
     stack: Vec<OldPart>,
     depth: usize,
     rechecked: u64,
-    /// Batch cells found closed, with their new counts.
-    closed: Vec<(Cell, u64)>,
+    /// Batch cells found closed (`dims` values a cell), and their new
+    /// counts.
+    values: Vec<u32>,
+    counts: Vec<u64>,
 }
 
 impl DescendHooks for Walk<'_> {
@@ -361,7 +356,8 @@ impl DescendHooks for Walk<'_> {
         }
         self.rechecked += 1;
         if self.old.closed(part, cell, batch) {
-            self.closed.push((Cell::from_values(cell), count));
+            self.values.extend_from_slice(cell);
+            self.counts.push(count);
         } else {
             debug_assert!(
                 self.old.store.get(cell).is_none(),
@@ -380,6 +376,7 @@ impl DescendHooks for Walk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccube_core::cell::Cell;
     use ccube_core::fxhash::FxHashMap;
     use ccube_core::naive::naive_closed_counts;
     use ccube_core::TableBuilder;
@@ -387,7 +384,7 @@ mod tests {
 
     /// The store of `table` at `min_sup`, patched up from zero rows.
     fn build_at(table: &Table, min_sup: u64) -> (ClosedCube, DeltaStats) {
-        let mut cube = ClosedCube::new(table.dims(), min_sup, Vec::new());
+        let mut cube = ClosedCube::new(table.dims(), min_sup, Vec::<(Cell, u64)>::new());
         let stats = patch(&mut cube, table, 0);
         (cube, stats)
     }
@@ -410,7 +407,6 @@ mod tests {
                     "seed={seed} min_sup={min_sup}"
                 );
                 assert_eq!(cube.rows(), t.rows());
-                assert_eq!(stats.cells_removed, 0);
                 assert_eq!(
                     stats.cells_updated, 0,
                     "a patch from zero rows only inserts"
@@ -446,8 +442,7 @@ mod tests {
         for batch in &batches {
             let old_rows = t.rows();
             t.append_rows(batch).unwrap();
-            let stats = patch(&mut cube, &t, old_rows);
-            assert_eq!(stats.cells_removed, 0, "inserts never retire closed cells");
+            patch(&mut cube, &t, old_rows);
             let (cold, _) = build_at(&t, 2);
             assert_eq!(as_counts(&cube), as_counts(&cold));
             assert_eq!(cube.rows(), t.rows());
@@ -457,8 +452,7 @@ mod tests {
     #[test]
     fn a_store_not_built_by_patch_patches_exactly() {
         let mut t = SyntheticSpec::uniform(200, 4, 5, 0.8, 4).generate();
-        let cells: Vec<(Cell, u64)> = naive_closed_counts(&t, 2).into_iter().collect();
-        let mut cube = ClosedCube::new(t.dims(), 2, cells);
+        let mut cube = ClosedCube::new(t.dims(), 2, naive_closed_counts(&t, 2));
         cube.set_rows(t.rows());
         let old_rows = t.rows();
         t.append_rows(&[1, 1, 1, 1, 0, 2, 4, 1]).unwrap();

@@ -102,7 +102,7 @@ pub fn mine_rules(cube: &ClosedCube) -> (Vec<ClosedRule>, RuleStats) {
             }
             let (d, v) = generator[i];
             probe.unbind(d);
-            if cube.query(&probe) == Some(count) {
+            if cube.query(probe.values()) == Some(count) {
                 generator.remove(i);
             } else {
                 probe.bind_mut(d, v);
@@ -177,8 +177,7 @@ mod tests {
     use ccube_data::{DependencyRule, RuleSet, SyntheticSpec};
 
     fn cube_of(t: &Table, min_sup: u64) -> ClosedCube {
-        let cells: Vec<(Cell, u64)> = naive_closed_counts(t, min_sup).into_iter().collect();
-        ClosedCube::new(t.dims(), min_sup, cells)
+        ClosedCube::new(t.dims(), min_sup, naive_closed_counts(t, min_sup))
     }
 
     #[test]
@@ -264,7 +263,7 @@ mod tests {
 
     #[test]
     fn empty_cube_no_rules() {
-        let cube = ClosedCube::new(3, 1, Vec::new());
+        let cube = ClosedCube::new(3, 1, Vec::<(Cell, u64)>::new());
         let (rules, stats) = mine_rules(&cube);
         assert!(rules.is_empty());
         assert_eq!(stats.closed_cells, 0);

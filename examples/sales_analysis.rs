@@ -136,7 +136,7 @@ fn main() {
     println!(
         "recovery check: cell {probe} count {} -> recovered {:?} from {} closed cells",
         closed.cells[probe].0,
-        cube.query(probe),
+        cube.query(probe.values()),
         cube.len()
     );
     println!(

@@ -13,9 +13,9 @@
 //!   the BUC and QC-DFS baselines;
 //! * data generators matching the paper's experiments (Zipf skew,
 //!   dependence rules, a weather-dataset surrogate);
-//! * the closed cube as one store ([`ClosedCube`]) that any cuber fills, a
-//!   session materializes and patches under ingest, and closed-rule mining
-//!   and lossless point queries read (Section 6.2).
+//! * the closed cube as one store ([`ClosedCube`]) that any cuber's output
+//!   builds, a session materializes and patches under ingest, and
+//!   closed-rule mining and lossless point queries read (Section 6.2).
 //!
 //! ## Quickstart
 //!

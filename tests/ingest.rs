@@ -117,8 +117,7 @@ proptest! {
             let stats = grown.ingest(&flat).expect("ingest");
             all_rows.extend(chunk.iter().cloned());
             if !chunk.is_empty() {
-                let delta = stats.materialization.expect("materialization maintained");
-                prop_assert_eq!(delta.cells_removed, 0, "pure inserts retired a cell");
+                stats.materialization.expect("materialization maintained");
             }
 
             let mut cold = CubeSession::new(table_from(dims, &all_rows)).unwrap();
@@ -134,8 +133,9 @@ proptest! {
             let store = grown.materialized().expect("materialized");
             prop_assert_eq!(store.rows(), all_rows.len());
             for (cell, count) in naive_iceberg_counts(grown.table(), 2) {
-                prop_assert_eq!(store.query(&cell), Some(count), "query of {}", cell);
-                let closure = store.closure_of(&cell).expect("a closed cell extends it");
+                prop_assert_eq!(store.query(cell.values()), Some(count), "query of {}", cell);
+                let closure = store.closure_of(cell.values()).expect("a closed cell extends it");
+                let closure = &Cell::from_values(closure);
                 prop_assert!(cell.generalizes(closure));
                 prop_assert_eq!(cell_count(grown.table(), closure), count, "closure of {}", cell);
             }

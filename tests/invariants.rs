@@ -232,14 +232,16 @@ proptest! {
         let mut b = TableBuilder::new(3);
         for r in &rows { b.push_row(r); }
         let t = b.build().unwrap();
-        let mut cube = ClosedCube::new(3, min_sup, Vec::new());
-        Algorithm::CCubingStarArray.run(&CubeRequest::new(&t, min_sup), &mut cube).unwrap();
+        let mut cells = CellBatch::new(3);
+        let mut sink = FnSink(|c: &[u32], n, _: &()| cells.push(c, n, ()));
+        Algorithm::CCubingStarArray.run(&CubeRequest::new(&t, min_sup), &mut sink).unwrap();
+        let cube = ClosedCube::new(3, min_sup, cells.iter().map(|(c, n, _)| (c, n)));
         // Probe arbitrary cells, including empty and sub-threshold ones.
         for v0 in [0u32, 1, STAR] {
             for v1 in [2u32, 3, STAR] {
                 let cell = Cell::from_values(&[v0, v1, STAR]);
                 let truth = naive::cell_count(&t, &cell);
-                match cube.query(&cell) {
+                match cube.query(cell.values()) {
                     Some(n) => prop_assert_eq!(n, truth, "cell {}", cell),
                     None => prop_assert!(truth < min_sup, "cell {} truth {}", cell, truth),
                 }

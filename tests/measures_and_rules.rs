@@ -37,6 +37,17 @@ fn assert_measures_match(
     }
 }
 
+/// The closed cube `algorithm` computes over `t` at `min_sup`, collected
+/// flat and built into a store.
+fn closed_store(algorithm: Algorithm, t: &Table, min_sup: u64) -> ClosedCube {
+    let mut cells = CellBatch::new(t.dims());
+    let mut sink = FnSink(|c: &[u32], n, _: &()| cells.push(c, n, ()));
+    algorithm
+        .run(&CubeRequest::new(t, min_sup), &mut sink)
+        .unwrap();
+    ClosedCube::new(t.dims(), min_sup, cells.iter().map(|(c, n, _)| (c, n)))
+}
+
 #[test]
 fn buc_carries_column_measures() {
     let t = measured_table(1);
@@ -130,17 +141,14 @@ fn recovery_across_algorithms() {
     // computed by BUC.
     let t = SyntheticSpec::uniform(300, 4, 6, 0.5, 6).generate();
     let min_sup = 2;
-    let mut cube = ClosedCube::new(t.dims(), min_sup, Vec::new());
-    Algorithm::CCubingStarArray
-        .run(&CubeRequest::new(&t, min_sup), &mut cube)
-        .unwrap();
+    let cube = closed_store(Algorithm::CCubingStarArray, &t, min_sup);
     let iceberg = ccube_core::sink::collect_counts(|s| {
         Algorithm::Buc
             .run(&CubeRequest::new(&t, min_sup), s)
             .unwrap();
     });
     for (cell, count) in iceberg {
-        assert_eq!(cube.query(&cell), Some(count), "recovery of {cell}");
+        assert_eq!(cube.query(cell.values()), Some(count), "recovery of {cell}");
     }
 }
 
@@ -158,10 +166,7 @@ fn mined_rules_hold_on_raw_data() {
         rules: Some(dep),
     }
     .generate();
-    let mut cube = ClosedCube::new(t.dims(), 1, Vec::new());
-    Algorithm::CCubingStar
-        .run(&CubeRequest::new(&t, 1), &mut cube)
-        .unwrap();
+    let cube = closed_store(Algorithm::CCubingStar, &t, 1);
     let (rules, stats) = mine_rules(&cube);
     assert_eq!(stats.rules, rules.len());
     for rule in &rules {
@@ -188,10 +193,7 @@ fn rules_mined_from_a_session_equal_rules_from_a_cuber() {
     let batch: Vec<u32> = (0..40).flat_map(|t| session.table().row(t * 7)).collect();
     session.ingest(&batch).unwrap();
     let store = session.materialized().expect("materialized");
-    let mut filled = ClosedCube::new(store.dims(), min_sup, Vec::new());
-    Algorithm::CCubingStarArray
-        .run(&CubeRequest::new(session.table(), min_sup), &mut filled)
-        .unwrap();
+    let filled = closed_store(Algorithm::CCubingStarArray, session.table(), min_sup);
     let (rules, stats) = mine_rules(store);
     assert!(stats.rules > 0, "{stats:?}");
     assert_eq!((rules, stats), mine_rules(&filled));
@@ -200,10 +202,7 @@ fn rules_mined_from_a_session_equal_rules_from_a_cuber() {
 #[test]
 fn rules_compaction_on_dependent_data() {
     let t = WeatherSpec::new(2_000, 3).generate_dims(5);
-    let mut cube = ClosedCube::new(t.dims(), 5, Vec::new());
-    Algorithm::CCubingStarArray
-        .run(&CubeRequest::new(&t, 5), &mut cube)
-        .unwrap();
+    let cube = closed_store(Algorithm::CCubingStarArray, &t, 5);
     let (_, stats) = mine_rules(&cube);
     assert!(stats.closed_cells > 0);
     // The weather surrogate's functional dependences guarantee substantial

@@ -50,16 +50,15 @@ fn stored(cube: &ClosedCube) -> FxHashMap<Cell, u64> {
 /// and compare the store with the oracle after every batch.
 fn replay(dims: usize, base: &[Vec<u32>], batches: &[Vec<Vec<u32>>], min_sup: u64) {
     let mut table = table_from(dims, base);
-    let cells = naive_closed_counts(&table, min_sup).into_iter().collect();
+    let cells = naive_closed_counts(&table, min_sup);
     let mut cube = ClosedCube::new(dims, min_sup, cells);
     cube.set_rows(table.rows());
     for (i, batch) in batches.iter().enumerate() {
         let old_rows = table.rows();
         let flat: Vec<u32> = batch.iter().flatten().copied().collect();
         table.append_rows(&flat).expect("valid batch");
-        let stats = patch(&mut cube, &table, old_rows);
+        patch(&mut cube, &table, old_rows);
         assert_eq!(cube.rows(), table.rows());
-        assert_eq!(stats.cells_removed, 0, "an append retired a closed cell");
         assert_eq!(
             stored(&cube),
             naive_closed_counts(&table, min_sup),
