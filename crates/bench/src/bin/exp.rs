@@ -104,14 +104,15 @@ fn print_help() {
         "exp — regenerate the C-Cubing paper's tables and figures\n\n\
          USAGE: exp [--scale F] [--seed N] [--threads N] [--out PATH] [list | all | <id>...]\n\n\
          IDs: tbl1, fig3..fig18, rules, ablate-mm, ablate-order (the paper),\n\
-         lifecycle, serve (see `exp list`).\n\
+         lifecycle, serve, ingest (see `exp list`).\n\
          Default scale 0.1 (100K tuples where the paper used 1M); \
          --scale 1.0 reproduces paper-sized inputs.\n\
          --threads N times every figure through the parallel engine.\n\
          `lifecycle` (cancel latency, token-poll overhead) writes\n\
          BENCH_lifecycle.json and `serve` (1/8/64 concurrent TCP clients) writes\n\
          BENCH_serve.json; CCUBE_ASSERT_LIFECYCLE=1 / CCUBE_ASSERT_SERVE=1 arm\n\
-         their acceptance gates. Per-layer performance numbers come from\n\
+         their acceptance gates. `ingest` times ingests and patches on the\n\
+         four ladder tables, ungated. Per-layer performance numbers come from\n\
          benchmark/ (see benchmark/README.md), not from here."
     );
 }

@@ -74,6 +74,7 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("rules", rules_experiment),
         ("lifecycle", lifecycle_experiment),
         ("serve", serve_experiment),
+        ("ingest", ingest_probe),
         ("ablate-mm", ablate_mm_budget),
         ("ablate-order", ablate_base_order),
     ]
@@ -654,6 +655,124 @@ fn rules_experiment(opt: &ExpOptions) -> Figure {
         ],
         notes: "Paper (Section 6.2): 57K rules for 462K closed cells (< 15%). Expected \
                 shape: rules ≪ closed cells."
+            .into(),
+    }
+}
+
+/// Per-table ingest probe: what one append costs a materialized session on
+/// each of the four ladder tables of `benchmark/` (`skew1`, `skew2`,
+/// `sparse`, `weather`; 25 000 rows at the default scale, seed
+/// `opt.seed`).
+///
+/// Each table is materialized at `min_sup` 8 ([`CubeSession::materialize`]),
+/// then takes 24 batches of `rows / 200` fresh rows drawn from its own spec
+/// at seed `101 × opt.seed` (4242 by default). A round times every
+/// [`CubeSession::ingest`], and beside it `ccube_delta::patch` alone on a
+/// copy of the store and its postings, and checks that both copies end
+/// equal. Each column is the best of three rounds, in ms per batch. The
+/// digest (FxHash of the final store's cells and counts, in store order)
+/// and the summed `groups_rechecked` identify the result: two builds that
+/// patch correctly print the same ones.
+///
+/// [`CubeSession::materialize`]: c_cubing::CubeSession::materialize
+/// [`CubeSession::ingest`]: c_cubing::CubeSession::ingest
+fn ingest_probe(opt: &ExpOptions) -> Figure {
+    use c_cubing::delta::{patch, Postings};
+    use c_cubing::CubeSession;
+    use std::hash::{Hash, Hasher};
+    use std::time::Instant;
+
+    const BATCHES: usize = 24;
+    const ROUNDS: usize = 3;
+    let rows = opt.tuples(250_000);
+    let batch_rows = (rows / 200).max(1);
+    let fresh_seed = opt.seed.wrapping_mul(101);
+    let generate = |name: &str, n: usize, seed: u64| match name {
+        "skew1" => SyntheticSpec::uniform(n, 8, 100, 1.0, seed).generate(),
+        "skew2" => SyntheticSpec::uniform(n, 8, 100, 2.0, seed).generate(),
+        "sparse" => SyntheticSpec::uniform(n, 6, 1000, 1.5, seed).generate(),
+        _ => WeatherSpec::new(n, seed).generate(),
+    };
+    let digest = |store: &ClosedCube| {
+        let mut h = ccube_core::fxhash::FxHasher::default();
+        for (cell, count) in store.iter() {
+            (cell, count).hash(&mut h);
+        }
+        h.finish()
+    };
+    let mut out = Vec::new();
+    for name in ["skew1", "skew2", "sparse", "weather"] {
+        let table = generate(name, rows, opt.seed);
+        let fresh = generate(name, BATCHES * batch_rows, fresh_seed);
+        let flat: Vec<u32> = fresh.iter_rows().flat_map(|(_, row)| row).collect();
+        let batches: Vec<&[u32]> = flat.chunks(batch_rows * table.dims()).collect();
+        let (mut ingest_ms, mut patch_ms) = (f64::INFINITY, f64::INFINITY);
+        let mut last = None;
+        for _ in 0..ROUNDS {
+            let mut session = CubeSession::new(table.clone()).expect("ordinary table");
+            session.materialize(8).expect("min_sup is positive");
+            let mut store = session.materialized().expect("materialized").clone();
+            let (mut grown, mut postings) = (table.clone(), Postings::new(&table));
+            let (mut ingest_s, mut patch_s, mut rechecked) = (0.0, 0.0, 0);
+            for batch in &batches {
+                let t0 = Instant::now();
+                let stats = session.ingest(batch).expect("generated rows are valid");
+                ingest_s += t0.elapsed().as_secs_f64();
+                grown.append_rows(batch).expect("generated rows are valid");
+                let t0 = Instant::now();
+                let delta = patch(&mut store, &grown, &mut postings);
+                patch_s += t0.elapsed().as_secs_f64();
+                assert_eq!(
+                    stats.materialization,
+                    Some(delta),
+                    "{name}: ingest and patch differ"
+                );
+                rechecked += delta.groups_rechecked;
+            }
+            let session_store = session.materialized().expect("materialized");
+            let round = (store.len(), digest(&store), rechecked);
+            assert_eq!(
+                digest(session_store),
+                round.1,
+                "{name}: ingest and patch differ"
+            );
+            assert!(last.is_none_or(|l| l == round), "{name}: rounds differ");
+            last = Some(round);
+            ingest_ms = ingest_ms.min(ingest_s * 1e3 / BATCHES as f64);
+            patch_ms = patch_ms.min(patch_s * 1e3 / BATCHES as f64);
+        }
+        let (cells, digest, rechecked) = last.expect("at least one round");
+        out.push((
+            name.to_string(),
+            vec![
+                format!("{ingest_ms:.2}"),
+                format!("{patch_ms:.2}"),
+                cells.to_string(),
+                format!("{digest:016x}"),
+                rechecked.to_string(),
+            ],
+        ));
+    }
+    Figure {
+        id: "ingest",
+        title: format!(
+            "Ingest per ladder table (T={rows}, M=8, {BATCHES} batches of {batch_rows} rows, \
+             best of {ROUNDS})"
+        ),
+        x_label: "Table".into(),
+        series: [
+            "ingest ms/batch",
+            "patch ms/batch",
+            "cells",
+            "digest",
+            "groups_rechecked",
+        ]
+        .map(String::from)
+        .to_vec(),
+        rows: out,
+        notes: "Ungated tooling, not a paper artifact: `ingest_requery` in `benchmark/` ingests \
+                `sparse` only. Digests and `groups_rechecked` must agree between two builds \
+                run at the same scale and seed."
             .into(),
     }
 }
@@ -1305,11 +1424,30 @@ mod tests {
         let ids: Vec<&str> = all_experiments().iter().map(|(id, _)| *id).collect();
         let mut want = vec!["tbl1".to_string()];
         want.extend((3..=18).map(|n| format!("fig{n}")));
-        want.extend(["rules", "lifecycle", "serve", "ablate-mm", "ablate-order"].map(String::from));
-        // Exactly these 22, in paper order: `parallel`, `substrate`,
-        // `session` and `ingest` are measured by `benchmark/` now.
+        want.extend(
+            [
+                "rules",
+                "lifecycle",
+                "serve",
+                "ingest",
+                "ablate-mm",
+                "ablate-order",
+            ]
+            .map(String::from),
+        );
+        // Exactly these 23, in paper order: `parallel`, `substrate` and
+        // `session` are measured by `benchmark/` now; `ingest` is the
+        // per-table probe `benchmark/` does not run.
         assert_eq!(ids, want);
-        assert_eq!(ids.len(), 22);
+        assert_eq!(ids.len(), 23);
+    }
+
+    #[test]
+    fn ingest_probe_smoke() {
+        let fig = ingest_probe(&tiny());
+        let names: Vec<&str> = fig.rows.iter().map(|(x, _)| x.as_str()).collect();
+        assert_eq!(names, ["skew1", "skew2", "sparse", "weather"]);
+        assert!(fig.rows.iter().all(|(_, cells)| cells.len() == 5));
     }
 
     #[test]

@@ -199,16 +199,48 @@ impl ClosedCube {
 
     /// The position of `cell`, whose key is `key`, or the position it
     /// would be inserted at: the run of equal keys, then the cells in it.
+    /// A run of one cell costs one cell comparison.
     fn seek(&self, key: u64, cell: &[u32]) -> Result<usize, usize> {
-        let mut i = self.keys.partition_point(|&k| k < key);
-        while self.keys.get(i) == Some(&key) {
-            match self.cell(i).cmp(cell) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Equal => return Ok(i),
-                std::cmp::Ordering::Greater => break,
+        let i = self.keys.partition_point(|&k| k < key);
+        if self.keys.get(i) != Some(&key) {
+            return Err(i);
+        }
+        match self.cell(i).cmp(cell) {
+            std::cmp::Ordering::Less => self.seek_in_run(i, key, cell),
+            std::cmp::Ordering::Equal => Ok(i),
+            std::cmp::Ordering::Greater => Err(i),
+        }
+    }
+
+    /// [`ClosedCube::seek`] past `i`, the first cell of the run of `key`,
+    /// which sorts below `cell`. The later cells below `cell` form a prefix,
+    /// all in the run (past it every key, so every cell, is larger): gallop
+    /// past that prefix, testing the key before the cell, then bisect the
+    /// last stride. Kept out of line, so that the fully packed stores' runs
+    /// of one pay nothing for it.
+    #[inline(never)]
+    fn seek_in_run(&self, i: usize, key: u64, cell: &[u32]) -> Result<usize, usize> {
+        let below = |j: usize| self.keys.get(j) == Some(&key) && self.cell(j) < cell;
+        let (mut lo, mut step) = (i, 1);
+        while below(lo + step) {
+            lo += step;
+            step *= 2;
+        }
+        let mut hi = lo + step;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if below(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
             }
         }
-        Err(i)
+        let found = self.keys.get(hi) == Some(&key) && self.cell(hi) == cell;
+        if found {
+            Ok(hi)
+        } else {
+            Err(hi)
+        }
     }
 
     /// Upsert closed cells (the caller vouches that each is closed), given
@@ -584,6 +616,65 @@ mod tests {
         union.push((&wide, 9));
         assert_reads_like(&cube, &ClosedCube::new(8, 1, union));
         assert_eq!(cube.len(), 201);
+    }
+
+    #[test]
+    fn a_long_run_of_equal_keys_reads_like_a_btree_map() {
+        // Value 5 000 takes 13-bit codes, so a key packs four leading
+        // values: the 1 200 cells `(1, 2, 3, 4, a, b, c, *)` with even `c`
+        // share one key. Cells `(1, 2, 3, 3, …)` sort below that run and
+        // `(1, 2, 3, 5, …)` past it.
+        use std::collections::BTreeMap;
+        let run = |a: u32, b: u32, c: u32| vec![1, 2, 3, 4, a, b, c, STAR];
+        let mut oracle: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
+        for (a, b, c) in
+            (0..10).flat_map(|a| (0..12).flat_map(move |b| (0..10).map(move |c| (a, b, c))))
+        {
+            oracle.insert(run(a, b, 2 * c + 2), u64::from(a + b + c) + 1);
+        }
+        oracle.insert(vec![1, 2, 3, 3, 0, 0, 0, STAR], 7);
+        oracle.insert(vec![1, 2, 3, 5, 9, 9, 9, STAR], 8);
+        oracle.insert(vec![5000, 0, 0, 0, 0, 0, 0, 0], 9);
+        let cells = |map: &BTreeMap<Vec<u32>, u64>| {
+            map.iter().map(|(c, &n)| (c.clone(), n)).collect::<Vec<_>>()
+        };
+        let mut cube = ClosedCube::new(8, 1, cells(&oracle));
+        // Absent cells: inside the run (odd `c`, and `c = 0` before its
+        // first cell), past its last, and beside the two neighbours.
+        let absent = [
+            run(0, 0, 0),
+            run(0, 0, 1),
+            run(4, 7, 13),
+            run(9, 11, 21),
+            run(9, 11, 22),
+            run(10, 0, 2),
+            vec![1, 2, 3, 3, 0, 0, 1, STAR],
+            vec![1, 2, 3, 5, 0, 0, 0, STAR],
+            vec![1, 2, 3, 4, STAR, STAR, STAR, STAR],
+        ];
+        let assert_reads_like_oracle = |cube: &ClosedCube, oracle: &BTreeMap<Vec<u32>, u64>| {
+            let got: Vec<(Vec<u32>, u64)> = cube.iter().map(|(c, n)| (c.to_vec(), n)).collect();
+            assert_eq!(got, cells(oracle));
+            for (cell, &n) in oracle {
+                assert_eq!(cube.get(cell), Some(n), "get {cell:?}");
+            }
+            for cell in &absent {
+                assert_eq!(cube.get(cell), oracle.get(cell).copied(), "get {cell:?}");
+            }
+        };
+        assert_eq!(cube.len(), 1_203);
+        assert_reads_like_oracle(&cube, &oracle);
+        // One apply adds every absent cell and updates cells at the run's
+        // ends, inside it, and on both sides of it.
+        let mut batch: Vec<(Vec<u32>, u64)> = absent.iter().map(|c| (c.clone(), 100)).collect();
+        for cell in [run(0, 0, 2), run(5, 5, 10), run(9, 11, 20)] {
+            batch.push((cell, 200));
+        }
+        batch.push((vec![1, 2, 3, 3, 0, 0, 0, STAR], 300));
+        batch.push((vec![1, 2, 3, 5, 9, 9, 9, STAR], 400));
+        assert_eq!(cube.apply(batch.clone()), (absent.len() as u64, 5));
+        oracle.extend(batch);
+        assert_reads_like_oracle(&cube, &oracle);
     }
 
     #[test]

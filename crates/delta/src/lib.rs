@@ -20,6 +20,19 @@
 //! stamping it with the row count it is current for. Its point-query index
 //! is dropped by the patch and rebuilt only if someone queries.
 //!
+//! ## The postings
+//!
+//! Beside the store lives a [`Postings`] index over the same rows: per
+//! dimension, each value's ascending tuple IDs, and for every *heavy*
+//! value (one holding at least `rows / 64` of the rows) a dense `u64`
+//! bitmap of the same IDs. Its owner builds it once, from the table the
+//! store is current for ([`Postings::new`]); every [`patch`] reads the old
+//! rows' lists off it and then extends it over the appended rows, in
+//! `O(batch + values touched)`, so store and index stay current for the
+//! same row count. It costs `dims × rows × 4 B` of lists, `4 B` per value
+//! code up to each dimension's largest, and at most `8 B × rows` of
+//! bitmaps per dimension: a dimension has at most 64 heavy values.
+//!
 //! ## Batch-cell enumeration
 //!
 //! [`patch`] walks the batch cells with the BUC recursion BUC and QC-DFS
@@ -37,11 +50,13 @@
 //! Otherwise its old group is that of the parent's closure plus `d = v`,
 //! and the store is asked for that cell ([`ClosedCube::get`]): a stored
 //! cell is closed, with its stored count. A cell the store lacks is
-//! **counted** from per-dimension postings of the old rows: the smallest
-//! posting list among its bound values, filtered by the others. Under
-//! `min_sup` that list is the child's listed old part (a border cell);
+//! **counted** from the postings. When every bound value is heavy, its old
+//! group is the AND of their bitmaps, one word per 64 old rows, and its
+//! tuple IDs are the set bits. Otherwise it is the shortest list among its
+//! bound values, filtered by the others one column read at a time. Under
+//! `min_sup` that group is the child's listed old part (a border cell);
 //! otherwise the cell is non-closed and its closure is folded from the
-//! list. A child of a listed node filters its parent's list.
+//! group. A child of a listed node filters its parent's list.
 //!
 //! The node's count is the old count plus the batch count; under
 //! `min_sup` its subtree is pruned. Otherwise it is closed iff its batch
@@ -89,99 +104,225 @@ pub struct DeltaStats {
     pub cells_updated: u64,
 }
 
-/// Bring `cube` current after `table` grew from `old_rows` rows to its
-/// present size: walk exactly the batch cells (see the module docs), take
-/// each one's old part from the store, and upsert the ones found closed.
-/// Runs on the calling thread.
+/// Bring `cube` current after `table` grew from `postings.rows()` rows to
+/// its present size: walk exactly the batch cells (see the module docs),
+/// take each one's old part from the store, or count it from `postings`,
+/// and upsert the ones found closed. Then extend `postings` over the
+/// appended rows. Runs on the calling thread.
 ///
-/// `old_rows` must equal [`ClosedCube::rows`] — the session layer keeps
-/// that invariant. A store current for zero rows (a fresh
-/// [`ClosedCube::new`] with no cells) patched to `table.rows()` becomes
-/// the table's closed iceberg cube.
+/// `postings` must be current for the store's rows ([`ClosedCube::rows`]):
+/// the owner of both keeps that invariant, and every patch keeps it. A
+/// store current for zero rows (a fresh [`ClosedCube::new`] with no cells)
+/// patched with postings of no rows becomes the table's closed iceberg
+/// cube.
 ///
 /// # Panics
-/// When `old_rows` is not the store's row count or exceeds the table's, or
-/// `table` has another dimension count than the store: patching on would
-/// silently produce a different cube.
-pub fn patch(cube: &mut ClosedCube, table: &Table, old_rows: usize) -> DeltaStats {
+/// When `postings` is not current for the store's row count, or either is
+/// longer than the table, or `table` has another dimension count than the
+/// store or the postings: patching on would silently produce a different
+/// cube.
+pub fn patch(cube: &mut ClosedCube, table: &Table, postings: &mut Postings) -> DeltaStats {
     assert_eq!(table.dims(), cube.dims(), "table has other dimensions");
+    assert_eq!(
+        table.dims(),
+        postings.dims.len(),
+        "table has other dimensions"
+    );
+    let old_rows = postings.rows;
     assert_eq!(old_rows, cube.rows(), "patch continuity broken");
     assert!(old_rows <= table.rows(), "table is shorter than the store");
     let mut stats = DeltaStats::default();
     cube.set_rows(table.rows());
     let min_sup = cube.min_sup();
-    if table.rows() == old_rows || (table.rows() as u64) < min_sup {
-        return stats;
-    }
-
-    let (values, counts) = {
-        let shield = CancelToken::new();
-        let _guard = lifecycle::install(&shield);
-        let order: Vec<usize> = (0..table.dims()).collect();
-        let mut walk = Walk {
-            old: Old {
-                table,
-                store: cube,
-                min_sup,
-                old_rows,
-                postings: Postings::new(table, old_rows),
-            },
-            stack: Vec::new(),
-            depth: 0,
-            rechecked: 0,
-            values: Vec::new(),
-            counts: Vec::new(),
+    if table.rows() > old_rows && table.rows() as u64 >= min_sup {
+        let (values, counts) = {
+            let shield = CancelToken::new();
+            let _guard = lifecycle::install(&shield);
+            let order: Vec<usize> = (0..table.dims()).collect();
+            let mut walk = Walk {
+                old: Old {
+                    table,
+                    store: cube,
+                    min_sup,
+                    old_rows,
+                    postings,
+                    words: Vec::new(),
+                },
+                stack: Vec::new(),
+                depth: 0,
+                rechecked: 0,
+                values: Vec::new(),
+                counts: Vec::new(),
+            };
+            let mut cell = vec![STAR; table.dims()];
+            let mut batch: Vec<TupleId> = (old_rows as TupleId..table.rows() as TupleId).collect();
+            let p = Partitioner::with_sparse_reset();
+            descend(table, &order, 1, p, &mut cell, &mut batch, &mut walk);
+            stats.groups_rechecked = walk.rechecked;
+            (walk.values, walk.counts)
         };
-        let mut cell = vec![STAR; table.dims()];
-        let mut batch: Vec<TupleId> = (old_rows as TupleId..table.rows() as TupleId).collect();
-        let p = Partitioner::with_sparse_reset();
-        descend(table, &order, 1, p, &mut cell, &mut batch, &mut walk);
-        stats.groups_rechecked = walk.rechecked;
-        (walk.values, walk.counts)
-    };
-    let cells = values.chunks_exact(table.dims()).zip(counts);
-    (stats.cells_added, stats.cells_updated) = cube.apply(cells);
+        let cells = values.chunks_exact(table.dims()).zip(counts);
+        (stats.cells_added, stats.cells_updated) = cube.apply(cells);
+    }
+    postings.extend(table);
     stats
 }
 
-/// The old rows' tuple IDs by value: per dimension, one ascending list per
-/// value, laid out contiguously.
-struct Postings {
-    /// Per dimension: the old tuple IDs, value-sorted.
-    tids: Vec<Vec<TupleId>>,
-    /// Per dimension: value `v`'s tuples are `tids[starts[v]..starts[v + 1]]`;
-    /// values at or past the last entry have none.
-    starts: Vec<Vec<u32>>,
+/// A table's rows by value, for [`patch`]: per dimension, each value's
+/// ascending tuple IDs, plus a dense bitmap of them for every value holding
+/// at least `rows / 64` of the rows (see "The postings" in the module
+/// docs).
+#[derive(Clone, Debug)]
+pub struct Postings {
+    /// Rows indexed: the first `rows` of the table.
+    rows: usize,
+    /// Per dimension.
+    dims: Vec<ValuePostings>,
+}
+
+/// One dimension's postings.
+#[derive(Clone, Debug, Default)]
+struct ValuePostings {
+    /// Per value code, its list's index in `lists`, or [`NO_LIST`] when no
+    /// row has it.
+    slot: Vec<u32>,
+    /// One list per value some row has.
+    lists: Vec<List>,
+    /// The indices in `lists` of the heavy values, the ones with bitmaps.
+    heavy: Vec<u32>,
+}
+
+/// [`ValuePostings::slot`] of a value no row has.
+const NO_LIST: u32 = u32::MAX;
+
+/// One value's rows.
+#[derive(Clone, Debug, Default)]
+struct List {
+    /// Its tuple IDs, ascending.
+    tids: Vec<TupleId>,
+    /// For a heavy value, bit `t % 64` of word `t / 64` is set for each
+    /// listed `t`, one word per 64 indexed rows; empty for a light one.
+    bits: Vec<u64>,
+}
+
+/// The list of a value no row has.
+const EMPTY: &List = &List {
+    tids: Vec::new(),
+    bits: Vec::new(),
+};
+
+/// Does a list of `len` tuple IDs out of `rows` rows get a bitmap? It does
+/// from `rows / 64` IDs on, rounded up: one per bitmap word. At most 64
+/// lists of one dimension do.
+fn heavy(len: usize, rows: usize) -> bool {
+    len > 0 && len >= rows.div_ceil(64)
 }
 
 impl Postings {
-    /// One counting sort per dimension over the old rows.
-    fn new(table: &Table, old_rows: usize) -> Postings {
-        let mut p = Partitioner::with_sparse_reset();
-        let mut groups = Vec::new();
-        let (mut tids, mut starts) = (Vec::new(), Vec::new());
-        for d in 0..table.dims() {
-            let mut list: Vec<TupleId> = (0..old_rows as TupleId).collect();
-            groups.clear();
-            p.partition(table, d, &mut list, &mut groups);
-            let mut start = Vec::with_capacity(table.card(d) as usize + 1);
-            for g in &groups {
-                start.resize(g.value as usize + 1, g.start);
-            }
-            start.push(old_rows as u32);
-            tids.push(list);
-            starts.push(start);
-        }
-        Postings { tids, starts }
+    /// The postings of every row of `table`: one pass per dimension, into
+    /// lists sized by the values' frequencies.
+    pub fn new(table: &Table) -> Postings {
+        let dims = (0..table.dims())
+            .map(|d| {
+                let mut dim = ValuePostings::default();
+                for (v, n) in table.freq(d).into_iter().enumerate() {
+                    dim.slot.push(NO_LIST);
+                    if n > 0 {
+                        dim.slot[v] = dim.lists.len() as u32;
+                        dim.lists.push(List {
+                            tids: Vec::with_capacity(n as usize),
+                            bits: Vec::new(),
+                        });
+                    }
+                }
+                dim
+            })
+            .collect();
+        let mut postings = Postings { rows: 0, dims };
+        postings.extend(table);
+        postings
     }
 
-    /// The old tuples with value `v` on dimension `d`.
-    fn list(&self, d: usize, v: u32) -> &[TupleId] {
-        let starts = &self.starts[d];
-        match starts.get(v as usize..v as usize + 2) {
-            Some(&[start, end]) => &self.tids[d][start as usize..end as usize],
-            _ => &[],
+    /// Rows indexed: the table's first `rows()`, the row count of the store
+    /// the postings are patched beside.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The indexed rows with value `v` on dimension `d`.
+    fn list(&self, d: usize, v: u32) -> &List {
+        let dim = &self.dims[d];
+        match dim.slot.get(v as usize) {
+            Some(&slot) if slot != NO_LIST => &dim.lists[slot as usize],
+            _ => EMPTY,
         }
+    }
+
+    /// Index the rows `table` holds past `rows()`: append each to its
+    /// values' lists, then settle the bitmaps at the new row count. A value
+    /// no longer heavy loses its bitmap, a heavy one widens to the new word
+    /// count and gains the batch's bits, and one whose list reached the
+    /// heavy length in this batch gets a bitmap of its list:
+    /// `O(batch + heavy values)`, plus one pass over each such list.
+    fn extend(&mut self, table: &Table) {
+        let (old, rows) = (self.rows, table.rows());
+        let words = rows.div_ceil(64);
+        let mut turned = Vec::new();
+        for (d, dim) in self.dims.iter_mut().enumerate() {
+            // A light list grows one ID at a time, so it reaches the heavy
+            // length `words` at exactly one push.
+            with_lanes!(
+                table.col(d),
+                |col| for (t, &v) in (old..).zip(&col[old..]) {
+                    let i = dim.push(u32::from(v), t as TupleId);
+                    let list = &dim.lists[i as usize];
+                    if list.tids.len() == words && list.bits.is_empty() {
+                        turned.push(i);
+                    }
+                }
+            );
+            let lists = &mut dim.lists;
+            dim.heavy.retain(|&i| {
+                let list = &mut lists[i as usize];
+                if !heavy(list.tids.len(), rows) {
+                    list.bits = Vec::new();
+                    return false;
+                }
+                list.bits.resize(words, 0);
+                let fresh = list.tids.iter().rev().take_while(|&&t| t as usize >= old);
+                for &t in fresh {
+                    list.bits[t as usize / 64] |= 1 << (t % 64);
+                }
+                true
+            });
+            for i in turned.drain(..) {
+                let list = &mut lists[i as usize];
+                list.bits = vec![0; words];
+                for &t in &list.tids {
+                    list.bits[t as usize / 64] |= 1 << (t % 64);
+                }
+                dim.heavy.push(i);
+            }
+        }
+        self.rows = rows;
+    }
+}
+
+impl ValuePostings {
+    /// Append tuple `t` to value `v`'s list, opening the list if `v` is
+    /// new; returns the list's index.
+    fn push(&mut self, v: u32, t: TupleId) -> u32 {
+        let v = v as usize;
+        if v >= self.slot.len() {
+            self.slot.resize(v + 1, NO_LIST);
+        }
+        if self.slot[v] == NO_LIST {
+            self.slot[v] = self.lists.len() as u32;
+            self.lists.push(List::default());
+        }
+        let i = self.slot[v];
+        self.lists[i as usize].tids.push(t);
+        i
     }
 }
 
@@ -227,7 +368,10 @@ struct Old<'a> {
     store: &'a ClosedCube,
     min_sup: u64,
     old_rows: usize,
-    postings: Postings,
+    /// Current for the old rows.
+    postings: &'a Postings,
+    /// Scratch: the AND of a miss's bitmaps.
+    words: Vec<u64>,
 }
 
 impl Old<'_> {
@@ -245,7 +389,7 @@ impl Old<'_> {
 
     /// The old part of `cell`, whose dimension `d` was just bound, from
     /// its parent's.
-    fn child(&self, parent: &OldPart, part: &mut OldPart, cell: &[u32], d: usize) {
+    fn child(&mut self, parent: &OldPart, part: &mut OldPart, cell: &[u32], d: usize) {
         let v = cell[d];
         part.tids.clear();
         if parent.listed {
@@ -276,26 +420,51 @@ impl Old<'_> {
     }
 
     /// Gather the old group of `part.closure`, a cell the store lacks, into
-    /// `part.tids`: the smallest posting list among its bound values,
-    /// filtered by the others one column at a time.
-    fn count(&self, part: &mut OldPart) {
-        let (table, key, tids) = (self.table, &part.closure, &mut part.tids);
+    /// `part.tids`: the set bits of its bound values' bitmaps ANDed, when
+    /// all of them are heavy, else the shortest of their lists, filtered by
+    /// the others one column at a time.
+    fn count(&mut self, part: &mut OldPart) {
+        let (table, postings, words) = (self.table, self.postings, &mut self.words);
+        let (key, tids) = (&part.closure, &mut part.tids);
         let bound = || (0..key.len()).filter(|&d| key[d] != STAR);
-        let pivot = bound()
-            .min_by_key(|&d| self.postings.list(d, key[d]).len())
-            .expect("a child binds a dimension");
-        let list = self.postings.list(pivot, key[pivot]);
-        let mut rest = bound().filter(|&d| d != pivot);
-        match rest.next() {
-            None => tids.extend_from_slice(list),
-            Some(d) => with_lanes!(table.col(d), |col| tids.extend(
-                list.iter()
-                    .filter(|&&t| u32::from(col[t as usize]) == key[d])
-            )),
-        }
-        for d in rest {
-            with_lanes!(table.col(d), |col| tids
-                .retain(|&t| u32::from(col[t as usize]) == key[d]));
+        let lists = || bound().map(|d| postings.list(d, key[d]));
+        if lists().all(|list| !list.bits.is_empty()) {
+            #[cfg(test)]
+            tests::count_path(0);
+            let mut bitmaps = lists().map(|list| &list.bits[..]);
+            words.clear();
+            words.extend_from_slice(bitmaps.next().expect("a child binds a dimension"));
+            for bitmap in bitmaps {
+                for (w, &b) in words.iter_mut().zip(bitmap) {
+                    *w &= b;
+                }
+            }
+            for (i, &w) in words.iter().enumerate() {
+                let mut w = w;
+                while w != 0 {
+                    tids.push((i * 64) as TupleId + w.trailing_zeros());
+                    w &= w - 1;
+                }
+            }
+        } else {
+            #[cfg(test)]
+            tests::count_path(1);
+            let pivot = bound()
+                .min_by_key(|&d| postings.list(d, key[d]).tids.len())
+                .expect("a child binds a dimension");
+            let list = &postings.list(pivot, key[pivot]).tids;
+            let mut rest = bound().filter(|&d| d != pivot);
+            match rest.next() {
+                None => tids.extend_from_slice(list),
+                Some(d) => with_lanes!(table.col(d), |col| tids.extend(
+                    list.iter()
+                        .filter(|&&t| u32::from(col[t as usize]) == key[d])
+                )),
+            }
+            for d in rest {
+                with_lanes!(table.col(d), |col| tids
+                    .retain(|&t| u32::from(col[t as usize]) == key[d]));
+            }
         }
         part.settle(table, self.min_sup);
     }
@@ -382,11 +551,35 @@ mod tests {
     use ccube_core::TableBuilder;
     use ccube_data::SyntheticSpec;
 
-    /// The store of `table` at `min_sup`, patched up from zero rows.
-    fn build_at(table: &Table, min_sup: u64) -> (ClosedCube, DeltaStats) {
+    thread_local! {
+        /// Misses counted on this thread: by bitmaps, and by lists.
+        static COUNTED: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    }
+
+    /// Note one miss counted by bitmaps (`path` 0) or by a list (1).
+    pub(super) fn count_path(path: usize) {
+        COUNTED.with(|n| {
+            let mut counts = n.get();
+            counts[path] += 1;
+            n.set(counts);
+        });
+    }
+
+    /// Postings of no rows over `dims` dimensions.
+    fn no_rows(dims: usize) -> Postings {
+        Postings {
+            rows: 0,
+            dims: vec![ValuePostings::default(); dims],
+        }
+    }
+
+    /// The store of `table` at `min_sup`, patched up from zero rows, and
+    /// the postings patched along.
+    fn build_at(table: &Table, min_sup: u64) -> (ClosedCube, Postings, DeltaStats) {
         let mut cube = ClosedCube::new(table.dims(), min_sup, Vec::<(Cell, u64)>::new());
-        let stats = patch(&mut cube, table, 0);
-        (cube, stats)
+        let mut postings = no_rows(table.dims());
+        let stats = patch(&mut cube, table, &mut postings);
+        (cube, postings, stats)
     }
 
     fn as_counts(cube: &ClosedCube) -> FxHashMap<Cell, u64> {
@@ -395,18 +588,54 @@ mod tests {
             .collect()
     }
 
+    /// Per dimension, each value some row has, with its tuple IDs and
+    /// bitmap, in value order.
+    type ByValue<'a> = Vec<Vec<(u32, &'a [TupleId], &'a [u64])>>;
+
+    fn by_value(postings: &Postings) -> ByValue<'_> {
+        let dims = postings.dims.iter();
+        dims.map(|dim| {
+            let values = (0..dim.slot.len() as u32).filter(|&v| dim.slot[v as usize] != NO_LIST);
+            let list = |v: u32| &dim.lists[dim.slot[v as usize] as usize];
+            values
+                .map(|v| (v, &list(v).tids[..], &list(v).bits[..]))
+                .collect()
+        })
+        .collect()
+    }
+
+    /// `postings`, extended patch by patch, indexes `table` as a fresh
+    /// build does, and gives a bitmap to exactly the heavy values.
+    fn assert_indexes(postings: &Postings, table: &Table) {
+        let fresh = Postings::new(table);
+        assert_eq!(postings.rows(), table.rows());
+        assert_eq!(by_value(postings), by_value(&fresh));
+        for (d, dim) in postings.dims.iter().enumerate() {
+            for list in &dim.lists {
+                let bitmap = heavy(list.tids.len(), table.rows());
+                assert_eq!(!list.bits.is_empty(), bitmap, "dimension {d}");
+            }
+            assert!(dim.heavy.len() <= 64);
+            let mut heavy = dim.heavy.clone();
+            heavy.sort_unstable();
+            heavy.dedup();
+            assert_eq!(heavy.len(), dim.heavy.len(), "a heavy value listed twice");
+        }
+    }
+
     #[test]
     fn patch_from_zero_rows_is_the_closed_iceberg_cube() {
         for seed in 0..3 {
             let t = SyntheticSpec::uniform(300, 4, 6, 1.0, seed).generate();
             for min_sup in [1, 2, 8] {
-                let (cube, stats) = build_at(&t, min_sup);
+                let (cube, postings, stats) = build_at(&t, min_sup);
                 assert_eq!(
                     as_counts(&cube),
                     naive_closed_counts(&t, min_sup),
                     "seed={seed} min_sup={min_sup}"
                 );
                 assert_eq!(cube.rows(), t.rows());
+                assert_indexes(&postings, &t);
                 assert_eq!(
                     stats.cells_updated, 0,
                     "a patch from zero rows only inserts"
@@ -425,7 +654,7 @@ mod tests {
             .row(&[0, 1, 1, 1])
             .build()
             .unwrap();
-        let (cube, _) = build_at(&t, 2);
+        let (cube, _, _) = build_at(&t, 2);
         let cells: Vec<(&[u32], u64)> = cube.iter().collect();
         assert_eq!(
             cells,
@@ -436,16 +665,16 @@ mod tests {
     #[test]
     fn patch_equals_rebuild() {
         let mut t = SyntheticSpec::uniform(400, 4, 5, 1.2, 9).generate();
-        let (mut cube, _) = build_at(&t, 2);
+        let (mut cube, mut postings, _) = build_at(&t, 2);
         // Three successive batches, one introducing brand-new values.
         let batches: Vec<Vec<u32>> = vec![vec![0, 1, 2, 3, 4, 0, 1, 2], vec![7, 7, 7, 7], vec![]];
         for batch in &batches {
-            let old_rows = t.rows();
             t.append_rows(batch).unwrap();
-            patch(&mut cube, &t, old_rows);
-            let (cold, _) = build_at(&t, 2);
+            patch(&mut cube, &t, &mut postings);
+            let (cold, _, _) = build_at(&t, 2);
             assert_eq!(as_counts(&cube), as_counts(&cold));
             assert_eq!(cube.rows(), t.rows());
+            assert_indexes(&postings, &t);
         }
     }
 
@@ -454,10 +683,75 @@ mod tests {
         let mut t = SyntheticSpec::uniform(200, 4, 5, 0.8, 4).generate();
         let mut cube = ClosedCube::new(t.dims(), 2, naive_closed_counts(&t, 2));
         cube.set_rows(t.rows());
-        let old_rows = t.rows();
+        let mut postings = Postings::new(&t);
         t.append_rows(&[1, 1, 1, 1, 0, 2, 4, 1]).unwrap();
-        patch(&mut cube, &t, old_rows);
+        patch(&mut cube, &t, &mut postings);
         assert_eq!(as_counts(&cube), naive_closed_counts(&t, 2));
+    }
+
+    /// A row of the few-thousand-row table below: dimensions 0 and 3 hold
+    /// only heavy values; on dimension 1 values 0..4 are heavy and 4..60
+    /// light; dimension 2's 100 values are all light.
+    fn mixed_row(state: &mut u64) -> [u32; 4] {
+        let mut next = |n: u64| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            (*state % n) as u32
+        };
+        let rare = next(4) == 0;
+        let d1 = if rare { next(60) } else { next(4) };
+        [next(3), d1, next(100), next(2)]
+    }
+
+    #[test]
+    fn bitmaps_and_lists_count_alike_across_a_history() {
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let mut rows =
+            |n: usize| -> Vec<u32> { (0..n).flat_map(|_| mixed_row(&mut state)).collect() };
+        let base = rows(3000);
+        let mut light_turns_heavy: Vec<u32> = (0..60).flat_map(|i| [i % 3, 59, i, i % 2]).collect();
+        light_turns_heavy.extend(rows(10));
+        let batches: Vec<Vec<u32>> = vec![
+            rows(125),
+            // Value 60 is past dimension 1's cardinality: a new list.
+            [vec![0, 60, 5, 1, 1, 60, 5, 0, 2, 60, 7, 1], rows(40)].concat(),
+            // Value 300 widens dimension 2's `u8` column.
+            [vec![1, 2, 300, 0, 1, 2, 300, 1], rows(40)].concat(),
+            // Sixty more rows make value 59 of dimension 1 heavy.
+            light_turns_heavy,
+            // Cells binding it now take the bitmap path.
+            [vec![0, 59, 3, 0, 1, 59, 4, 1], rows(60)].concat(),
+        ];
+        COUNTED.with(|n| n.set([0; 2]));
+        for min_sup in [4, 150] {
+            let mut table = TableBuilder::new(4);
+            for row in base.chunks_exact(4) {
+                table.push_row(row);
+            }
+            let mut table = table.build().unwrap();
+            let mut cube = ClosedCube::new(4, min_sup, naive_closed_counts(&table, min_sup));
+            cube.set_rows(table.rows());
+            let mut postings = Postings::new(&table);
+            assert!(
+                postings.list(1, 59).bits.is_empty(),
+                "value 59 starts light"
+            );
+            for (i, batch) in batches.iter().enumerate() {
+                table.append_rows(batch).unwrap();
+                patch(&mut cube, &table, &mut postings);
+                let want = naive_closed_counts(&table, min_sup);
+                assert_eq!(as_counts(&cube), want, "min_sup {min_sup}, batch {i}");
+                assert_indexes(&postings, &table);
+            }
+            assert!(!postings.list(1, 59).bits.is_empty(), "value 59 ends heavy");
+            assert_eq!(table.width(2), ccube_core::Width::U16);
+        }
+        let [bitmaps, lists] = COUNTED.with(|n| n.get());
+        assert!(
+            bitmaps > 0 && lists > 0,
+            "{bitmaps} by bitmaps, {lists} by lists"
+        );
     }
 
     #[test]
@@ -465,14 +759,13 @@ mod tests {
         // A one-row batch must re-check far fewer groups than a build
         // stores cells.
         let t = SyntheticSpec::uniform(500, 4, 8, 0.5, 3).generate();
-        let (cube0, cold_stats) = build_at(&t, 2);
+        let (cube0, postings0, cold_stats) = build_at(&t, 2);
         let mut t2 = t.clone();
-        let old_rows = t2.rows();
         // One appended tuple, duplicating row 0 (joins only row-0 groups).
         let row0 = t2.row(0);
         t2.append_rows(&row0).unwrap();
-        let mut cube = cube0.clone();
-        let stats = patch(&mut cube, &t2, old_rows);
+        let (mut cube, mut postings) = (cube0.clone(), postings0.clone());
+        let stats = patch(&mut cube, &t2, &mut postings);
         assert!(
             stats.groups_rechecked * 4 < cold_stats.groups_rechecked,
             "delta rechecked {} of {} cold groups",
@@ -483,34 +776,37 @@ mod tests {
     }
 
     /// Build at `min_sup` 2, append one row, and patch `other` instead of
-    /// the grown table when given, from `old_rows + old_rows_delta`.
-    fn patch_with(other: Option<&Table>, old_rows_delta: usize) {
+    /// the grown table when given, with the grown table's postings when
+    /// `stale_store`.
+    fn patch_with(other: Option<&Table>, stale_store: bool) {
         let mut t = SyntheticSpec::uniform(60, 3, 4, 0.5, 5).generate();
-        let (mut cube, _) = build_at(&t, 2);
-        let old_rows = t.rows();
+        let (mut cube, mut postings, _) = build_at(&t, 2);
         t.append_rows(&[1, 2, 3]).unwrap();
-        patch(&mut cube, other.unwrap_or(&t), old_rows + old_rows_delta);
+        if stale_store {
+            postings = Postings::new(&t);
+        }
+        patch(&mut cube, other.unwrap_or(&t), &mut postings);
     }
 
     #[test]
     #[should_panic(expected = "patch continuity broken")]
-    fn patch_refuses_a_wrong_old_rows() {
-        patch_with(None, 1);
+    fn patch_refuses_postings_of_other_rows() {
+        patch_with(None, true);
     }
 
     #[test]
     #[should_panic(expected = "table has other dimensions")]
     fn patch_refuses_another_dimension_count() {
         let wide = SyntheticSpec::uniform(61, 4, 4, 0.5, 5).generate();
-        patch_with(Some(&wide), 0);
+        patch_with(Some(&wide), false);
     }
 
     #[test]
     #[should_panic(expected = "table is shorter than the store")]
     fn patch_refuses_a_shorter_table() {
         let short = SyntheticSpec::uniform(59, 3, 4, 0.5, 5).generate();
-        let (mut cube, _) = build_at(&short, 2);
+        let (mut cube, mut postings, _) = build_at(&short, 2);
         let shorter = SyntheticSpec::uniform(58, 3, 4, 0.5, 5).generate();
-        patch(&mut cube, &shorter, 59);
+        patch(&mut cube, &shorter, &mut postings);
     }
 }

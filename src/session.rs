@@ -110,7 +110,7 @@ use ccube_core::order::DimOrdering;
 use ccube_core::partition::LeadPartition;
 use ccube_core::sink::{CellBatch, CellSink, CountingSink, FnSink};
 use ccube_core::{ClosedCube, CubeError, CubeRequest, DimMask, Table, TupleId};
-use ccube_delta::DeltaStats;
+use ccube_delta::{DeltaStats, Postings};
 use ccube_engine::ChannelSink;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -199,6 +199,10 @@ pub struct CubeSession {
     /// the in-flight query runs it answers, and copied on write like
     /// `table`.
     materialized: Option<Arc<ClosedCube>>,
+    /// The table's postings, held exactly while `materialized` is: built
+    /// with the store and extended by each patch, so both are current for
+    /// the same rows.
+    postings: Option<Postings>,
     cache: CacheStats,
 }
 
@@ -230,6 +234,7 @@ impl CubeSession {
             ordering,
             lead: Arc::new(lead),
             materialized: None,
+            postings: None,
             cache: CacheStats {
                 stat_builds: 1,
                 partition_builds: 1,
@@ -310,8 +315,12 @@ impl CubeSession {
     /// * the materialized closed cube, if built, is patched by
     ///   [`ccube_delta::patch`] on the calling thread: it walks only the
     ///   cells that generalize an appended row, takes each one's old count
-    ///   and closure from the store (counting from the old rows only the
-    ///   cells the store lacks), and upserts the cells found closed.
+    ///   and closure from the store, counts only the cells the store lacks
+    ///   from the session's postings of the old rows (their bitmaps ANDed
+    ///   when every bound value is heavy, else the shortest list filtered),
+    ///   and upserts the cells found closed;
+    /// * the postings then take the appended rows, in `O(batch + values
+    ///   touched)`: no old row is re-sorted.
     ///
     /// In-flight [`CellStream`]s keep the pre-ingest snapshot of the table
     /// and of the store (copy-on-write at the session boundary); queries
@@ -362,7 +371,8 @@ impl CubeSession {
         self.cache.partition_builds += 1;
         if let Some(cube) = self.materialized.as_mut() {
             let cube = Arc::make_mut(cube);
-            let delta = ccube_delta::patch(cube, &self.table, old_rows);
+            let postings = self.postings.as_mut().expect("a store has postings");
+            let delta = ccube_delta::patch(cube, &self.table, postings);
             self.cache.artifacts_patched += 1;
             self.cache.groups_rechecked += delta.groups_rechecked;
             stats.materialization = Some(delta);
@@ -384,6 +394,14 @@ impl CubeSession {
     /// calling thread that no ambient cancel token can stop half-way. The
     /// returned [`DeltaStats`] count the cells stored as both
     /// `groups_rechecked` and `cells_added`.
+    ///
+    /// Beside the store the session builds the table's [`Postings`]: per
+    /// dimension, each value's tuple IDs, and a bitmap of them for each
+    /// value holding at least `rows / 64` of the rows. Every ingest counts
+    /// the cells the store lacks from them, then extends them. They cost
+    /// `dims × rows × 4 B` of lists plus at most `8 B × rows` of bitmaps per
+    /// dimension, for as long as the session holds a store; a session that
+    /// never materializes builds none.
     ///
     /// # Errors
     /// [`CubeError::ZeroMinSup`].
@@ -409,6 +427,7 @@ impl CubeSession {
             ..DeltaStats::default()
         };
         self.materialized = Some(Arc::new(cube));
+        self.postings = Some(Postings::new(&self.table));
         self.cache.artifacts_rebuilt += 1;
         self.cache.groups_rechecked += stats.groups_rechecked;
         Ok(stats)
@@ -1923,6 +1942,39 @@ mod tests {
             s.query().min_sup(2).run(sink).unwrap();
         });
         assert_eq!(got, ccube_core::naive::naive_closed_counts(s.table(), 2));
+    }
+
+    #[test]
+    fn the_postings_follow_the_store() {
+        let mut s = session();
+        let mut never = session();
+        let check = |s: &CubeSession, never: &CubeSession| {
+            let store = s.materialized().expect("materialized");
+            let want = ccube_core::naive::naive_closed_counts(s.table(), store.min_sup());
+            let got: ccube_core::fxhash::FxHashMap<Cell, u64> = (store.iter())
+                .map(|(c, n)| (Cell::from_values(c), n))
+                .collect();
+            assert_eq!(got, want, "min_sup {}", store.min_sup());
+            assert_eq!(store.rows(), s.table().rows());
+            let postings = s.postings.as_ref().expect("a store has postings");
+            assert_eq!(postings.rows(), store.rows());
+            assert!(never.postings.is_none() && never.materialized().is_none());
+        };
+        s.materialize(2).unwrap();
+        check(&s, &never);
+        for (session, rows) in [(&mut s, [0, 1, 2, 3, 5, 5, 5, 5]), (&mut never, [1; 8])] {
+            session.ingest(&rows).unwrap();
+        }
+        check(&s, &never);
+        s.materialize(3).unwrap();
+        check(&s, &never);
+        s.ingest(&[0, 1, 2, 3, 300, 0, 1, 2]).unwrap();
+        check(&s, &never);
+        assert!(matches!(
+            s.ingest(&[0, 1, 2]),
+            Err(CubeError::BadRowWidth { .. })
+        ));
+        check(&s, &never);
     }
 
     #[test]

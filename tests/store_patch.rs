@@ -17,11 +17,14 @@
 //!   cross them in both directions of the border;
 //! * values past the base's cardinality, some past a `u8` column's width
 //!   (widened columns, which also turns the row-packed path off);
+//! * values past a `u16` column's width on four or five dimensions, so the
+//!   store's key packs only some leading dimensions and its runs of equal
+//!   keys hold many cells (partial packings);
 //! * base tables with fewer rows than `min_sup`, where the store starts
 //!   empty;
 //! * batches that repeat one row `min_sup` times, reaching it alone.
 
-use c_cubing::delta::patch;
+use c_cubing::delta::{patch, Postings};
 use c_cubing::prelude::*;
 use ccube_core::fxhash::FxHashMap;
 use ccube_core::naive::naive_closed_counts;
@@ -31,6 +34,10 @@ const MIN_SUPS: [u64; 4] = [1, 2, 3, 8];
 
 /// A batch value this large widens a `u8` column to `u16`.
 const WIDE: u32 = 300;
+
+/// A value this large widens a column to `u32`, and takes 17-bit codes in
+/// the store's key: only three leading dimensions fit it.
+const HUGE: u32 = 70_000;
 
 fn table_from(dims: usize, rows: &[Vec<u32>]) -> Table {
     let mut b = TableBuilder::new(dims);
@@ -53,11 +60,11 @@ fn replay(dims: usize, base: &[Vec<u32>], batches: &[Vec<Vec<u32>>], min_sup: u6
     let cells = naive_closed_counts(&table, min_sup);
     let mut cube = ClosedCube::new(dims, min_sup, cells);
     cube.set_rows(table.rows());
+    let mut postings = Postings::new(&table);
     for (i, batch) in batches.iter().enumerate() {
-        let old_rows = table.rows();
         let flat: Vec<u32> = batch.iter().flatten().copied().collect();
         table.append_rows(&flat).expect("valid batch");
-        patch(&mut cube, &table, old_rows);
+        patch(&mut cube, &table, &mut postings);
         assert_eq!(cube.rows(), table.rows());
         assert_eq!(
             stored(&cube),
@@ -67,15 +74,34 @@ fn replay(dims: usize, base: &[Vec<u32>], batches: &[Vec<Vec<u32>>], min_sup: u6
     }
 }
 
-/// A random history over `dims` dimensions: base rows over `0..3` (dimension
-/// `constant`, if one, held at 0), and batches mixing fresh rows over
-/// `0..6` (6 stands for [`WIDE`]), copies of base rows and one row repeated
-/// `min_sup` times.
-#[allow(clippy::type_complexity)]
-fn arb_history() -> impl Strategy<Value = (usize, Vec<Vec<u32>>, Vec<Vec<Vec<u32>>>, u64)> {
-    (2usize..=4, 0usize..4, 0usize..5).prop_flat_map(|(dims, m, constant)| {
+type History = (usize, Vec<Vec<u32>>, Vec<Vec<Vec<u32>>>, u64);
+
+/// A random history over 2 to 4 dimensions: base rows over `0..3`
+/// (dimension `constant`, if one, held at 0), and batches mixing fresh rows
+/// over `0..7` (6 stands for [`WIDE`]), copies of base rows and one row
+/// repeated `min_sup` times.
+fn arb_history() -> impl Strategy<Value = History> {
+    arb_history_over(2..=4, 3, WIDE)
+}
+
+/// [`arb_history`] over 4 or 5 dimensions, with [`HUGE`] among the base
+/// values and in place of [`WIDE`]: the store packs three leading
+/// dimensions a key.
+fn arb_partial_history() -> impl Strategy<Value = History> {
+    arb_history_over(4..=5, 4, HUGE)
+}
+
+/// A history over `dims` dimensions: base values below `base_card`, 3
+/// standing for `wide`; batch values below 7, 6 standing for `wide`.
+fn arb_history_over(
+    dims: std::ops::RangeInclusive<usize>,
+    base_card: u32,
+    wide: u32,
+) -> impl Strategy<Value = History> {
+    (dims, 0usize..4, 0usize..5).prop_flat_map(move |(dims, m, constant)| {
         let min_sup = MIN_SUPS[m];
-        let base = proptest::collection::vec(proptest::collection::vec(0u32..3, dims), 0..30);
+        let value = (0u32..base_card).prop_map(move |v| if v == 3 { wide } else { v });
+        let base = proptest::collection::vec(proptest::collection::vec(value, dims), 0..30);
         let row = proptest::collection::vec(0u32..7, dims);
         // (kind, fresh rows, which base row / repeated row)
         let batch = (0u32..4, proptest::collection::vec(row, 0..8), 0usize..64);
@@ -87,7 +113,7 @@ fn arb_history() -> impl Strategy<Value = (usize, Vec<Vec<u32>>, Vec<Vec<Vec<u32
                 }
             }
             let widen = |r: &Vec<u32>| -> Vec<u32> {
-                r.iter().map(|&v| if v == 6 { WIDE } else { v }).collect()
+                r.iter().map(|&v| if v == 6 { wide } else { v }).collect()
             };
             let batches = (batches.into_iter())
                 .map(|(kind, fresh, pick)| match kind {
@@ -111,6 +137,16 @@ proptest! {
 
     #[test]
     fn patched_store_equals_the_oracle_after_every_batch(case in arb_history()) {
+        let (dims, base, batches, min_sup) = case;
+        replay(dims, &base, &batches, min_sup);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn partially_packed_store_equals_the_oracle_after_every_batch(case in arb_partial_history()) {
         let (dims, base, batches, min_sup) = case;
         replay(dims, &base, &batches, min_sup);
     }
